@@ -17,8 +17,8 @@ execution), cli (the `mas` command).
 """
 
 from .abstraction import (AgentWTS, ProductWTS, TransitionCertificate,
-                          build_agent_wts, build_product, drift, drift_all,
-                          feedback_input, transition_enabled)
+                          build_agent_wts, drift, drift_all, feedback_input,
+                          transition_enabled)
 from .bounds import (BoundsReport, DiscretizationRange, deviation_remainder,
                      discretization_range, lipschitz_constants,
                      theorem1_constants)
@@ -43,7 +43,7 @@ from .simulate import (BoundednessReport, Trajectory, bang_bang_inputs,
                        integrate_plans, verify_against_plans,
                        verify_boundedness)
 from .synthesis import (BuchiProduct, Lasso, Plan, SynthesisResult,
-                        align_runs, buchi_product, consistent,
+                        align_runs, consistent,
                         enumerate_accepting_lassos, find_accepting_lasso,
                         synthesize, witness_instant)
 from .tba import (ClockBound, ClockValuation, Edge, Guard, TimedAutomaton,

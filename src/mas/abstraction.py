@@ -2,12 +2,23 @@
 
 Each agent's motion couples to its graph neighbors through the consensus
 drift f_i(x) = -sum_{j in N(i)} (x_i - x_j). A cell-to-cell transition is
-enabled when, for every corner of the source cell and every corner assignment
-of the neighbors' cells, a bounded correction input can steer the sampled
-prediction to the target cell's center, and the continuous flow cannot drift
-out of the target by more than its inradius in one sampling period. The
-certificate stores the center-to-center nominal input and that deviation
-remainder, so transitions can be re-validated against the actual dynamics.
+enabled when, from every point of the source cell and under every position of
+the neighbors in their cells, a bounded correction input can steer the
+sampled prediction x_i + dt*f_i(x) to the target cell's center, and the
+continuous flow cannot drift out of the target by more than its inradius in
+one sampling period.
+
+The prediction is affine in every coordinate and the axes are independent,
+so over box-shaped cells its range is itself a box: per axis, the extremes
+come from the source cell's two bounds combined with the sums of the
+neighbors' lower and upper bounds. The worst distance from a target center
+to that box is the norm of max(|c - lo|, |c - hi|) taken per axis. In
+floating point this equals the maximum over all cell corners, because
+addition, scaling by dt > 0, squaring and the square root are monotone.
+
+A certificate (the center-to-center nominal input and the deviation
+remainder rho(dt)) is computed when asked for, once per distinct move, so
+transitions can be re-validated against the actual dynamics.
 
 Actions are (own cell, neighbor cells...) tuples: what the agent plans to do
 given where its neighbors currently are. The product system synchronizes all
@@ -18,8 +29,9 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -50,13 +62,7 @@ def drift(g: NetworkGraph, agent: int, x_i, x_neighbors) -> np.ndarray:
 
 def drift_all(g: NetworkGraph, positions: np.ndarray) -> np.ndarray:
     """Stacked consensus drift for all agents; positions is (N, n)."""
-    lap = np.zeros((g.agent_count, g.agent_count))
-    for i, j in g.edges:
-        lap[i - 1, i - 1] += 1.0
-        lap[j - 1, j - 1] += 1.0
-        lap[i - 1, j - 1] -= 1.0
-        lap[j - 1, i - 1] -= 1.0
-    return -lap @ positions
+    return -g.laplacian @ positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +87,8 @@ class AgentWTS:
     ``transitions`` maps an action tuple (own cell, neighbor cells...) to the
     tuple of targets enabled under it. Durations default to the uniform
     sampling period ``dt``; sparse overrides support hand-built systems with
-    non-uniform weights.
+    non-uniform weights. ``certify`` maps an enabled (action, target) pair to
+    its certificate; hand-built systems have none.
     """
 
     agent: int
@@ -91,9 +98,12 @@ class AgentWTS:
     labels: dict[int, frozenset[str]]
     transitions: dict[tuple[int, ...], tuple[int, ...]]
     neighbor_agents: tuple[int, ...] = ()
-    certificates: dict[tuple, TransitionCertificate] | None = None
+    certify: Callable[[tuple[int, ...], int], TransitionCertificate] | None \
+        = None
     durations: dict[tuple, float] | None = None
     _by_source: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
+    _certificates: dict[tuple, TransitionCertificate] = field(
+        default_factory=dict)
 
     def __post_init__(self):
         by_source: dict[int, list[tuple[int, ...]]] = {}
@@ -128,9 +138,59 @@ class AgentWTS:
         return sum(len(ts) for ts in self.transitions.values())
 
     def certificate(self, source: int, action, target: int):
-        if self.certificates is None:
+        """Certificate of an enabled move, computed once per distinct move.
+
+        None for moves that are not enabled and for hand-built systems.
+        """
+        if self.certify is None or action[0] != source \
+                or target not in self.transitions.get(action, ()):
             return None
-        return self.certificates.get((source, action, target))
+        key = (action, target)
+        cert = self._certificates.get(key)
+        if cert is None:
+            cert = self._certificates[key] = self.certify(action, target)
+        return cert
+
+
+def worst_distances(decomp: CellDecomposition, actions: np.ndarray,
+                    centers: np.ndarray, dt: float) -> np.ndarray:
+    """Largest distance from each target center to the sampled prediction.
+
+    ``actions`` is an (A, deg+1) array of 1-based cells, own cell first;
+    ``centers`` is (T, n). Returns (A, T): for every action, the maximum over
+    all points of the source cell and the neighbor cells of the distance from
+    a target center to own + dt*(sum of neighbors - deg*own).
+    """
+    lows = decomp.lows[actions - 1]    # (A, deg+1, n)
+    highs = decomp.highs[actions - 1]
+    deg = actions.shape[1] - 1
+    sums = (lows[:, 1:].sum(axis=1), highs[:, 1:].sum(axis=1))
+    # the sign of 1 - deg*dt is not fixed, so evaluate both own bounds
+    ends = [own + dt * (total - deg * own)
+            for own in (lows[:, 0], highs[:, 0]) for total in sums]
+    lo = np.minimum.reduce(ends)[:, None, :]
+    hi = np.maximum.reduce(ends)[:, None, :]
+    far = np.maximum(np.abs(centers[None] - lo), np.abs(centers[None] - hi))
+    return np.linalg.norm(far, axis=2)
+
+
+def _certificate(g: NetworkGraph, decomp: CellDecomposition, agent: int,
+                 dt: float, rho: float, action: tuple[int, ...],
+                 target: int) -> TransitionCertificate:
+    """Center-to-center nominal input and remainder for one enabled move."""
+    source, neighbor_cells = action[0], tuple(action[1:])
+    center_f = drift(g, agent, decomp.center(source),
+                     [decomp.center(c) for c in neighbor_cells])
+    nominal = (decomp.center(target) - decomp.center(source)
+               - dt * center_f) / dt
+    return TransitionCertificate(
+        agent=agent,
+        source=source,
+        target=target,
+        neighbor_cells=neighbor_cells,
+        nominal_input=nominal,
+        remainder=rho,
+    )
 
 
 def transition_enabled(
@@ -145,10 +205,9 @@ def transition_enabled(
 ) -> TransitionCertificate | None:
     """Certificate for one transition, or None when it is not well-posed.
 
-    Checks every corner of the source cell against every corner assignment of
-    the neighbor cells (the required correction is affine in all of them, so
-    corners are the extreme cases), then bounds the continuous deviation by
-    the remainder rho(dt) against the target's inradius.
+    The worst-case required correction over the source and neighbor cells
+    must fit the reach budget, and the remainder rho(dt) must fit the
+    target's inradius.
     """
     nbrs = g.neighbors(agent)
     if len(neighbor_cells) != len(nbrs):
@@ -156,31 +215,13 @@ def transition_enabled(
             f"agent {agent} has {len(nbrs)} neighbors, got cells {neighbor_cells}")
     dt = disc.chosen_dt
     budget = bounds.lambda_reach * bounds.v_max * dt
-    target_center = decomp.center(target)
-    own = decomp.vertices(source)
-    nbr_vertices = [decomp.vertices(c) for c in neighbor_cells]
-    worst = 0.0
-    for own_corner in own:
-        for assignment in itertools.product(*nbr_vertices) if nbr_vertices else [()]:
-            f = drift(g, agent, own_corner, assignment)
-            req = target_center - own_corner - dt * f
-            worst = max(worst, float(np.linalg.norm(req)))
-            if worst > budget:
-                return None
+    action = (source,) + tuple(neighbor_cells)
+    worst = worst_distances(decomp, np.array([action]),
+                            decomp.center(target)[None], dt)
     rho = deviation_remainder(bounds, dt)
-    if rho > decomp.inradius(target):
+    if worst[0, 0] > budget or rho > decomp.inradius(target):
         return None
-    center_f = drift(g, agent, decomp.center(source),
-                     [decomp.center(c) for c in neighbor_cells])
-    nominal = (target_center - decomp.center(source) - dt * center_f) / dt
-    return TransitionCertificate(
-        agent=agent,
-        source=source,
-        target=target,
-        neighbor_cells=tuple(neighbor_cells),
-        nominal_input=nominal,
-        remainder=rho,
-    )
+    return _certificate(g, decomp, agent, dt, rho, action, target)
 
 
 def build_agent_wts(
@@ -197,6 +238,7 @@ def build_agent_wts(
 
     The action space is every (own cell, neighbor cells...) combination, so
     its size is cells^(deg+1); a cap guards against accidental blow-ups.
+    Actions are tested one source cell at a time, all neighbor cells at once.
     """
     nbrs = g.neighbors(agent)
     cells = tuple(range(1, decomp.cell_count + 1))
@@ -209,45 +251,19 @@ def build_agent_wts(
     rho = deviation_remainder(bounds, dt)
 
     centers = np.array([decomp.center(c) for c in cells])
-    vertex_sets = np.stack([decomp.vertices(c) for c in cells])  # (T, 2^n, n)
     inradii = np.array([decomp.inradius(c) for c in cells])
-    size_ok = rho <= inradii  # per-target remainder test
-
-    # all corner assignments as an index grid: row b picks corner combo b
-    corners = vertex_sets.shape[1]
-    combo_idx = np.array(list(itertools.product(range(corners),
-                                                repeat=len(nbrs) + 1)))
-    slot_idx = np.arange(len(nbrs) + 1)[None, :]
+    sized = np.nonzero(rho <= inradii)[0]  # per-target remainder test
+    nbr_cells = np.array(list(itertools.product(cells, repeat=len(nbrs))),
+                         dtype=int).reshape(len(cells) ** len(nbrs), len(nbrs))
 
     transitions: dict[tuple[int, ...], tuple[int, ...]] = {}
-    certificates: dict[tuple, TransitionCertificate] = {}
     for source in cells:
-        for nbr_cells in itertools.product(cells, repeat=len(nbrs)):
-            stacked = vertex_sets[[source - 1] + [c - 1 for c in nbr_cells]]
-            block = stacked[slot_idx, combo_idx, :]  # (B, deg+1, n)
-            own_pts = block[:, 0, :]
-            if len(nbrs):
-                f = block[:, 1:, :].sum(axis=1) - len(nbrs) * own_pts
-            else:
-                f = np.zeros_like(own_pts)
-            endpoints = own_pts + dt * f  # (B, n)
-            dist = np.linalg.norm(centers[None, :, :] - endpoints[:, None, :],
-                                  axis=2)  # (B, T)
-            reachable = (dist.max(axis=0) <= budget) & size_ok
-            targets = tuple(int(cells[k]) for k in np.nonzero(reachable)[0])
-            if not targets:
-                continue
-            action = (source,) + tuple(int(c) for c in nbr_cells)
-            transitions[action] = targets
-            center_f = drift(g, agent, decomp.center(source),
-                             [decomp.center(c) for c in nbr_cells])
-            for target in targets:
-                nominal = (centers[target - 1] - decomp.center(source)
-                           - dt * center_f) / dt
-                certificates[(source, action, target)] = TransitionCertificate(
-                    agent=agent, source=source, target=target,
-                    neighbor_cells=tuple(int(c) for c in nbr_cells),
-                    nominal_input=nominal, remainder=rho)
+        actions = np.column_stack(
+            [np.full(len(nbr_cells), source), nbr_cells])
+        ok = worst_distances(decomp, actions, centers[sized], dt) <= budget
+        for row in np.nonzero(ok.any(axis=1))[0]:
+            transitions[tuple(actions[row].tolist())] = \
+                tuple((sized[ok[row]] + 1).tolist())
 
     labels = {c: labeling.label(agent, c) for c in cells}
     wts = AgentWTS(
@@ -258,7 +274,7 @@ def build_agent_wts(
         labels=labels,
         transitions=transitions,
         neighbor_agents=nbrs,
-        certificates=certificates,
+        certify=partial(_certificate, g, decomp, agent, dt, rho),
     )
     logger.info("agent %d abstraction: %d cells, %d actions, %d transitions",
                 agent, len(cells), len(transitions), wts.transition_count())
@@ -336,12 +352,6 @@ class ProductWTS:
                             f"product exceeded {self.state_cap} states")
                     frontier.append(child)
         return len(seen)
-
-
-def build_product(wts_list: list[AgentWTS], g: NetworkGraph,
-                  state_cap: int = PRODUCT_STATE_CAP) -> ProductWTS:
-    """Product transition system over the given per-agent systems."""
-    return ProductWTS(wts_list, g, state_cap)
 
 
 def feedback_input(

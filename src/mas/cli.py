@@ -6,7 +6,7 @@ Subcommands::
     mas abstract   --scenario S [--out DIR] [--max-states K]
     mas synthesize --scenario S [--out DIR] [--max-states K] [--max-iters R]
     mas simulate   --scenario S [--out DIR] [--max-states K] [--max-iters R]
-                   [--horizon STEPS] [--substeps M] [--seed Z]
+                   [--horizon STEPS] [--substeps M]
     mas check      --scenario S --agent I [--word FILE] [--formula TEXT]
                    [--out DIR]
 
@@ -690,7 +690,6 @@ def cmd_simulate(args) -> int:
     rep["simulation"] = {
         "steps": steps,
         "substeps": args.substeps,
-        "seed": args.seed,
         "final_time": float(traj.times[-1]),
         "saturated_inputs": len(traj.saturated),
     }
@@ -818,9 +817,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "cycles)")
     p.add_argument("--substeps", type=int, default=4,
                    help="integrator stages per sampling step (default 4)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="recorded in report.json; the closed loop itself is "
-                        "deterministic")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("check", help="evaluate a formula on a timed word")

@@ -34,6 +34,18 @@ class NetworkGraph:
             nbrs[j - 1].append(i)
         return tuple(tuple(sorted(ns)) for ns in nbrs)
 
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """N x N graph Laplacian (read-only: every caller shares it)."""
+        lap = np.zeros((self.agent_count, self.agent_count))
+        for i, j in self.edges:
+            lap[i - 1, i - 1] += 1.0
+            lap[j - 1, j - 1] += 1.0
+            lap[i - 1, j - 1] -= 1.0
+            lap[j - 1, i - 1] -= 1.0
+        lap.flags.writeable = False
+        return lap
+
     def neighbors(self, agent: int) -> tuple[int, ...]:
         """Sorted neighbor ids of an agent (1-based)."""
         return self._neighbors[agent - 1]
@@ -53,16 +65,6 @@ def incidence_matrix(g: NetworkGraph) -> np.ndarray:
         d[i - 1, e] = 1.0
         d[j - 1, e] = -1.0
     return d
-
-
-def _laplacian(edges, agent_count) -> np.ndarray:
-    lap = np.zeros((agent_count, agent_count))
-    for i, j in edges:
-        lap[i - 1, i - 1] += 1.0
-        lap[j - 1, j - 1] += 1.0
-        lap[i - 1, j - 1] -= 1.0
-        lap[j - 1, i - 1] -= 1.0
-    return lap
 
 
 def build_graph(agent_count: int, edges, dimension: int = 1) -> NetworkGraph:
@@ -89,12 +91,12 @@ def build_graph(agent_count: int, edges, dimension: int = 1) -> NetworkGraph:
         seen.add(key)
         normalized.append(key)
     normalized.sort()
-    lap = _laplacian(normalized, agent_count)
-    eigvals = np.linalg.eigvalsh(lap)
+    g = NetworkGraph(agent_count, dimension, tuple(normalized))
+    eigvals = np.linalg.eigvalsh(g.laplacian)
     if eigvals[1] <= CONNECTIVITY_TOL:
         raise DisconnectedGraph(
             f"graph is disconnected (lambda_2 = {eigvals[1]:.3e})")
-    return NetworkGraph(agent_count, dimension, tuple(normalized))
+    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +112,7 @@ class SpectralData:
 
 def spectral(g: NetworkGraph) -> SpectralData:
     """Compute the Laplacian, incidence matrix and the eigenvalues in use."""
-    lap = _laplacian(g.edges, g.agent_count)
+    lap = g.laplacian
     d = incidence_matrix(g)
     eigvals = np.linalg.eigvalsh(lap)
     lambda2 = float(eigvals[1])

@@ -90,12 +90,6 @@ class CellDecomposition:
         lo, hi = self.bounds(index)
         return 0.5 * (lo + hi)
 
-    def vertices(self, index: int) -> np.ndarray:
-        """All 2^n corners of a cell, shape (2^n, n)."""
-        lo, hi = self.bounds(index)
-        corners = itertools.product(*[(lo[k], hi[k]) for k in range(lo.size)])
-        return np.array(list(corners))
-
     def inradius(self, index: int) -> float:
         lo, hi = self.bounds(index)
         return 0.5 * float((hi - lo).min())

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import reduce
 
 from . import _ndfs
-from .abstraction import AgentWTS, ProductWTS, TransitionCertificate, build_product
+from .abstraction import AgentWTS, ProductWTS, TransitionCertificate
 from .errors import LengthMismatch, Unsatisfiable
 from .graph import NetworkGraph
 from .mitl import (Eventually, MitlFormula, TimedWord, atoms, evaluate,
@@ -181,11 +181,6 @@ class BuchiProduct:
 
     def accepting(self, state: tuple) -> bool:
         return state[1] in self.automaton.accepting
-
-
-def buchi_product(system, automaton: TimedAutomaton) -> BuchiProduct:
-    """Product of an agent/product transition system with an automaton."""
-    return BuchiProduct(system, automaton)
 
 
 def find_accepting_lasso(product: BuchiProduct,
@@ -362,7 +357,6 @@ class SynthesisResult:
     step_used: int  # 3 = per-agent combination, 4 = full product search
     agent_lasso_counts: list[int]
     combinations_tried: int
-    product_states_explored: int | None = None
 
 
 def witness_instant(word: TimedWord, formula: MitlFormula) -> Fraction | None:
@@ -476,7 +470,7 @@ def synthesize(
         if alphabets and w.agent in alphabets:
             sigma |= alphabets[w.agent]
         automata[w.agent] = from_flat_mitl(formulas[w.agent], sigma)
-    product = build_product(wts_list, g, state_cap=max_states)
+    product = ProductWTS(wts_list, g, state_cap=max_states)
 
     per_agent: list[list[Lasso]] = []
     for w in wts_list:

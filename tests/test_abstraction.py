@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from mas.abstraction import (AgentWTS, build_agent_wts, build_product, drift,
-                             drift_all, feedback_input, transition_enabled)
-from mas.bounds import discretization_range, theorem1_constants
+from mas.abstraction import (AgentWTS, ProductWTS, build_agent_wts, drift,
+                             drift_all, feedback_input, transition_enabled,
+                             worst_distances)
+from mas.bounds import (BoundsReport, DiscretizationRange,
+                        deviation_remainder, discretization_range,
+                        theorem1_constants)
 from mas.errors import ArityMismatch, BudgetExceeded
 from mas.graph import build_graph, spectral
 from mas.partition import (LabeledRegion, ServiceLabeling, Workspace,
@@ -149,7 +152,7 @@ def test_product_synchronizes_agent_moves():
     g = build_graph(2, [(1, 2)])
     w1 = granted_chain_wts(1, (1, 2, 3), {}, (2,), cells, dt)
     w2 = granted_chain_wts(2, (3, 2), {}, (1,), cells, dt)
-    product = build_product([w1, w2], g)
+    product = ProductWTS([w1, w2], g)
     assert product.initial_states() == ((1, 3),)
     succ = [target for _, target, _ in product.successors((1, 3))]
     assert set(succ) == {(1, 3), (1, 2), (2, 3), (2, 2)}
@@ -164,7 +167,7 @@ def test_product_rejects_mismatched_sampling_periods():
     w1 = granted_chain_wts(1, (1, 2), {}, (2,), (1, 2), 1.0)
     w2 = granted_chain_wts(2, (2, 1), {}, (1,), (1, 2), 0.5)
     with pytest.raises(ArityMismatch):
-        build_product([w1, w2], g)
+        ProductWTS([w1, w2], g)
 
 
 def test_feedback_input_compensates_drift():
@@ -198,3 +201,132 @@ def test_validated_moves_cover_the_planning_chain():
     for k in range(3):
         assert run1[k + 1] in w1.post(run1[k], (run1[k], run2[k]))
         assert run2[k + 1] in w2.post(run2[k], (run2[k], run1[k]))
+
+
+# --------------------------------------------------------------------------
+# box reachability against the corner oracle
+# --------------------------------------------------------------------------
+
+def _corner_worst(decomp, action, centers, dt):
+    """Oracle: largest distance from each target center to the sampled
+    prediction, by brute force over every corner of the source cell and every
+    corner assignment of the neighbor cells. The endpoint is written as the
+    abstraction writes it, so the box test must agree exactly."""
+    corners = [list(itertools.product(*zip(*decomp.bounds(c))))
+               for c in action]
+    deg = len(action) - 1
+    worst = np.zeros(len(centers))
+    for own in map(np.array, corners[0]):
+        for assignment in itertools.product(*corners[1:]):
+            total = sum(np.array(x) for x in assignment)
+            end = own + dt * (total - deg * own)
+            worst = np.maximum(worst, np.linalg.norm(centers - end, axis=1))
+    return worst
+
+
+def _star_system(dimension, degree, side, counts, dt, v_max, rho,
+                 regions=()):
+    """Agent 1 at the center of a star with ``degree`` leaves, on a grid of
+    ``counts`` cells of side ``side`` (refined to ``regions`` if given), with
+    the remainder rho(dt) set to about ``rho``."""
+    g = build_graph(degree + 1, [(1, j) for j in range(2, degree + 2)],
+                    dimension)
+    ws = Workspace(np.zeros(dimension), side * np.array(counts, dtype=float))
+    grid = grid_decompose(ws, side * math.sqrt(dimension))
+    assert grid.cells_per_axis == tuple(counts)
+    decomp, labeling = refine_to_compliance(list(regions), grid)
+    m_bound = rho / (dt * dt * math.exp(dt)) - v_max  # with l_total = 1
+    rep = BoundsReport(k2=1.0, r_bar=m_bound, m_bound=m_bound, l1=1.0,
+                       l2=1.0, l_total=1.0, v_max=v_max, lambda_reach=0.5,
+                       safety=1.1)
+    disc = DiscretizationRange(d_max_sup=1.0, dt_lo=dt, dt_hi=dt,
+                               chosen_d_max=side, chosen_dt=dt)
+    return g, decomp, labeling, rep, disc
+
+
+# (dimension, degree, grid cells per axis, refined by a random region)
+_BOX_CASES = [
+    (1, 1, (4,), False), (1, 2, (3,), True), (1, 3, (3,), False),
+    (1, 3, (2,), True), (2, 1, (2, 2), False), (2, 1, (2, 1), True),
+    (2, 2, (2, 2), False), (2, 3, (2, 1), False),
+]
+
+
+@pytest.mark.parametrize("dimension,degree,counts,refine", _BOX_CASES)
+def test_box_reachability_matches_corner_oracle(dimension, degree, counts,
+                                                refine):
+    rng = np.random.default_rng(1000 * dimension + 10 * degree + refine)
+    outcomes = set()
+    for _ in range(2):
+        side = float(rng.uniform(0.2, 1.0))
+        dt = float(rng.uniform(0.05, 0.45))  # 1 - deg*dt takes both signs
+        v_max = side * float(rng.uniform(0.3, 2.0)) / (0.5 * dt)
+        rho = float(rng.uniform(0.1, 0.45)) * side  # slivers may not fit
+        regions = []
+        if refine:
+            lo = rng.uniform(0.05, 0.45, dimension) * side * np.array(counts)
+            hi = lo + rng.uniform(0.2, 0.5, dimension) * side
+            regions.append(LabeledRegion(lo, hi, {1: frozenset({"p"})}))
+        g, decomp, labeling, rep, disc = _star_system(
+            dimension, degree, side, counts, dt, v_max, rho, regions)
+        cells = range(1, decomp.cell_count + 1)
+        centers = np.array([decomp.center(c) for c in cells])
+        budget = rep.lambda_reach * rep.v_max * dt
+        rho = deviation_remainder(rep, dt)
+        assert rho <= 0.5 * side
+        w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=1)
+        actions = list(itertools.product(cells, repeat=degree + 1))
+        box = worst_distances(decomp, np.array(actions), centers, dt)
+        expected = {}
+        for a, action in enumerate(actions):
+            worst = _corner_worst(decomp, action, centers, dt)
+            assert np.array_equal(box[a], worst)
+            for t in cells:
+                ok = worst[t - 1] <= budget and rho <= decomp.inradius(t)
+                outcomes.add(ok)
+                if ok:
+                    expected.setdefault(action, []).append(t)
+                cert = transition_enabled(g, decomp, rep, disc, 1, action[0],
+                                          action[1:], t)
+                assert (cert is not None) == ok
+                assert (w.certificate(action[0], action, t) is not None) == ok
+                if ok:
+                    f = drift(g, 1, decomp.center(action[0]),
+                              [decomp.center(c) for c in action[1:]])
+                    nominal = (decomp.center(t) - decomp.center(action[0])
+                               - dt * f) / dt
+                    for c in (cert, w.certificate(action[0], action, t)):
+                        assert (c.source, c.target) == (action[0], t)
+                        assert c.neighbor_cells == action[1:]
+                        assert np.array_equal(c.nominal_input, nominal)
+                        assert c.remainder == rho
+        assert w.transitions == {a: tuple(ts) for a, ts in expected.items()}
+    assert outcomes == {True, False}
+
+
+def test_box_reachability_accepts_a_worst_corner_exactly_at_the_budget():
+    # dyadic data, so every operation is exact: from cell [1/4, 1/2) with the
+    # neighbor in the same cell, the farthest prediction from the center 3/8
+    # lies 1/8 away, and the reach budget is 0.5 * 4 * 1/16 = 1/8
+    for v_max, enabled in ((4.0, True), (np.nextafter(4.0, 0.0), False)):
+        g, decomp, labeling, rep, disc = _star_system(
+            1, 1, 0.25, (4,), 1 / 16, v_max, 0.01)
+        assert decomp.bounds(2)[0][0] == 0.25 and decomp.bounds(2)[1][0] == 0.5
+        assert _corner_worst(decomp, (2, 2), decomp.center(2)[None], 1 / 16) \
+            == 0.125
+        w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=2)
+        assert (2 in w.transitions.get((2, 2), ())) == enabled
+        cert = transition_enabled(g, decomp, rep, disc, 1, 2, (2,), 2)
+        assert (cert is not None) == enabled
+        assert (w.certificate(2, (2, 2), 2) is not None) == enabled
+
+
+def test_certificates_are_computed_once_per_move():
+    g, rep, disc, decomp, labeling = _pair_setup()
+    w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=6)
+    first = w.certificate(6, (6, 7), 5)
+    assert w.certificate(6, (6, 7), 5) is first
+    assert w.certificate(6, (6, 7), 3) is None      # not enabled
+    assert w.certificate(5, (6, 7), 5) is None      # action from another cell
+    hand_built = granted_chain_wts(1, (1, 2), {}, (), (1, 2), 1.0)
+    assert hand_built.certificate(1, (1,), 2) is None

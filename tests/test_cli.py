@@ -1,5 +1,6 @@
 """Command-line interface: scenario validation, artifacts, exit codes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -198,6 +199,35 @@ def test_simulate_reuses_plans_and_rejects_stale_ones(tmp_path, capsys):
     assert main(["simulate", "--scenario", _pair_path(),
                  "--out", str(out)]) == 1
     assert "re-run synthesize" in capsys.readouterr().err
+
+
+# sha256 of what synthesize + simulate write for the shipped scenarios; a
+# change meant to keep results must keep these bytes
+ARTIFACT_SHA256 = {
+    "pair_line.json": {
+        "plans.json":
+            "bbcb7a2910eb5b477473c62f88102f511fed0920694f178b227083e3a28a5e67",
+        "services.json":
+            "88d9f194f4b00c940aa73216a514145ed9108a08653edf2ec8f94c4d54fc1bd1",
+    },
+    "path3_plane.json": {
+        "plans.json":
+            "b09ed26af7228c5147c9a16338f191e2dbe274d0d2f2125b2f541a375c1b2457",
+        "services.json":
+            "70e03e0757ba6cf5831c1febed281394ab6d6bb8cca1017a6c4024240e49dc99",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
+def test_shipped_scenario_artifacts_are_byte_identical(tmp_path, capsys, name):
+    out = tmp_path / "run"
+    for command in ("synthesize", "simulate"):
+        assert main([command, "--scenario", str(SCENARIOS / name),
+                     "--out", str(out)]) == 0
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in ARTIFACT_SHA256[name]}
+    assert digests == ARTIFACT_SHA256[name]
 
 
 def test_check_judges_the_synthesized_plan_words(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mas.abstraction import AgentWTS, build_product
+from mas.abstraction import AgentWTS, ProductWTS
 from mas.errors import LengthMismatch, Unsatisfiable
 from mas.graph import build_graph
 from mas.mitl import TimedWord, evaluate, parse, word_from_lasso
@@ -114,7 +114,7 @@ def _gated_pair():
              (2, 1): (2,), (2, 2): (2,), (2, 3): (2,)}
     w2 = AgentWTS(agent=2, cells=cells, initial=3, dt=1.0, labels={},
                   transitions=table, neighbor_agents=(1,))
-    return [w1, w2], build_product([w1, w2], g)
+    return [w1, w2], ProductWTS([w1, w2], g)
 
 
 def test_consistency_accepts_jointly_granted_runs():
