@@ -6,8 +6,8 @@ can provide in labeled workspace regions. The package computes the
 relative-state invariance bound, abstracts each agent into a finite
 transition system whose moves the continuous dynamics can certifiably track,
 translates the tasks into timed Büchi automata, searches the products for
-consistent accepting runs, and turns them into executable feedback plans that
-a fixed-step integrator can validate.
+consistent accepting runs, and turns them into executable feedback plans whose
+closed loop is validated on the exact sampled flow of the coupled dynamics.
 
 Modules: graph (topology + spectra), bounds (invariance and discretization
 constants), partition (workspace cells and service labels), mitl (formulas
@@ -18,7 +18,7 @@ execution), cli (the `mas` command).
 
 from .abstraction import (AgentWTS, ProductWTS, TransitionCertificate,
                           build_agent_wts, drift, drift_all, feedback_input,
-                          transition_enabled)
+                          feedback_inputs, transition_enabled)
 from .bounds import (BoundsReport, DiscretizationRange, deviation_remainder,
                      discretization_range, lipschitz_constants,
                      theorem1_constants)
@@ -36,7 +36,7 @@ from .mitl import (Always, And, Atom, Eventually, Interval, MitlFormula, Next,
                    Not, TimedWord, Until, atoms, evaluate, formula_to_text,
                    parse, to_fraction, word_from_lasso)
 from .partition import (CellDecomposition, LabeledRegion, ServiceLabeling,
-                        Workspace, cell_of, grid_decompose,
+                        Workspace, cell_of, cells_of, grid_decompose,
                         refine_to_compliance)
 from .simulate import (BoundednessReport, Trajectory, bang_bang_inputs,
                        boundary_cells, extract_service_word, integrate_inputs,

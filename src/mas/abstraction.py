@@ -354,6 +354,29 @@ class ProductWTS:
         return len(seen)
 
 
+def feedback_inputs(
+    g: NetworkGraph,
+    positions: np.ndarray,
+    target_centers: np.ndarray,
+    dt: float,
+    v_max: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measured-state correction inputs of all agents for one interval.
+
+    Row i steers agent i+1's sampled prediction from its position to its
+    target cell center, v = (C - x)/dt + Lx. Rows longer than the input bound
+    are scaled back onto it; the returned flags mark them (a well-posed plan
+    never needs that).
+    """
+    x = np.asarray(positions, dtype=float)
+    v = (np.asarray(target_centers, dtype=float) - x) / dt - drift_all(g, x)
+    norms = np.sqrt((v * v).sum(axis=1))
+    clipped = norms > v_max
+    if clipped.any():
+        v[clipped] *= (v_max / norms[clipped])[:, None]
+    return v, clipped
+
+
 def feedback_input(
     g: NetworkGraph,
     agent: int,
@@ -362,17 +385,9 @@ def feedback_input(
     dt: float,
     v_max: float,
 ) -> tuple[np.ndarray, bool]:
-    """Measured-state correction input for one sampling interval.
-
-    Steers the sampled prediction from the agent's current position to the
-    target cell center; clamped to the input bound (the flag reports whether
-    clamping occurred, which a well-posed plan never triggers).
-    """
-    own = positions[agent - 1]
-    nbr_positions = [positions[j - 1] for j in g.neighbors(agent)]
-    f = drift(g, agent, own, nbr_positions)
-    v = (np.asarray(target_center, dtype=float) - own) / dt - f
-    norm = float(np.linalg.norm(v))
-    if norm > v_max:
-        return v * (v_max / norm), True
-    return v, False
+    """One agent's row of `feedback_inputs`, with its clamping flag."""
+    x = np.asarray(positions, dtype=float)
+    targets = x.copy()
+    targets[agent - 1] = target_center
+    v, clipped = feedback_inputs(g, x, targets, dt, v_max)
+    return v[agent - 1], bool(clipped[agent - 1])

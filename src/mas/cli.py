@@ -53,6 +53,7 @@ from .synthesis import (DEFAULT_R_ITER, DEFAULT_STATE_CAP, Plan,
 logger = logging.getLogger(__name__)
 
 _BOUNDARY_TOL = 1e-9
+_CSV_CHUNK = 1024  # trajectory.csv rows formatted per write
 
 
 # --------------------------------------------------------------------------
@@ -583,12 +584,13 @@ def _write_trajectory_csv(path: Path, traj, agent_count: int,
     for i in range(1, agent_count + 1):
         for k in range(1, dimension + 1):
             header.append(f"agent{i}_x{k}")
-    lines = [",".join(header)]
-    for row in range(traj.states.shape[0]):
-        cells = [repr(float(traj.times[row]))]
-        cells.extend(repr(float(v)) for v in traj.states[row].ravel())
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    rows = np.column_stack((traj.times,
+                            traj.states.reshape(len(traj.times), -1)))
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _CSV_CHUNK):
+            chunk = rows[start:start + _CSV_CHUNK].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in chunk))
 
 
 # --------------------------------------------------------------------------
@@ -816,7 +818,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sampling steps to simulate (default: prefix + two "
                         "cycles)")
     p.add_argument("--substeps", type=int, default=4,
-                   help="integrator stages per sampling step (default 4)")
+                   help="recorded and workspace-checked nodes per sampling "
+                        "step (default 4)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("check", help="evaluate a formula on a timed word")

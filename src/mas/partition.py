@@ -18,6 +18,7 @@ from .errors import BudgetExceeded, OutsideWorkspace, SemanticError
 
 GRID_CELL_CAP = 10**6
 _ALIGN_TOL = 1e-9  # relative snap distance for region bounds onto grid cuts
+_LOOKUP_CHUNK = 1 << 15  # point x cell x axis comparisons per lookup block
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,28 +148,54 @@ def cell_of(decomposition: CellDecomposition, point) -> int:
     OutsideWorkspace.
     """
     p = np.asarray(point, dtype=float).reshape(-1)
+    if p.size != decomposition.dimension:
+        raise OutsideWorkspace(f"point has dimension {p.size}, workspace has "
+                               f"{decomposition.dimension}")
+    return int(cells_of(decomposition, p))
+
+
+def cells_of(decomposition: CellDecomposition, points) -> np.ndarray:
+    """`cell_of` for every point of a (..., n) array at once.
+
+    Returns an int array of shape (...). When some points have no cell, the
+    OutsideWorkspace error names the first of them in C order.
+    """
+    pts = np.asarray(points, dtype=float)
     ws = decomposition.workspace
-    if p.size != ws.dimension:
-        raise OutsideWorkspace(
-            f"point has dimension {p.size}, workspace has {ws.dimension}")
-    if not ws.contains(p):
-        raise OutsideWorkspace(f"point {p.tolist()} is outside the workspace")
+    if pts.ndim == 0 or pts.shape[-1] != ws.dimension:
+        raise OutsideWorkspace(f"points have shape {pts.shape}, workspace "
+                               f"has dimension {ws.dimension}")
+    shape = pts.shape[:-1]
+    pts = pts.reshape(-1, ws.dimension)
+    inside = np.all((pts >= ws.lower) & (pts <= ws.upper), axis=1)
     if decomposition.is_uniform:
         counts = np.array(decomposition.cells_per_axis)
-        idx = np.floor((p - ws.lower) / decomposition.sides).astype(int)
-        idx = np.minimum(idx, counts - 1)  # upper-boundary points fold in
-        flat = 0
-        for k in range(ws.dimension):
-            flat = flat * counts[k] + idx[k]
-        return int(flat) + 1
-    at_top = p == ws.upper
-    ge_lo = decomposition.lows <= p + 0.0
-    lt_hi = (p < decomposition.highs) | (at_top & (p == decomposition.highs))
-    inside = np.all(ge_lo & lt_hi, axis=1)
-    hits = np.nonzero(inside)[0]
-    if hits.size == 0:
-        raise OutsideWorkspace(f"point {p.tolist()} falls between cells")
-    return int(hits[0]) + 1
+        idx = np.floor((pts[inside] - ws.lower) / decomposition.sides)
+        idx = np.minimum(idx.astype(int), counts - 1)  # upper faces fold in
+        found = inside
+        cells = np.zeros(len(pts), dtype=int)
+        cells[inside] = np.ravel_multi_index(tuple(idx.T), counts)
+    else:
+        lows, highs = decomposition.lows, decomposition.highs
+        cells = np.empty(len(pts), dtype=int)
+        found = np.empty(len(pts), dtype=bool)
+        chunk = max(1, _LOOKUP_CHUNK // lows.size)
+        for start in range(0, len(pts), chunk):
+            p = pts[start:start + chunk, None, :]
+            inside_cell = p < highs
+            inside_cell |= (p == ws.upper) & (p == highs)
+            inside_cell &= lows <= p
+            hit = inside_cell.all(axis=2)
+            first = np.argmax(hit, axis=1)  # the first containing cell
+            cells[start:start + chunk] = first
+            found[start:start + chunk] = hit[np.arange(len(first)), first]
+        found &= inside
+    if not found.all():
+        k = int(np.argmin(found))
+        where = "falls between cells" if inside[k] else \
+            "is outside the workspace"
+        raise OutsideWorkspace(f"point {pts[k].tolist()} {where}")
+    return (cells + 1).reshape(shape)
 
 
 @dataclass(eq=False)

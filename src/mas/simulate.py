@@ -1,11 +1,20 @@
 """Continuous execution of synthesized plans and invariance trials.
 
-Closed-loop integration uses the piecewise-constant feedback law from the
+Closed-loop execution uses the piecewise-constant feedback law from the
 abstraction (aim at the target cell's center, subtract the measured drift,
-clamp to the input bound) and a fixed-step RK4 integrator with `substeps`
-stages per sampling interval. Leaving the workspace at any integration node
-is an error; saturated inputs are reported with a warning because a
-well-posed plan never needs them.
+clamp to the input bound). Between samples the input is constant and
+x' = -Lx + v is linear, so the flow is propagated exactly rather than
+integrated: with L = U diag(lam) U^T and s the offset into the interval,
+
+    x(t_j + s) = x_j + A_s x_j + G_s v_j,
+    A_s = U diag(expm1(-lam s)) U^T,  G_s = U diag(-expm1(-lam s)/lam) U^T
+
+(G_s has s in place of the zero eigenvalue's entry). `substeps` sets how
+many evenly spaced nodes per interval are recorded and checked against the
+workspace; leaving it at any node is an error. Adding the small increment
+A_s x_j + G_s v_j to x_j, instead of forming e^{-Ls} x_j, keeps agents that
+sit still bitwise still. Saturated inputs are reported with a warning
+because a well-posed plan never needs them.
 
 The helpers at the bottom turn a continuous trajectory back into discrete
 data: the cell occupied at every sampling boundary, the services provided
@@ -19,14 +28,16 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .abstraction import drift_all, feedback_input
+from .abstraction import feedback_inputs
 from .errors import (DimensionMismatch, InputSaturationFlag, LabelMismatch,
                      SemanticError, WorkspaceExit)
-from .graph import NetworkGraph, relative_state
-from .partition import CellDecomposition, ServiceLabeling, Workspace, cell_of
+from .graph import NetworkGraph
+from .partition import CellDecomposition, ServiceLabeling, Workspace, cells_of
+from .partition import cell_of  # noqa: F401  (patched by lookup tracers)
 
 logger = logging.getLogger(__name__)
 
@@ -35,7 +46,7 @@ WORKSPACE_TOL = 1e-9
 
 @dataclass(eq=False)
 class Trajectory:
-    """Dense integration output.
+    """Dense propagation output.
 
     states[k] is the configuration (agents x dimension) at times[k]; node
     j*substeps is the sampling boundary t_j. inputs[j] is the constant input
@@ -57,42 +68,77 @@ class Trajectory:
         return self.states[j * self.substeps]
 
     def relative_norms(self, g: NetworkGraph) -> np.ndarray:
-        """Norm of the stacked relative state at every integration node."""
-        out = np.empty(self.states.shape[0])
-        for k in range(self.states.shape[0]):
-            out[k] = np.linalg.norm(relative_state(g, self.states[k]))
-        return out
+        """Norm of the stacked relative state at every node."""
+        tails, heads = (np.array(g.edges) - 1).T
+        rel = self.states[:, tails] - self.states[:, heads]
+        return np.linalg.norm(rel.reshape(rel.shape[0], -1), axis=1)
 
 
-def _rk4_step(g: NetworkGraph, x: np.ndarray, v: np.ndarray,
-              h: float) -> np.ndarray:
-    def f(state):
-        return drift_all(g, state) + v
+def _interval_operator(g: NetworkGraph, dt: float,
+                       substeps: int) -> np.ndarray:
+    """[A_s | G_s] for s = h, 2h, ..., dt stacked into (substeps*N, 2N)."""
+    lam, basis = np.linalg.eigh(g.laplacian)
+    offsets = np.arange(1, substeps + 1) * (dt / substeps)
+    decay = np.expm1(np.outer(-offsets, lam))
+    gain = np.divide(-decay, lam, where=lam != 0.0,
+                     out=np.repeat(offsets[:, None], lam.size, axis=1))
+    a = (basis * decay[:, None, :]) @ basis.T
+    gam = (basis * gain[:, None, :]) @ basis.T
+    return np.concatenate((a, gam), axis=2).reshape(substeps * lam.size,
+                                                    2 * lam.size)
 
-    k1 = f(x)
-    k2 = f(x + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-
-def _check_workspace(workspace: Workspace, x: np.ndarray, t: float) -> None:
-    low = workspace.lower - WORKSPACE_TOL
-    high = workspace.upper + WORKSPACE_TOL
-    bad = np.nonzero(np.any((x < low) | (x > high), axis=1))[0]
-    if bad.size:
+def _check_workspace(workspace: Workspace, block: np.ndarray,
+                     times: np.ndarray) -> None:
+    """Raise WorkspaceExit at the first node of a block that leaves it."""
+    out = (block < workspace.lower - WORKSPACE_TOL) \
+        | (block > workspace.upper + WORKSPACE_TOL)
+    if out.any():
+        k, i = np.argwhere(out.any(axis=2))[0]
         raise WorkspaceExit(
-            f"agent {int(bad[0]) + 1} left the workspace at t={t:.6g}")
+            f"agent {int(i) + 1} left the workspace at t={times[k]:.6g}")
+
+
+def _propagate(g: NetworkGraph, x0: np.ndarray, steps: int, dt: float,
+               substeps: int, control: Callable[[int, np.ndarray], np.ndarray],
+               workspace: Workspace | None):
+    """Exact flow under the inputs control(j, x_j) held over interval j.
+
+    Returns (times, states, inputs); every node is checked against the
+    workspace when one is given.
+    """
+    if substeps < 1:
+        raise ValueError("substeps must be at least 1")
+    step = _interval_operator(g, dt, substeps)
+    h = dt / substeps
+    total = steps * substeps
+    times = np.arange(total + 1) * h
+    states = np.empty((total + 1, g.agent_count, g.dimension))
+    inputs = np.empty((steps, g.agent_count, g.dimension))
+    states[0] = x0
+    if workspace is not None:
+        _check_workspace(workspace, states[:1], times[:1])
+    for j in range(steps):
+        k = j * substeps
+        x = states[k]
+        v = control(j, x)
+        inputs[j] = v
+        block = states[k + 1:k + substeps + 1]
+        increment = step @ np.concatenate((x, v))
+        np.add(x, increment.reshape(block.shape), out=block)
+        if workspace is not None:
+            _check_workspace(workspace, block, times[k + 1:k + substeps + 1])
+    return times, states, inputs
 
 
 def integrate_inputs(g: NetworkGraph, x0: np.ndarray, inputs: np.ndarray,
                      dt: float, substeps: int = 4,
                      workspace: Workspace | None = None) -> Trajectory:
-    """Integrate the coupled dynamics under given piecewise-constant inputs.
+    """Propagate the coupled dynamics under given piecewise-constant inputs.
 
     inputs has shape (steps, agents, dimension); each row is held constant
     for one interval of length dt. Workspace policing is optional here so
-    the same stepper serves open-loop invariance trials.
+    the same propagator serves open-loop invariance trials.
     """
     x0 = np.asarray(x0, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
@@ -104,26 +150,25 @@ def integrate_inputs(g: NetworkGraph, x0: np.ndarray, inputs: np.ndarray,
         raise DimensionMismatch(
             f"inputs must have shape (steps, {g.agent_count}, "
             f"{g.dimension}), got {inputs.shape}")
-    if substeps < 1:
-        raise ValueError("substeps must be at least 1")
-    steps = inputs.shape[0]
-    h = dt / substeps
-    total = steps * substeps
-    times = np.arange(total + 1) * h
-    states = np.empty((total + 1, g.agent_count, g.dimension))
-    states[0] = x0
-    if workspace is not None:
-        _check_workspace(workspace, x0, 0.0)
-    k = 0
-    for j in range(steps):
-        v = inputs[j]
-        for _ in range(substeps):
-            states[k + 1] = _rk4_step(g, states[k], v, h)
-            k += 1
-            if workspace is not None:
-                _check_workspace(workspace, states[k], times[k])
-    return Trajectory(times=times, states=states, inputs=inputs.copy(),
-                      dt=dt, substeps=substeps)
+    times, states, applied = _propagate(
+        g, x0, inputs.shape[0], dt, substeps, lambda j, x: inputs[j],
+        workspace)
+    return Trajectory(times=times, states=states, inputs=applied, dt=dt,
+                      substeps=substeps)
+
+
+def _planned_cells(plans: list, positions: int) -> np.ndarray:
+    """Planned cell of every agent at positions 0..positions-1.
+
+    Shape (positions, N): each plan's prefix, then its cycle repeated.
+    """
+    j = np.arange(positions)
+    out = np.empty((positions, len(plans)), dtype=int)
+    for i, plan in enumerate(plans):
+        lasso = np.array((*plan.prefix_cells, *plan.cycle_cells))
+        p, c = plan.prefix_length, plan.cycle_length
+        out[:, i] = lasso[np.where(j < p, j, p + (j - p) % c)]
+    return out
 
 
 def integrate_plans(g: NetworkGraph, plans: list, decomp: CellDecomposition,
@@ -144,64 +189,44 @@ def integrate_plans(g: NetworkGraph, plans: list, decomp: CellDecomposition,
     if len(plans) != g.agent_count:
         raise SemanticError(
             f"need {g.agent_count} plans, got {len(plans)}")
-    if substeps < 1:
-        raise ValueError("substeps must be at least 1")
     dt = plans[0].dt
     for plan in plans:
         if plan.dt != dt:
             raise SemanticError("plans disagree on the sampling interval")
-    for i, plan in enumerate(plans):
-        start = cell_of(decomp, x0[i])
-        if start != plan.cell_at(0):
-            raise SemanticError(
-                f"agent {i + 1} starts in cell {start}, but its plan begins "
-                f"in cell {plan.cell_at(0)}")
+    table = _planned_cells(plans, steps + 1)
+    starts = cells_of(decomp, x0)
+    wrong = np.flatnonzero(starts != table[0])
+    if wrong.size:
+        i = int(wrong[0])
+        raise SemanticError(
+            f"agent {i + 1} starts in cell {starts[i]}, but its plan begins "
+            f"in cell {table[0, i]}")
 
-    workspace = decomp.workspace
-    h = dt / substeps
-    total = steps * substeps
-    times = np.arange(total + 1) * h
-    states = np.empty((total + 1, g.agent_count, g.dimension))
-    states[0] = x0
-    inputs = np.empty((steps, g.agent_count, g.dimension))
+    targets = (0.5 * (decomp.lows + decomp.highs))[table[1:] - 1]
     saturated: list[tuple[int, int]] = []
-    _check_workspace(workspace, x0, 0.0)
-    k = 0
-    for j in range(steps):
-        x_now = states[k]
-        for i, plan in enumerate(plans):
-            target = plan.cell_at(j + 1)
-            center = decomp.center(target)
-            v, clipped = feedback_input(g, i + 1, x_now, center, dt, v_max)
-            inputs[j, i] = v
-            if clipped:
-                saturated.append((j, i + 1))
-        v_step = inputs[j]
-        for _ in range(substeps):
-            states[k + 1] = _rk4_step(g, states[k], v_step, h)
-            k += 1
-            _check_workspace(workspace, states[k], times[k])
+
+    def control(j: int, x: np.ndarray) -> np.ndarray:
+        v, clipped = feedback_inputs(g, x, targets[j], dt, v_max)
+        if clipped.any():
+            saturated.extend((j, int(i) + 1) for i in np.flatnonzero(clipped))
+        return v
+
+    times, states, inputs = _propagate(g, x0, steps, dt, substeps, control,
+                                       decomp.workspace)
     if saturated:
         warnings.warn(
             f"feedback input saturated at {len(saturated)} (step, agent) "
             f"pairs; first at step {saturated[0][0]} for agent "
             f"{saturated[0][1]}", InputSaturationFlag, stacklevel=2)
     logger.info("integrated %d steps (%d nodes) up to t=%.6g", steps,
-                total + 1, float(times[-1]))
+                states.shape[0], float(times[-1]))
     return Trajectory(times=times, states=states, inputs=inputs, dt=dt,
                       substeps=substeps, saturated=tuple(saturated))
 
 
 def boundary_cells(traj: Trajectory, decomp: CellDecomposition) -> np.ndarray:
     """Cell index of every agent at every sampling boundary, (steps+1, N)."""
-    steps = traj.steps
-    n_agents = traj.states.shape[1]
-    out = np.empty((steps + 1, n_agents), dtype=int)
-    for j in range(steps + 1):
-        x = traj.boundary_state(j)
-        for i in range(n_agents):
-            out[j, i] = cell_of(decomp, x[i])
-    return out
+    return cells_of(decomp, traj.states[::traj.substeps])
 
 
 def verify_against_plans(traj: Trajectory, decomp: CellDecomposition,
@@ -212,14 +237,13 @@ def verify_against_plans(traj: Trajectory, decomp: CellDecomposition,
     first disagreement.
     """
     cells = boundary_cells(traj, decomp)
-    for j in range(cells.shape[0]):
-        for i, plan in enumerate(plans):
-            expected = plan.cell_at(j)
-            actual = int(cells[j, i])
-            if actual != expected:
-                raise LabelMismatch(
-                    f"agent {i + 1} at step {j}: plan visits cell "
-                    f"{expected}, execution reached cell {actual}")
+    expected = _planned_cells(plans, cells.shape[0])
+    wrong = np.argwhere(cells != expected)
+    if wrong.size:
+        j, i = (int(a) for a in wrong[0])
+        raise LabelMismatch(
+            f"agent {i + 1} at step {j}: plan visits cell "
+            f"{expected[j, i]}, execution reached cell {cells[j, i]}")
     return cells
 
 
@@ -241,20 +265,15 @@ def extract_service_word(
     else:
         cells = boundary_cells(traj, decomp)
     out: dict[int, tuple[tuple[float, frozenset[str]], ...]] = {}
+    entered = np.ones(cells.shape, dtype=bool)
+    entered[1:] = cells[1:] != cells[:-1]
     for i in range(cells.shape[1]):
         agent = i + 1
         visits: list[tuple[float, frozenset[str]]] = []
-        j = 0
-        while j < cells.shape[0]:
-            cell = int(cells[j, i])
-            run_end = j
-            while run_end + 1 < cells.shape[0] and \
-                    int(cells[run_end + 1, i]) == cell:
-                run_end += 1
-            services = labeling.label(agent, cell)
+        for j in np.flatnonzero(entered[:, i]).tolist():
+            services = labeling.label(agent, int(cells[j, i]))
             if services:
                 visits.append(((j + 0.5) * traj.dt, services))
-            j = run_end + 1
         out[agent] = tuple(visits)
     return out
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from mas.abstraction import (AgentWTS, ProductWTS, build_agent_wts, drift,
-                             drift_all, feedback_input, transition_enabled,
-                             worst_distances)
+                             drift_all, feedback_input, feedback_inputs,
+                             transition_enabled, worst_distances)
 from mas.bounds import (BoundsReport, DiscretizationRange,
                         deviation_remainder, discretization_range,
                         theorem1_constants)
@@ -188,6 +188,48 @@ def test_feedback_input_compensates_drift():
                                 dt=0.5, v_max=1.0)
     assert clipped
     assert np.linalg.norm(v) == pytest.approx(1.0)
+
+
+def _reference_feedback(g, agent, positions, center, dt, v_max):
+    """Per-agent feedback law the all-agents form replaced (test oracle)."""
+    own = positions[agent - 1]
+    f = drift(g, agent, own, [positions[j - 1] for j in g.neighbors(agent)])
+    v = (center - own) / dt - f
+    norm = float(np.linalg.norm(v))
+    if norm > v_max:
+        return v * (v_max / norm), True
+    return v, False
+
+
+def test_all_agents_feedback_matches_the_per_agent_law():
+    rng = np.random.default_rng(5)
+    graphs = [build_graph(3, [(1, 2), (2, 3)], dimension=2),
+              build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]),
+              build_graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)], dimension=3)]
+    clamped = unclamped = 0
+    for g in graphs:
+        for _ in range(30):
+            x = rng.uniform(0.0, 4.0, size=(g.agent_count, g.dimension))
+            centers = x + rng.normal(scale=0.3, size=x.shape)
+            dt = float(rng.uniform(1e-3, 0.1))
+            # a bound near the typical input length clamps some rows only
+            v_max = float(rng.uniform(0.5, 1.5) * np.median(
+                np.linalg.norm((centers - x) / dt, axis=1)))
+            v, flags = feedback_inputs(g, x, centers, dt, v_max)
+            assert v.shape == x.shape and flags.shape == (g.agent_count,)
+            for i in range(g.agent_count):
+                ref, ref_flag = _reference_feedback(g, i + 1, x, centers[i],
+                                                    dt, v_max)
+                assert bool(flags[i]) == ref_flag
+                assert np.allclose(v[i], ref, rtol=1e-12, atol=1e-9)
+                one, one_flag = feedback_input(g, i + 1, x, centers[i], dt,
+                                               v_max)
+                assert one_flag == bool(flags[i])
+                assert np.array_equal(one, v[i])
+                clamped += ref_flag
+                unclamped += not ref_flag
+            assert np.all(np.linalg.norm(v, axis=1) <= v_max * (1 + 1e-12))
+    assert clamped > 20 and unclamped > 20
 
 
 def test_validated_moves_cover_the_planning_chain():

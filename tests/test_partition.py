@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mas.errors import BudgetExceeded, OutsideWorkspace, SemanticError
-from mas.partition import (LabeledRegion, ServiceLabeling, Workspace, cell_of,
-                           grid_decompose, refine_to_compliance)
+from mas.partition import (CellDecomposition, LabeledRegion, ServiceLabeling,
+                           Workspace, cell_of, cells_of, grid_decompose,
+                           refine_to_compliance)
 
 
 def _ws(lower, upper):
@@ -86,6 +88,103 @@ def test_cell_of_returns_a_containing_cell(px, py):
     c = cell_of(grid, [px, py])
     lo, hi = grid.bounds(c)
     assert np.all(lo <= [px, py]) and np.all([px, py] <= hi)
+
+
+def _reference_cell(decomposition, point) -> int:
+    """Point-at-a-time lookup the array form replaced (test oracle)."""
+    p = np.asarray(point, dtype=float).reshape(-1)
+    ws = decomposition.workspace
+    if not ws.contains(p):
+        raise OutsideWorkspace("outside")
+    if decomposition.is_uniform:
+        counts = np.array(decomposition.cells_per_axis)
+        idx = np.floor((p - ws.lower) / decomposition.sides).astype(int)
+        idx = np.minimum(idx, counts - 1)
+        flat = 0
+        for k in range(ws.dimension):
+            flat = flat * counts[k] + idx[k]
+        return int(flat) + 1
+    at_top = p == ws.upper
+    ge_lo = decomposition.lows <= p
+    lt_hi = (p < decomposition.highs) | (at_top & (p == decomposition.highs))
+    hits = np.nonzero(np.all(ge_lo & lt_hi, axis=1))[0]
+    if hits.size == 0:
+        raise OutsideWorkspace("falls between cells")
+    return int(hits[0]) + 1
+
+
+def _lookup_cases():
+    """Uniform grids and refined decompositions in 1-D and 2-D."""
+    line = grid_decompose(_ws([0.0], [4.032]), 0.336)
+    plane = grid_decompose(_ws([0.0, -1.0], [3.0, 1.3]), 0.45)
+    tiled = [LabeledRegion(np.array([0.0]), np.array([1.1]),
+                           {1: frozenset({"a"})}),
+             LabeledRegion(np.array([1.1]), np.array([4.032]),
+                           {1: frozenset({"b"})})]
+    sparse = [LabeledRegion(np.array([0.3, -0.55]), np.array([1.2, 0.1]),
+                            {1: frozenset({"a"})}),
+              LabeledRegion(np.array([2.05, 0.7]), np.array([2.8, 1.3]),
+                            {2: frozenset({"b"})})]
+    return [line, plane, refine_to_compliance(tiled, line)[0],
+            refine_to_compliance(sparse, plane)[0]]
+
+
+def _probe_points(decomposition, rng):
+    """Random interior points, points on cell faces and on the upper faces."""
+    ws = decomposition.workspace
+    n = ws.dimension
+    inner = ws.lower + rng.random((200, n)) * ws.extent
+    cells = rng.integers(0, decomposition.cell_count, size=200)
+    faces = decomposition.lows[cells].copy()
+    tops = decomposition.highs[cells].copy()
+    axis = rng.integers(0, n, size=200)
+    # one coordinate on a face, the rest anywhere in the workspace
+    mixed = inner.copy()
+    mixed[np.arange(200), axis] = faces[np.arange(200), axis]
+    corner = np.broadcast_to(ws.upper, (1, n))
+    upper = inner.copy()
+    upper[np.arange(200), axis] = ws.upper[axis]
+    return np.concatenate([inner, faces, tops, mixed, upper, corner])
+
+
+def test_array_lookup_matches_the_point_lookup_it_replaced():
+    rng = np.random.default_rng(11)
+    for decomposition in _lookup_cases():
+        points = _probe_points(decomposition, rng)
+        expected = [_reference_cell(decomposition, p) for p in points]
+        assert cells_of(decomposition, points).tolist() == expected
+        assert [cell_of(decomposition, p) for p in points] == expected
+        # leading axes are kept: (steps, agents, n) -> (steps, agents)
+        grid = points[:120].reshape(40, 3, -1)
+        assert np.array_equal(cells_of(decomposition, grid),
+                              np.reshape(expected[:120], (40, 3)))
+
+
+def test_array_lookup_rejects_outside_points_and_names_the_first():
+    for decomposition in _lookup_cases():
+        ws = decomposition.workspace
+        inside = np.tile(0.5 * (ws.lower + ws.upper), (5, 1))
+        for bad in (ws.upper + 1e-12, ws.lower - 0.25,
+                    np.full(ws.dimension, np.nan)):
+            points = inside.copy()
+            points[2] = bad
+            points[4] = ws.upper + 7.0
+            with pytest.raises(OutsideWorkspace,
+                               match=re.escape(str(points[2].tolist()))):
+                cells_of(decomposition, points)
+            with pytest.raises(OutsideWorkspace):
+                cell_of(decomposition, bad)
+        with pytest.raises(OutsideWorkspace, match="dimension"):
+            cells_of(decomposition, np.zeros((3, ws.dimension + 1)))
+
+
+def test_array_lookup_reports_points_between_cells():
+    ws = _ws([0.0], [3.0])
+    gap = CellDecomposition(ws, lows=np.array([[0.0], [2.0]]),
+                            highs=np.array([[1.0], [3.0]]))
+    assert cells_of(gap, np.array([[0.5], [3.0]])).tolist() == [1, 2]
+    with pytest.raises(OutsideWorkspace, match=r"\[1.5\] falls between"):
+        cells_of(gap, np.array([[0.5], [1.5], [9.0]]))
 
 
 def test_refinement_identity_when_regions_align():

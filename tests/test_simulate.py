@@ -1,17 +1,23 @@
-"""Continuous execution: integration accuracy, policing, service extraction."""
+"""Continuous execution: exact propagation, policing, service extraction."""
+
+import warnings
 
 import numpy as np
 import pytest
 
+from mas.abstraction import feedback_input
 from mas.errors import (DimensionMismatch, InputSaturationFlag, LabelMismatch,
                         SemanticError, WorkspaceExit)
 from mas.graph import build_graph, relative_state, spectral
-from mas.partition import ServiceLabeling, Workspace, grid_decompose
+from mas.partition import (CellDecomposition, ServiceLabeling, Workspace,
+                           grid_decompose)
 from mas.simulate import (Trajectory, bang_bang_inputs, boundary_cells,
                           extract_service_word, integrate_inputs,
                           integrate_plans, verify_against_plans,
                           verify_boundedness)
 from mas.synthesis import Plan
+
+from conftest import batched_rk4
 
 
 def _ws(lower, upper):
@@ -47,7 +53,7 @@ def _plan(cells, dt, provided=None):
 
 
 # --------------------------------------------------------------------------
-# integrator
+# propagation
 # --------------------------------------------------------------------------
 
 def test_integrator_matches_the_closed_form_solution():
@@ -56,21 +62,18 @@ def test_integrator_matches_the_closed_form_solution():
     v = np.array([[0.3], [-0.2], [0.1]])
     traj = integrate_inputs(g, x0, np.tile(v, (4, 1, 1)), dt=0.5, substeps=8)
     expected = _exact_state(g, x0, v, 2.0)
-    assert np.max(np.abs(traj.states[-1] - expected)) < 1e-6
+    assert np.max(np.abs(traj.states[-1] - expected)) < 1e-12
 
 
-def test_integration_error_decays_at_fourth_order():
+def test_every_node_is_the_exact_flow():
     g = build_graph(3, [(1, 2), (2, 3)])
     x0 = np.array([[0.0], [1.0], [5.0]])
     v = np.array([[0.3], [-0.2], [0.1]])
-    inputs = v[None]
-    exact = _exact_state(g, x0, v, 0.8)
-
-    def err(substeps):
-        traj = integrate_inputs(g, x0, inputs, dt=0.8, substeps=substeps)
-        return np.max(np.abs(traj.states[-1] - exact))
-
-    assert err(1) / err(2) > 10.0  # halving h divides the error by ~16
+    for substeps in (1, 2, 8):
+        traj = integrate_inputs(g, x0, v[None], dt=0.8, substeps=substeps)
+        assert traj.states.shape[0] == substeps + 1
+        for t, state in zip(traj.times, traj.states):
+            assert np.max(np.abs(state - _exact_state(g, x0, v, t))) < 1e-12
 
 
 def test_zero_input_consensus_contracts_the_relative_state():
@@ -82,6 +85,15 @@ def test_zero_input_consensus_contracts_the_relative_state():
     norms = traj.relative_norms(g)
     assert norms[-1] < 0.01 * norms[0]
     assert np.all(np.diff(norms) <= 1e-12)
+
+
+def test_relative_norms_match_the_per_node_relative_state():
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 3)], dimension=2)
+    rng = np.random.default_rng(2)
+    traj = integrate_inputs(g, rng.normal(size=(4, 2)),
+                            rng.normal(size=(6, 4, 2)), dt=0.3, substeps=3)
+    per_node = [np.linalg.norm(relative_state(g, x)) for x in traj.states]
+    assert np.max(np.abs(traj.relative_norms(g) - per_node)) < 1e-12
 
 
 def test_input_and_state_shapes_are_validated():
@@ -203,6 +215,107 @@ def test_plan_execution_preconditions():
     slow.agent = 2
     with pytest.raises(SemanticError, match="sampling interval"):
         integrate_plans(g, [plans[0], slow], decomp, x0, v_max=10.0, steps=2)
+
+
+def _reference_closed_loop(g, plans, decomp, x0, v_max, steps, substeps):
+    """Closed loop from the per-agent feedback law and batched RK4 (oracle)."""
+    dt = plans[0].dt
+    h = dt / substeps
+    x = np.asarray(x0, dtype=float)
+    states, saturated = [x], []
+    for j in range(steps):
+        v = np.empty_like(x)
+        for i, plan in enumerate(plans):
+            v[i], clipped = feedback_input(
+                g, i + 1, x, decomp.center(plan.cell_at(j + 1)), dt, v_max)
+            if clipped:
+                saturated.append((j, i + 1))
+        for _ in range(substeps):
+            x = batched_rk4(g, x[None], v[None], h, substeps=16)[0]
+            states.append(x)
+    return np.array(states), saturated
+
+
+def _random_walk_plans(decomp, rng, agents, dt, length):
+    """Plans that wander between neighbouring cells of a uniform grid."""
+    counts = np.array(decomp.cells_per_axis)
+    plans = []
+    for agent in range(1, agents + 1):
+        idx = rng.integers(0, counts)
+        cells = []
+        for _ in range(length):
+            cells.append(int(np.ravel_multi_index(tuple(idx), counts)) + 1)
+            idx = np.clip(idx + rng.integers(-1, 2, size=idx.size), 0,
+                          counts - 1)
+        plan = _plan(cells, dt)
+        plan.agent = agent
+        plans.append(plan)
+    return plans
+
+
+def test_closed_loop_matches_a_reference_integration():
+    rng = np.random.default_rng(9)
+    cases = [(build_graph(3, [(1, 2), (2, 3)], dimension=2),
+              _ws([0.0, 0.0], [4.0, 3.0])),
+             (build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+              _ws([0.0], [6.0]))]
+    saw_clamping = False
+    for g, ws in cases:
+        decomp = grid_decompose(ws, np.sqrt(ws.dimension) + 1e-9)
+        for v_max in (1000.0, 40.0):
+            plans = _random_walk_plans(decomp, rng, g.agent_count, 0.02, 12)
+            x0 = np.array([decomp.center(p.cell_at(0)) for p in plans])
+            x0 += rng.uniform(-0.2, 0.2, size=x0.shape)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", InputSaturationFlag)
+                traj = integrate_plans(g, plans, decomp, x0, v_max, steps=16,
+                                       substeps=3)
+            states, saturated = _reference_closed_loop(
+                g, plans, decomp, x0, v_max, steps=16, substeps=3)
+            assert np.max(np.abs(traj.states - states)) < 1e-9
+            assert list(traj.saturated) == saturated
+            reference = Trajectory(times=traj.times, states=states,
+                                   inputs=traj.inputs, dt=0.02, substeps=3)
+            assert np.array_equal(boundary_cells(traj, decomp),
+                                  boundary_cells(reference, decomp))
+            saw_clamping |= bool(saturated)
+    assert saw_clamping
+
+
+def test_agents_parked_at_their_targets_stay_bitwise_still():
+    g = build_graph(3, [(1, 2), (2, 3)], dimension=2)
+    decomp = grid_decompose(_ws([0.0, 0.0], [4.032, 2.688]), 0.475)
+    plans = []
+    for agent, cell in enumerate((5, 23, 40), start=1):
+        plan = _plan([cell, cell], 0.00069)
+        plan.agent = agent
+        plans.append(plan)
+    x0 = np.array([decomp.center(p.cell_at(0)) for p in plans])
+    traj = integrate_plans(g, plans, decomp, x0, v_max=1000.0, steps=50,
+                           substeps=4)
+    assert np.array_equal(traj.states, np.broadcast_to(x0, traj.states.shape))
+
+
+def test_closed_loop_names_the_agent_that_leaves_the_workspace():
+    g = build_graph(2, [(1, 2)])
+    ws = _ws([0.0], [4.0])
+    # the last cell reaches past the workspace, so its center lies outside
+    decomp = CellDecomposition(ws, lows=np.array([[0.0], [1.0], [2.0], [3.0]]),
+                               highs=np.array([[1.0], [2.0], [3.0], [7.0]]))
+    plan1 = _plan([1, 1, 1], 0.25)
+    plan2 = _plan([3, 4, 4], 0.25)
+    plan2.agent = 2
+    x0 = np.array([[0.5], [2.5]])
+    states, _ = _reference_closed_loop(g, [plan1, plan2], decomp, x0, 1000.0,
+                                       steps=2, substeps=4)
+    first = int(np.argmax(states[:, 1, 0] > 4.0 + 1e-9))
+    assert first % 4 == 3  # mid-block: later nodes of the block are out too
+    assert np.all(states[:, 0, 0] < 4.0)
+    with pytest.raises(WorkspaceExit,
+                       match=f"agent 2 left the workspace at "
+                             f"t={first * 0.0625:.6g}$"):
+        integrate_plans(g, [plan1, plan2], decomp, x0, v_max=1000.0, steps=2,
+                        substeps=4)
 
 
 # --------------------------------------------------------------------------
