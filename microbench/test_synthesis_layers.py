@@ -1,0 +1,99 @@
+"""Microbenchmarks of the timed search inside ``synthesize``.
+
+All three run on a two-agent scenario with two-window goals whose per-agent
+runs never combine, so synthesis enumerates lassos, rejects all 276
+combinations and searches the joint product:
+
+* cold ``BuchiProduct.successors`` expansion of agent 1's whole product;
+* ``consistent`` over the 276 combinations of per-agent lassos;
+* ``intersect`` of the two agents' automata, with its largest constant.
+
+Run from the repository root (not part of the default test run):
+
+    PYTHONPATH=src python -m pytest microbench --benchmark-min-rounds=5
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+
+import pytest
+
+from mas.cli import load_scenario, stage_abstract, stage_bounds
+from mas.mitl import atoms
+from mas.synthesis import (BuchiProduct, _CellView, _project_cells,
+                           consistent, enumerate_accepting_lassos)
+from mas.abstraction import ProductWTS
+from mas.tba import from_flat_mitl, intersect
+
+SCENARIO = {
+    "name": "pair-twowindow-synth", "agents": 2, "dimension": 1,
+    "edges": [[1, 2]], "v_max": 100.0,
+    "workspace": {"lower": [0.0], "upper": [4.032]},
+    "initial_positions": [[2.78155], [1.776972]],
+    "regions": [
+        {"lower": [0.672], "upper": [1.008], "services": {"1": ["port"]}},
+        {"lower": [1.344], "upper": [1.68], "services": {"2": ["dock"]}}],
+    "formulas": {"1": "F[0,1] port & F[1,2] port",
+                 "2": "F[0,1] dock & G[0,0.5] !dock"},
+    "parameters": {"safety": 1.05, "lambda": 0.5, "cell_diameter": 0.336,
+                   "dt": 0.0103},
+}
+
+
+@pytest.fixture(scope="module")
+def pipe(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scenario") / "scenario.json"
+    path.write_text(json.dumps(SCENARIO))
+    return stage_abstract(stage_bounds(load_scenario(path)))
+
+
+@pytest.fixture(scope="module")
+def automata(pipe):
+    """Each agent's automaton over the alphabet ``synthesize`` uses."""
+    sc = pipe.scenario
+    out = []
+    for w in pipe.wts_list:
+        sigma = atoms(sc.formulas[w.agent]) | sc.agent_services(w.agent)
+        sigma |= frozenset().union(*w.labels.values())
+        out.append(from_flat_mitl(sc.formulas[w.agent], sigma))
+    return out
+
+
+def _expand_all(system, automaton) -> int:
+    product = BuchiProduct(system, automaton)
+    seen = set(product.initial())
+    frontier = list(seen)
+    while frontier:
+        for _, child in product.successors(frontier.pop()):
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return len(seen)
+
+
+def test_cold_successor_expansion(benchmark, pipe, automata):
+    view = _CellView(pipe.wts_list[0])
+    states = benchmark(_expand_all, view, automata[0])
+    assert states > 1000
+
+
+def test_consistency_over_all_combinations(benchmark, pipe, automata):
+    per_agent = [
+        [_project_cells(lasso, None) for lasso in enumerate_accepting_lassos(
+            BuchiProduct(_CellView(w), auto))]
+        for w, auto in zip(pipe.wts_list, automata)]
+    combos = list(itertools.product(*per_agent))
+    assert len(combos) == 276
+    product = ProductWTS(pipe.wts_list, pipe.g)
+
+    def check_all():
+        return sum(consistent(runs, product) for runs in combos)
+
+    assert benchmark(check_all) == 0
+
+
+def test_intersection_of_agent_automata(benchmark, automata):
+    c_max = benchmark(lambda: intersect(*automata).c_max)
+    assert c_max == 2

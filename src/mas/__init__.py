@@ -46,8 +46,8 @@ from .synthesis import (BuchiProduct, Lasso, Plan, SynthesisResult,
                         align_runs, consistent,
                         enumerate_accepting_lassos, find_accepting_lasso,
                         synthesize, witness_instant)
-from .tba import (ClockBound, ClockValuation, Edge, Guard, TimedAutomaton,
-                  accepts_lasso, canonical_letters, from_flat_mitl, intersect,
+from .tba import (ClockBound, Edge, Guard, TimedAutomaton, accepts_lasso,
+                  canonical_letters, from_flat_mitl, intersect,
                   universal_acceptor)
 
 __version__ = "0.1.0"

@@ -123,6 +123,10 @@ class AgentWTS:
     def initial_states(self) -> tuple[int, ...]:
         return (self.initial,)
 
+    def delays(self) -> frozenset[float]:
+        """Every duration a move can take: dt and the overrides."""
+        return frozenset({self.dt, *(self.durations or {}).values()})
+
     def duration(self, source: int, action, target: int) -> float:
         if self.durations:
             return self.durations.get((source, action, target), self.dt)
@@ -311,6 +315,10 @@ class ProductWTS:
         """The action agent i executes in a joint state: own + neighbor cells."""
         own = joint[agent - 1]
         return (own,) + tuple(joint[j - 1] for j in self.graph.neighbors(agent))
+
+    def delays(self) -> frozenset[float]:
+        """Every joint move takes the common sampling period."""
+        return frozenset({self.dt})
 
     def label(self, joint: tuple[int, ...]) -> frozenset[str]:
         out: frozenset[str] = frozenset()

@@ -18,8 +18,10 @@ The planner works in stages:
 Product states are (system state, automaton location, clock valuation); time
 advances by each transition's duration, guards are evaluated at the
 post-delay values, and clocks saturate above the automaton's largest
-constant. A product state is only formed when the system state's service set
-equals the automaton location's letter.
+constant. Clock values are integer ticks of delta, the gcd of the system's
+delays (``tba.TickClocks``), so they are exact without rational arithmetic.
+A product state is only formed when the system state's service set equals
+the automaton location's letter.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .abstraction import AgentWTS, ProductWTS, TransitionCertificate
 from .errors import LengthMismatch, Unsatisfiable
 from .graph import NetworkGraph
 from .mitl import (Eventually, MitlFormula, TimedWord, atoms, evaluate,
-                   formula_to_text, to_fraction, word_from_lasso)
-from .tba import ClockValuation, TimedAutomaton, from_flat_mitl, intersect
+                   formula_to_text, word_from_lasso)
+from .tba import TickClocks, TimedAutomaton, from_flat_mitl, intersect
 
 logger = logging.getLogger(__name__)
 
@@ -62,120 +64,44 @@ class Lasso:
         return self.cycle_states[(position - p) % len(self.cycle_states)]
 
 
-class _ValKey:
-    """Interned clock-valuation tuple with a cached hash.
-
-    Product states are hashed millions of times during lasso search; exact
-    rational clock values make every re-hash expensive. Each distinct
-    valuation is wrapped once per product, so hashing is a cached-int lookup
-    and equality short-circuits on identity.
-    """
-
-    __slots__ = ("values", "_h")
-
-    def __init__(self, values: tuple):
-        self.values = values
-        self._h = hash(values)
-
-    def __hash__(self) -> int:
-        return self._h
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, _ValKey)
-                                 and self.values == other.values)
-
-    def __repr__(self) -> str:
-        return f"_ValKey{self.values!r}"
-
-
 class BuchiProduct:
-    """Lazy product of a transition system with a timed Büchi automaton."""
+    """Lazy product of a transition system with a timed Büchi automaton.
+
+    The system supplies ``delays()``, every duration its ``successors`` may
+    report; clock valuations are tuples of ticks of their gcd.
+    """
 
     def __init__(self, system, automaton: TimedAutomaton):
         self.system = system
         self.automaton = automaton
-        self.c_max = automaton.c_max
+        delays = system.delays()
+        self.clocks = TickClocks(automaton, delays)
+        self._ticks = {d: self.clocks.ticks(d) for d in delays}
         self._succ_cache: dict[tuple, list] = {}
-        self._keys: dict[tuple, _ValKey] = {}
-        # valuation transforms repeat constantly; memoise per distinct input
-        self._advance_memo: dict = {}   # (vkey, duration) -> (vkey', map')
-        self._reset_memo: dict = {}     # (vkey, resets) -> (vkey', map')
-        self._inv_memo: dict = {}       # (location, vkey) -> bool
-        self._guard_memo: dict = {}     # (location, edge index, vkey) -> bool
-
-    def _intern(self, values: tuple) -> _ValKey:
-        key = self._keys.get(values)
-        if key is None:
-            key = _ValKey(values)
-            self._keys[values] = key
-        return key
-
-    def _advanced(self, vkey: _ValKey, duration) -> tuple:
-        entry = self._advance_memo.get((vkey, duration))
-        if entry is None:
-            before = ClockValuation(self.automaton.clocks, vkey.values)
-            moved = before.advance(to_fraction(duration), self.c_max)
-            entry = (self._intern(moved.values), moved.as_dict())
-            self._advance_memo[(vkey, duration)] = entry
-        return entry
-
-    def _landed(self, vkey: _ValKey, vmap: dict, resets: frozenset) -> tuple:
-        if not resets:
-            return vkey, vmap
-        entry = self._reset_memo.get((vkey, resets))
-        if entry is None:
-            moved = ClockValuation(self.automaton.clocks, vkey.values)
-            landed = moved.reset(resets)
-            entry = (self._intern(landed.values), landed.as_dict())
-            self._reset_memo[(vkey, resets)] = entry
-        return entry
-
-    def _invariant_ok(self, q, vkey: _ValKey, vmap: dict) -> bool:
-        got = self._inv_memo.get((q, vkey))
-        if got is None:
-            got = self.automaton.invariants[q].satisfied(vmap)
-            self._inv_memo[(q, vkey)] = got
-        return got
 
     def initial(self) -> list[tuple]:
-        zero = ClockValuation.zero(self.automaton.clocks)
-        zero_key = self._intern(zero.values)
-        zero_map = zero.as_dict()
+        zero = self.clocks.zero
         out = []
         for s in self.system.initial_states():
             for q in self.automaton.initial:
                 if self.automaton.labels[q] != self.system.label(s):
                     continue
-                if not self._invariant_ok(q, zero_key, zero_map):
+                if not self.clocks.admits_zero(q):
                     continue
-                out.append((s, q, zero_key))
+                out.append((s, q, zero))
         return out
 
     def successors(self, state: tuple) -> list[tuple]:
         cached = self._succ_cache.get(state)
         if cached is not None:
             return cached
-        s, q, vkey = state
+        s, q, ticks = state
+        label, moves = self.system.label, self.clocks.moves
         result = []
         for action, s2, duration in self.system.successors(s):
-            moved_key, moved_map = self._advanced(vkey, duration)
-            if not self._invariant_ok(q, moved_key, moved_map):
-                continue
-            target_label = self.system.label(s2)
-            for i, edge in enumerate(self.automaton.edges_from[q]):
-                if self.automaton.labels[edge.target] != target_label:
-                    continue
-                guard_ok = self._guard_memo.get((q, i, moved_key))
-                if guard_ok is None:
-                    guard_ok = edge.guard.satisfied(moved_map)
-                    self._guard_memo[(q, i, moved_key)] = guard_ok
-                if not guard_ok:
-                    continue
-                landed_key, landed_map = self._landed(
-                    moved_key, moved_map, edge.resets)
-                if not self._invariant_ok(edge.target, landed_key, landed_map):
-                    continue
-                result.append(((action, s2), (s2, edge.target, landed_key)))
+            for target, landed in moves(q, ticks, self._ticks[duration],
+                                        label(s2)):
+                result.append(((action, s2), (s2, target, landed)))
         self._succ_cache[state] = result
         return result
 
@@ -226,7 +152,7 @@ class _CellView:
 
     def __init__(self, wts: AgentWTS):
         self.wts = wts
-        self._succ: dict[int, dict[int, float]] = {}
+        self._succ: dict[int, list[tuple]] = {}
 
     def initial_states(self):
         return self.wts.initial_states()
@@ -234,15 +160,19 @@ class _CellView:
     def label(self, cell: int) -> frozenset[str]:
         return self.wts.label(cell)
 
-    def successors(self, cell: int):
+    def delays(self) -> frozenset:
+        return self.wts.delays()
+
+    def successors(self, cell: int) -> list[tuple]:
         found = self._succ.get(cell)
         if found is None:
-            found = {}
+            first: dict[int, float] = {}
             for _, target, duration in self.wts.successors(cell):
-                found.setdefault(target, duration)
+                first.setdefault(target, duration)
+            found = [(None, target, first[target])
+                     for target in sorted(first, key=lambda t: (t == cell, t))]
             self._succ[cell] = found
-        for target in sorted(found, key=lambda t: (t == cell, t)):
-            yield None, target, found[target]
+        return found
 
 
 def _cell_at(prefix: tuple, cycle: tuple, position: int):
@@ -278,16 +208,22 @@ def consistent(runs: list[tuple[tuple, tuple]], product: ProductWTS,
                lcm_cap: int = DEFAULT_LCM_CAP) -> bool:
     """Whether per-agent runs can be executed jointly.
 
-    After alignment, every step's joint move must be allowed by every agent's
-    transition table under the action derived from the joint state.
+    Over one aligned prefix and period (LengthMismatch when the period
+    exceeds the alignment budget, as in ``align_runs``), every step's joint
+    move must be allowed by every agent's transition table under the action
+    derived from the joint state. Positions are read off the runs as given
+    and the walk stops at the first disallowed move.
     """
-    aligned = align_runs(runs, lcm_cap)
-    p_star = len(aligned[0][0])
-    c_star = len(aligned[0][1])
+    p_star = max(len(prefix) for prefix, _ in runs)
+    c_star = math.lcm(*(len(cycle) for _, cycle in runs))
+    if c_star > lcm_cap:
+        raise LengthMismatch(
+            f"aligned period {c_star} exceeds the budget {lcm_cap}")
+    joint_next = tuple(_cell_at(prefix, cycle, 0) for prefix, cycle in runs)
     for j in range(p_star + c_star):
-        joint = tuple(_cell_at(prefix, cycle, j) for prefix, cycle in aligned)
+        joint = joint_next
         joint_next = tuple(_cell_at(prefix, cycle, j + 1)
-                           for prefix, cycle in aligned)
+                           for prefix, cycle in runs)
         for w in product.wts_list:
             action = product.agent_action(joint, w.agent)
             if joint_next[w.agent - 1] not in w.transitions.get(action, ()):
@@ -482,12 +418,13 @@ def synthesize(
 
     combos_tried = 0
     if all(per_agent):
-        for combo in itertools.product(*per_agent):
-            combos_tried += 1
-            if combos_tried > r_iter:
+        projected = [[_project_cells(lasso, None) for lasso in lassos]
+                     for lassos in per_agent]
+        for runs in itertools.product(*projected):
+            if combos_tried >= r_iter:
                 logger.info("combination budget %d exhausted", r_iter)
                 break
-            runs = [_project_cells(lasso, None) for lasso in combo]
+            combos_tried += 1
             try:
                 ok = consistent(runs, product, lcm_cap)
             except LengthMismatch:

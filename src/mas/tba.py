@@ -11,26 +11,30 @@ edges. Acceptance is Büchi (some accepting location recurs).
 satisfy a flat formula: each temporal conjunct becomes a three-phase shape
 (waiting / witnessing / done, or outside-window / inside-window for "always")
 whose phases are expanded over the concrete letters satisfying their
-propositional operand; conjunction is the synchronous product. Clock values
-above the largest constant are saturated to infinity, which guards cannot
-distinguish from the true value.
+propositional operand; conjunction is the synchronous product. ``intersect``
+builds the product's locations at once and each location's edges when they
+are first asked for.
+
+Clocks are counted in integer ticks (``TickClocks``): when every delay is a
+multiple of delta, their gcd, every clock value is k*delta for an int k, and
+each guard bound is an integer range on k. Values above the largest constant
+c_max are saturated to one tick, floor(c_max/delta) + 1, which guards cannot
+tell apart from the true value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Any, Iterable, Mapping
+from functools import cached_property, reduce
+from typing import Any, Iterable
 
 from . import _ndfs
 from .errors import BudgetExceeded, NonPeriodicWord, UnsupportedNesting
 from .mitl import (And, Atom, Always, Eventually, Interval, MitlFormula, Next,
-                   Not, TimedWord, Until, atoms)
-
-INF = math.inf
+                   Not, TimedWord, Until, atoms, to_fraction)
 
 _NODE_CAP = 500_000
 
@@ -44,15 +48,6 @@ class ClockBound:
     hi: Fraction | None = None
     hi_strict: bool = False
 
-    def admits(self, value) -> bool:
-        if value is not INF:
-            if value < self.lo or (self.lo_strict and value == self.lo):
-                return False
-        if self.hi is not None:
-            if value is INF or value > self.hi or (self.hi_strict and value == self.hi):
-                return False
-        return True
-
     def constants(self) -> list[Fraction]:
         out = [self.lo]
         if self.hi is not None:
@@ -65,9 +60,6 @@ class Guard:
     """Conjunction of clock bounds; empty tuple = always true."""
 
     terms: tuple[tuple[str, ClockBound], ...] = ()
-
-    def satisfied(self, valuation: Mapping[str, Any]) -> bool:
-        return all(bound.admits(valuation[clock]) for clock, bound in self.terms)
 
     def renamed(self, prefix: str) -> "Guard":
         return Guard(tuple((prefix + clock, bound) for clock, bound in self.terms))
@@ -90,80 +82,169 @@ class Edge:
     target: Any
 
 
-@dataclass(frozen=True)
-class ClockValuation:
-    """Clock values; entries are exact rationals or math.inf once saturated."""
-
-    clocks: tuple[str, ...]
-    values: tuple[Any, ...]
-
-    @classmethod
-    def zero(cls, clocks: Iterable[str]) -> "ClockValuation":
-        names = tuple(clocks)
-        return cls(names, tuple(Fraction(0) for _ in names))
-
-    def advance(self, delay: Fraction, c_max: Fraction) -> "ClockValuation":
-        """Let time pass; values exceeding c_max saturate to infinity."""
-        new = []
-        for v in self.values:
-            if v is INF:
-                new.append(INF)
-            else:
-                v = v + delay
-                new.append(INF if v > c_max else v)
-        return ClockValuation(self.clocks, tuple(new))
-
-    def reset(self, names: frozenset[str]) -> "ClockValuation":
-        if not names:
-            return self
-        return ClockValuation(
-            self.clocks,
-            tuple(Fraction(0) if c in names else v
-                  for c, v in zip(self.clocks, self.values)))
-
-    def as_dict(self) -> dict[str, Any]:
-        return dict(zip(self.clocks, self.values))
-
-
 class TimedAutomaton:
-    """Timed Büchi automaton with letter-labelled locations."""
+    """Timed Büchi automaton with letter-labelled locations.
+
+    ``edges_from[q]`` lists the edges leaving q in a fixed order; ``edges``
+    lists them all, location by location. ``edge_constants`` maps each
+    (source letter, target letter) class of edges to the largest constant in
+    their guards, 0 when they have none (constants are non-negative).
+    """
 
     def __init__(self, locations, initial, clocks, edges, accepting, labels,
                  alphabet, invariants=None):
+        self._set_locations(locations, initial, clocks, accepting, labels,
+                            alphabet, invariants)
+        known = set(self.locations)
+        edges = tuple(edges)
+        for edge in edges:
+            if edge.source not in known or edge.target not in known:
+                raise ValueError(f"edge {edge} references an unknown location")
+            if not set(edge.resets) <= set(self.clocks):
+                raise ValueError(f"edge {edge} resets an unknown clock")
+        self.edges_from: dict[Any, tuple[Edge, ...]] = {loc: () for loc in self.locations}
+        grouped: dict[Any, list[Edge]] = {}
+        self.edge_constants: dict[tuple, Fraction] = {}
+        for edge in edges:
+            grouped.setdefault(edge.source, []).append(edge)
+            key = (self.labels[edge.source], self.labels[edge.target])
+            self.edge_constants[key] = max(
+                [self.edge_constants.get(key, Fraction(0)),
+                 *edge.guard.constants()])
+        for loc, lst in grouped.items():
+            self.edges_from[loc] = tuple(lst)
+
+    def _set_locations(self, locations, initial, clocks, accepting, labels,
+                       alphabet, invariants):
         self.locations = tuple(locations)
         self.initial = tuple(initial)
         self.clocks = tuple(clocks)
-        self.edges = tuple(edges)
         self.accepting = frozenset(accepting)
         self.labels = dict(labels)
         self.alphabet = frozenset(alphabet)
         self.invariants = {loc: TRUE_GUARD for loc in self.locations}
         if invariants:
             self.invariants.update(invariants)
-        known = set(self.locations)
-        for edge in self.edges:
-            if edge.source not in known or edge.target not in known:
-                raise ValueError(f"edge {edge} references an unknown location")
-            if not set(edge.resets) <= set(self.clocks):
-                raise ValueError(f"edge {edge} resets an unknown clock")
-        missing = known - set(self.labels)
+        missing = set(self.locations) - set(self.labels)
         if missing:
             raise ValueError(f"locations without labels: {sorted(map(str, missing))}")
-        self.edges_from: dict[Any, tuple[Edge, ...]] = {loc: () for loc in self.locations}
-        grouped: dict[Any, list[Edge]] = {}
-        for edge in self.edges:
-            grouped.setdefault(edge.source, []).append(edge)
-        for loc, lst in grouped.items():
-            self.edges_from[loc] = tuple(lst)
 
-    @property
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(e for loc in self.locations for e in self.edges_from[loc])
+
+    @cached_property
     def c_max(self) -> Fraction:
-        consts = [c for e in self.edges for c in e.guard.constants()]
-        consts += [c for g in self.invariants.values() for c in g.constants()]
-        return max(consts, default=Fraction(0))
+        """Largest constant in any guard or invariant (0 without any)."""
+        consts = [c for g in self.invariants.values() for c in g.constants()]
+        return max([Fraction(0), *self.edge_constants.values(), *consts])
 
     def location_count(self) -> int:
         return len(self.locations)
+
+
+def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
+    return Fraction(math.gcd(a.numerator * b.denominator,
+                             b.numerator * a.denominator),
+                    a.denominator * b.denominator)
+
+
+class TickClocks:
+    """An automaton's clocks counted in integer ticks of one delta.
+
+    delta is the gcd of the delays time may advance by, so a valuation is a
+    tuple of ints k meaning k*delta, or ``sat`` = floor(c_max/delta) + 1 for
+    every value above c_max. Each guard bound becomes an inclusive range
+    [lo, hi] on k: ceil(lo/delta), or floor(lo/delta) + 1 when strict, up to
+    floor(hi/delta), or ceil(hi/delta) - 1 when strict, or up to ``sat``
+    when unbounded. Since every constant is at most c_max, the saturated
+    tick passes each lower bound and fails each upper bound, exactly as an
+    infinite value would.
+
+    Each location is compiled the first time a move leaves it: its
+    invariant, and its outgoing edges indexed by target letter in their
+    original order, each as (guard ranges, reset clock indices, target,
+    target invariant ranges).
+    """
+
+    def __init__(self, automaton: TimedAutomaton, delays: Iterable):
+        self.automaton = automaton
+        self.delta = reduce(_fraction_gcd, (to_fraction(d) for d in delays))
+        self.sat = math.floor(automaton.c_max / self.delta) + 1
+        self.zero = (0,) * len(automaton.clocks)
+        self._index = {c: i for i, c in enumerate(automaton.clocks)}
+        self._compiled: dict[Any, tuple] = {}
+
+    def ticks(self, delay) -> int:
+        count = to_fraction(delay) / self.delta
+        if count.denominator != 1:
+            raise ValueError(f"delay {delay} is not a multiple of {self.delta}")
+        return count.numerator
+
+    def ranges(self, guard: Guard) -> tuple[tuple[int, int, int], ...]:
+        """(clock index, lowest tick, highest tick) per term of a guard."""
+        out = []
+        for clock, bound in guard.terms:
+            lo = bound.lo / self.delta
+            lo = math.floor(lo) + 1 if bound.lo_strict else math.ceil(lo)
+            if bound.hi is None:
+                hi = self.sat
+            else:
+                hi = bound.hi / self.delta
+                hi = math.ceil(hi) - 1 if bound.hi_strict else math.floor(hi)
+            out.append((self._index[clock], lo, hi))
+        return tuple(out)
+
+    def admits_zero(self, q) -> bool:
+        """Whether all clocks at 0 satisfy q's invariant."""
+        return _holds(self._at(q)[0], self.zero)
+
+    def moves(self, q, ticks: tuple, delay: int, letter) -> list[tuple]:
+        """(target, valuation) per edge from q into a ``letter`` location.
+
+        Time first advances by ``delay`` ticks; q's invariant and the guard
+        are checked at the advanced values, the target's invariant after
+        the edge's resets.
+        """
+        invariant, by_letter = self._at(q)
+        sat = self.sat
+        moved = tuple([k + delay if k + delay < sat else sat for k in ticks])
+        if invariant and not _holds(invariant, moved):
+            return []
+        out = []
+        for guard, resets, target, target_invariant in \
+                by_letter.get(letter, ()):
+            if guard and not _holds(guard, moved):
+                continue
+            landed = tuple([0 if i in resets else k
+                            for i, k in enumerate(moved)]) \
+                if resets else moved
+            if target_invariant and not _holds(target_invariant, landed):
+                continue
+            out.append((target, landed))
+        return out
+
+    def _at(self, q) -> tuple:
+        """(invariant ranges, {target letter: [compiled edge, ...]})."""
+        got = self._compiled.get(q)
+        if got is None:
+            auto = self.automaton
+            by_letter: dict[frozenset, list] = {}
+            for edge in auto.edges_from[q]:
+                resets = frozenset(self._index[c] for c in edge.resets)
+                by_letter.setdefault(auto.labels[edge.target], []).append((
+                    self.ranges(edge.guard), resets, edge.target,
+                    self.ranges(auto.invariants[edge.target])))
+            got = (self.ranges(auto.invariants[q]), by_letter)
+            self._compiled[q] = got
+        return got
+
+
+def _holds(ranges, ticks: tuple) -> bool:
+    for i, lo, hi in ranges:
+        if not lo <= ticks[i] <= hi:
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -385,46 +466,82 @@ def intersect(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
 
     Locations pair up only when their labels agree on the shared alphabet
     (joint label = union); Büchi acceptance uses the usual two-phase
-    round-robin. Clock sets are kept disjoint by renaming.
+    round-robin. Clock sets are kept disjoint by renaming. The edges leaving
+    a location are built the first time ``edges_from`` is asked for them.
     """
-    shared = a.alphabet & b.alphabet
+    return _Intersection(a, b)
 
-    def compatible(qa, qb) -> bool:
-        return a.labels[qa] & shared == b.labels[qb] & shared
 
-    clocks = tuple("l." + c for c in a.clocks) + tuple("r." + c for c in b.clocks)
-    pairs = [(qa, qb) for qa in a.locations for qb in b.locations
-             if compatible(qa, qb)]
-    locations = [(qa, qb, ph) for qa, qb in pairs for ph in (0, 1)]
-    labels = {(qa, qb, ph): a.labels[qa] | b.labels[qb]
-              for qa, qb, ph in locations}
-    invariants = {
-        (qa, qb, ph): a.invariants[qa].renamed("l.").conjoin(
-            b.invariants[qb].renamed("r."))
-        for qa, qb, ph in locations}
-    initial = [(qa, qb, 0) for qa in a.initial for qb in b.initial
-               if compatible(qa, qb)]
-    accepting = [(qa, qb, 0) for qa, qb in pairs if qa in a.accepting]
-    edges = []
-    for ea in a.edges:
-        for eb in b.edges:
-            if not (compatible(ea.source, eb.source)
-                    and compatible(ea.target, eb.target)):
-                continue
-            guard = ea.guard.renamed("l.").conjoin(eb.guard.renamed("r."))
-            resets = frozenset("l." + c for c in ea.resets) \
-                | frozenset("r." + c for c in eb.resets)
-            for ph in (0, 1):
-                if ph == 0:
-                    nxt = 1 if ea.source in a.accepting else 0
-                else:
-                    nxt = 0 if eb.source in b.accepting else 1
-                edges.append(Edge((ea.source, eb.source, ph), guard, resets,
-                                  (ea.target, eb.target, nxt)))
-    return TimedAutomaton(
-        locations=locations, initial=initial, clocks=clocks, edges=edges,
-        accepting=accepting, labels=labels, alphabet=a.alphabet | b.alphabet,
-        invariants=invariants)
+class _EdgeTable(dict):
+    """Location -> outgoing edges, each entry built on its first lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, loc):
+        edges = self[loc] = self._build(loc)
+        return edges
+
+
+class _Intersection(TimedAutomaton):
+    """The product ``intersect`` returns."""
+
+    def __init__(self, a: TimedAutomaton, b: TimedAutomaton):
+        self._a, self._b = a, b
+        shared = a.alphabet & b.alphabet
+        self._view_a = {qa: a.labels[qa] & shared for qa in a.locations}
+        self._view_b = {qb: b.labels[qb] & shared for qb in b.locations}
+        pairs = [(qa, qb) for qa in a.locations for qb in b.locations
+                 if self._view_a[qa] == self._view_b[qb]]
+        locations = [(qa, qb, ph) for qa, qb in pairs for ph in (0, 1)]
+        self._set_locations(
+            locations,
+            initial=[(qa, qb, 0) for qa in a.initial for qb in b.initial
+                     if self._view_a[qa] == self._view_b[qb]],
+            clocks=tuple("l." + c for c in a.clocks)
+            + tuple("r." + c for c in b.clocks),
+            accepting=[(qa, qb, 0) for qa, qb in pairs if qa in a.accepting],
+            labels={(qa, qb, ph): a.labels[qa] | b.labels[qb]
+                    for qa, qb, ph in locations},
+            alphabet=a.alphabet | b.alphabet,
+            invariants={
+                (qa, qb, ph): a.invariants[qa].renamed("l.").conjoin(
+                    b.invariants[qb].renamed("r."))
+                for qa, qb, ph in locations
+                if a.invariants[qa].terms or b.invariants[qb].terms})
+        self.edges_from = _EdgeTable(self._edges_at)
+        # an edge pair exists iff both ends agree on the shared alphabet,
+        # which depends on the letters only
+        self.edge_constants = {}
+        for (sa, ta), ca in a.edge_constants.items():
+            for (sb, tb), cb in b.edge_constants.items():
+                if sa & shared == sb & shared and ta & shared == tb & shared:
+                    key = (sa | sb, ta | tb)
+                    self.edge_constants[key] = max(
+                        self.edge_constants.get(key, Fraction(0)), ca, cb)
+
+    def _edges_at(self, loc) -> tuple[Edge, ...]:
+        a, b = self._a, self._b
+        qa, qb, ph = loc
+        if ph == 0:
+            nxt = 1 if qa in a.accepting else 0
+        else:
+            nxt = 0 if qb in b.accepting else 1
+        right = [(self._view_b[eb.target], eb.target, eb.guard.renamed("r."),
+                  frozenset("r." + c for c in eb.resets))
+                 for eb in b.edges_from[qb]]
+        out = []
+        for ea in a.edges_from[qa]:
+            view = self._view_a[ea.target]
+            guard = ea.guard.renamed("l.")
+            resets = frozenset("l." + c for c in ea.resets)
+            for view_b, target_b, guard_b, resets_b in right:
+                if view == view_b:
+                    out.append(Edge(loc, guard.conjoin(guard_b),
+                                    resets | resets_b,
+                                    (ea.target, target_b, nxt)))
+        return tuple(out)
 
 
 def universal_acceptor(alphabet: Iterable[str]) -> TimedAutomaton:
@@ -444,78 +561,49 @@ def universal_acceptor(alphabet: Iterable[str]) -> TimedAutomaton:
 # lasso acceptance
 # --------------------------------------------------------------------------
 
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(math.gcd(a.numerator * b.denominator,
-                             b.numerator * a.denominator),
-                    a.denominator * b.denominator)
-
-
 def accepts_lasso(automaton: TimedAutomaton, word: TimedWord,
                   node_cap: int = _NODE_CAP) -> bool:
     """Whether the automaton accepts an ultimately periodic timed word.
 
-    Explores the finite graph of (location, saturated clock valuation,
-    word phase) nodes; the word is accepted iff that graph has a reachable
-    cycle through an accepting location. The reachable valuation count is
-    asserted against the (c_max/delta + 2)^|clocks| bound, delta being the
-    gcd of the word's gaps.
+    Explores the finite graph of (location, clock valuation in ticks, word
+    phase) nodes, a tick being the gcd of the word's gaps; the word is
+    accepted iff that graph has a reachable cycle through an accepting
+    location.
     """
     if not isinstance(word, TimedWord):
         raise NonPeriodicWord(
             f"need an ultimately periodic TimedWord, got {type(word).__name__}")
-    c_max = automaton.c_max
+    clocks = TickClocks(automaton, word.gaps())
     p, c = word.prefix_length, word.cycle_length
 
     def tag_of(position: int) -> int:
         return position if position < p else p + (position - p) % c
 
-    start_valuation = ClockValuation.zero(automaton.clocks)
-    starts = []
-    for loc in automaton.initial:
-        if automaton.labels[loc] == word.letter(0) \
-                and automaton.invariants[loc].satisfied(start_valuation.as_dict()):
-            starts.append((loc, start_valuation.values, 0))
+    starts = [(loc, clocks.zero, 0) for loc in automaton.initial
+              if automaton.labels[loc] == word.letter(0)
+              and clocks.admits_zero(loc)]
 
     adjacency: dict[tuple, list[tuple[None, tuple]]] = {}
-    seen_valuations: set[tuple] = {start_valuation.values}
     frontier = list(starts)
     known = set(starts)
     while frontier:
         node = frontier.pop()
         loc, values, tag = node
-        valuation = ClockValuation(automaton.clocks, values)
         # the position this tag stands for advances to tag+1 (canonically)
-        delay = word.time(tag + 1) - word.time(tag)
-        next_letter = word.letter(tag + 1)
+        d = clocks.ticks(word.time(tag + 1) - word.time(tag))
         next_tag = tag_of(tag + 1)
         succ = []
-        moved = valuation.advance(delay, c_max)
-        moved_map = moved.as_dict()
-        if automaton.invariants[loc].satisfied(moved_map):
-            for edge in automaton.edges_from[loc]:
-                if automaton.labels[edge.target] != next_letter:
-                    continue
-                if not edge.guard.satisfied(moved_map):
-                    continue
-                landed = moved.reset(edge.resets)
-                if not automaton.invariants[edge.target].satisfied(landed.as_dict()):
-                    continue
-                child = (edge.target, landed.values, next_tag)
-                succ.append((None, child))
-                seen_valuations.add(landed.values)
-                if child not in known:
-                    known.add(child)
-                    frontier.append(child)
-                    if len(known) > node_cap:
-                        raise BudgetExceeded(
-                            f"lasso acceptance graph exceeded {node_cap} nodes")
+        for target, landed in clocks.moves(loc, values, d,
+                                           word.letter(tag + 1)):
+            child = (target, landed, next_tag)
+            succ.append((None, child))
+            if child not in known:
+                known.add(child)
+                frontier.append(child)
+                if len(known) > node_cap:
+                    raise BudgetExceeded(
+                        f"lasso acceptance graph exceeded {node_cap} nodes")
         adjacency[node] = succ
-
-    if automaton.clocks:
-        delta = reduce(_fraction_gcd, word.gaps())
-        bound = (int(c_max / delta) + 2) ** len(automaton.clocks)
-        assert len(seen_valuations) <= bound, \
-            f"valuation count {len(seen_valuations)} exceeds bound {bound}"
 
     lasso = _ndfs.find_accepting_cycle(
         starts,

@@ -201,8 +201,25 @@ def test_simulate_reuses_plans_and_rejects_stale_ones(tmp_path, capsys):
     assert "re-run synthesize" in capsys.readouterr().err
 
 
-# sha256 of what synthesize + simulate write for the shipped scenarios; a
-# change meant to keep results must keep these bytes
+# two agents with two-window goals whose per-agent runs never combine, so
+# synthesis rejects every combination and searches the joint product
+STEP4_SCENARIO = {
+    "name": "pair-twowindow-synth", "agents": 2, "dimension": 1,
+    "edges": [[1, 2]], "v_max": 100.0,
+    "workspace": {"lower": [0.0], "upper": [4.032]},
+    "initial_positions": [[2.78155], [1.776972]],
+    "regions": [
+        {"lower": [0.672], "upper": [1.008], "services": {"1": ["port"]}},
+        {"lower": [1.344], "upper": [1.68], "services": {"2": ["dock"]}}],
+    "formulas": {"1": "F[0,1] port & F[1,2] port",
+                 "2": "F[0,1] dock & G[0,0.5] !dock"},
+    "parameters": {"safety": 1.05, "lambda": 0.5, "cell_diameter": 0.336,
+                   "dt": 0.0103},
+}
+
+# sha256 of what synthesize + simulate write for the shipped scenarios and
+# the step-4 scenario above; a change meant to keep results must keep these
+# bytes
 ARTIFACT_SHA256 = {
     "pair_line.json": {
         "plans.json":
@@ -216,18 +233,40 @@ ARTIFACT_SHA256 = {
         "services.json":
             "70e03e0757ba6cf5831c1febed281394ab6d6bb8cca1017a6c4024240e49dc99",
     },
+    "step4": {
+        "plans.json":
+            "6d53f6865a24df068c63b9ae558cff22a00a1de33be9d02cf5f3159a2079da9d",
+        "services.json":
+            "f5edd4a24ebb0b12aeda41ddfe660148030bdaf675af6324a4ff326e6f2f1519",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
 def test_shipped_scenario_artifacts_are_byte_identical(tmp_path, capsys, name):
+    scenario = _dump(tmp_path, STEP4_SCENARIO) if name == "step4" \
+        else str(SCENARIOS / name)
     out = tmp_path / "run"
     for command in ("synthesize", "simulate"):
-        assert main([command, "--scenario", str(SCENARIOS / name),
+        assert main([command, "--scenario", scenario,
                      "--out", str(out)]) == 0
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                for f in ARTIFACT_SHA256[name]}
     assert digests == ARTIFACT_SHA256[name]
+    if name == "step4":
+        assert json.loads((out / "plans.json").read_text())["step_used"] == 4
+
+
+def test_exhausted_combination_budget_counts_checked_combinations(tmp_path,
+                                                                   capsys):
+    scenario = _dump(tmp_path, STEP4_SCENARIO)
+    # all 276 combinations are checked and rejected; a budget of 7 checks 7
+    for budget, tried in ((10**4, 276), (7, 7)):
+        assert main(["synthesize", "--scenario", scenario, "--out",
+                     str(tmp_path), "--max-iters", str(budget)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["synthesis"]["step_used"] == 4
+        assert report["synthesis"]["combinations_tried"] == tried
 
 
 def test_check_judges_the_synthesized_plan_words(tmp_path, capsys):

@@ -168,6 +168,7 @@ def test_forced_joint_search_finds_the_same_witnesses():
     wts_list, g, formulas = planning_example(1.0)
     result = synthesize(wts_list, g, formulas, r_iter=0)
     assert result.step_used == 4
+    assert result.combinations_tried == 0
     for plan, w in zip(result.plans, wts_list):
         assert evaluate(plan.word(), formulas[w.agent])
 

@@ -1,0 +1,433 @@
+"""Fast paths of the timed search against the code they replaced.
+
+Each test keeps a local copy of the earlier implementation as its oracle:
+
+* the exact-rational (Fraction) timed product, against the integer-tick
+  ``BuchiProduct``: successor lists must agree state for state and in order
+  once tick k is read as k*delta and the saturated tick as infinity;
+* the eager automaton intersection, against the lazy ``intersect``;
+* the alignment-based consistency check, against the early-exit
+  ``consistent``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from mas import mitl
+from mas.abstraction import AgentWTS, ProductWTS
+from mas.errors import LengthMismatch
+from mas.mitl import to_fraction
+from mas.synthesis import (BuchiProduct, align_runs, consistent,
+                           enumerate_accepting_lassos, find_accepting_lasso)
+from mas.tba import (ClockBound, Edge, Guard, TRUE_GUARD, TimedAutomaton,
+                     from_flat_mitl, intersect, universal_acceptor)
+
+from conftest import (four_state_timed_wts, random_connected_graph,
+                      random_flat_formula)
+
+INF = math.inf
+
+
+# --------------------------------------------------------------------------
+# oracle: the exact-rational timed product
+# --------------------------------------------------------------------------
+
+def _admits(bound: ClockBound, value) -> bool:
+    if value is not INF:
+        if value < bound.lo or (bound.lo_strict and value == bound.lo):
+            return False
+    if bound.hi is not None:
+        if value is INF or value > bound.hi \
+                or (bound.hi_strict and value == bound.hi):
+            return False
+    return True
+
+
+def _satisfied(guard: Guard, clocks: tuple, values: tuple) -> bool:
+    where = dict(zip(clocks, values))
+    return all(_admits(bound, where[clock]) for clock, bound in guard.terms)
+
+
+class FractionProduct:
+    """Product with clock values as Fractions, saturated to inf above c_max."""
+
+    def __init__(self, system, automaton: TimedAutomaton):
+        self.system = system
+        self.automaton = automaton
+        self.c_max = automaton.c_max
+
+    def _advance(self, values, delay):
+        out = []
+        for v in values:
+            v = v if v is INF else v + delay
+            out.append(INF if v is INF or v > self.c_max else v)
+        return tuple(out)
+
+    def _ok(self, guard, values):
+        return _satisfied(guard, self.automaton.clocks, values)
+
+    def initial(self):
+        auto = self.automaton
+        zero = tuple(Fraction(0) for _ in auto.clocks)
+        return [(s, q, zero) for s in self.system.initial_states()
+                for q in auto.initial
+                if auto.labels[q] == self.system.label(s)
+                and self._ok(auto.invariants[q], zero)]
+
+    def successors(self, state):
+        auto = self.automaton
+        s, q, values = state
+        result = []
+        for action, s2, duration in self.system.successors(s):
+            moved = self._advance(values, to_fraction(duration))
+            if not self._ok(auto.invariants[q], moved):
+                continue
+            for edge in auto.edges_from[q]:
+                if auto.labels[edge.target] != self.system.label(s2):
+                    continue
+                if not self._ok(edge.guard, moved):
+                    continue
+                landed = tuple(Fraction(0) if c in edge.resets else v
+                               for c, v in zip(auto.clocks, moved))
+                if not self._ok(auto.invariants[edge.target], landed):
+                    continue
+                result.append(((action, s2), (s2, edge.target, landed)))
+        return result
+
+    def accepting(self, state):
+        return state[1] in self.automaton.accepting
+
+
+def _as_fractions(product: BuchiProduct, state):
+    s, q, ticks = state
+    sat, delta = product.clocks.sat, product.clocks.delta
+    return s, q, tuple(INF if k == sat else k * delta for k in ticks)
+
+
+def _assert_same_graph(fast: BuchiProduct, oracle: FractionProduct):
+    """Both products expand the same states into the same ordered lists."""
+    starts = fast.initial()
+    assert [_as_fractions(fast, s) for s in starts] == oracle.initial()
+    seen, frontier = set(starts), list(starts)
+    while frontier:
+        state = frontier.pop()
+        got = fast.successors(state)
+        want = oracle.successors(_as_fractions(fast, state))
+        assert [(p, _as_fractions(fast, c)) for p, c in got] == want
+        for _, child in got:
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return len(seen)
+
+
+def _cells(lasso):
+    if lasso is None:
+        return None
+    return ([s[0] for s in lasso.prefix_states],
+            [s[0] for s in lasso.cycle_states])
+
+
+def _assert_same_lassos(fast: BuchiProduct, oracle: FractionProduct):
+    assert _cells(find_accepting_lasso(fast)) \
+        == _cells(find_accepting_lasso(oracle))
+    assert [_cells(l) for l in enumerate_accepting_lassos(fast)] \
+        == [_cells(l) for l in enumerate_accepting_lassos(oracle)]
+
+
+def _scaled(formula, factor: Fraction):
+    """The formula with every window endpoint multiplied by ``factor``."""
+    def iv(i: mitl.Interval) -> mitl.Interval:
+        return mitl.Interval(i.lo * factor,
+                             None if i.hi is None else i.hi * factor,
+                             lo_open=i.lo_open, hi_open=i.hi_open)
+
+    match formula:
+        case mitl.Eventually(i, arg):
+            return mitl.Eventually(iv(i), arg)
+        case mitl.Always(i, arg):
+            return mitl.Always(iv(i), arg)
+        case mitl.Next(i, arg):
+            return mitl.Next(iv(i), arg)
+        case mitl.Until(i, left, right):
+            return mitl.Until(iv(i), left, right)
+        case mitl.Not(arg):
+            return mitl.Not(_scaled(arg, factor))
+        case mitl.And(left, right):
+            return mitl.And(_scaled(left, factor), _scaled(right, factor))
+    return formula
+
+
+_DURATIONS = (0.25, 0.5, 0.75, 1.0, 1.5, 0.3, 0.45)
+
+
+def _random_timed_system(rng) -> AgentWTS:
+    """Small single-agent system with random labels and non-uniform delays."""
+    n = int(rng.integers(2, 6))
+    cells = tuple(range(n))
+    labels = {}
+    for c in cells:
+        r = rng.random()
+        if r >= 0.4:
+            labels[c] = (frozenset({"p"}) if r < 0.65 else
+                         frozenset({"q"}) if r < 0.9 else
+                         frozenset({"p", "q"}))
+    dt = float(rng.choice(_DURATIONS))
+    transitions, durations = {}, {}
+    for c in cells:
+        k = int(rng.integers(1, 4))
+        targets = tuple(sorted(int(t) for t in
+                               rng.choice(n, size=min(k, n), replace=False)))
+        transitions[(c,)] = targets
+        for t in targets:
+            if rng.random() < 0.6:
+                durations[(c, (c,), t)] = float(rng.choice(_DURATIONS))
+    return AgentWTS(agent=1, cells=cells, initial=0, dt=dt, labels=labels,
+                    transitions=transitions, durations=durations or None)
+
+
+def test_tick_product_matches_the_fraction_product_on_random_instances():
+    rng = np.random.default_rng(7001)
+    # scale factors put window ends on and off the tick lattice
+    factors = (Fraction(1), Fraction(7, 10), Fraction(1, 3), Fraction(3, 4))
+    states = 0
+    for trial in range(150):
+        wts = four_state_timed_wts() if trial % 10 == 0 \
+            else _random_timed_system(rng)
+        formula = _scaled(random_flat_formula(rng),
+                          factors[int(rng.integers(len(factors)))])
+        auto = from_flat_mitl(formula, alphabet=frozenset({"p", "q"}))
+        fast, oracle = BuchiProduct(wts, auto), FractionProduct(wts, auto)
+        states += _assert_same_graph(fast, oracle)
+        _assert_same_lassos(BuchiProduct(wts, auto), oracle)
+    assert states > 1000
+
+
+@pytest.mark.parametrize("lo_open", [False, True])
+@pytest.mark.parametrize("hi_open", [False, True])
+@pytest.mark.parametrize("lo,hi", [("2", "5"), ("2.5", "3.5"), ("1.2", "2.9"),
+                                   ("0", "1/3")])
+def test_tick_ranges_at_exact_ties(lo, hi, lo_open, hi_open):
+    # four_state_timed_wts has delays 1, 2, 1.5 and 0.5, so delta = 1/2:
+    # some window ends fall on the lattice, others between two ticks
+    wts = four_state_timed_wts()
+    interval = mitl.Interval(Fraction(lo), Fraction(hi), lo_open=lo_open,
+                             hi_open=hi_open)
+    for formula in (mitl.Eventually(interval, mitl.Atom("green")),
+                    mitl.Always(interval, mitl.Atom("green")),
+                    mitl.Until(interval, mitl.Not(mitl.Atom("green")),
+                               mitl.Atom("green"))):
+        auto = from_flat_mitl(formula, alphabet=frozenset({"green"}))
+        fast = BuchiProduct(wts, auto)
+        assert fast.clocks.delta == Fraction(1, 2)
+        oracle = FractionProduct(wts, auto)
+        _assert_same_graph(fast, oracle)
+        _assert_same_lassos(BuchiProduct(wts, auto), oracle)
+
+
+def test_hand_built_guards_with_resets_and_invariants():
+    """Two clocks, resets and location invariants, which templates lack."""
+    x, y = "x", "y"
+    e, g = frozenset(), frozenset({"green"})
+    bound = ClockBound
+    locations = ["a", "b", "c"]
+    labels = {"a": g, "b": e, "c": g}
+    edges = [
+        Edge("a", Guard(((x, bound(lo=Fraction(1), hi=Fraction(5, 2),
+                                   hi_strict=True)),)), frozenset({y}), "b"),
+        Edge("b", Guard(((y, bound(lo=Fraction(3, 2), lo_strict=True)),)),
+             frozenset(), "a"),
+        Edge("b", TRUE_GUARD, frozenset({x}), "c"),
+        Edge("c", Guard(((x, bound(hi=Fraction(7, 3))),
+                         (y, bound(lo=Fraction(1, 3)))),), frozenset({x, y}),
+             "b"),
+        Edge("a", TRUE_GUARD, frozenset(), "a"),
+    ]
+    invariants = {"b": Guard(((x, bound(hi=Fraction(9, 2))),)),
+                  "c": Guard(((y, bound(hi=Fraction(4), hi_strict=True)),))}
+    auto = TimedAutomaton(locations, ["a"], (x, y), edges, ["a", "c"],
+                          labels, frozenset({"green"}), invariants)
+    for wts in (four_state_timed_wts(), four_state_timed_wts(dt=0.3)):
+        oracle = FractionProduct(wts, auto)
+        _assert_same_graph(BuchiProduct(wts, auto), oracle)
+        _assert_same_lassos(BuchiProduct(wts, auto), oracle)
+
+
+# --------------------------------------------------------------------------
+# oracle: the eager intersection
+# --------------------------------------------------------------------------
+
+def eager_intersect(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
+    shared = a.alphabet & b.alphabet
+
+    def compatible(qa, qb) -> bool:
+        return a.labels[qa] & shared == b.labels[qb] & shared
+
+    clocks = tuple("l." + c for c in a.clocks) \
+        + tuple("r." + c for c in b.clocks)
+    pairs = [(qa, qb) for qa in a.locations for qb in b.locations
+             if compatible(qa, qb)]
+    locations = [(qa, qb, ph) for qa, qb in pairs for ph in (0, 1)]
+    labels = {(qa, qb, ph): a.labels[qa] | b.labels[qb]
+              for qa, qb, ph in locations}
+    invariants = {
+        (qa, qb, ph): a.invariants[qa].renamed("l.").conjoin(
+            b.invariants[qb].renamed("r."))
+        for qa, qb, ph in locations}
+    initial = [(qa, qb, 0) for qa in a.initial for qb in b.initial
+               if compatible(qa, qb)]
+    accepting = [(qa, qb, 0) for qa, qb in pairs if qa in a.accepting]
+    edges = []
+    for ea in a.edges:
+        for eb in b.edges:
+            if not (compatible(ea.source, eb.source)
+                    and compatible(ea.target, eb.target)):
+                continue
+            guard = ea.guard.renamed("l.").conjoin(eb.guard.renamed("r."))
+            resets = frozenset("l." + c for c in ea.resets) \
+                | frozenset("r." + c for c in eb.resets)
+            for ph in (0, 1):
+                if ph == 0:
+                    nxt = 1 if ea.source in a.accepting else 0
+                else:
+                    nxt = 0 if eb.source in b.accepting else 1
+                edges.append(Edge((ea.source, eb.source, ph), guard, resets,
+                                  (ea.target, eb.target, nxt)))
+    return TimedAutomaton(
+        locations=locations, initial=initial, clocks=clocks, edges=edges,
+        accepting=accepting, labels=labels, alphabet=a.alphabet | b.alphabet,
+        invariants=invariants)
+
+
+def _assert_same_automaton(lazy: TimedAutomaton, eager: TimedAutomaton):
+    assert lazy.locations == eager.locations
+    assert lazy.initial == eager.initial
+    assert lazy.accepting == eager.accepting
+    assert lazy.labels == eager.labels
+    assert lazy.clocks == eager.clocks
+    assert lazy.alphabet == eager.alphabet
+    assert lazy.invariants == eager.invariants
+    assert lazy.c_max == eager.c_max
+    for loc in lazy.locations:
+        assert lazy.edges_from[loc] == eager.edges_from[loc], loc
+    assert len(lazy.edges) == len(eager.edges)
+
+
+def _orphan_automaton() -> TimedAutomaton:
+    """Its largest constant sits on the edges into its {p} location."""
+    e, p = frozenset(), frozenset({"p"})
+    big = Guard((("c", ClockBound(lo=Fraction(2), hi=Fraction(9))),))
+    small = Guard((("c", ClockBound(hi=Fraction(3, 2), hi_strict=True)),))
+    edges = [Edge("s", small, frozenset(), "s"),
+             Edge("s", big, frozenset({"c"}), "t"),
+             Edge("t", TRUE_GUARD, frozenset(), "s"),
+             Edge("t", big, frozenset(), "t")]
+    return TimedAutomaton(["s", "t"], ["s"], ("c",), edges, ["t"],
+                          {"s": e, "t": p}, p)
+
+
+def test_lazy_intersection_matches_the_eager_one():
+    rng = np.random.default_rng(7002)
+    alphabets = ({"p"}, {"q"}, {"p", "q"}, {"q", "r"})
+    for trial in range(12):
+        parts = []
+        # every third trial nests a one-atom automaton on top
+        for k in range(3 if trial % 3 == 0 else 2):
+            sigma = set(alphabets[int(rng.integers(2 if k == 2 else 4))])
+            names = tuple(sorted(sigma))
+            formula = random_flat_formula(rng, names=names)
+            parts.append(from_flat_mitl(formula, alphabet=sigma))
+        lazy, eager = parts[0], parts[0]
+        for part in parts[1:]:
+            lazy, eager = intersect(lazy, part), eager_intersect(eager, part)
+            _assert_same_automaton(lazy, eager)
+
+
+def test_lazy_intersection_drops_constants_of_unmatched_edges():
+    # no edge of the G !p automaton enters a {p} location, so the orphan's
+    # edges into its {p} location have no partner and their constant 9
+    # leaves c_max
+    never_p = from_flat_mitl(mitl.parse("G[0,inf) !p"), alphabet={"p"})
+    orphan = _orphan_automaton()
+    for a, b in ((orphan, never_p), (never_p, orphan),
+                 (orphan, universal_acceptor({"q"}))):
+        lazy, eager = intersect(a, b), eager_intersect(a, b)
+        _assert_same_automaton(lazy, eager)
+    assert intersect(orphan, never_p).c_max == Fraction(3, 2)
+    assert intersect(never_p, orphan).c_max == Fraction(3, 2)
+    assert intersect(orphan, universal_acceptor({"q"})).c_max == Fraction(9)
+
+
+# --------------------------------------------------------------------------
+# oracle: consistency through explicit alignment
+# --------------------------------------------------------------------------
+
+def aligned_consistent(runs, product: ProductWTS, lcm_cap: int) -> bool:
+    aligned = align_runs(runs, lcm_cap)
+    p_star, c_star = len(aligned[0][0]), len(aligned[0][1])
+
+    def at(prefix, cycle, j):
+        return prefix[j] if j < len(prefix) \
+            else cycle[(j - len(prefix)) % len(cycle)]
+
+    for j in range(p_star + c_star):
+        joint = tuple(at(p, c, j) for p, c in aligned)
+        joint_next = tuple(at(p, c, j + 1) for p, c in aligned)
+        for w in product.wts_list:
+            action = product.agent_action(joint, w.agent)
+            if joint_next[w.agent - 1] not in w.transitions.get(action, ()):
+                return False
+    return True
+
+
+def _random_product(rng) -> ProductWTS:
+    g = random_connected_graph(rng, max_agents=3, max_dimension=1)
+    cells = (0, 1, 2)
+    wts_list = []
+    for agent in range(1, g.agent_count + 1):
+        neighbors = g.neighbors(agent)
+        table = {}
+        for action in itertools.product(cells, repeat=len(neighbors) + 1):
+            if rng.random() < 0.8:  # most moves allowed, so runs get far
+                table[action] = tuple(sorted(
+                    {action[0]} | {int(c) for c in cells
+                                   if rng.random() < 0.5}))
+        wts_list.append(AgentWTS(agent=agent, cells=cells, initial=0,
+                                 dt=1.0, labels={}, transitions=table,
+                                 neighbor_agents=tuple(neighbors)))
+    return ProductWTS(wts_list, g)
+
+
+def _outcome(check, runs, product, lcm_cap):
+    try:
+        return check(runs, product, lcm_cap)
+    except LengthMismatch:
+        return "length mismatch"
+
+
+def test_early_exit_consistency_matches_the_aligned_check():
+    rng = np.random.default_rng(7003)
+    outcomes = {True: 0, False: 0, "length mismatch": 0}
+    for _ in range(300):
+        product = _random_product(rng)
+        runs = []
+        for _ in product.wts_list:
+            prefix = tuple(int(c) for c in
+                           rng.integers(0, 3, size=int(rng.integers(0, 4))))
+            cycle = tuple(int(c) for c in
+                          rng.integers(0, 3, size=int(rng.integers(1, 6))))
+            runs.append((prefix, cycle))
+        # always-allowed stays make consistent runs common
+        if rng.random() < 0.3:
+            runs = [((), (0,)) for _ in product.wts_list]
+        lcm_cap = int(rng.choice([4, 12, 1000]))
+        got = _outcome(consistent, runs, product, lcm_cap)
+        assert got == _outcome(aligned_consistent, runs, product, lcm_cap)
+        outcomes[got] += 1
+    assert min(outcomes.values()) > 0, outcomes
