@@ -66,7 +66,7 @@ def _expand_all(system, automaton) -> int:
     seen = set(product.initial())
     frontier = list(seen)
     while frontier:
-        for _, child in product.successors(frontier.pop()):
+        for child in product.successors(frontier.pop()):
             if child not in seen:
                 seen.add(child)
                 frontier.append(child)

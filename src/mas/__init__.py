@@ -18,7 +18,7 @@ execution), cli (the `mas` command).
 
 from .abstraction import (AgentWTS, ProductWTS, TransitionCertificate,
                           build_agent_wts, drift, drift_all, feedback_input,
-                          feedback_inputs, transition_enabled)
+                          feedback_inputs)
 from .bounds import (BoundsReport, DiscretizationRange, deviation_remainder,
                      discretization_range, lipschitz_constants,
                      theorem1_constants)

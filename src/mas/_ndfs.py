@@ -1,15 +1,15 @@
 """Nested depth-first search for accepting cycles, plus a BFS enumerator.
 
-Works over implicit graphs: ``successors(state)`` yields (payload, child)
-pairs in a fixed order, and determinism of the result follows from that
-order. Payloads ride along so callers can rebuild edge labels (actions).
+Works over implicit state graphs: ``successors(state)`` yields child states
+in a fixed order, and determinism of the result follows from that order.
+Edges carry no labels; callers that need an action re-derive it from the
+states (``ProductWTS.agent_action``).
 
 The lasso convention used throughout the package:
 
-* ``prefix_states``  - states strictly before the loop (possibly empty),
-* ``cycle_states``   - the loop, anchor first,
-* ``prefix_actions`` - prefix_actions[i] labels prefix[i] -> next position,
-* ``cycle_actions``  - cycle_actions[i] labels cycle[i] -> cycle[(i+1) % C].
+* ``prefix_states`` - states strictly before the loop (possibly empty),
+* ``cycle_states``  - the loop, anchor first; its last state steps back to
+  the anchor.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from .errors import BudgetExceeded
 
 
 @dataclass(frozen=True)
-class RawLasso:
+class Lasso:
+    """Ultimately periodic run: the prefix, then the cycle forever."""
+
     prefix_states: tuple
-    prefix_actions: tuple
     cycle_states: tuple
-    cycle_actions: tuple
 
 
 def _check_budget(count: int, max_states: int | None):
@@ -34,13 +34,15 @@ def _check_budget(count: int, max_states: int | None):
 
 
 def find_accepting_cycle(initials, successors, is_accepting,
-                         max_states: int | None = None) -> RawLasso | None:
+                         max_states: int | None = None) -> Lasso | None:
     """Classic two-color nested DFS (accepting-cycle emptiness check).
 
     The outer DFS explores in the order ``successors`` yields; when an
     accepting state is fully expanded, an inner DFS looks for a path back to
     the outer stack, which closes an accepting cycle. The first hit (in that
-    deterministic order) is reconstructed and returned.
+    deterministic order) is reconstructed and returned. The inner DFS only
+    visits states the outer one has already reached, so ``max_states``
+    bounds the outer DFS alone.
     """
     blue: set = set()
     red: set = set()
@@ -50,24 +52,24 @@ def find_accepting_cycle(initials, successors, is_accepting,
             continue
         blue.add(root)
         _check_budget(len(blue), max_states)
-        # frames: (state, successor-iterator, payload that led here)
-        frames = [(root, iter(successors(root)), None)]
+        # frames: (state, successor-iterator)
+        frames = [(root, iter(successors(root)))]
         on_stack = {root: 0}
         while frames:
-            state, it, _ = frames[-1]
+            state, it = frames[-1]
             pushed = False
-            for payload, child in it:
+            for child in it:
                 if child not in blue:
                     blue.add(child)
                     _check_budget(len(blue), max_states)
-                    frames.append((child, iter(successors(child)), payload))
+                    frames.append((child, iter(successors(child))))
                     on_stack[child] = len(frames) - 1
                     pushed = True
                     break
             if pushed:
                 continue
             if is_accepting(state):
-                hit = _red_search(state, successors, red, on_stack, max_states)
+                hit = _red_search(state, successors, red, on_stack)
                 if hit is not None:
                     return _reconstruct(frames, on_stack, hit)
             frames.pop()
@@ -75,35 +77,24 @@ def find_accepting_cycle(initials, successors, is_accepting,
     return None
 
 
-def _red_search(seed, successors, red, on_stack, max_states):
-    """Inner DFS; returns (anchor, red_states, red_payloads) on success.
+def _red_search(seed, successors, red, on_stack):
+    """Inner DFS; returns (anchor, red_states) on success.
 
     red_states lists the inner path seed -> .. -> anchor exclusive of both
-    endpoints; red_payloads has one entry per edge along that path.
+    endpoints.
     """
     red.add(seed)
-    _check_budget(len(red), max_states)
     stack = [(seed, iter(successors(seed)))]
     parents: dict = {}
     while stack:
         state, it = stack[-1]
         advanced = False
-        for payload, child in it:
+        for child in it:
             if child in on_stack:
-                states, payloads = [], [payload]
-                walk = state
-                while walk != seed:
-                    parent, via = parents[walk]
-                    states.append(walk)
-                    payloads.append(via)
-                    walk = parent
-                states.reverse()
-                payloads.reverse()
-                return child, tuple(states), tuple(payloads)
+                return child, _walk_back(state, seed, parents)
             if child not in red:
                 red.add(child)
-                _check_budget(len(red), max_states)
-                parents[child] = (state, payload)
+                parents[child] = state
                 stack.append((child, iter(successors(child))))
                 advanced = True
                 break
@@ -112,21 +103,27 @@ def _red_search(seed, successors, red, on_stack, max_states):
     return None
 
 
-def _reconstruct(frames, on_stack, hit) -> RawLasso:
-    anchor, red_states, red_payloads = hit
+def _walk_back(state, stop, parents) -> tuple:
+    """The parent chain from ``state`` back to ``stop``, in forward order and
+    exclusive of ``stop``."""
+    states = []
+    while state != stop:
+        states.append(state)
+        state = parents[state]
+    states.reverse()
+    return tuple(states)
+
+
+def _reconstruct(frames, on_stack, hit) -> Lasso:
+    anchor, red_states = hit
     idx = on_stack[anchor]
-    prefix_states = tuple(frames[i][0] for i in range(idx))
-    prefix_actions = tuple(frames[i + 1][2] for i in range(idx))
-    blue_states = tuple(frames[i][0] for i in range(idx, len(frames)))
-    blue_payloads = tuple(frames[i][2] for i in range(idx + 1, len(frames)))
-    cycle_states = blue_states + red_states
-    cycle_actions = blue_payloads + red_payloads
-    return RawLasso(prefix_states, prefix_actions, cycle_states, cycle_actions)
+    blue_states = tuple(state for state, _ in frames)
+    return Lasso(blue_states[:idx], blue_states[idx:] + red_states)
 
 
 def shortest_lassos(initials, successors, is_accepting,
                     max_states: int | None = None,
-                    priority=None) -> list[RawLasso]:
+                    priority=None) -> list[Lasso]:
     """One canonical lasso per reachable accepting state.
 
     The stem is BFS-shortest from the initial set; the loop is BFS-shortest
@@ -145,7 +142,7 @@ def shortest_lassos(initials, successors, is_accepting,
     frontier = []
     for root in initials:
         if root not in parent:
-            parent[root] = (None, None)
+            parent[root] = None
             frontier.append(root)
             order.append(root)
     _check_budget(len(parent), max_states)
@@ -154,9 +151,9 @@ def shortest_lassos(initials, successors, is_accepting,
             frontier.sort(key=priority)
         nxt = []
         for state in frontier:
-            for payload, child in successors(state):
+            for child in successors(state):
                 if child not in parent:
-                    parent[child] = (state, payload)
+                    parent[child] = state
                     _check_budget(len(parent), max_states)
                     nxt.append(child)
                     order.append(child)
@@ -167,24 +164,11 @@ def shortest_lassos(initials, successors, is_accepting,
     for disc, anchor in enumerate(order):
         if not is_accepting(anchor) or anchor not in capable:
             continue
-        loop = _shortest_loop(anchor, successors, max_states)
+        loop = _shortest_loop(anchor, successors)
         if loop is None:
             continue
-        stem_states, stem_actions = [], []
-        walk = anchor
-        while True:
-            prev, via = parent[walk]
-            if prev is None:
-                break
-            stem_states.append(prev)
-            stem_actions.append(via)
-            walk = prev
-        stem_states.reverse()
-        stem_actions.reverse()
-        loop_states, loop_actions = loop
-        found.append((len(stem_states), len(loop_states), disc, RawLasso(
-            tuple(stem_states), tuple(stem_actions),
-            tuple(loop_states), tuple(loop_actions))))
+        stem = _walk_back(parent[anchor], None, parent)
+        found.append((len(stem), len(loop), disc, Lasso(stem, loop)))
     found.sort(key=lambda item: item[:3])
     return [item[3] for item in found]
 
@@ -213,7 +197,7 @@ def _loop_capable(states, successors) -> set:
         while work:
             state, it = work[-1]
             advanced = False
-            for _, child in it:
+            for child in it:
                 if child not in index:
                     index[child] = low[child] = counter
                     counter += 1
@@ -240,41 +224,33 @@ def _loop_capable(states, successors) -> set:
                         break
                 if len(component) > 1:
                     capable.update(component)
-                elif any(child == state
-                         for _, child in successors(state)):
+                elif state in successors(state):
                     capable.add(state)
     return capable
 
 
-def _shortest_loop(anchor, successors, max_states):
-    """BFS-shortest non-empty path anchor -> anchor; None if no loop."""
+def _shortest_loop(anchor, successors) -> tuple | None:
+    """BFS-shortest non-empty path anchor -> anchor; None if no loop.
+
+    It stays inside the states reachable from the initial set, which the
+    caller's BFS has already counted against the budget.
+    """
     parent: dict = {}
     frontier = [anchor]
-    closing = None
-    while frontier and closing is None:
+    last = None
+    while frontier and last is None:
         nxt = []
         for state in frontier:
-            for payload, child in successors(state):
+            for child in successors(state):
                 if child == anchor:
-                    closing = (state, payload)
+                    last = state
                     break
                 if child not in parent:
-                    parent[child] = (state, payload)
-                    _check_budget(len(parent), max_states)
+                    parent[child] = state
                     nxt.append(child)
-            if closing is not None:
+            if last is not None:
                 break
         frontier = nxt
-    if closing is None:
+    if last is None:
         return None
-    last, closing_payload = closing
-    states, payloads = [], [closing_payload]
-    walk = last
-    while walk != anchor:
-        prev, via = parent[walk]
-        states.append(walk)
-        payloads.append(via)
-        walk = prev
-    states.reverse()
-    payloads.reverse()
-    return [anchor] + states, payloads
+    return (anchor,) + _walk_back(last, anchor, parent)

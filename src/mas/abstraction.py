@@ -43,7 +43,6 @@ from .partition import CellDecomposition, ServiceLabeling
 logger = logging.getLogger(__name__)
 
 ACTION_ENUMERATION_CAP = 10**7
-PRODUCT_STATE_CAP = 10**6
 
 
 def drift(g: NetworkGraph, agent: int, x_i, x_neighbors) -> np.ndarray:
@@ -133,10 +132,10 @@ class AgentWTS:
         return self.dt
 
     def successors(self, cell: int):
-        """All (action, target, duration) triples leaving a cell."""
+        """(target, duration) of every move leaving a cell, action by action."""
         for action in self._by_source.get(cell, ()):
             for target in self.transitions[action]:
-                yield action, target, self.duration(cell, action, target)
+                yield target, self.duration(cell, action, target)
 
     def transition_count(self) -> int:
         return sum(len(ts) for ts in self.transitions.values())
@@ -195,37 +194,6 @@ def _certificate(g: NetworkGraph, decomp: CellDecomposition, agent: int,
         nominal_input=nominal,
         remainder=rho,
     )
-
-
-def transition_enabled(
-    g: NetworkGraph,
-    decomp: CellDecomposition,
-    bounds: BoundsReport,
-    disc: DiscretizationRange,
-    agent: int,
-    source: int,
-    neighbor_cells: tuple[int, ...],
-    target: int,
-) -> TransitionCertificate | None:
-    """Certificate for one transition, or None when it is not well-posed.
-
-    The worst-case required correction over the source and neighbor cells
-    must fit the reach budget, and the remainder rho(dt) must fit the
-    target's inradius.
-    """
-    nbrs = g.neighbors(agent)
-    if len(neighbor_cells) != len(nbrs):
-        raise ArityMismatch(
-            f"agent {agent} has {len(nbrs)} neighbors, got cells {neighbor_cells}")
-    dt = disc.chosen_dt
-    budget = bounds.lambda_reach * bounds.v_max * dt
-    action = (source,) + tuple(neighbor_cells)
-    worst = worst_distances(decomp, np.array([action]),
-                            decomp.center(target)[None], dt)
-    rho = deviation_remainder(bounds, dt)
-    if worst[0, 0] > budget or rho > decomp.inradius(target):
-        return None
-    return _certificate(g, decomp, agent, dt, rho, action, target)
 
 
 def build_agent_wts(
@@ -291,11 +259,10 @@ class ProductWTS:
     A joint state is a tuple of cells; each agent moves by its action
     determined by the joint state (own cell + neighbors' cells), and all
     agents move simultaneously with the common sampling period. States are
-    expanded lazily; ``reachable_size`` materializes under a cap.
+    expanded lazily.
     """
 
-    def __init__(self, wts_list: list[AgentWTS], g: NetworkGraph,
-                 state_cap: int = PRODUCT_STATE_CAP):
+    def __init__(self, wts_list: list[AgentWTS], g: NetworkGraph):
         if len(wts_list) != g.agent_count:
             raise ArityMismatch(
                 f"{len(wts_list)} transition systems for {g.agent_count} agents")
@@ -305,7 +272,6 @@ class ProductWTS:
         self.wts_list = list(wts_list)
         self.graph = g
         self.dt = wts_list[0].dt
-        self.state_cap = state_cap
         self._succ_cache: dict[tuple, list] = {}
 
     def initial_states(self) -> tuple[tuple[int, ...], ...]:
@@ -327,7 +293,7 @@ class ProductWTS:
         return out
 
     def successors(self, joint: tuple[int, ...]):
-        """(action=None, joint target, dt) triples; empty if any agent is stuck."""
+        """(joint target, dt) pairs; empty if any agent is stuck."""
         cached = self._succ_cache.get(joint)
         if cached is not None:
             return cached
@@ -342,24 +308,10 @@ class ProductWTS:
         if per_agent is None:
             result = []
         else:
-            result = [(None, combo, self.dt)
+            result = [(combo, self.dt)
                       for combo in itertools.product(*per_agent)]
         self._succ_cache[joint] = result
         return result
-
-    def reachable_size(self) -> int:
-        seen = set(self.initial_states())
-        frontier = list(seen)
-        while frontier:
-            state = frontier.pop()
-            for _, child, _ in self.successors(state):
-                if child not in seen:
-                    seen.add(child)
-                    if len(seen) > self.state_cap:
-                        raise BudgetExceeded(
-                            f"product exceeded {self.state_cap} states")
-                    frontier.append(child)
-        return len(seen)
 
 
 def feedback_inputs(

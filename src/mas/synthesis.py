@@ -15,6 +15,10 @@ The planner works in stages:
 5. package the joint run as per-agent plans with timestamps, actions and the
    abstraction's transition certificates.
 
+A lasso is a sequence of product states (``_ndfs.Lasso``); search graphs
+carry no edge labels, so step 5 re-derives each agent's action from the
+joint state it moves from (``ProductWTS.agent_action``).
+
 Product states are (system state, automaton location, clock valuation); time
 advances by each transition's duration, guards are evaluated at the
 post-delay values, and clocks saturate above the automaton's largest
@@ -34,6 +38,7 @@ from fractions import Fraction
 from functools import reduce
 
 from . import _ndfs
+from ._ndfs import Lasso
 from .abstraction import AgentWTS, ProductWTS, TransitionCertificate
 from .errors import LengthMismatch, Unsatisfiable
 from .graph import NetworkGraph
@@ -48,27 +53,13 @@ DEFAULT_LCM_CAP = 10**3
 DEFAULT_STATE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class Lasso:
-    """Ultimately periodic run fragment (see _ndfs for the conventions)."""
-
-    prefix_states: tuple
-    prefix_actions: tuple
-    cycle_states: tuple
-    cycle_actions: tuple
-
-    def state_at(self, position: int):
-        p = len(self.prefix_states)
-        if position < p:
-            return self.prefix_states[position]
-        return self.cycle_states[(position - p) % len(self.cycle_states)]
-
-
 class BuchiProduct:
     """Lazy product of a transition system with a timed Büchi automaton.
 
-    The system supplies ``delays()``, every duration its ``successors`` may
-    report; clock valuations are tuples of ticks of their gcd.
+    The system's ``successors(s)`` yields (target, duration) pairs and its
+    ``delays()`` every duration they may report; clock valuations are tuples
+    of ticks of their gcd. ``successors`` of the product returns child
+    product states.
     """
 
     def __init__(self, system, automaton: TimedAutomaton):
@@ -98,10 +89,10 @@ class BuchiProduct:
         s, q, ticks = state
         label, moves = self.system.label, self.clocks.moves
         result = []
-        for action, s2, duration in self.system.successors(s):
+        for s2, duration in self.system.successors(s):
             for target, landed in moves(q, ticks, self._ticks[duration],
                                         label(s2)):
-                result.append(((action, s2), (s2, target, landed)))
+                result.append((s2, target, landed))
         self._succ_cache[state] = result
         return result
 
@@ -112,24 +103,18 @@ class BuchiProduct:
 def find_accepting_lasso(product: BuchiProduct,
                          max_states: int = DEFAULT_STATE_CAP) -> Lasso | None:
     """Nested-DFS emptiness check; returns the first accepting lasso found."""
-    raw = _ndfs.find_accepting_cycle(
+    return _ndfs.find_accepting_cycle(
         product.initial(), product.successors, product.accepting,
         max_states=max_states)
-    if raw is None:
-        return None
-    return Lasso(raw.prefix_states, raw.prefix_actions,
-                 raw.cycle_states, raw.cycle_actions)
 
 
 def enumerate_accepting_lassos(product: BuchiProduct,
                                max_states: int = DEFAULT_STATE_CAP) -> list[Lasso]:
     """Canonical accepting lassos, one per accepting state, cheapest first."""
-    raws = _ndfs.shortest_lassos(
+    return _ndfs.shortest_lassos(
         product.initial(), product.successors, product.accepting,
         max_states=max_states,
         priority=lambda state: not product.accepting(state))
-    return [Lasso(r.prefix_states, r.prefix_actions,
-                  r.cycle_states, r.cycle_actions) for r in raws]
 
 
 # --------------------------------------------------------------------------
@@ -167,9 +152,9 @@ class _CellView:
         found = self._succ.get(cell)
         if found is None:
             first: dict[int, float] = {}
-            for _, target, duration in self.wts.successors(cell):
+            for target, duration in self.wts.successors(cell):
                 first.setdefault(target, duration)
-            found = [(None, target, first[target])
+            found = [(target, first[target])
                      for target in sorted(first, key=lambda t: (t == cell, t))]
             self._succ[cell] = found
         return found
@@ -264,15 +249,8 @@ class Plan:
     def action_at(self, position: int) -> tuple[int, ...]:
         return _cell_at(self.prefix_actions, self.cycle_actions, position)
 
-    def certificate_at(self, position: int):
-        return _cell_at(self.certificates_prefix, self.certificates_cycle,
-                        position)
-
     def provided_at(self, position: int) -> frozenset[str]:
         return _cell_at(self.provided_prefix, self.provided_cycle, position)
-
-    def timestamp(self, position: int) -> float:
-        return position * self.dt
 
     def word(self) -> TimedWord:
         return word_from_lasso(self.provided_prefix, self.provided_cycle,
@@ -406,7 +384,7 @@ def synthesize(
         if alphabets and w.agent in alphabets:
             sigma |= alphabets[w.agent]
         automata[w.agent] = from_flat_mitl(formulas[w.agent], sigma)
-    product = ProductWTS(wts_list, g, state_cap=max_states)
+    product = ProductWTS(wts_list, g)
 
     per_agent: list[list[Lasso]] = []
     for w in wts_list:

@@ -32,7 +32,7 @@ from functools import cached_property, reduce
 from typing import Any, Iterable
 
 from . import _ndfs
-from .errors import BudgetExceeded, NonPeriodicWord, UnsupportedNesting
+from .errors import NonPeriodicWord, UnsupportedNesting
 from .mitl import (And, Atom, Always, Eventually, Interval, MitlFormula, Next,
                    Not, TimedWord, Until, atoms, to_fraction)
 
@@ -565,49 +565,29 @@ def accepts_lasso(automaton: TimedAutomaton, word: TimedWord,
                   node_cap: int = _NODE_CAP) -> bool:
     """Whether the automaton accepts an ultimately periodic timed word.
 
-    Explores the finite graph of (location, clock valuation in ticks, word
-    phase) nodes, a tick being the gcd of the word's gaps; the word is
-    accepted iff that graph has a reachable cycle through an accepting
-    location.
+    Searches the finite graph of (location, clock valuation in ticks, word
+    phase) nodes, a tick being the gcd of the word's gaps, for a reachable
+    cycle through an accepting location; nodes are expanded on demand, and
+    BudgetExceeded fires once the search has visited more than ``node_cap``
+    nodes.
     """
     if not isinstance(word, TimedWord):
         raise NonPeriodicWord(
             f"need an ultimately periodic TimedWord, got {type(word).__name__}")
     clocks = TickClocks(automaton, word.gaps())
-    p, c = word.prefix_length, word.cycle_length
-
-    def tag_of(position: int) -> int:
-        return position if position < p else p + (position - p) % c
-
     starts = [(loc, clocks.zero, 0) for loc in automaton.initial
               if automaton.labels[loc] == word.letter(0)
               and clocks.admits_zero(loc)]
 
-    adjacency: dict[tuple, list[tuple[None, tuple]]] = {}
-    frontier = list(starts)
-    known = set(starts)
-    while frontier:
-        node = frontier.pop()
-        loc, values, tag = node
-        # the position this tag stands for advances to tag+1 (canonically)
-        d = clocks.ticks(word.time(tag + 1) - word.time(tag))
-        next_tag = tag_of(tag + 1)
-        succ = []
-        for target, landed in clocks.moves(loc, values, d,
-                                           word.letter(tag + 1)):
-            child = (target, landed, next_tag)
-            succ.append((None, child))
-            if child not in known:
-                known.add(child)
-                frontier.append(child)
-                if len(known) > node_cap:
-                    raise BudgetExceeded(
-                        f"lasso acceptance graph exceeded {node_cap} nodes")
-        adjacency[node] = succ
+    def successors(node):
+        loc, values, phase = node
+        # the position this phase stands for advances to phase+1
+        d = clocks.ticks(word.time(phase + 1) - word.time(phase))
+        next_phase = word.canonical(phase + 1)
+        return [(target, landed, next_phase) for target, landed in
+                clocks.moves(loc, values, d, word.letter(phase + 1))]
 
     lasso = _ndfs.find_accepting_cycle(
-        starts,
-        lambda node: adjacency.get(node, ()),
-        lambda node: node[0] in automaton.accepting,
-    )
+        starts, successors, lambda node: node[0] in automaton.accepting,
+        max_states=node_cap)
     return lasso is not None

@@ -8,7 +8,7 @@ import pytest
 
 from mas.abstraction import (AgentWTS, ProductWTS, build_agent_wts, drift,
                              drift_all, feedback_input, feedback_inputs,
-                             transition_enabled, worst_distances)
+                             worst_distances)
 from mas.bounds import (BoundsReport, DiscretizationRange,
                         deviation_remainder, discretization_range,
                         theorem1_constants)
@@ -60,30 +60,30 @@ def test_drift_neighbor_arity_checked():
 
 
 def test_self_loops_are_always_well_posed():
-    g, rep, disc, decomp, _ = _pair_setup()
+    g, rep, disc, decomp, labeling = _pair_setup()
+    w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=6)
     for source in (1, 5, 12):
         for nbr in (1, 6, 12):
-            cert = transition_enabled(g, decomp, rep, disc, agent=1,
-                                      source=source, neighbor_cells=(nbr,),
-                                      target=source)
-            assert cert is not None
+            assert w.certificate(source, (source, nbr), source) is not None
 
 
 def test_adjacent_moves_enabled_near_neighbors_only():
-    g, rep, disc, decomp, _ = _pair_setup()
+    g, rep, disc, decomp, labeling = _pair_setup()
+    w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=6)
     # neighbor in the adjacent cell: moving toward it is fine
-    assert transition_enabled(g, decomp, rep, disc, 1, 6, (7,), 5) is not None
-    assert transition_enabled(g, decomp, rep, disc, 1, 6, (7,), 7) is not None
+    assert 5 in w.post(6, (6, 7))
+    assert 7 in w.post(6, (6, 7))
     # distant cells are out of one-step reach regardless of the neighbor
-    assert transition_enabled(g, decomp, rep, disc, 1, 6, (7,), 3) is None
-    assert transition_enabled(g, decomp, rep, disc, 1, 6, (7,), 9) is None
+    assert 3 not in w.post(6, (6, 7))
+    assert 9 not in w.post(6, (6, 7))
     # a far-away neighbor drags the drift term above the reach budget
-    assert transition_enabled(g, decomp, rep, disc, 1, 6, (12,), 5) is None
+    assert 5 not in w.post(6, (6, 12))
 
 
 def test_certificate_records_the_validated_move():
-    g, rep, disc, decomp, _ = _pair_setup()
-    cert = transition_enabled(g, decomp, rep, disc, 1, 6, (7,), 5)
+    g, rep, disc, decomp, labeling = _pair_setup()
+    w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=6)
+    cert = w.certificate(6, (6, 7), 5)
     assert cert.agent == 1
     assert (cert.source, cert.target) == (6, 5)
     assert cert.neighbor_cells == (7,)
@@ -97,15 +97,14 @@ def test_reach_budget_monotone_in_lambda():
     g = build_graph(2, [(1, 2)])
     ws = Workspace(np.array([0.0]), np.array([4.032]))
     grid = grid_decompose(ws, 0.336)
-    decomp, _ = refine_to_compliance([], grid)
+    decomp, labeling = refine_to_compliance([], grid)
     counts = {}
     for lam in (0.3, 0.5):
         rep = theorem1_constants(spectral(g), g, v_max=100.0, safety=1.05,
                                  lambda_reach=lam)
         disc = discretization_range(rep, chosen_d_max=0.336, chosen_dt=0.0103)
-        counts[lam] = sum(
-            transition_enabled(g, decomp, rep, disc, 1, s, (n,), t) is not None
-            for s in range(1, 13) for n in range(1, 13) for t in range(1, 13))
+        counts[lam] = build_agent_wts(g, 1, decomp, labeling, rep, disc,
+                                      initial_cell=1).transition_count()
     assert counts[0.3] <= counts[0.5]
 
 
@@ -154,7 +153,7 @@ def test_product_synchronizes_agent_moves():
     w2 = granted_chain_wts(2, (3, 2), {}, (1,), cells, dt)
     product = ProductWTS([w1, w2], g)
     assert product.initial_states() == ((1, 3),)
-    succ = [target for _, target, _ in product.successors((1, 3))]
+    succ = [target for target, _ in product.successors((1, 3))]
     assert set(succ) == {(1, 3), (1, 2), (2, 3), (2, 2)}
     assert product.agent_action((1, 3), 1) == (1, 3)
     assert product.agent_action((1, 3), 2) == (3, 1)
@@ -328,20 +327,17 @@ def test_box_reachability_matches_corner_oracle(dimension, degree, counts,
                 outcomes.add(ok)
                 if ok:
                     expected.setdefault(action, []).append(t)
-                cert = transition_enabled(g, decomp, rep, disc, 1, action[0],
-                                          action[1:], t)
+                cert = w.certificate(action[0], action, t)
                 assert (cert is not None) == ok
-                assert (w.certificate(action[0], action, t) is not None) == ok
                 if ok:
                     f = drift(g, 1, decomp.center(action[0]),
                               [decomp.center(c) for c in action[1:]])
                     nominal = (decomp.center(t) - decomp.center(action[0])
                                - dt * f) / dt
-                    for c in (cert, w.certificate(action[0], action, t)):
-                        assert (c.source, c.target) == (action[0], t)
-                        assert c.neighbor_cells == action[1:]
-                        assert np.array_equal(c.nominal_input, nominal)
-                        assert c.remainder == rho
+                    assert (cert.source, cert.target) == (action[0], t)
+                    assert cert.neighbor_cells == action[1:]
+                    assert np.array_equal(cert.nominal_input, nominal)
+                    assert cert.remainder == rho
         assert w.transitions == {a: tuple(ts) for a, ts in expected.items()}
     assert outcomes == {True, False}
 
@@ -358,8 +354,6 @@ def test_box_reachability_accepts_a_worst_corner_exactly_at_the_budget():
             == 0.125
         w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=2)
         assert (2 in w.transitions.get((2, 2), ())) == enabled
-        cert = transition_enabled(g, decomp, rep, disc, 1, 2, (2,), 2)
-        assert (cert is not None) == enabled
         assert (w.certificate(2, (2, 2), 2) is not None) == enabled
 
 

@@ -75,8 +75,9 @@ def test_product_states_stay_label_synchronized():
         seen.add(state)
         cell, location, _ = state
         assert product.automaton.labels[location] == wts.label(cell)
-        for (action, target), nxt in product.successors(state):
-            assert nxt[0] == target
+        targets = [s2 for s2, _ in wts.successors(cell)]
+        for nxt in product.successors(state):
+            assert nxt[0] in targets
             frontier.append(nxt)
     assert seen
 
@@ -155,7 +156,7 @@ def test_plans_expose_steps_actions_and_services():
     plan = synthesize(wts_list, g, formulas).plans[0]
     assert [plan.cell_at(j) for j in range(4)] == [14, 17, 10, 20]
     assert plan.action_at(0)[0] == 14
-    assert plan.timestamp(4) == 4.0
+    assert plan.word().time(4) == 4
     # positions wrap around the cycle indefinitely
     assert plan.cell_at(plan.prefix_length + plan.cycle_length) \
         == plan.cell_at(plan.prefix_length)

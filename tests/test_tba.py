@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mas import mitl
-from mas.errors import NonPeriodicWord, UnsupportedNesting
+from mas.errors import BudgetExceeded, NonPeriodicWord, UnsupportedNesting
 from mas.mitl import TimedWord, evaluate, parse, word_from_lasso
 from mas.tba import (accepts_lasso, canonical_letters, from_flat_mitl,
                      intersect, universal_acceptor)
@@ -86,6 +86,14 @@ def test_intersection_is_language_conjunction():
         word = random_lasso_word(rng, max_length=8)
         expect = evaluate(word, f) and evaluate(word, g)
         assert accepts_lasso(auto, word) == expect
+
+
+def test_lasso_acceptance_stops_at_its_node_budget():
+    word = word_from_lasso([G, E, E], [G, E, E, E], 1)  # six phases
+    auto = universal_acceptor({"green"})
+    assert accepts_lasso(auto, word)
+    with pytest.raises(BudgetExceeded):
+        accepts_lasso(auto, word, node_cap=2)
 
 
 def test_translation_rejects_nested_temporal_operands():

@@ -84,7 +84,7 @@ class FractionProduct:
         auto = self.automaton
         s, q, values = state
         result = []
-        for action, s2, duration in self.system.successors(s):
+        for s2, duration in self.system.successors(s):
             moved = self._advance(values, to_fraction(duration))
             if not self._ok(auto.invariants[q], moved):
                 continue
@@ -97,7 +97,7 @@ class FractionProduct:
                                for c, v in zip(auto.clocks, moved))
                 if not self._ok(auto.invariants[edge.target], landed):
                     continue
-                result.append(((action, s2), (s2, edge.target, landed)))
+                result.append((s2, edge.target, landed))
         return result
 
     def accepting(self, state):
@@ -119,8 +119,8 @@ def _assert_same_graph(fast: BuchiProduct, oracle: FractionProduct):
         state = frontier.pop()
         got = fast.successors(state)
         want = oracle.successors(_as_fractions(fast, state))
-        assert [(p, _as_fractions(fast, c)) for p, c in got] == want
-        for _, child in got:
+        assert [_as_fractions(fast, c) for c in got] == want
+        for child in got:
             if child not in seen:
                 seen.add(child)
                 frontier.append(child)
