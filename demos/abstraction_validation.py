@@ -45,7 +45,7 @@ print(f"  nominal input: {cert.nominal_input} "
       f"<= lambda*v_max = {pipe.report.lambda_reach * sc.v_max:.4g})")
 print(f"  remainder rho = {cert.remainder:.4g} "
       f"vs target inradius {decomp.inradius(target):.4g}")
-print(f"  duration = {w.duration(action[0], action, target):.4g}")
+print(f"  every move takes dt = {w.dt:.4g}")
 
 # Monte-Carlo attack: uniform starts inside the action cells, the neighbor
 # drives bang-bang at full v_max, we steer with the measured-drift feedback

@@ -22,8 +22,8 @@ import pytest
 
 from mas.cli import load_scenario, stage_abstract, stage_bounds
 from mas.mitl import atoms
-from mas.synthesis import (BuchiProduct, _CellView, _project_cells,
-                           consistent, enumerate_accepting_lassos)
+from mas.synthesis import (BuchiProduct, _project_cells, consistent,
+                           enumerate_accepting_lassos)
 from mas.abstraction import ProductWTS
 from mas.tba import from_flat_mitl, intersect
 
@@ -74,15 +74,14 @@ def _expand_all(system, automaton) -> int:
 
 
 def test_cold_successor_expansion(benchmark, pipe, automata):
-    view = _CellView(pipe.wts_list[0])
-    states = benchmark(_expand_all, view, automata[0])
+    states = benchmark(_expand_all, pipe.wts_list[0], automata[0])
     assert states > 1000
 
 
 def test_consistency_over_all_combinations(benchmark, pipe, automata):
     per_agent = [
         [_project_cells(lasso, None) for lasso in enumerate_accepting_lassos(
-            BuchiProduct(_CellView(w), auto))]
+            BuchiProduct(w, auto))]
         for w, auto in zip(pipe.wts_list, automata)]
     combos = list(itertools.product(*per_agent))
     assert len(combos) == 276

@@ -84,10 +84,12 @@ class AgentWTS:
     """One agent's weighted transition system over cell indices.
 
     ``transitions`` maps an action tuple (own cell, neighbor cells...) to the
-    tuple of targets enabled under it. Durations default to the uniform
-    sampling period ``dt``; sparse overrides support hand-built systems with
-    non-uniform weights. ``certify`` maps an enabled (action, target) pair to
-    its certificate; hand-built systems have none.
+    tuple of targets enabled under it. Every move takes one sampling period
+    ``dt``. ``successors(cell)`` quotients the neighbor assumptions away:
+    the per-agent search needs only the agent's own cell sequence, because
+    consistency later re-derives each action from the joint state.
+    ``certify`` maps an enabled (action, target) pair to its certificate;
+    hand-built systems have none.
     """
 
     agent: int
@@ -99,16 +101,9 @@ class AgentWTS:
     neighbor_agents: tuple[int, ...] = ()
     certify: Callable[[tuple[int, ...], int], TransitionCertificate] | None \
         = None
-    durations: dict[tuple, float] | None = None
-    _by_source: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
+    _successors: dict[int, tuple[int, ...]] | None = None
     _certificates: dict[tuple, TransitionCertificate] = field(
         default_factory=dict)
-
-    def __post_init__(self):
-        by_source: dict[int, list[tuple[int, ...]]] = {}
-        for action in sorted(self.transitions):
-            by_source.setdefault(action[0], []).append(action)
-        self._by_source = by_source
 
     def post(self, source: int, action: tuple[int, ...]) -> tuple[int, ...]:
         if action[0] != source:
@@ -122,20 +117,23 @@ class AgentWTS:
     def initial_states(self) -> tuple[int, ...]:
         return (self.initial,)
 
-    def delays(self) -> frozenset[float]:
-        """Every duration a move can take: dt and the overrides."""
-        return frozenset({self.dt, *(self.durations or {}).values()})
+    def successors(self, cell: int) -> tuple[int, ...]:
+        """Distinct targets of a cell under any neighbor assumption.
 
-    def duration(self, source: int, action, target: int) -> float:
-        if self.durations:
-            return self.durations.get((source, action, target), self.dt)
-        return self.dt
-
-    def successors(self, cell: int):
-        """(target, duration) of every move leaving a cell, action by action."""
-        for action in self._by_source.get(cell, ()):
-            for target in self.transitions[action]:
-                yield target, self.duration(cell, action, target)
+        Movement comes first and the self-loop last: among the many
+        equal-length stems to an accepting state, breadth-first discovery
+        then records a run that makes progress and provides its services at
+        the earliest opportunity instead of idling until a deadline. The
+        table is built on first use.
+        """
+        if self._successors is None:
+            reach: dict[int, set[int]] = {}
+            for action, targets in self.transitions.items():
+                reach.setdefault(action[0], set()).update(targets)
+            self._successors = {
+                s: tuple(sorted(ts, key=lambda t: (t == s, t)))
+                for s, ts in reach.items()}
+        return self._successors.get(cell, ())
 
     def transition_count(self) -> int:
         return sum(len(ts) for ts in self.transitions.values())
@@ -282,10 +280,6 @@ class ProductWTS:
         own = joint[agent - 1]
         return (own,) + tuple(joint[j - 1] for j in self.graph.neighbors(agent))
 
-    def delays(self) -> frozenset[float]:
-        """Every joint move takes the common sampling period."""
-        return frozenset({self.dt})
-
     def label(self, joint: tuple[int, ...]) -> frozenset[str]:
         out: frozenset[str] = frozenset()
         for w, cell in zip(self.wts_list, joint):
@@ -293,23 +287,14 @@ class ProductWTS:
         return out
 
     def successors(self, joint: tuple[int, ...]):
-        """(joint target, dt) pairs; empty if any agent is stuck."""
+        """Joint targets in ``itertools.product`` order; empty if any agent
+        is stuck."""
         cached = self._succ_cache.get(joint)
         if cached is not None:
             return cached
-        per_agent = []
-        for w in self.wts_list:
-            action = self.agent_action(joint, w.agent)
-            targets = w.transitions.get(action, ())
-            if not targets:
-                per_agent = None
-                break
-            per_agent.append(targets)
-        if per_agent is None:
-            result = []
-        else:
-            result = [(combo, self.dt)
-                      for combo in itertools.product(*per_agent)]
+        result = list(itertools.product(*(
+            w.transitions.get(self.agent_action(joint, w.agent), ())
+            for w in self.wts_list)))
         self._succ_cache[joint] = result
         return result
 

@@ -797,7 +797,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abstract", help="build per-agent transition systems")
     common(p)
     p.add_argument("--max-states", type=int, default=ACTION_ENUMERATION_CAP,
-                   help="cap on per-agent action enumeration")
+                   help="cap on per-agent action tuples, cells^(deg+1)")
     p.set_defaults(fn=cmd_abstract)
 
     p = sub.add_parser("synthesize", help="find consistent satisfying plans")
@@ -812,8 +812,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate",
                        help="execute plans in closed loop (reuses plans.json)")
     common(p)
-    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP)
-    p.add_argument("--max-iters", type=int, default=DEFAULT_R_ITER)
+    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP,
+                   help="cap on explored product states")
+    p.add_argument("--max-iters", type=int, default=DEFAULT_R_ITER,
+                   help="cap on per-agent run combinations before the full "
+                        "product search")
     p.add_argument("--horizon", type=int, default=None,
                    help="sampling steps to simulate (default: prefix + two "
                         "cycles)")

@@ -411,10 +411,30 @@ def parse(text: str) -> MitlFormula:
 # evaluation
 # --------------------------------------------------------------------------
 
-class _Budget:
-    __slots__ = ("left",)
+def evaluate(word: TimedWord, formula: MitlFormula, position: int = 0,
+             budget: int = DEFAULT_UNROLL_BUDGET) -> bool:
+    """Pointwise satisfaction of a formula at a position of a lasso word.
 
-    def __init__(self, budget: int):
+    Unbounded windows are decided by scanning one full cycle past the window's
+    lower bound (suffixes one cycle apart are identical up to a time shift).
+    Raises HorizonOverflow if more than ``budget`` positions get scanned.
+    """
+    return _Evaluation(word, budget).at(formula, position)
+
+
+class _Evaluation:
+    """Memoised recursive evaluation over one word.
+
+    Its methods reach each other through the instance, not through closures
+    that refer to one another, so the word and the memo are freed as soon
+    as ``evaluate`` returns.
+    """
+
+    __slots__ = ("word", "memo", "left")
+
+    def __init__(self, word: TimedWord, budget: int):
+        self.word = word
+        self.memo: dict[tuple[int, int], bool] = {}
         self.left = budget
 
     def spend(self):
@@ -424,40 +444,30 @@ class _Budget:
                 "formula evaluation exceeded its unrolling budget; "
                 "the word/formula combination needs too many positions")
 
-
-def evaluate(word: TimedWord, formula: MitlFormula, position: int = 0,
-             budget: int = DEFAULT_UNROLL_BUDGET) -> bool:
-    """Pointwise satisfaction of a formula at a position of a lasso word.
-
-    Unbounded windows are decided by scanning one full cycle past the window's
-    lower bound (suffixes one cycle apart are identical up to a time shift).
-    Raises HorizonOverflow if more than ``budget`` positions get scanned.
-    """
-    memo: dict[tuple[int, int], bool] = {}
-    meter = _Budget(budget)
-
-    def scan_stop(j: int, gap: Fraction, interval: Interval,
+    def scan_stop(self, j: int, gap: Fraction, interval: Interval,
                   full_period_from: int | None) -> tuple[bool, int | None]:
         """(stop_now, updated full-period marker) for unbounded windows."""
         if interval.hi is not None:
             return interval.beyond_upper(gap), None
         if full_period_from is None:
-            if interval.reaches_lower(gap) and j >= word.prefix_length:
+            if interval.reaches_lower(gap) and j >= self.word.prefix_length:
                 full_period_from = j
-        elif j >= full_period_from + word.cycle_length:
+        elif j >= full_period_from + self.word.cycle_length:
             return True, full_period_from
         return False, full_period_from
 
-    def eval_at(f: MitlFormula, i: int) -> bool:
-        i = word.canonical(i)
+    def at(self, f: MitlFormula, i: int) -> bool:
+        i = self.word.canonical(i)
         key = (id(f), i)
+        memo = self.memo
         if key in memo:
             return memo[key]
-        result = _eval(f, i)
+        result = self._eval(f, i)
         memo[key] = result
         return result
 
-    def _eval(f: MitlFormula, i: int) -> bool:
+    def _eval(self, f: MitlFormula, i: int) -> bool:
+        word, eval_at, scan_stop = self.word, self.at, self.scan_stop
         match f:
             case Atom(name):
                 return name in word.letter(i)
@@ -472,7 +482,7 @@ def evaluate(word: TimedWord, formula: MitlFormula, position: int = 0,
                 base = word.time(i)
                 j, marker = i, None
                 while True:
-                    meter.spend()
+                    self.spend()
                     gap = word.time(j) - base
                     if interval.contains(gap) and eval_at(arg, j):
                         return True
@@ -484,7 +494,7 @@ def evaluate(word: TimedWord, formula: MitlFormula, position: int = 0,
                 base = word.time(i)
                 j, marker = i, None
                 while True:
-                    meter.spend()
+                    self.spend()
                     gap = word.time(j) - base
                     if interval.contains(gap) and not eval_at(arg, j):
                         return False
@@ -496,7 +506,7 @@ def evaluate(word: TimedWord, formula: MitlFormula, position: int = 0,
                 base = word.time(i)
                 j, marker = i, None
                 while True:
-                    meter.spend()
+                    self.spend()
                     gap = word.time(j) - base
                     if interval.contains(gap) and eval_at(right, j):
                         return True
@@ -507,5 +517,3 @@ def evaluate(word: TimedWord, formula: MitlFormula, position: int = 0,
                         return False
                     j += 1
         raise TypeError(f"not a formula node: {f!r}")
-
-    return eval_at(formula, position)

@@ -19,13 +19,15 @@ A lasso is a sequence of product states (``_ndfs.Lasso``); search graphs
 carry no edge labels, so step 5 re-derives each agent's action from the
 joint state it moves from (``ProductWTS.agent_action``).
 
-Product states are (system state, automaton location, clock valuation); time
-advances by each transition's duration, guards are evaluated at the
+Product states are (system state, automaton location, clock valuation).
+Every move of the abstraction takes one sampling period dt, so clocks count
+integer ticks of dt (``tba.TickClocks``) and each move advances them by one
+tick, exact without rational arithmetic; guards are evaluated at the
 post-delay values, and clocks saturate above the automaton's largest
-constant. Clock values are integer ticks of delta, the gcd of the system's
-delays (``tba.TickClocks``), so they are exact without rational arithmetic.
-A product state is only formed when the system state's service set equals
-the automaton location's letter.
+constant. A product state is only formed when the system state's service
+set equals the automaton location's letter. Step 2 searches each agent's
+cell graph with the neighbor assumptions quotiented away
+(``AgentWTS.successors``).
 """
 
 from __future__ import annotations
@@ -56,18 +58,16 @@ DEFAULT_STATE_CAP = 10**6
 class BuchiProduct:
     """Lazy product of a transition system with a timed Büchi automaton.
 
-    The system's ``successors(s)`` yields (target, duration) pairs and its
-    ``delays()`` every duration they may report; clock valuations are tuples
-    of ticks of their gcd. ``successors`` of the product returns child
-    product states.
+    The system's ``successors(s)`` returns child states, and every move
+    takes its sampling period ``dt``, so clock valuations are tuples of
+    ticks of dt and each move advances them by one tick. ``successors`` of
+    the product returns child product states.
     """
 
     def __init__(self, system, automaton: TimedAutomaton):
         self.system = system
         self.automaton = automaton
-        delays = system.delays()
-        self.clocks = TickClocks(automaton, delays)
-        self._ticks = {d: self.clocks.ticks(d) for d in delays}
+        self.clocks = TickClocks(automaton, (system.dt,))
         self._succ_cache: dict[tuple, list] = {}
 
     def initial(self) -> list[tuple]:
@@ -89,9 +89,8 @@ class BuchiProduct:
         s, q, ticks = state
         label, moves = self.system.label, self.clocks.moves
         result = []
-        for s2, duration in self.system.successors(s):
-            for target, landed in moves(q, ticks, self._ticks[duration],
-                                        label(s2)):
+        for s2 in self.system.successors(s):
+            for target, landed in moves(q, ticks, 1, label(s2)):
                 result.append((s2, target, landed))
         self._succ_cache[state] = result
         return result
@@ -120,45 +119,6 @@ def enumerate_accepting_lassos(product: BuchiProduct,
 # --------------------------------------------------------------------------
 # run alignment and consistency
 # --------------------------------------------------------------------------
-
-class _CellView:
-    """Per-agent transition system quotiented over neighbor assumptions.
-
-    For candidate-run enumeration only the agent's own cell sequence matters
-    (consistency later re-derives the action from the joint state), so
-    distinct actions reaching the same target collapse into one edge. This
-    keeps per-agent products small for high-degree agents.
-
-    Successors are ordered movement-first (self-loops last): among the many
-    equal-length stems to an accepting state, breadth-first discovery then
-    records a run that makes progress and provides its services at the
-    earliest opportunity instead of idling until a deadline.
-    """
-
-    def __init__(self, wts: AgentWTS):
-        self.wts = wts
-        self._succ: dict[int, list[tuple]] = {}
-
-    def initial_states(self):
-        return self.wts.initial_states()
-
-    def label(self, cell: int) -> frozenset[str]:
-        return self.wts.label(cell)
-
-    def delays(self) -> frozenset:
-        return self.wts.delays()
-
-    def successors(self, cell: int) -> list[tuple]:
-        found = self._succ.get(cell)
-        if found is None:
-            first: dict[int, float] = {}
-            for target, duration in self.wts.successors(cell):
-                first.setdefault(target, duration)
-            found = [(target, first[target])
-                     for target in sorted(first, key=lambda t: (t == cell, t))]
-            self._succ[cell] = found
-        return found
-
 
 def _cell_at(prefix: tuple, cycle: tuple, position: int):
     p = len(prefix)
@@ -388,7 +348,7 @@ def synthesize(
 
     per_agent: list[list[Lasso]] = []
     for w in wts_list:
-        bp = BuchiProduct(_CellView(w), automata[w.agent])
+        bp = BuchiProduct(w, automata[w.agent])
         lassos = enumerate_accepting_lassos(bp, max_states=max_states)
         logger.info("agent %d: %d candidate accepting lassos", w.agent,
                     len(lassos))

@@ -19,7 +19,9 @@ Clocks are counted in integer ticks (``TickClocks``): when every delay is a
 multiple of delta, their gcd, every clock value is k*delta for an int k, and
 each guard bound is an integer range on k. Values above the largest constant
 c_max are saturated to one tick, floor(c_max/delta) + 1, which guards cannot
-tell apart from the true value.
+tell apart from the true value. In a synthesis product every move takes the
+sampling period, so delta is dt; ``accepts_lasso`` ticks at the gcd of the
+checked word's gaps.
 """
 
 from __future__ import annotations
@@ -473,55 +475,20 @@ def intersect(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
 
 
 class _EdgeTable(dict):
-    """Location -> outgoing edges, each entry built on its first lookup."""
+    """Location -> outgoing edges of an intersection, each entry built on
+    its first lookup.
 
-    def __init__(self, build):
+    The table holds the component automata and their shared-alphabet
+    views, not the product, so the product and its table form no reference
+    cycle.
+    """
+
+    def __init__(self, a: TimedAutomaton, b: TimedAutomaton, view_a: dict,
+                 view_b: dict):
         super().__init__()
-        self._build = build
+        self._a, self._b, self._view_a, self._view_b = a, b, view_a, view_b
 
     def __missing__(self, loc):
-        edges = self[loc] = self._build(loc)
-        return edges
-
-
-class _Intersection(TimedAutomaton):
-    """The product ``intersect`` returns."""
-
-    def __init__(self, a: TimedAutomaton, b: TimedAutomaton):
-        self._a, self._b = a, b
-        shared = a.alphabet & b.alphabet
-        self._view_a = {qa: a.labels[qa] & shared for qa in a.locations}
-        self._view_b = {qb: b.labels[qb] & shared for qb in b.locations}
-        pairs = [(qa, qb) for qa in a.locations for qb in b.locations
-                 if self._view_a[qa] == self._view_b[qb]]
-        locations = [(qa, qb, ph) for qa, qb in pairs for ph in (0, 1)]
-        self._set_locations(
-            locations,
-            initial=[(qa, qb, 0) for qa in a.initial for qb in b.initial
-                     if self._view_a[qa] == self._view_b[qb]],
-            clocks=tuple("l." + c for c in a.clocks)
-            + tuple("r." + c for c in b.clocks),
-            accepting=[(qa, qb, 0) for qa, qb in pairs if qa in a.accepting],
-            labels={(qa, qb, ph): a.labels[qa] | b.labels[qb]
-                    for qa, qb, ph in locations},
-            alphabet=a.alphabet | b.alphabet,
-            invariants={
-                (qa, qb, ph): a.invariants[qa].renamed("l.").conjoin(
-                    b.invariants[qb].renamed("r."))
-                for qa, qb, ph in locations
-                if a.invariants[qa].terms or b.invariants[qb].terms})
-        self.edges_from = _EdgeTable(self._edges_at)
-        # an edge pair exists iff both ends agree on the shared alphabet,
-        # which depends on the letters only
-        self.edge_constants = {}
-        for (sa, ta), ca in a.edge_constants.items():
-            for (sb, tb), cb in b.edge_constants.items():
-                if sa & shared == sb & shared and ta & shared == tb & shared:
-                    key = (sa | sb, ta | tb)
-                    self.edge_constants[key] = max(
-                        self.edge_constants.get(key, Fraction(0)), ca, cb)
-
-    def _edges_at(self, loc) -> tuple[Edge, ...]:
         a, b = self._a, self._b
         qa, qb, ph = loc
         if ph == 0:
@@ -541,7 +508,45 @@ class _Intersection(TimedAutomaton):
                     out.append(Edge(loc, guard.conjoin(guard_b),
                                     resets | resets_b,
                                     (ea.target, target_b, nxt)))
-        return tuple(out)
+        edges = self[loc] = tuple(out)
+        return edges
+
+
+class _Intersection(TimedAutomaton):
+    """The product ``intersect`` returns."""
+
+    def __init__(self, a: TimedAutomaton, b: TimedAutomaton):
+        shared = a.alphabet & b.alphabet
+        view_a = {qa: a.labels[qa] & shared for qa in a.locations}
+        view_b = {qb: b.labels[qb] & shared for qb in b.locations}
+        pairs = [(qa, qb) for qa in a.locations for qb in b.locations
+                 if view_a[qa] == view_b[qb]]
+        locations = [(qa, qb, ph) for qa, qb in pairs for ph in (0, 1)]
+        self._set_locations(
+            locations,
+            initial=[(qa, qb, 0) for qa in a.initial for qb in b.initial
+                     if view_a[qa] == view_b[qb]],
+            clocks=tuple("l." + c for c in a.clocks)
+            + tuple("r." + c for c in b.clocks),
+            accepting=[(qa, qb, 0) for qa, qb in pairs if qa in a.accepting],
+            labels={(qa, qb, ph): a.labels[qa] | b.labels[qb]
+                    for qa, qb, ph in locations},
+            alphabet=a.alphabet | b.alphabet,
+            invariants={
+                (qa, qb, ph): a.invariants[qa].renamed("l.").conjoin(
+                    b.invariants[qb].renamed("r."))
+                for qa, qb, ph in locations
+                if a.invariants[qa].terms or b.invariants[qb].terms})
+        self.edges_from = _EdgeTable(a, b, view_a, view_b)
+        # an edge pair exists iff both ends agree on the shared alphabet,
+        # which depends on the letters only
+        self.edge_constants = {}
+        for (sa, ta), ca in a.edge_constants.items():
+            for (sb, tb), cb in b.edge_constants.items():
+                if sa & shared == sb & shared and ta & shared == tb & shared:
+                    key = (sa | sb, ta | tb)
+                    self.edge_constants[key] = max(
+                        self.edge_constants.get(key, Fraction(0)), ca, cb)
 
 
 def universal_acceptor(alphabet: Iterable[str]) -> TimedAutomaton:

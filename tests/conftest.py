@@ -66,22 +66,16 @@ def granted_chain_wts(agent, chain, labels, neighbors, all_cells, dt):
 
 
 def four_state_timed_wts(dt: float = 1.0) -> AgentWTS:
-    """Three-cell system with non-uniform durations and one green cell.
+    """Three-cell system with one green cell; every move takes ``dt``.
 
-    s0 -1.0-> s1, s1 -2.0-> s0, s1 -1.5-> s2, s2 -0.5-> s1; L(s0)={green}.
-    Cells are numbered 0, 1, 2 and the agent has no neighbors.
+    s0 -> s1, s1 -> s0, s1 -> s2, s2 -> s1; L(s0)={green}, so green recurs
+    at even multiples of dt. Cells are numbered 0, 1, 2 and the agent has
+    no neighbors.
     """
     transitions = {(0,): (1,), (1,): (0, 2), (2,): (1,)}
-    durations = {
-        (0, (0,), 1): 1.0,
-        (1, (1,), 0): 2.0,
-        (1, (1,), 2): 1.5,
-        (2, (2,), 1): 0.5,
-    }
     return AgentWTS(
         agent=1, cells=(0, 1, 2), initial=0, dt=dt,
-        labels={0: frozenset({"green"})},
-        transitions=transitions, durations=durations)
+        labels={0: frozenset({"green"})}, transitions=transitions)
 
 
 def planning_example(dt):

@@ -1,5 +1,7 @@
 """Formula parsing, exact timing arithmetic, pointwise evaluation."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -271,3 +273,17 @@ def test_eventually_is_monotone_in_the_window(word):
     wide = parse("F[0,4] a")
     if evaluate(word, narrow):
         assert evaluate(word, wide)
+
+
+def test_evaluation_frees_its_word_without_the_cycle_collector():
+    word = lasso([E, A], [B, AB])
+    ref = weakref.ref(word)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert evaluate(word, parse("F[1,inf) (a & b) & G[0,inf) F[0,2] b"))
+        del word
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -13,13 +13,14 @@ local copy of its eager version the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mas import _ndfs
 from mas.errors import BudgetExceeded
-from mas.mitl import word_from_lasso
+from mas.mitl import TimedWord
 from mas.tba import TickClocks, accepts_lasso, from_flat_mitl
 
 from conftest import random_flat_formula, random_lasso_word
@@ -387,6 +388,10 @@ def test_lassos_are_runs_of_the_graph():
     assert checked > 100
 
 
+_SPACINGS = ((Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 2)),
+             (Fraction(3, 2), Fraction(1)))
+
+
 def test_on_demand_acceptance_matches_the_eager_graph():
     rng = np.random.default_rng(63)
     verdicts = set()
@@ -398,9 +403,12 @@ def test_on_demand_acceptance_matches_the_eager_graph():
         else:  # non-uniform gaps: a prefix at one spacing, a cycle at another
             letters = [frozenset(x for x in "pq" if rng.random() < 0.4)
                        for _ in range(6)]
-            cut = int(rng.integers(0, 5))
-            word = word_from_lasso(letters[:cut], letters[cut:],
-                                   [1, 0.5, 1.5][k % 3])
+            cut = int(rng.integers(2, 6))
+            step, period = _SPACINGS[k % 3]
+            word = TimedWord(
+                tuple((ls, step * j) for j, ls in enumerate(letters[:cut])),
+                tuple((ls, period) for ls in letters[cut:]))
+            assert len(set(word.gaps())) == 2
         got = accepts_lasso(auto, word)
         assert got == payload_accepts_lasso(auto, word)
         verdicts.add(got)

@@ -7,7 +7,7 @@ import pytest
 from mas.abstraction import AgentWTS, ProductWTS
 from mas.errors import LengthMismatch, Unsatisfiable
 from mas.graph import build_graph
-from mas.mitl import TimedWord, evaluate, parse, word_from_lasso
+from mas.mitl import evaluate, parse, word_from_lasso
 from mas.synthesis import (BuchiProduct, align_runs, consistent,
                            enumerate_accepting_lassos, find_accepting_lasso,
                            synthesize, witness_instant)
@@ -17,27 +17,17 @@ from conftest import four_state_timed_wts, planning_example
 
 
 def _single_agent_product(formula_text, wts=None):
-    wts = wts or four_state_timed_wts()
+    # a period of 1.5 brings green back every 3 time units
+    wts = wts or four_state_timed_wts(dt=1.5)
     auto = from_flat_mitl(parse(formula_text), alphabet=frozenset({"green"}))
     return BuchiProduct(wts, auto), wts, auto
 
 
 def _word_of(lasso, wts):
-    """Timed word traced by a product lasso, using the system's durations."""
-    cells_prefix = [s[0] for s in lasso.prefix_states]
-    cells_cycle = [s[0] for s in lasso.cycle_states]
-    prefix, t = [], Fraction(0)
-    for k, cell in enumerate(cells_prefix):
-        prefix.append((wts.label(cell), t))
-        nxt = cells_prefix[k + 1] if k + 1 < len(cells_prefix) \
-            else cells_cycle[0]
-        t += Fraction(str(wts.duration(cell, (cell,), nxt)))
-    cycle = []
-    for k, cell in enumerate(cells_cycle):
-        nxt = cells_cycle[(k + 1) % len(cells_cycle)]
-        dur = Fraction(str(wts.duration(cell, (cell,), nxt)))
-        cycle.append((wts.label(cell), dur))
-    return TimedWord(tuple(prefix), tuple(cycle))
+    """Timed word traced by a product lasso, one sampling period a move."""
+    return word_from_lasso([wts.label(s[0]) for s in lasso.prefix_states],
+                           [wts.label(s[0]) for s in lasso.cycle_states],
+                           wts.dt)
 
 
 def test_deadline_goal_has_accepting_lasso():
@@ -50,8 +40,9 @@ def test_deadline_goal_has_accepting_lasso():
 
 
 def test_canonical_lasso_revisits_green_at_three():
-    # s0 -> s1 -> s0 brings green back at t = 1 + 2 = 3, the earliest
-    # instant inside [2, 5]; the cheapest lasso's word witnesses there.
+    # s0 -> s1 -> s0 takes two periods of 1.5, so green comes back at
+    # t = 3, the earliest instant inside [2, 5]; the cheapest lasso's word
+    # witnesses there.
     product, wts, _ = _single_agent_product("F[2,5] green")
     lassos = enumerate_accepting_lassos(product)
     assert lassos
@@ -60,7 +51,7 @@ def test_canonical_lasso_revisits_green_at_three():
 
 
 def test_unreachable_deadline_has_no_accepting_lasso():
-    # green recurs at t = 3 or 5, never inside [2, 2.5]
+    # green recurs at multiples of 3 only, never inside [2, 2.5]
     product, _, _ = _single_agent_product("F[2,2.5] green")
     assert find_accepting_lasso(product) is None
 
@@ -75,7 +66,7 @@ def test_product_states_stay_label_synchronized():
         seen.add(state)
         cell, location, _ = state
         assert product.automaton.labels[location] == wts.label(cell)
-        targets = [s2 for s2, _ in wts.successors(cell)]
+        targets = wts.successors(cell)
         for nxt in product.successors(state):
             assert nxt[0] in targets
             frontier.append(nxt)

@@ -2,14 +2,18 @@
 
 from fractions import Fraction
 
+import gc
+import weakref
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from mas import mitl
 from mas.errors import BudgetExceeded, NonPeriodicWord, UnsupportedNesting
 from mas.mitl import TimedWord, evaluate, parse, word_from_lasso
-from mas.tba import (accepts_lasso, canonical_letters, from_flat_mitl,
-                     intersect, universal_acceptor)
+from mas.tba import (TickClocks, accepts_lasso, canonical_letters,
+                     from_flat_mitl, intersect, universal_acceptor)
 
 from conftest import random_flat_formula, random_lasso_word
 
@@ -159,3 +163,58 @@ def test_fractional_step_words_agree_too():
         auto = from_flat_mitl(formula, alphabet={"p", "q"})
         assert accepts_lasso(auto, word) == evaluate(word, formula), \
             (mitl.formula_to_text(formula), word)
+
+
+_MIXED_GAPS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1),
+               Fraction(3, 2), Fraction(3, 10))
+
+
+def _mixed_gap_word(rng) -> TimedWord:
+    """Random lasso word whose gaps mix several sampling periods."""
+    def letter():
+        return frozenset(x for x in "pq" if rng.random() < 0.4)
+
+    def gap():
+        return _MIXED_GAPS[int(rng.integers(len(_MIXED_GAPS)))]
+
+    prefix, t = [], Fraction(0)
+    for _ in range(int(rng.integers(1, 6))):
+        prefix.append((letter(), t))
+        t += gap()
+    cycle = [(letter(), gap()) for _ in range(int(rng.integers(1, 5)))]
+    return TimedWord(tuple(prefix), tuple(cycle))
+
+
+def test_mixed_gap_words_agree_too():
+    # clocks tick at the gcd of the word's gaps, from 1/20 up to 3/2
+    rng = np.random.default_rng(41)
+    verdicts, deltas = [], set()
+    for _ in range(300):
+        formula = random_flat_formula(rng)
+        word = _mixed_gap_word(rng)
+        auto = from_flat_mitl(formula, alphabet={"p", "q"})
+        got = accepts_lasso(auto, word)
+        assert got == evaluate(word, formula), \
+            (mitl.formula_to_text(formula), word)
+        verdicts.append(got)
+        deltas.add(TickClocks(auto, word.gaps()).delta)
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert Fraction(1, 20) in deltas and len(deltas) > 4
+
+
+def test_intersection_is_freed_without_the_cycle_collector():
+    parts = [from_flat_mitl(parse(text), alphabet={"p", "q"})
+             for text in ("F[0,2] p", "G[0,1] !q", "F[1,3] q")]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        joint = reduce(intersect, parts)
+        for loc in joint.locations:
+            joint.edges_from[loc]
+        assert joint.c_max == 3
+        ref = weakref.ref(joint)
+        del joint
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -5,6 +5,9 @@ Each test keeps a local copy of the earlier implementation as its oracle:
 * the exact-rational (Fraction) timed product, against the integer-tick
   ``BuchiProduct``: successor lists must agree state for state and in order
   once tick k is read as k*delta and the saturated tick as infinity;
+* the per-move (target, duration) generator seen through the cell view
+  that quotiented neighbor assumptions away, against
+  ``AgentWTS.successors``;
 * the eager automaton intersection, against the lazy ``intersect``;
 * the alignment-based consistency check, against the early-exit
   ``consistent``.
@@ -84,8 +87,8 @@ class FractionProduct:
         auto = self.automaton
         s, q, values = state
         result = []
-        for s2, duration in self.system.successors(s):
-            moved = self._advance(values, to_fraction(duration))
+        for s2 in self.system.successors(s):
+            moved = self._advance(values, to_fraction(self.system.dt))
             if not self._ok(auto.invariants[q], moved):
                 continue
             for edge in auto.edges_from[q]:
@@ -164,11 +167,11 @@ def _scaled(formula, factor: Fraction):
     return formula
 
 
-_DURATIONS = (0.25, 0.5, 0.75, 1.0, 1.5, 0.3, 0.45)
+_PERIODS = (0.25, 0.5, 0.75, 1.0, 1.5, 0.3, 0.45)
 
 
 def _random_timed_system(rng) -> AgentWTS:
-    """Small single-agent system with random labels and non-uniform delays."""
+    """Small single-agent system with random labels and a random period."""
     n = int(rng.integers(2, 6))
     cells = tuple(range(n))
     labels = {}
@@ -178,18 +181,15 @@ def _random_timed_system(rng) -> AgentWTS:
             labels[c] = (frozenset({"p"}) if r < 0.65 else
                          frozenset({"q"}) if r < 0.9 else
                          frozenset({"p", "q"}))
-    dt = float(rng.choice(_DURATIONS))
-    transitions, durations = {}, {}
+    dt = float(rng.choice(_PERIODS))
+    transitions = {}
     for c in cells:
         k = int(rng.integers(1, 4))
         targets = tuple(sorted(int(t) for t in
                                rng.choice(n, size=min(k, n), replace=False)))
         transitions[(c,)] = targets
-        for t in targets:
-            if rng.random() < 0.6:
-                durations[(c, (c,), t)] = float(rng.choice(_DURATIONS))
     return AgentWTS(agent=1, cells=cells, initial=0, dt=dt, labels=labels,
-                    transitions=transitions, durations=durations or None)
+                    transitions=transitions)
 
 
 def test_tick_product_matches_the_fraction_product_on_random_instances():
@@ -214,9 +214,9 @@ def test_tick_product_matches_the_fraction_product_on_random_instances():
 @pytest.mark.parametrize("lo,hi", [("2", "5"), ("2.5", "3.5"), ("1.2", "2.9"),
                                    ("0", "1/3")])
 def test_tick_ranges_at_exact_ties(lo, hi, lo_open, hi_open):
-    # four_state_timed_wts has delays 1, 2, 1.5 and 0.5, so delta = 1/2:
-    # some window ends fall on the lattice, others between two ticks
-    wts = four_state_timed_wts()
+    # a period of 1/2 is the tick: some window ends fall on the lattice,
+    # others between two ticks
+    wts = four_state_timed_wts(dt=0.5)
     interval = mitl.Interval(Fraction(lo), Fraction(hi), lo_open=lo_open,
                              hi_open=hi_open)
     for formula in (mitl.Eventually(interval, mitl.Atom("green")),
@@ -257,6 +257,70 @@ def test_hand_built_guards_with_resets_and_invariants():
         oracle = FractionProduct(wts, auto)
         _assert_same_graph(BuchiProduct(wts, auto), oracle)
         _assert_same_lassos(BuchiProduct(wts, auto), oracle)
+
+
+# --------------------------------------------------------------------------
+# oracle: the cell view over (target, duration) moves
+# --------------------------------------------------------------------------
+
+def pair_successors(wts: AgentWTS):
+    """(target, duration) of every move leaving a cell, action by action."""
+    by_source: dict[int, list] = {}
+    for action in sorted(wts.transitions):
+        by_source.setdefault(action[0], []).append(action)
+
+    def successors(cell):
+        for action in by_source.get(cell, ()):
+            for target in wts.transitions[action]:
+                yield target, wts.dt
+    return successors
+
+
+def cell_view_successors(wts: AgentWTS):
+    """Distinct targets per cell, movement first and the self-loop last."""
+    moves = pair_successors(wts)
+
+    def successors(cell):
+        first: dict[int, float] = {}
+        for target, duration in moves(cell):
+            first.setdefault(target, duration)
+        return tuple(sorted(first, key=lambda t: (t == cell, t)))
+    return successors
+
+
+def _random_neighbor_table(rng) -> AgentWTS:
+    """Random table with overlapping targets, inserted in shuffled order."""
+    cells = tuple(range(1, int(rng.integers(2, 6)) + 1))
+    degree = int(rng.integers(0, 3))
+    actions = list(itertools.product(cells, repeat=degree + 1))
+    rng.shuffle(actions)
+    table = {}
+    for action in actions:
+        if rng.random() < 0.3:
+            continue  # some sources end up with no action at all
+        size = int(rng.integers(0, len(cells) + 1))
+        targets = rng.choice(cells, size=size, replace=False)
+        table[tuple(int(c) for c in action)] = tuple(int(t) for t in targets)
+    return AgentWTS(agent=1, cells=cells, initial=cells[0], dt=0.5,
+                    labels={}, transitions=table,
+                    neighbor_agents=tuple(range(2, degree + 2)))
+
+
+def test_cell_graph_matches_the_view_over_duration_pairs():
+    rng = np.random.default_rng(7004)
+    seen = {"duplicate": 0, "self-loop": 0, "no action": 0, "unsorted": 0}
+    for _ in range(300):
+        wts = _random_neighbor_table(rng)
+        want = cell_view_successors(wts)
+        for cell in wts.cells + (max(wts.cells) + 1,):
+            assert wts.successors(cell) == want(cell), cell
+            targets = [t for t, _ in pair_successors(wts)(cell)]
+            seen["duplicate"] += len(targets) > len(set(targets))
+            seen["self-loop"] += cell in targets
+            seen["no action"] += not targets
+        keys = list(wts.transitions)
+        seen["unsorted"] += keys != sorted(keys)
+    assert min(seen.values()) > 0, seen
 
 
 # --------------------------------------------------------------------------
