@@ -25,6 +25,7 @@ MAS_LOG=debug|info|warning to enable logging.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -105,6 +106,13 @@ def _is_num(x) -> bool:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_letter(x) -> bool:
+    return isinstance(x, list) and all(isinstance(s, str) and s for s in x)
+
+
+_LETTER = "expected an array of non-empty service names"
 
 
 def _get_int(col: _Collector, obj: dict, key: str, minimum: int) -> int | None:
@@ -553,11 +561,57 @@ def plans_to_dict(sc: Scenario, result: SynthesisResult) -> dict:
     }
 
 
-def plans_from_dict(obj: dict) -> list[Plan]:
-    """Rebuild executable plans from plans.json (certificates are dropped)."""
+def _check_plan_steps(col: _Collector, plan: dict, key: str,
+                      path: str) -> None:
+    steps = plan.get(key)
+    if not isinstance(steps, list) or (key == "cycle" and not steps):
+        col.add(path, f"expected {'a non-empty' if key == 'cycle' else 'an'} "
+                      f"array of steps")
+        return
+    for j, step in enumerate(steps):
+        at = f"{path}/{j}"
+        if not isinstance(step, dict):
+            col.add(at, "expected a step object")
+            continue
+        if not _is_int(step.get("cell")) or step["cell"] < 1:
+            col.add(at + "/cell", "expected a positive cell number")
+        action = step.get("action")
+        if not isinstance(action, list) or not all(map(_is_int, action)):
+            col.add(at + "/action", "expected an array of cell numbers")
+        if not _is_letter(step.get("services")):
+            col.add(at + "/services", _LETTER)
+
+
+def plans_from_dict(obj) -> list[Plan]:
+    """Rebuild executable plans from plans.json (certificates are dropped).
+
+    Structural problems are collected and raised together as a SchemaError
+    listing a JSON-pointer path per problem.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError([("", "expected a JSON object")], "plans.json")
+    col = _Collector()
+    dt = obj.get("dt")
+    if not _is_num(dt) or dt <= 0:
+        col.add("/dt", "expected a positive number")
+    agents = obj.get("agents")
+    if not isinstance(agents, list) or not agents:
+        col.add("/agents", "expected a non-empty array of plans")
+        agents = []
+    for i, a in enumerate(agents):
+        if not isinstance(a, dict):
+            col.add(f"/agents/{i}", "expected a plan object")
+            continue
+        if not _is_int(a.get("agent")) or a["agent"] < 1:
+            col.add(f"/agents/{i}/agent", "expected a positive agent number")
+        if not isinstance(a.get("witness_time"), (str, type(None))):
+            col.add(f"/agents/{i}/witness_time", "expected a string or null")
+        for key in ("prefix", "cycle"):
+            _check_plan_steps(col, a, key, f"/agents/{i}/{key}")
+    if col.problems:
+        raise SchemaError(col.problems, "plans.json")
     plans = []
-    dt = obj["dt"]
-    for a in obj["agents"]:
+    for a in agents:
         prefix = a["prefix"]
         cycle = a["cycle"]
         wt = a.get("witness_time")
@@ -719,24 +773,36 @@ def word_from_json(obj) -> TimedWord:
     (position j occurs at j*dt; empty prefix allowed). Explicit form:
     {"prefix": [{"services": [...], "time": T}, ...],
      "cycle":  [{"services": [...], "duration": D}, ...]} where times and
-    durations are numbers or exact-ratio strings like "3/2".
+    durations are numbers or exact-ratio strings like "3/2". Every letter
+    is an array of service names; anything else is a SchemaError naming its
+    position.
     """
+    def letter(names, path: str) -> frozenset[str]:
+        if not _is_letter(names):
+            raise SchemaError([(path, _LETTER)], "timed word")
+        return frozenset(names)
+
     if not isinstance(obj, dict):
-        raise SchemaError([("", "timed word must be a JSON object")])
+        raise SchemaError([("", "expected a JSON object")], "timed word")
     try:
         if "dt" in obj:
-            prefix = [frozenset(ls) for ls in obj.get("prefix", [])]
-            cycle = [frozenset(ls) for ls in obj["cycle"]]
+            prefix = [letter(ls, f"/prefix/{j}")
+                      for j, ls in enumerate(obj.get("prefix", []))]
+            cycle = [letter(ls, f"/cycle/{j}")
+                     for j, ls in enumerate(obj["cycle"])]
             return word_from_lasso(prefix, cycle, to_fraction(obj["dt"]))
         prefix = tuple(
-            (frozenset(s["services"]), to_fraction(s["time"]))
-            for s in obj["prefix"])
+            (letter(s["services"], f"/prefix/{j}/services"),
+             to_fraction(s["time"]))
+            for j, s in enumerate(obj["prefix"]))
         cycle = tuple(
-            (frozenset(s["services"]), to_fraction(s["duration"]))
-            for s in obj["cycle"])
+            (letter(s["services"], f"/cycle/{j}/services"),
+             to_fraction(s["duration"]))
+            for j, s in enumerate(obj["cycle"]))
         return TimedWord(prefix, cycle)
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError([("", f"malformed timed word: {exc!r}")]) from None
+        raise SchemaError([("", f"malformed timed word: {exc!r}")],
+                          "timed word") from None
 
 
 def cmd_check(args) -> int:
@@ -776,7 +842,11 @@ def cmd_check(args) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: argparse's
+    formatters and sections refer to each other, so a parser per call
+    would leave cyclic garbage behind every in-process command."""
     parser = argparse.ArgumentParser(
         prog="mas",
         description="Timed plan synthesis for consensus-coupled multi-agent "
@@ -844,7 +914,7 @@ def main(argv=None) -> int:
         logging.basicConfig(
             level=getattr(logging, level, logging.INFO),
             format="%(levelname)s %(name)s: %(message)s")
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except Unsatisfiable as exc:

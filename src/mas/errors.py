@@ -102,11 +102,12 @@ class BudgetExceeded(MasError):
 # --- scenario I/O ---------------------------------------------------------------
 
 class SchemaError(MasError):
-    """Scenario file is structurally invalid; message lists pointer paths."""
+    """An input file (a scenario unless ``what`` names another) is
+    structurally invalid; the message lists pointer paths."""
 
-    def __init__(self, problems):
+    def __init__(self, problems, what: str = "scenario"):
         self.problems = list(problems)
-        super().__init__("invalid scenario:\n" + "\n".join(
+        super().__init__(f"invalid {what}:\n" + "\n".join(
             f"  {path}: {msg}" for path, msg in self.problems))
 
 

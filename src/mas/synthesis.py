@@ -19,15 +19,15 @@ A lasso is a sequence of product states (``_ndfs.Lasso``); search graphs
 carry no edge labels, so step 5 re-derives each agent's action from the
 joint state it moves from (``ProductWTS.agent_action``).
 
-Product states are (system state, automaton location, clock valuation).
-Every move of the abstraction takes one sampling period dt, so clocks count
-integer ticks of dt (``tba.TickClocks``) and each move advances them by one
-tick, exact without rational arithmetic; guards are evaluated at the
-post-delay values, and clocks saturate above the automaton's largest
-constant. A product state is only formed when the system state's service
-set equals the automaton location's letter. Step 2 searches each agent's
-cell graph with the neighbor assumptions quotiented away
-(``AgentWTS.successors``).
+Product states are (system state, automaton location, clock tick), the one
+clock being the time since the run began. Every move of the abstraction
+takes one sampling period dt, so the clock counts integer ticks of dt
+(``tba.TickClocks``) and each move advances it by one tick, exact without
+rational arithmetic; guards are evaluated at the post-delay value, and the
+clock saturates above the automaton's largest constant. A product state is
+only formed when the system state's service set equals the automaton
+location's letter. Step 2 searches each agent's cell graph with the
+neighbor assumptions quotiented away (``AgentWTS.successors``).
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ class BuchiProduct:
     """Lazy product of a transition system with a timed Büchi automaton.
 
     The system's ``successors(s)`` returns child states, and every move
-    takes its sampling period ``dt``, so clock valuations are tuples of
-    ticks of dt and each move advances them by one tick. ``successors`` of
-    the product returns child product states.
+    takes its sampling period ``dt``, so a product state is (system state,
+    location, k) with k the automaton's one clock in ticks of dt, and each
+    move advances k by one tick. ``successors`` of the product returns
+    child product states.
     """
 
     def __init__(self, system, automaton: TimedAutomaton):
@@ -71,27 +72,21 @@ class BuchiProduct:
         self._succ_cache: dict[tuple, list] = {}
 
     def initial(self) -> list[tuple]:
-        zero = self.clocks.zero
-        out = []
-        for s in self.system.initial_states():
-            for q in self.automaton.initial:
-                if self.automaton.labels[q] != self.system.label(s):
-                    continue
-                if not self.clocks.admits_zero(q):
-                    continue
-                out.append((s, q, zero))
-        return out
+        return [(s, q, 0) for s in self.system.initial_states()
+                for q in self.automaton.initial
+                if self.automaton.labels[q] == self.system.label(s)]
 
     def successors(self, state: tuple) -> list[tuple]:
         cached = self._succ_cache.get(state)
         if cached is not None:
             return cached
-        s, q, ticks = state
+        s, q, k = state
         label, moves = self.system.label, self.clocks.moves
         result = []
         for s2 in self.system.successors(s):
-            for target, landed in moves(q, ticks, 1, label(s2)):
-                result.append((s2, target, landed))
+            k2, targets = moves(q, k, 1, label(s2))
+            for target in targets:
+                result.append((s2, target, k2))
         self._succ_cache[state] = result
         return result
 

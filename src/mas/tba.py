@@ -3,9 +3,14 @@
 Automata read timed words letter-by-letter: every location carries the letter
 (service set) it emits, a run consumes position j by delaying to that
 position's timestamp and taking one edge whose guard holds at the post-delay
-clock values and whose target emits letter j+1. Guards are conjunctions of
-per-clock interval bounds; disjunctive windows are split across parallel
-edges. Acceptance is Büchi (some accepting location recurs).
+clock value and whose target emits letter j+1. Guards are conjunctions of
+interval bounds; disjunctive windows are split across parallel edges.
+Acceptance is Büchi (some accepting location recurs).
+
+There is one clock: the time since position 0. Every window of a flat
+formula is anchored at the word start, so no edge ever resets a clock and
+no location needs an invariant; the clocks of a general construction would
+all hold this same value, and an intersection shares it too.
 
 ``from_flat_mitl`` builds an automaton accepting exactly the words that
 satisfy a flat formula: each temporal conjunct becomes a three-phase shape
@@ -15,9 +20,9 @@ propositional operand; conjunction is the synchronous product. ``intersect``
 builds the product's locations at once and each location's edges when they
 are first asked for.
 
-Clocks are counted in integer ticks (``TickClocks``): when every delay is a
-multiple of delta, their gcd, every clock value is k*delta for an int k, and
-each guard bound is an integer range on k. Values above the largest constant
+The clock is counted in integer ticks (``TickClocks``): when every delay is
+a multiple of delta, their gcd, the clock value is k*delta for an int k, and
+each guard is an integer range on k. Values above the largest constant
 c_max are saturated to one tick, floor(c_max/delta) + 1, which guards cannot
 tell apart from the true value. In a synthesis product every move takes the
 sampling period, so delta is dt; ``accepts_lasso`` ticks at the gcd of the
@@ -43,7 +48,7 @@ _NODE_CAP = 500_000
 
 @dataclass(frozen=True)
 class ClockBound:
-    """One clock's admissible interval lo..hi (hi None = unbounded)."""
+    """An admissible interval lo..hi of the clock (hi None = unbounded)."""
 
     lo: Fraction = Fraction(0)
     lo_strict: bool = False
@@ -59,18 +64,19 @@ class ClockBound:
 
 @dataclass(frozen=True)
 class Guard:
-    """Conjunction of clock bounds; empty tuple = always true."""
+    """Conjunction of bounds on the clock; empty tuple = always true.
 
-    terms: tuple[tuple[str, ClockBound], ...] = ()
+    A conjoined guard keeps every term, so its constants, and hence an
+    automaton's c_max, are those of the guards it was built from.
+    """
 
-    def renamed(self, prefix: str) -> "Guard":
-        return Guard(tuple((prefix + clock, bound) for clock, bound in self.terms))
+    terms: tuple[ClockBound, ...] = ()
 
     def conjoin(self, other: "Guard") -> "Guard":
-        return Guard(tuple(sorted(self.terms + other.terms)))
+        return Guard(self.terms + other.terms)
 
     def constants(self) -> list[Fraction]:
-        return [c for _, bound in self.terms for c in bound.constants()]
+        return [c for bound in self.terms for c in bound.constants()]
 
 
 TRUE_GUARD = Guard()
@@ -80,7 +86,6 @@ TRUE_GUARD = Guard()
 class Edge:
     source: Any
     guard: Guard
-    resets: frozenset[str]
     target: Any
 
 
@@ -93,17 +98,14 @@ class TimedAutomaton:
     their guards, 0 when they have none (constants are non-negative).
     """
 
-    def __init__(self, locations, initial, clocks, edges, accepting, labels,
-                 alphabet, invariants=None):
-        self._set_locations(locations, initial, clocks, accepting, labels,
-                            alphabet, invariants)
+    def __init__(self, locations, initial, edges, accepting, labels,
+                 alphabet):
+        self._set_locations(locations, initial, accepting, labels, alphabet)
         known = set(self.locations)
         edges = tuple(edges)
         for edge in edges:
             if edge.source not in known or edge.target not in known:
                 raise ValueError(f"edge {edge} references an unknown location")
-            if not set(edge.resets) <= set(self.clocks):
-                raise ValueError(f"edge {edge} resets an unknown clock")
         self.edges_from: dict[Any, tuple[Edge, ...]] = {loc: () for loc in self.locations}
         grouped: dict[Any, list[Edge]] = {}
         self.edge_constants: dict[tuple, Fraction] = {}
@@ -116,17 +118,12 @@ class TimedAutomaton:
         for loc, lst in grouped.items():
             self.edges_from[loc] = tuple(lst)
 
-    def _set_locations(self, locations, initial, clocks, accepting, labels,
-                       alphabet, invariants):
+    def _set_locations(self, locations, initial, accepting, labels, alphabet):
         self.locations = tuple(locations)
         self.initial = tuple(initial)
-        self.clocks = tuple(clocks)
         self.accepting = frozenset(accepting)
         self.labels = dict(labels)
         self.alphabet = frozenset(alphabet)
-        self.invariants = {loc: TRUE_GUARD for loc in self.locations}
-        if invariants:
-            self.invariants.update(invariants)
         missing = set(self.locations) - set(self.labels)
         if missing:
             raise ValueError(f"locations without labels: {sorted(map(str, missing))}")
@@ -137,9 +134,8 @@ class TimedAutomaton:
 
     @cached_property
     def c_max(self) -> Fraction:
-        """Largest constant in any guard or invariant (0 without any)."""
-        consts = [c for g in self.invariants.values() for c in g.constants()]
-        return max([Fraction(0), *self.edge_constants.values(), *consts])
+        """Largest constant in any guard (0 without any)."""
+        return max([Fraction(0), *self.edge_constants.values()])
 
     def location_count(self) -> int:
         return len(self.locations)
@@ -152,30 +148,28 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 
 class TickClocks:
-    """An automaton's clocks counted in integer ticks of one delta.
+    """An automaton's clock counted in integer ticks of one delta.
 
-    delta is the gcd of the delays time may advance by, so a valuation is a
-    tuple of ints k meaning k*delta, or ``sat`` = floor(c_max/delta) + 1 for
-    every value above c_max. Each guard bound becomes an inclusive range
-    [lo, hi] on k: ceil(lo/delta), or floor(lo/delta) + 1 when strict, up to
+    delta is the gcd of the delays time may advance by, so the clock value
+    is an int k meaning k*delta, or ``sat`` = floor(c_max/delta) + 1 for
+    every value above c_max. A guard becomes one inclusive tick range: each
+    bound admits ceil(lo/delta), or floor(lo/delta) + 1 when strict, up to
     floor(hi/delta), or ceil(hi/delta) - 1 when strict, or up to ``sat``
-    when unbounded. Since every constant is at most c_max, the saturated
-    tick passes each lower bound and fails each upper bound, exactly as an
-    infinite value would.
+    when unbounded, and a conjunction admits the largest lower tick up to
+    the smallest upper one (nothing when that range is empty). Since every
+    constant is at most c_max, the saturated tick passes each lower bound
+    and fails each upper bound, exactly as an infinite value would.
 
-    Each location is compiled the first time a move leaves it: its
-    invariant, and its outgoing edges indexed by target letter in their
-    original order, each as (guard ranges, reset clock indices, target,
-    target invariant ranges).
+    Each location is compiled the first time a move leaves it: its outgoing
+    edges indexed by target letter in their original order, each as
+    (lowest tick, highest tick, target).
     """
 
     def __init__(self, automaton: TimedAutomaton, delays: Iterable):
         self.automaton = automaton
         self.delta = reduce(_fraction_gcd, (to_fraction(d) for d in delays))
         self.sat = math.floor(automaton.c_max / self.delta) + 1
-        self.zero = (0,) * len(automaton.clocks)
-        self._index = {c: i for i, c in enumerate(automaton.clocks)}
-        self._compiled: dict[Any, tuple] = {}
+        self._compiled: dict[Any, dict] = {}
 
     def ticks(self, delay) -> int:
         count = to_fraction(delay) / self.delta
@@ -183,10 +177,10 @@ class TickClocks:
             raise ValueError(f"delay {delay} is not a multiple of {self.delta}")
         return count.numerator
 
-    def ranges(self, guard: Guard) -> tuple[tuple[int, int, int], ...]:
-        """(clock index, lowest tick, highest tick) per term of a guard."""
-        out = []
-        for clock, bound in guard.terms:
+    def tick_range(self, guard: Guard) -> tuple[int, int]:
+        """(lowest tick, highest tick) the guard admits."""
+        lowest, highest = 0, self.sat
+        for bound in guard.terms:
             lo = bound.lo / self.delta
             lo = math.floor(lo) + 1 if bound.lo_strict else math.ceil(lo)
             if bound.hi is None:
@@ -194,59 +188,27 @@ class TickClocks:
             else:
                 hi = bound.hi / self.delta
                 hi = math.ceil(hi) - 1 if bound.hi_strict else math.floor(hi)
-            out.append((self._index[clock], lo, hi))
-        return tuple(out)
+            lowest, highest = max(lowest, lo), min(highest, hi)
+        return lowest, highest
 
-    def admits_zero(self, q) -> bool:
-        """Whether all clocks at 0 satisfy q's invariant."""
-        return _holds(self._at(q)[0], self.zero)
+    def moves(self, q, k: int, delay: int, letter) -> tuple[int, list]:
+        """The clock after ``delay`` ticks from k, and the targets of the
+        edges from q into a ``letter`` location whose guard admits it."""
+        k = k + delay if k + delay < self.sat else self.sat
+        edges = self._compiled.get(q)
+        if edges is None:
+            edges = self._compiled[q] = self._compile(q)
+        return k, [target for lo, hi, target in edges.get(letter, ())
+                   if lo <= k <= hi]
 
-    def moves(self, q, ticks: tuple, delay: int, letter) -> list[tuple]:
-        """(target, valuation) per edge from q into a ``letter`` location.
-
-        Time first advances by ``delay`` ticks; q's invariant and the guard
-        are checked at the advanced values, the target's invariant after
-        the edge's resets.
-        """
-        invariant, by_letter = self._at(q)
-        sat = self.sat
-        moved = tuple([k + delay if k + delay < sat else sat for k in ticks])
-        if invariant and not _holds(invariant, moved):
-            return []
-        out = []
-        for guard, resets, target, target_invariant in \
-                by_letter.get(letter, ()):
-            if guard and not _holds(guard, moved):
-                continue
-            landed = tuple([0 if i in resets else k
-                            for i, k in enumerate(moved)]) \
-                if resets else moved
-            if target_invariant and not _holds(target_invariant, landed):
-                continue
-            out.append((target, landed))
-        return out
-
-    def _at(self, q) -> tuple:
-        """(invariant ranges, {target letter: [compiled edge, ...]})."""
-        got = self._compiled.get(q)
-        if got is None:
-            auto = self.automaton
-            by_letter: dict[frozenset, list] = {}
-            for edge in auto.edges_from[q]:
-                resets = frozenset(self._index[c] for c in edge.resets)
-                by_letter.setdefault(auto.labels[edge.target], []).append((
-                    self.ranges(edge.guard), resets, edge.target,
-                    self.ranges(auto.invariants[edge.target])))
-            got = (self.ranges(auto.invariants[q]), by_letter)
-            self._compiled[q] = got
-        return got
-
-
-def _holds(ranges, ticks: tuple) -> bool:
-    for i, lo, hi in ranges:
-        if not lo <= ticks[i] <= hi:
-            return False
-    return True
+    def _compile(self, q) -> dict:
+        """{target letter: [(lowest tick, highest tick, target), ...]}."""
+        auto = self.automaton
+        by_letter: dict[frozenset, list] = {}
+        for edge in auto.edges_from[q]:
+            by_letter.setdefault(auto.labels[edge.target], []).append(
+                (*self.tick_range(edge.guard), edge.target))
+        return by_letter
 
 
 # --------------------------------------------------------------------------
@@ -328,64 +290,65 @@ def _phase_pred_holds(pred, letter) -> bool:
     return True if pred is _TOP else _prop_holds(pred, letter)
 
 
-def _in_window_guard(interval: Interval, clock: str) -> Guard:
-    return Guard(((clock, ClockBound(
+def _in_window_guard(interval: Interval) -> Guard:
+    return Guard((ClockBound(
         lo=interval.lo, lo_strict=interval.lo_open,
-        hi=interval.hi, hi_strict=interval.hi_open)),))
+        hi=interval.hi, hi_strict=interval.hi_open),))
 
 
-def _outside_window_guards(interval: Interval, clock: str) -> list[Guard]:
+def _outside_window_guards(interval: Interval) -> list[Guard]:
     """Guards covering "clock not in window" (split per side)."""
     out = []
     if interval.lo > 0 or interval.lo_open:
-        out.append(Guard(((clock, ClockBound(
-            hi=interval.lo, hi_strict=not interval.lo_open)),)))
+        out.append(Guard((ClockBound(
+            hi=interval.lo, hi_strict=not interval.lo_open),)))
     if interval.hi is not None:
-        out.append(Guard(((clock, ClockBound(
-            lo=interval.hi, lo_strict=not interval.hi_open)),)))
+        out.append(Guard((ClockBound(
+            lo=interval.hi, lo_strict=not interval.hi_open),)))
     return out
 
 
-def _wait_prune_guard(interval: Interval, clock: str) -> Guard:
+def _wait_prune_guard(interval: Interval) -> Guard:
     """Upper bound for pre-witness waiting (a harmless search prune)."""
     if interval.hi is None:
         return TRUE_GUARD
-    return Guard(((clock, ClockBound(hi=interval.hi)),))
+    return Guard((ClockBound(hi=interval.hi),))
 
 
-def _unit_phases(unit: MitlFormula, clock: str):
+def _unit_phases(unit: MitlFormula):
     """(phases, edges, initials, accepting) skeleton for one conjunct.
 
-    A phase is (name, predicate); edges are (src, dst, guard) tuples; no
-    resets are needed because every window is anchored at the word start.
+    A phase is (name, predicate); edges are (src, dst, guard) tuples whose
+    guards read the one clock, the time since position 0: every window is
+    anchored at the word start, so no edge resets it.
     """
     match unit:
         case Eventually(interval, arg):
             phases = [("wait", _TOP), ("hit", arg), ("done", _TOP)]
-            edges = [("wait", "wait", _wait_prune_guard(interval, clock)),
-                     ("wait", "hit", _in_window_guard(interval, clock)),
+            edges = [("wait", "wait", _wait_prune_guard(interval)),
+                     ("wait", "hit", _in_window_guard(interval)),
                      ("hit", "done", TRUE_GUARD),
                      ("done", "done", TRUE_GUARD)]
             initials = ["wait"] + (["hit"] if interval.contains(Fraction(0)) else [])
             return phases, edges, initials, ["done"]
         case Until(interval, left, right):
             phases = [("hold", left), ("hit", right), ("done", _TOP)]
-            edges = [("hold", "hold", _wait_prune_guard(interval, clock)),
-                     ("hold", "hit", _in_window_guard(interval, clock)),
+            edges = [("hold", "hold", _wait_prune_guard(interval)),
+                     ("hold", "hit", _in_window_guard(interval)),
                      ("hit", "done", TRUE_GUARD),
                      ("done", "done", TRUE_GUARD)]
             initials = ["hold"] + (["hit"] if interval.contains(Fraction(0)) else [])
             return phases, edges, initials, ["done"]
         case Next(interval, arg):
             phases = [("start", _TOP), ("hit", arg), ("done", _TOP)]
-            edges = [("start", "hit", _in_window_guard(interval, clock)),
+            edges = [("start", "hit", _in_window_guard(interval)),
                      ("hit", "done", TRUE_GUARD),
                      ("done", "done", TRUE_GUARD)]
             return phases, edges, ["start"], ["done"]
         case Always(interval, arg):
             phases = [("out", _TOP), ("in", arg)]
             edges = [("out", "in", TRUE_GUARD), ("in", "in", TRUE_GUARD)]
-            for guard in _outside_window_guards(interval, clock):
+            for guard in _outside_window_guards(interval):
                 edges.append(("out", "out", guard))
                 edges.append(("in", "out", guard))
             initials = ["in"] if interval.contains(Fraction(0)) else ["out", "in"]
@@ -417,8 +380,7 @@ def _check_flat(unit: MitlFormula):
 
 def _unit_automaton(unit: MitlFormula, alphabet: frozenset[str]) -> TimedAutomaton:
     _check_flat(unit)
-    clock = "c"
-    phases, phase_edges, initials, accepting = _unit_phases(unit, clock)
+    phases, phase_edges, initials, accepting = _unit_phases(unit)
     letters = canonical_letters(alphabet)
     phase_letters = {
         name: [lt for lt in letters if _phase_pred_holds(pred, lt)]
@@ -433,13 +395,13 @@ def _unit_automaton(unit: MitlFormula, alphabet: frozenset[str]) -> TimedAutomat
     for src_phase, dst_phase, guard in phase_edges:
         for src_lt in phase_letters[src_phase]:
             for dst_lt in phase_letters[dst_phase]:
-                edges.append(Edge((src_phase, src_lt), guard, frozenset(),
+                edges.append(Edge((src_phase, src_lt), guard,
                                   (dst_phase, dst_lt)))
     initial = [(name, lt) for name in initials for lt in phase_letters[name]]
     accept = [(name, lt) for name in accepting for lt in phase_letters[name]]
     return TimedAutomaton(
-        locations=locations, initial=initial, clocks=(clock,), edges=edges,
-        accepting=accept, labels=labels, alphabet=alphabet)
+        locations=locations, initial=initial, edges=edges, accepting=accept,
+        labels=labels, alphabet=alphabet)
 
 
 def from_flat_mitl(formula: MitlFormula,
@@ -468,8 +430,9 @@ def intersect(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
 
     Locations pair up only when their labels agree on the shared alphabet
     (joint label = union); Büchi acceptance uses the usual two-phase
-    round-robin. Clock sets are kept disjoint by renaming. The edges leaving
-    a location are built the first time ``edges_from`` is asked for them.
+    round-robin. Both read the one clock, so a joint edge conjoins the two
+    guards. The edges leaving a location are built the first time
+    ``edges_from`` is asked for them.
     """
     return _Intersection(a, b)
 
@@ -495,18 +458,14 @@ class _EdgeTable(dict):
             nxt = 1 if qa in a.accepting else 0
         else:
             nxt = 0 if qb in b.accepting else 1
-        right = [(self._view_b[eb.target], eb.target, eb.guard.renamed("r."),
-                  frozenset("r." + c for c in eb.resets))
+        right = [(self._view_b[eb.target], eb.target, eb.guard)
                  for eb in b.edges_from[qb]]
         out = []
         for ea in a.edges_from[qa]:
             view = self._view_a[ea.target]
-            guard = ea.guard.renamed("l.")
-            resets = frozenset("l." + c for c in ea.resets)
-            for view_b, target_b, guard_b, resets_b in right:
+            for view_b, target_b, guard_b in right:
                 if view == view_b:
-                    out.append(Edge(loc, guard.conjoin(guard_b),
-                                    resets | resets_b,
+                    out.append(Edge(loc, ea.guard.conjoin(guard_b),
                                     (ea.target, target_b, nxt)))
         edges = self[loc] = tuple(out)
         return edges
@@ -526,17 +485,10 @@ class _Intersection(TimedAutomaton):
             locations,
             initial=[(qa, qb, 0) for qa in a.initial for qb in b.initial
                      if view_a[qa] == view_b[qb]],
-            clocks=tuple("l." + c for c in a.clocks)
-            + tuple("r." + c for c in b.clocks),
             accepting=[(qa, qb, 0) for qa, qb in pairs if qa in a.accepting],
             labels={(qa, qb, ph): a.labels[qa] | b.labels[qb]
                     for qa, qb, ph in locations},
-            alphabet=a.alphabet | b.alphabet,
-            invariants={
-                (qa, qb, ph): a.invariants[qa].renamed("l.").conjoin(
-                    b.invariants[qb].renamed("r."))
-                for qa, qb, ph in locations
-                if a.invariants[qa].terms or b.invariants[qb].terms})
+            alphabet=a.alphabet | b.alphabet)
         self.edges_from = _EdgeTable(a, b, view_a, view_b)
         # an edge pair exists iff both ends agree on the shared alphabet,
         # which depends on the letters only
@@ -554,10 +506,9 @@ def universal_acceptor(alphabet: Iterable[str]) -> TimedAutomaton:
     sigma = frozenset(alphabet)
     letters = canonical_letters(sigma)
     locations = [("any", lt) for lt in letters]
-    edges = [Edge(src, TRUE_GUARD, frozenset(), dst)
-             for src in locations for dst in locations]
+    edges = [Edge(src, TRUE_GUARD, dst) for src in locations for dst in locations]
     return TimedAutomaton(
-        locations=locations, initial=locations, clocks=(), edges=edges,
+        locations=locations, initial=locations, edges=edges,
         accepting=locations, labels={loc: loc[1] for loc in locations},
         alphabet=sigma)
 
@@ -570,8 +521,8 @@ def accepts_lasso(automaton: TimedAutomaton, word: TimedWord,
                   node_cap: int = _NODE_CAP) -> bool:
     """Whether the automaton accepts an ultimately periodic timed word.
 
-    Searches the finite graph of (location, clock valuation in ticks, word
-    phase) nodes, a tick being the gcd of the word's gaps, for a reachable
+    Searches the finite graph of (location, clock in ticks, word phase)
+    nodes, a tick being the gcd of the word's gaps, for a reachable
     cycle through an accepting location; nodes are expanded on demand, and
     BudgetExceeded fires once the search has visited more than ``node_cap``
     nodes.
@@ -580,17 +531,16 @@ def accepts_lasso(automaton: TimedAutomaton, word: TimedWord,
         raise NonPeriodicWord(
             f"need an ultimately periodic TimedWord, got {type(word).__name__}")
     clocks = TickClocks(automaton, word.gaps())
-    starts = [(loc, clocks.zero, 0) for loc in automaton.initial
-              if automaton.labels[loc] == word.letter(0)
-              and clocks.admits_zero(loc)]
+    starts = [(loc, 0, 0) for loc in automaton.initial
+              if automaton.labels[loc] == word.letter(0)]
 
     def successors(node):
-        loc, values, phase = node
+        loc, k, phase = node
         # the position this phase stands for advances to phase+1
         d = clocks.ticks(word.time(phase + 1) - word.time(phase))
         next_phase = word.canonical(phase + 1)
-        return [(target, landed, next_phase) for target, landed in
-                clocks.moves(loc, values, d, word.letter(phase + 1))]
+        k, targets = clocks.moves(loc, k, d, word.letter(phase + 1))
+        return [(target, k, next_phase) for target in targets]
 
     lasso = _ndfs.find_accepting_cycle(
         starts, successors, lambda node: node[0] in automaton.accepting,

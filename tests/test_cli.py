@@ -1,5 +1,6 @@
 """Command-line interface: scenario validation, artifacts, exit codes."""
 
+import gc
 import hashlib
 import json
 import os
@@ -320,6 +321,74 @@ def test_check_without_plans_points_at_synthesize(tmp_path, capsys):
     assert main(["check", "--scenario", _pair_path(),
                  "--out", str(tmp_path / "empty"), "--agent", "1"]) == 1
     assert "run synthesize first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["compact", "explicit"])
+@pytest.mark.parametrize("letter", ["green", [""], [["port"]], {"port": 1},
+                                    None])
+def test_word_letters_must_be_arrays_of_service_names(tmp_path, capsys, form,
+                                                      letter):
+    # a string letter used to become the set of its characters
+    if form == "compact":
+        word = {"dt": 1, "prefix": [["port"]], "cycle": [letter]}
+        where = "/cycle/0"
+    else:
+        word = {"prefix": [{"services": ["port"], "time": 0}],
+                "cycle": [{"services": letter, "duration": 1}]}
+        where = "/cycle/0/services"
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(word))
+    assert main(["check", "--scenario", _pair_path(), "--out", str(tmp_path),
+                 "--agent", "1", "--word", str(path),
+                 "--formula", "F[0,5] g"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid timed word")
+    assert f"{where}: expected an array of non-empty service names" in err
+
+
+_BROKEN_PLANS = {
+    "missing steps": ({"dt": 0.01, "agents": [{"agent": 1}]},
+                      ["/agents/0/prefix", "/agents/0/cycle"]),
+    "not an object": ([1, 2], [": expected a JSON object"]),
+    "no agents": ({"dt": 0.01, "agents": []}, ["/agents"]),
+    "bad steps": ({"dt": -1, "agents": [{"agent": 0, "prefix": [7], "cycle": [
+        {"cell": 1.5, "action": ["1"], "services": "port"}]}]},
+        ["/dt", "/agents/0/agent", "/agents/0/prefix/0",
+         "/agents/0/cycle/0/cell", "/agents/0/cycle/0/action",
+         "/agents/0/cycle/0/services"]),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("case", sorted(_BROKEN_PLANS))
+def test_malformed_plans_fail_with_a_schema_error(tmp_path, capsys, command,
+                                                  case):
+    plans, pointers = _BROKEN_PLANS[case]
+    (tmp_path / "plans.json").write_text(json.dumps(plans))
+    extra = ["--agent", "1"] if command == "check" else []
+    assert main([command, "--scenario", _pair_path(), "--out", str(tmp_path),
+                 *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid plans.json:")
+    for pointer in pointers:
+        assert pointer in err
+
+
+def test_repeated_commands_leave_no_argparse_cycles(tmp_path):
+    common = ["--scenario", _pair_path(), "--out", str(tmp_path)]
+    assert main(["synthesize", *common]) == 0  # warm-up
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(["synthesize", *common]) == 0
+        assert main(["check", *common, "--agent", "1"]) == 0
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage
+                if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
 
 
 def test_console_script_is_installed(tmp_path):

@@ -256,7 +256,7 @@ def _payload_shortest_loop(anchor, successors, max_states):
 
 
 def payload_accepts_lasso(automaton, word, node_cap=500_000):
-    """Eager lasso acceptance: the whole (location, ticks, phase) graph is
+    """Eager lasso acceptance: the whole (location, tick, phase) graph is
     built first, then searched."""
     clocks = TickClocks(automaton, word.gaps())
     p, c = word.prefix_length, word.cycle_length
@@ -264,21 +264,20 @@ def payload_accepts_lasso(automaton, word, node_cap=500_000):
     def tag_of(position):
         return position if position < p else p + (position - p) % c
 
-    starts = [(loc, clocks.zero, 0) for loc in automaton.initial
-              if automaton.labels[loc] == word.letter(0)
-              and clocks.admits_zero(loc)]
+    starts = [(loc, 0, 0) for loc in automaton.initial
+              if automaton.labels[loc] == word.letter(0)]
     adjacency: dict = {}
     frontier = list(starts)
     known = set(starts)
     while frontier:
         node = frontier.pop()
-        loc, values, tag = node
+        loc, k, tag = node
         d = clocks.ticks(word.time(tag + 1) - word.time(tag))
         next_tag = tag_of(tag + 1)
         succ = []
-        for target, landed in clocks.moves(loc, values, d,
-                                           word.letter(tag + 1)):
-            child = (target, landed, next_tag)
+        k, targets = clocks.moves(loc, k, d, word.letter(tag + 1))
+        for target in targets:
+            child = (target, k, next_tag)
             succ.append((None, child))
             if child not in known:
                 known.add(child)

@@ -5,6 +5,8 @@ Each test keeps a local copy of the earlier implementation as its oracle:
 * the exact-rational (Fraction) timed product, against the integer-tick
   ``BuchiProduct``: successor lists must agree state for state and in order
   once tick k is read as k*delta and the saturated tick as infinity;
+* term-by-term bound checks, against the one tick range a conjoined guard
+  compiles to;
 * the per-move (target, duration) generator seen through the cell view
   that quotiented neighbor assumptions away, against
   ``AgentWTS.successors``;
@@ -28,8 +30,9 @@ from mas.errors import LengthMismatch
 from mas.mitl import to_fraction
 from mas.synthesis import (BuchiProduct, align_runs, consistent,
                            enumerate_accepting_lassos, find_accepting_lasso)
-from mas.tba import (ClockBound, Edge, Guard, TRUE_GUARD, TimedAutomaton,
-                     from_flat_mitl, intersect, universal_acceptor)
+from mas.tba import (ClockBound, Edge, Guard, TRUE_GUARD, TickClocks,
+                     TimedAutomaton, from_flat_mitl, intersect,
+                     universal_acceptor)
 
 from conftest import (four_state_timed_wts, random_connected_graph,
                       random_flat_formula)
@@ -52,55 +55,42 @@ def _admits(bound: ClockBound, value) -> bool:
     return True
 
 
-def _satisfied(guard: Guard, clocks: tuple, values: tuple) -> bool:
-    where = dict(zip(clocks, values))
-    return all(_admits(bound, where[clock]) for clock, bound in guard.terms)
+def _satisfied(guard: Guard, value) -> bool:
+    return all(_admits(bound, value) for bound in guard.terms)
 
 
 class FractionProduct:
-    """Product with clock values as Fractions, saturated to inf above c_max."""
+    """Product with the clock as a Fraction, saturated to inf above c_max."""
 
     def __init__(self, system, automaton: TimedAutomaton):
         self.system = system
         self.automaton = automaton
         self.c_max = automaton.c_max
 
-    def _advance(self, values, delay):
-        out = []
-        for v in values:
-            v = v if v is INF else v + delay
-            out.append(INF if v is INF or v > self.c_max else v)
-        return tuple(out)
-
-    def _ok(self, guard, values):
-        return _satisfied(guard, self.automaton.clocks, values)
+    def _advance(self, value, delay):
+        if value is INF:
+            return INF
+        value += delay
+        return INF if value > self.c_max else value
 
     def initial(self):
         auto = self.automaton
-        zero = tuple(Fraction(0) for _ in auto.clocks)
-        return [(s, q, zero) for s in self.system.initial_states()
+        return [(s, q, Fraction(0)) for s in self.system.initial_states()
                 for q in auto.initial
-                if auto.labels[q] == self.system.label(s)
-                and self._ok(auto.invariants[q], zero)]
+                if auto.labels[q] == self.system.label(s)]
 
     def successors(self, state):
         auto = self.automaton
-        s, q, values = state
+        s, q, value = state
         result = []
         for s2 in self.system.successors(s):
-            moved = self._advance(values, to_fraction(self.system.dt))
-            if not self._ok(auto.invariants[q], moved):
-                continue
+            moved = self._advance(value, to_fraction(self.system.dt))
             for edge in auto.edges_from[q]:
                 if auto.labels[edge.target] != self.system.label(s2):
                     continue
-                if not self._ok(edge.guard, moved):
+                if not _satisfied(edge.guard, moved):
                     continue
-                landed = tuple(Fraction(0) if c in edge.resets else v
-                               for c, v in zip(auto.clocks, moved))
-                if not self._ok(auto.invariants[edge.target], landed):
-                    continue
-                result.append((s2, edge.target, landed))
+                result.append((s2, edge.target, moved))
         return result
 
     def accepting(self, state):
@@ -108,9 +98,19 @@ class FractionProduct:
 
 
 def _as_fractions(product: BuchiProduct, state):
-    s, q, ticks = state
+    s, q, k = state
     sat, delta = product.clocks.sat, product.clocks.delta
-    return s, q, tuple(INF if k == sat else k * delta for k in ticks)
+    return s, q, INF if k == sat else k * delta
+
+
+def _assert_same_range(clocks: TickClocks, guard: Guard) -> tuple[int, int]:
+    """The guard's tick range admits k exactly when every term admits
+    k*delta, the saturated tick read as infinity."""
+    lo, hi = clocks.tick_range(guard)
+    for k in range(clocks.sat + 1):
+        value = INF if k == clocks.sat else k * clocks.delta
+        assert (lo <= k <= hi) == _satisfied(guard, value), (guard, k)
+    return lo, hi
 
 
 def _assert_same_graph(fast: BuchiProduct, oracle: FractionProduct):
@@ -226,37 +226,45 @@ def test_tick_ranges_at_exact_ties(lo, hi, lo_open, hi_open):
         auto = from_flat_mitl(formula, alphabet=frozenset({"green"}))
         fast = BuchiProduct(wts, auto)
         assert fast.clocks.delta == Fraction(1, 2)
+        for edge in auto.edges:
+            _assert_same_range(fast.clocks, edge.guard)
         oracle = FractionProduct(wts, auto)
         _assert_same_graph(fast, oracle)
         _assert_same_lassos(BuchiProduct(wts, auto), oracle)
 
 
-def test_hand_built_guards_with_resets_and_invariants():
-    """Two clocks, resets and location invariants, which templates lack."""
-    x, y = "x", "y"
-    e, g = frozenset(), frozenset({"green"})
-    bound = ClockBound
-    locations = ["a", "b", "c"]
-    labels = {"a": g, "b": e, "c": g}
-    edges = [
-        Edge("a", Guard(((x, bound(lo=Fraction(1), hi=Fraction(5, 2),
-                                   hi_strict=True)),)), frozenset({y}), "b"),
-        Edge("b", Guard(((y, bound(lo=Fraction(3, 2), lo_strict=True)),)),
-             frozenset(), "a"),
-        Edge("b", TRUE_GUARD, frozenset({x}), "c"),
-        Edge("c", Guard(((x, bound(hi=Fraction(7, 3))),
-                         (y, bound(lo=Fraction(1, 3)))),), frozenset({x, y}),
-             "b"),
-        Edge("a", TRUE_GUARD, frozenset(), "a"),
-    ]
-    invariants = {"b": Guard(((x, bound(hi=Fraction(9, 2))),)),
-                  "c": Guard(((y, bound(hi=Fraction(4), hi_strict=True)),))}
-    auto = TimedAutomaton(locations, ["a"], (x, y), edges, ["a", "c"],
-                          labels, frozenset({"green"}), invariants)
-    for wts in (four_state_timed_wts(), four_state_timed_wts(dt=0.3)):
-        oracle = FractionProduct(wts, auto)
-        _assert_same_graph(BuchiProduct(wts, auto), oracle)
-        _assert_same_lassos(BuchiProduct(wts, auto), oracle)
+_CONSTANTS = tuple(Fraction(c) for c in
+                   ("0", "1/2", "1", "6/5", "3/2", "2", "7/3", "5/2", "4"))
+
+
+def _random_bound(rng) -> ClockBound:
+    lo, hi = sorted(_CONSTANTS[int(i)]
+                    for i in rng.integers(len(_CONSTANTS), size=2))
+    return ClockBound(lo=lo, lo_strict=bool(rng.random() < 0.5),
+                      hi=None if rng.random() < 0.2 else hi,
+                      hi_strict=bool(rng.random() < 0.5))
+
+
+def test_conjoined_guards_compile_to_the_intersection_of_their_terms():
+    rng = np.random.default_rng(7005)
+    seen = {"empty": 0, "strict tie": 0, "non-strict tie": 0, "unbounded": 0}
+    for _ in range(500):
+        guard = TRUE_GUARD
+        for _ in range(int(rng.integers(1, 4))):
+            guard = guard.conjoin(Guard((_random_bound(rng),)))
+        auto = TimedAutomaton(["a"], ["a"], [Edge("a", guard, "a")], ["a"],
+                              {"a": frozenset()}, frozenset())
+        delta = Fraction(str(rng.choice(["1/2", "1/4", "3/10", "1"])))
+        clocks = TickClocks(auto, (delta,))
+        lo, hi = _assert_same_range(clocks, guard)
+        seen["empty"] += lo > hi
+        for bound in guard.terms:
+            for c, strict in ((bound.lo, bound.lo_strict),
+                              (bound.hi, bound.hi_strict)):
+                if c is not None and (c / delta).denominator == 1:
+                    seen["strict tie" if strict else "non-strict tie"] += 1
+            seen["unbounded"] += bound.hi is None
+    assert min(seen.values()) > 0, seen
 
 
 # --------------------------------------------------------------------------
@@ -333,17 +341,11 @@ def eager_intersect(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
     def compatible(qa, qb) -> bool:
         return a.labels[qa] & shared == b.labels[qb] & shared
 
-    clocks = tuple("l." + c for c in a.clocks) \
-        + tuple("r." + c for c in b.clocks)
     pairs = [(qa, qb) for qa in a.locations for qb in b.locations
              if compatible(qa, qb)]
     locations = [(qa, qb, ph) for qa, qb in pairs for ph in (0, 1)]
     labels = {(qa, qb, ph): a.labels[qa] | b.labels[qb]
               for qa, qb, ph in locations}
-    invariants = {
-        (qa, qb, ph): a.invariants[qa].renamed("l.").conjoin(
-            b.invariants[qb].renamed("r."))
-        for qa, qb, ph in locations}
     initial = [(qa, qb, 0) for qa in a.initial for qb in b.initial
                if compatible(qa, qb)]
     accepting = [(qa, qb, 0) for qa, qb in pairs if qa in a.accepting]
@@ -353,20 +355,17 @@ def eager_intersect(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
             if not (compatible(ea.source, eb.source)
                     and compatible(ea.target, eb.target)):
                 continue
-            guard = ea.guard.renamed("l.").conjoin(eb.guard.renamed("r."))
-            resets = frozenset("l." + c for c in ea.resets) \
-                | frozenset("r." + c for c in eb.resets)
+            guard = ea.guard.conjoin(eb.guard)
             for ph in (0, 1):
                 if ph == 0:
                     nxt = 1 if ea.source in a.accepting else 0
                 else:
                     nxt = 0 if eb.source in b.accepting else 1
-                edges.append(Edge((ea.source, eb.source, ph), guard, resets,
+                edges.append(Edge((ea.source, eb.source, ph), guard,
                                   (ea.target, eb.target, nxt)))
     return TimedAutomaton(
-        locations=locations, initial=initial, clocks=clocks, edges=edges,
-        accepting=accepting, labels=labels, alphabet=a.alphabet | b.alphabet,
-        invariants=invariants)
+        locations=locations, initial=initial, edges=edges,
+        accepting=accepting, labels=labels, alphabet=a.alphabet | b.alphabet)
 
 
 def _assert_same_automaton(lazy: TimedAutomaton, eager: TimedAutomaton):
@@ -374,9 +373,7 @@ def _assert_same_automaton(lazy: TimedAutomaton, eager: TimedAutomaton):
     assert lazy.initial == eager.initial
     assert lazy.accepting == eager.accepting
     assert lazy.labels == eager.labels
-    assert lazy.clocks == eager.clocks
     assert lazy.alphabet == eager.alphabet
-    assert lazy.invariants == eager.invariants
     assert lazy.c_max == eager.c_max
     for loc in lazy.locations:
         assert lazy.edges_from[loc] == eager.edges_from[loc], loc
@@ -386,14 +383,12 @@ def _assert_same_automaton(lazy: TimedAutomaton, eager: TimedAutomaton):
 def _orphan_automaton() -> TimedAutomaton:
     """Its largest constant sits on the edges into its {p} location."""
     e, p = frozenset(), frozenset({"p"})
-    big = Guard((("c", ClockBound(lo=Fraction(2), hi=Fraction(9))),))
-    small = Guard((("c", ClockBound(hi=Fraction(3, 2), hi_strict=True)),))
-    edges = [Edge("s", small, frozenset(), "s"),
-             Edge("s", big, frozenset({"c"}), "t"),
-             Edge("t", TRUE_GUARD, frozenset(), "s"),
-             Edge("t", big, frozenset(), "t")]
-    return TimedAutomaton(["s", "t"], ["s"], ("c",), edges, ["t"],
-                          {"s": e, "t": p}, p)
+    big = Guard((ClockBound(lo=Fraction(2), hi=Fraction(9)),))
+    small = Guard((ClockBound(hi=Fraction(3, 2), hi_strict=True),))
+    edges = [Edge("s", small, "s"), Edge("s", big, "t"),
+             Edge("t", TRUE_GUARD, "s"), Edge("t", big, "t")]
+    return TimedAutomaton(["s", "t"], ["s"], edges, ["t"], {"s": e, "t": p},
+                          p)
 
 
 def test_lazy_intersection_matches_the_eager_one():
