@@ -862,13 +862,11 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds",
                        help="spectral data, invariance bound, discretization")
     common(p)
-    p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("abstract", help="build per-agent transition systems")
     common(p)
     p.add_argument("--max-states", type=int, default=ACTION_ENUMERATION_CAP,
                    help="cap on per-agent action tuples, cells^(deg+1)")
-    p.set_defaults(fn=cmd_abstract)
 
     p = sub.add_parser("synthesize", help="find consistent satisfying plans")
     common(p)
@@ -877,7 +875,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=DEFAULT_R_ITER,
                    help="cap on per-agent run combinations before the full "
                         "product search")
-    p.set_defaults(fn=cmd_synthesize)
 
     p = sub.add_parser("simulate",
                        help="execute plans in closed loop (reuses plans.json)")
@@ -893,7 +890,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--substeps", type=int, default=4,
                    help="recorded and workspace-checked nodes per sampling "
                         "step (default 4)")
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("check", help="evaluate a formula on a timed word")
     common(p)
@@ -904,7 +900,6 @@ def _parser() -> argparse.ArgumentParser:
                         "word from --out/plans.json)")
     p.add_argument("--formula", default=None,
                    help="formula text (default: the agent's scenario formula)")
-    p.set_defaults(fn=cmd_check)
     return parser
 
 
@@ -916,7 +911,9 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s")
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # Looked up by name on each call, so a command replaced on the
+        # module after the parser was cached is the one that runs.
+        return globals()["cmd_" + args.command](args)
     except Unsatisfiable as exc:
         print(f"unsatisfiable: {exc}", file=sys.stderr)
         return 2

@@ -391,6 +391,22 @@ def test_repeated_commands_leave_no_argparse_cycles(tmp_path):
     assert left == []
 
 
+@pytest.mark.parametrize("command", ["bounds", "abstract", "synthesize",
+                                     "simulate", "check"])
+def test_commands_replaced_after_the_parser_is_built_are_called(
+        tmp_path, monkeypatch, command):
+    # Tracing wraps the cmd_* functions on the module after earlier calls
+    # have built the cached parser; the wrapper must be what runs.
+    common = ["--scenario", _pair_path(), "--out", str(tmp_path)]
+    assert main(["bounds", *common]) == 0  # builds the parser
+    seen = []
+    monkeypatch.setattr(f"mas.cli.cmd_{command}",
+                        lambda args: seen.append(args.command) or 0)
+    extra = ["--agent", "1"] if command == "check" else []
+    assert main([command, *common, *extra]) == 0
+    assert seen == [command]
+
+
 def test_console_script_is_installed(tmp_path):
     exe = shutil.which("mas")
     assert exe, "the 'mas' console script should be on PATH"
