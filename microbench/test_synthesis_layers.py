@@ -1,10 +1,11 @@
 """Microbenchmarks of the timed search inside ``synthesize``.
 
-All three run on a two-agent scenario with two-window goals whose per-agent
+All four run on a two-agent scenario with two-window goals whose per-agent
 runs never combine, so synthesis enumerates lassos, rejects all 276
 combinations and searches the joint product:
 
 * cold ``BuchiProduct.successors`` expansion of agent 1's whole product;
+* cold ``enumerate_accepting_lassos`` on agent 1's product (its 12 lassos);
 * ``consistent`` over the 276 combinations of per-agent lassos;
 * ``intersect`` of the two agents' automata, with its largest constant.
 
@@ -76,6 +77,12 @@ def _expand_all(system, automaton) -> int:
 def test_cold_successor_expansion(benchmark, pipe, automata):
     states = benchmark(_expand_all, pipe.wts_list[0], automata[0])
     assert states > 1000
+
+
+def test_lasso_enumeration(benchmark, pipe, automata):
+    lassos = benchmark(lambda: enumerate_accepting_lassos(
+        BuchiProduct(pipe.wts_list[0], automata[0])))
+    assert len(lassos) == 12
 
 
 def test_consistency_over_all_combinations(benchmark, pipe, automata):

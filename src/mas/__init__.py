@@ -29,7 +29,7 @@ from .errors import (ArityMismatch, BudgetExceeded, DiameterTooLarge,
                      NonRationalConstant, OutsideWorkspace, ParseError,
                      SamplingOutOfRange, SchemaError, SelfLoop, SemanticError,
                      Unsatisfiable, UnsupportedNesting, WorkspaceExit)
-from .graph import (NetworkGraph, SpectralData, StackVector, build_graph,
+from .graph import (NetworkGraph, SpectralData, build_graph,
                     incidence_matrix, perp_component, relative_state,
                     spectral)
 from .mitl import (Always, And, Atom, Eventually, Interval, MitlFormula, Next,

@@ -10,6 +10,12 @@ The lasso convention used throughout the package:
 * ``prefix_states`` - states strictly before the loop (possibly empty),
 * ``cycle_states``  - the loop, anchor first; its last state steps back to
   the anchor.
+
+Both searches start a cycle search from every state ``is_accepting``
+admits, so callers should admit only states that can recur. In the
+package's timed products the clock never decreases, so only accepting
+locations at the saturated tick qualify (``tba.TickClocks.recurs``); a red
+search or loop BFS from a transient state could only fail.
 """
 
 from __future__ import annotations
@@ -136,6 +142,10 @@ def shortest_lassos(initials, successors, is_accepting,
     parent chains through low-priority states, e.g. passing a
     ``not is_accepting(state)`` priority records stems that reach accepting
     territory at the earliest possible depth.
+
+    Every reachable state ``is_accepting`` admits is tried as an anchor, so
+    callers pass anchors that can recur: an anchor without a loop is
+    dropped, at the cost of one BFS.
     """
     parent: dict = {}
     order: list = []
@@ -159,10 +169,9 @@ def shortest_lassos(initials, successors, is_accepting,
                     order.append(child)
         frontier = nxt
 
-    capable = _loop_capable(order, successors)
     found = []
     for disc, anchor in enumerate(order):
-        if not is_accepting(anchor) or anchor not in capable:
+        if not is_accepting(anchor):
             continue
         loop = _shortest_loop(anchor, successors)
         if loop is None:
@@ -171,62 +180,6 @@ def shortest_lassos(initials, successors, is_accepting,
         found.append((len(stem), len(loop), disc, Lasso(stem, loop)))
     found.sort(key=lambda item: item[:3])
     return [item[3] for item in found]
-
-
-def _loop_capable(states, successors) -> set:
-    """States lying on some cycle: members of non-trivial SCCs or self-loops.
-
-    Iterative Tarjan over the already-explored graph; pruning hopeless
-    anchors keeps the per-accepting-state loop searches from sweeping the
-    whole reachable set once per transient state.
-    """
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    capable: set = set()
-    counter = 0
-    for root in states:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(successors(root)))]
-        while work:
-            state, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(successors(child))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[state] = min(low[state], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                above = work[-1][0]
-                low[above] = min(low[above], low[state])
-            if low[state] == index[state]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == state:
-                        break
-                if len(component) > 1:
-                    capable.update(component)
-                elif state in successors(state):
-                    capable.add(state)
-    return capable
 
 
 def _shortest_loop(anchor, successors) -> tuple | None:

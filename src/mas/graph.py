@@ -129,59 +129,14 @@ def spectral(g: NetworkGraph) -> SpectralData:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class StackVector:
-    """Stacked multi-agent state: agent 1's block first, then agent 2's, ..."""
-
-    values: np.ndarray
-    agent_count: int
-    dimension: int
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
-        object.__setattr__(self, "values", vals)
-        if vals.size != self.agent_count * self.dimension:
-            raise DimensionMismatch(
-                f"stack vector has {vals.size} entries, expected "
-                f"{self.agent_count}*{self.dimension}")
-
-    @classmethod
-    def from_positions(cls, positions) -> "StackVector":
-        pos = np.asarray(positions, dtype=float)
-        if pos.ndim == 1:
-            pos = pos[:, None]
-        return cls(pos.reshape(-1), pos.shape[0], pos.shape[1])
-
-    def positions(self) -> np.ndarray:
-        """(N, n) view of the stacked values."""
-        return self.values.reshape(self.agent_count, self.dimension)
-
-    def agent(self, i: int) -> np.ndarray:
-        """Agent i's coordinate block (1-based)."""
-        if not 1 <= i <= self.agent_count:
-            raise DimensionMismatch(f"no agent {i} in a {self.agent_count}-agent stack")
-        return self.positions()[i - 1]
-
-    def component(self, k: int) -> np.ndarray:
-        """The k-th coordinate (1-based) of every agent, as a length-N vector."""
-        if not 1 <= k <= self.dimension:
-            raise DimensionMismatch(f"no component {k} in dimension {self.dimension}")
-        return self.positions()[:, k - 1]
-
-
-def _as_stack(g: NetworkGraph, x) -> StackVector:
-    if isinstance(x, StackVector):
-        if x.agent_count != g.agent_count or x.dimension != g.dimension:
-            raise DimensionMismatch(
-                f"stack vector is {x.agent_count}x{x.dimension}, graph wants "
-                f"{g.agent_count}x{g.dimension}")
-        return x
+def _positions(g: NetworkGraph, x) -> np.ndarray:
+    """A stacked vector (agent 1's block first) as an (N, n) array."""
     vals = np.asarray(x, dtype=float).reshape(-1)
     if vals.size != g.agent_count * g.dimension:
         raise DimensionMismatch(
             f"vector has {vals.size} entries, expected "
             f"{g.agent_count}*{g.dimension}")
-    return StackVector(vals, g.agent_count, g.dimension)
+    return vals.reshape(g.agent_count, g.dimension)
 
 
 def relative_state(g: NetworkGraph, x) -> np.ndarray:
@@ -189,8 +144,7 @@ def relative_state(g: NetworkGraph, x) -> np.ndarray:
 
     Equals (D^T (x) per coordinate), stacked edge-major.
     """
-    sv = _as_stack(g, x)
-    pos = sv.positions()
+    pos = _positions(g, x)
     out = np.empty((g.edge_count, g.dimension))
     for e, (i, j) in enumerate(g.edges):
         out[e] = pos[i - 1] - pos[j - 1]
@@ -203,6 +157,5 @@ def perp_component(g: NetworkGraph, x) -> np.ndarray:
     Per coordinate, subtracts the average over agents (the component along
     the all-ones consensus direction).
     """
-    sv = _as_stack(g, x)
-    pos = sv.positions()
+    pos = _positions(g, x)
     return (pos - pos.mean(axis=0, keepdims=True)).reshape(-1)

@@ -157,17 +157,25 @@ def integrate_inputs(g: NetworkGraph, x0: np.ndarray, inputs: np.ndarray,
                       substeps=substeps)
 
 
-def _planned_cells(plans: list, positions: int) -> np.ndarray:
+def _planned_cells(plans: list, positions: int,
+                   agent_count: int) -> np.ndarray:
     """Planned cell of every agent at positions 0..positions-1.
 
-    Shape (positions, N): each plan's prefix, then its cycle repeated.
+    Shape (positions, N): each plan's prefix, then its cycle repeated, in
+    the column of its ``agent``. SemanticError unless there is exactly one
+    plan per agent.
     """
+    agents = sorted(plan.agent for plan in plans)
+    if agents != list(range(1, agent_count + 1)):
+        raise SemanticError(
+            f"need {agent_count} plans, one for each agent, got plans for "
+            f"agents {agents}")
     j = np.arange(positions)
-    out = np.empty((positions, len(plans)), dtype=int)
-    for i, plan in enumerate(plans):
+    out = np.empty((positions, agent_count), dtype=int)
+    for plan in plans:
         lasso = np.array((*plan.prefix_cells, *plan.cycle_cells))
         p, c = plan.prefix_length, plan.cycle_length
-        out[:, i] = lasso[np.where(j < p, j, p + (j - p) % c)]
+        out[:, plan.agent - 1] = lasso[np.where(j < p, j, p + (j - p) % c)]
     return out
 
 
@@ -177,23 +185,27 @@ def integrate_plans(g: NetworkGraph, plans: list, decomp: CellDecomposition,
     """Execute plans in closed loop from x0 for the given number of steps.
 
     The input for step j is recomputed from the measured state at t_j and
-    aims at the center of each agent's next planned cell. Raises
-    SemanticError if x0 is not inside the plans' first cells, WorkspaceExit
-    if any agent ever leaves the workspace.
+    aims at the center of each agent's next planned cell. Plans are matched
+    to agents by their ``agent`` number. Raises SemanticError unless there
+    is exactly one plan per agent, every planned cell exists and x0 lies in
+    the plans' first cells; WorkspaceExit if any agent ever leaves the
+    workspace.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (g.agent_count, g.dimension):
         raise DimensionMismatch(
             f"initial state must have shape {(g.agent_count, g.dimension)}, "
             f"got {x0.shape}")
-    if len(plans) != g.agent_count:
-        raise SemanticError(
-            f"need {g.agent_count} plans, got {len(plans)}")
+    table = _planned_cells(plans, steps + 1, g.agent_count)
     dt = plans[0].dt
     for plan in plans:
         if plan.dt != dt:
             raise SemanticError("plans disagree on the sampling interval")
-    table = _planned_cells(plans, steps + 1)
+        for j, cell in enumerate((*plan.prefix_cells, *plan.cycle_cells)):
+            if not 1 <= cell <= decomp.cell_count:
+                raise SemanticError(
+                    f"agent {plan.agent}'s plan names cell {cell} at step "
+                    f"{j}, but the scenario has {decomp.cell_count} cells")
     starts = cells_of(decomp, x0)
     wrong = np.flatnonzero(starts != table[0])
     if wrong.size:
@@ -234,10 +246,10 @@ def verify_against_plans(traj: Trajectory, decomp: CellDecomposition,
     """Check the executed boundary cells against the planned ones.
 
     Returns the boundary-cell table on success; raises LabelMismatch at the
-    first disagreement.
+    first disagreement, SemanticError unless there is one plan per agent.
     """
     cells = boundary_cells(traj, decomp)
-    expected = _planned_cells(plans, cells.shape[0])
+    expected = _planned_cells(plans, *cells.shape)
     wrong = np.argwhere(cells != expected)
     if wrong.size:
         j, i = (int(a) for a in wrong[0])

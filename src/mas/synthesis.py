@@ -62,7 +62,9 @@ class BuchiProduct:
     takes its sampling period ``dt``, so a product state is (system state,
     location, k) with k the automaton's one clock in ticks of dt, and each
     move advances k by one tick. ``successors`` of the product returns
-    child product states.
+    child product states. Since k never decreases, a state below the
+    saturated tick lies on no cycle; ``accepting`` admits only accepting
+    locations at the saturated tick (``TickClocks.recurs``).
     """
 
     def __init__(self, system, automaton: TimedAutomaton):
@@ -91,7 +93,7 @@ class BuchiProduct:
         return result
 
     def accepting(self, state: tuple) -> bool:
-        return state[1] in self.automaton.accepting
+        return self.clocks.recurs(state[1], state[2])
 
 
 def find_accepting_lasso(product: BuchiProduct,
@@ -104,11 +106,15 @@ def find_accepting_lasso(product: BuchiProduct,
 
 def enumerate_accepting_lassos(product: BuchiProduct,
                                max_states: int = DEFAULT_STATE_CAP) -> list[Lasso]:
-    """Canonical accepting lassos, one per accepting state, cheapest first."""
+    """Canonical accepting lassos, one per accepting state, cheapest first.
+
+    Within a BFS layer, states at accepting locations expand first at any
+    tick, so stems reach accepting territory as early as they can.
+    """
+    accepting = product.automaton.accepting
     return _ndfs.shortest_lassos(
         product.initial(), product.successors, product.accepting,
-        max_states=max_states,
-        priority=lambda state: not product.accepting(state))
+        max_states=max_states, priority=lambda s: s[1] not in accepting)
 
 
 # --------------------------------------------------------------------------

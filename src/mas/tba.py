@@ -26,7 +26,9 @@ each guard is an integer range on k. Values above the largest constant
 c_max are saturated to one tick, floor(c_max/delta) + 1, which guards cannot
 tell apart from the true value. In a synthesis product every move takes the
 sampling period, so delta is dt; ``accepts_lasso`` ticks at the gcd of the
-checked word's gaps.
+checked word's gaps. Either way each move adds at least one tick, so the
+clock never decreases and every cycle of a product lies at the saturated
+tick: ``TickClocks.recurs`` is the Büchi condition both searches use.
 """
 
 from __future__ import annotations
@@ -163,6 +165,8 @@ class TickClocks:
     Each location is compiled the first time a move leaves it: its outgoing
     edges indexed by target letter in their original order, each as
     (lowest tick, highest tick, target).
+
+    ``recurs`` tells which (location, tick) states can close a Büchi cycle.
     """
 
     def __init__(self, automaton: TimedAutomaton, delays: Iterable):
@@ -170,6 +174,18 @@ class TickClocks:
         self.delta = reduce(_fraction_gcd, (to_fraction(d) for d in delays))
         self.sat = math.floor(automaton.c_max / self.delta) + 1
         self._compiled: dict[Any, dict] = {}
+
+    def recurs(self, q, k: int) -> bool:
+        """Whether a state at location q and tick k can be the accepting
+        state of a Büchi cycle.
+
+        Time strictly advances along a run, so every move adds at least
+        one tick and k never decreases; below ``sat`` it strictly grows.
+        A cycle returns to its own tick, so all of its states sit at
+        ``sat``: a state below it is transient, and only an accepting
+        location at the saturated tick can recur.
+        """
+        return q in self.automaton.accepting and k == self.sat
 
     def ticks(self, delay) -> int:
         count = to_fraction(delay) / self.delta
@@ -525,7 +541,8 @@ def accepts_lasso(automaton: TimedAutomaton, word: TimedWord,
     nodes, a tick being the gcd of the word's gaps, for a reachable
     cycle through an accepting location; nodes are expanded on demand, and
     BudgetExceeded fires once the search has visited more than ``node_cap``
-    nodes.
+    nodes. Timestamps strictly increase, so each move adds at least one
+    tick and only saturated nodes can close the cycle (``recurs``).
     """
     if not isinstance(word, TimedWord):
         raise NonPeriodicWord(
@@ -543,6 +560,6 @@ def accepts_lasso(automaton: TimedAutomaton, word: TimedWord,
         return [(target, k, next_phase) for target in targets]
 
     lasso = _ndfs.find_accepting_cycle(
-        starts, successors, lambda node: node[0] in automaton.accepting,
+        starts, successors, lambda node: clocks.recurs(node[0], node[1]),
         max_states=node_cap)
     return lasso is not None

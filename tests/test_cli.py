@@ -219,22 +219,29 @@ STEP4_SCENARIO = {
 }
 
 # sha256 of what synthesize + simulate write for the shipped scenarios and
-# the step-4 scenario above; a change meant to keep results must keep these
-# bytes
+# the step-4 scenario above (synthesize's report.json, which carries the
+# lasso counts, is hashed before simulate overwrites it); a change meant to
+# keep results must keep these bytes
 ARTIFACT_SHA256 = {
     "pair_line.json": {
+        "synthesize/report.json":
+            "65029d531ea786e7f258ccfffa2338960ca249b9adaefbf50864227bb09543c3",
         "plans.json":
             "bbcb7a2910eb5b477473c62f88102f511fed0920694f178b227083e3a28a5e67",
         "services.json":
             "88d9f194f4b00c940aa73216a514145ed9108a08653edf2ec8f94c4d54fc1bd1",
     },
     "path3_plane.json": {
+        "synthesize/report.json":
+            "a9b33d70827b02975e63daff16dfd484f7efbdff3bf29624f4e446b927412702",
         "plans.json":
             "b09ed26af7228c5147c9a16338f191e2dbe274d0d2f2125b2f541a375c1b2457",
         "services.json":
             "70e03e0757ba6cf5831c1febed281394ab6d6bb8cca1017a6c4024240e49dc99",
     },
     "step4": {
+        "synthesize/report.json":
+            "45054ba02d5ee5360c66eeacd4ccb86029f2b2bbf6ba5a061375478b9cc3f6f2",
         "plans.json":
             "6d53f6865a24df068c63b9ae558cff22a00a1de33be9d02cf5f3159a2079da9d",
         "services.json":
@@ -243,19 +250,72 @@ ARTIFACT_SHA256 = {
 }
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
 def test_shipped_scenario_artifacts_are_byte_identical(tmp_path, capsys, name):
     scenario = _dump(tmp_path, STEP4_SCENARIO) if name == "step4" \
         else str(SCENARIOS / name)
     out = tmp_path / "run"
+    digests = {}
     for command in ("synthesize", "simulate"):
         assert main([command, "--scenario", scenario,
                      "--out", str(out)]) == 0
-    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
-               for f in ARTIFACT_SHA256[name]}
+        if command == "synthesize":
+            digests["synthesize/report.json"] = _sha256(out / "report.json")
+    digests.update({f: _sha256(out / f) for f in ARTIFACT_SHA256[name]
+                    if "/" not in f})
     assert digests == ARTIFACT_SHA256[name]
     if name == "step4":
         assert json.loads((out / "plans.json").read_text())["step_used"] == 4
+
+
+def _synthesized_pair_plans(tmp_path):
+    out = tmp_path / "run"
+    assert main(["synthesize", "--scenario", _pair_path(),
+                 "--out", str(out)]) == 0
+    return out, json.loads((out / "plans.json").read_text())
+
+
+def test_simulate_matches_plans_to_agents_by_number(tmp_path, capsys):
+    out, plans = _synthesized_pair_plans(tmp_path)
+    assert main(["simulate", "--scenario", _pair_path(),
+                 "--out", str(out)]) == 0
+    want = {f: _sha256(out / f) for f in ("services.json", "trajectory.csv")}
+    plans["agents"].reverse()
+    (out / "plans.json").write_text(json.dumps(plans))
+    assert main(["simulate", "--scenario", _pair_path(),
+                 "--out", str(out)]) == 0
+    assert {f: _sha256(out / f) for f in want} == want
+
+
+@pytest.mark.parametrize("agents", [[1, 1], [2, 2], [1], [1, 2, 2], [1, 3]])
+def test_simulate_needs_one_plan_per_agent(tmp_path, capsys, agents):
+    out, plans = _synthesized_pair_plans(tmp_path)
+    by_agent = {a["agent"]: a for a in plans["agents"]}
+    plans["agents"] = [dict(by_agent[min(a, 2)], agent=a) for a in agents]
+    (out / "plans.json").write_text(json.dumps(plans))
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", _pair_path(),
+                 "--out", str(out)]) == 1
+    assert f"got plans for agents {sorted(agents)}" in capsys.readouterr().err
+
+
+def test_simulate_refuses_cells_the_scenario_does_not_have(tmp_path, capsys):
+    out, plans = _synthesized_pair_plans(tmp_path)
+    cells = json.loads((out / "report.json").read_text())["abstraction"]["cells"]
+    plan = plans["agents"][1]
+    assert plan["agent"] == 2
+    for step in plan["cycle"]:
+        step["cell"] = 999
+    (out / "plans.json").write_text(json.dumps(plans))
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", _pair_path(),
+                 "--out", str(out)]) == 1
+    assert (f"agent 2's plan names cell 999 at step {len(plan['prefix'])}, "
+            f"but the scenario has {cells} cells") in capsys.readouterr().err
 
 
 def test_exhausted_combination_budget_counts_checked_combinations(tmp_path,

@@ -167,6 +167,9 @@ def test_execution_is_checked_against_plans():
         verify_against_plans(traj, decomp, [bad])
     with pytest.raises(LabelMismatch):
         extract_service_word(traj, decomp, labeling, plans=[bad])
+    good.agent = 2  # plans are matched by agent number, not position
+    with pytest.raises(SemanticError, match=r"got plans for agents \[2\]"):
+        verify_against_plans(traj, decomp, [good])
 
 
 # --------------------------------------------------------------------------
@@ -215,6 +218,17 @@ def test_plan_execution_preconditions():
     slow.agent = 2
     with pytest.raises(SemanticError, match="sampling interval"):
         integrate_plans(g, [plans[0], slow], decomp, x0, v_max=10.0, steps=2)
+
+
+@pytest.mark.parametrize("cell", [0, 5, 999])
+def test_planned_cells_outside_the_decomposition_are_refused(cell):
+    g, decomp, _, plans, x0 = _pair_setup()
+    bad = _plan([4, 3, cell], 0.25)
+    bad.agent = 2
+    with pytest.raises(SemanticError,
+                       match=rf"agent 2's plan names cell {cell} at step 2, "
+                             rf"but the scenario has 4 cells"):
+        integrate_plans(g, [plans[0], bad], decomp, x0, v_max=10.0, steps=1)
 
 
 def _reference_closed_loop(g, plans, decomp, x0, v_max, steps, substeps):

@@ -5,6 +5,9 @@ Each test keeps a local copy of the earlier implementation as its oracle:
 * the exact-rational (Fraction) timed product, against the integer-tick
   ``BuchiProduct``: successor lists must agree state for state and in order
   once tick k is read as k*delta and the saturated tick as infinity;
+* the searches seeded at every accepting location, with a Tarjan pass
+  pruning loop anchors (``test_state_graph_search``'s oracle), against
+  ``BuchiProduct.accepting``, which seeds only the saturated tick;
 * term-by-term bound checks, against the one tick range a conjoined guard
   compiles to;
 * the per-move (target, duration) generator seen through the cell view
@@ -36,6 +39,9 @@ from mas.tba import (ClockBound, Edge, Guard, TRUE_GUARD, TickClocks,
 
 from conftest import (four_state_timed_wts, random_connected_graph,
                       random_flat_formula)
+from test_state_graph_search import (_payload_loop_capable,
+                                     payload_find_accepting_cycle,
+                                     payload_shortest_lassos)
 
 INF = math.inf
 
@@ -192,21 +198,72 @@ def _random_timed_system(rng) -> AgentWTS:
                     transitions=transitions)
 
 
-def test_tick_product_matches_the_fraction_product_on_random_instances():
+def _random_instances():
+    """150 (system, automaton) pairs over the services p and q."""
     rng = np.random.default_rng(7001)
     # scale factors put window ends on and off the tick lattice
     factors = (Fraction(1), Fraction(7, 10), Fraction(1, 3), Fraction(3, 4))
-    states = 0
     for trial in range(150):
         wts = four_state_timed_wts() if trial % 10 == 0 \
             else _random_timed_system(rng)
         formula = _scaled(random_flat_formula(rng),
                           factors[int(rng.integers(len(factors)))])
-        auto = from_flat_mitl(formula, alphabet=frozenset({"p", "q"}))
+        yield wts, from_flat_mitl(formula, alphabet=frozenset({"p", "q"}))
+
+
+def test_tick_product_matches_the_fraction_product_on_random_instances():
+    states = 0
+    for wts, auto in _random_instances():
         fast, oracle = BuchiProduct(wts, auto), FractionProduct(wts, auto)
         states += _assert_same_graph(fast, oracle)
         _assert_same_lassos(BuchiProduct(wts, auto), oracle)
     assert states > 1000
+
+
+def _with_payloads(successors):
+    return lambda state: [(None, child) for child in successors(state)]
+
+
+def _raw_states(lasso):
+    return None if lasso is None else (tuple(lasso.prefix_states),
+                                       tuple(lasso.cycle_states))
+
+
+def test_only_saturated_accepting_states_recur():
+    # The clock never decreases, so Tarjan's loop-capable states all sit at
+    # the saturated tick, and searches seeded there find what searches
+    # seeded at every accepting location found.
+    transient = cyclic = lassos = 0
+    for wts, auto in _random_instances():
+        product = BuchiProduct(wts, auto)
+        succ = _with_payloads(product.successors)
+        by_location = lambda state: state[1] in auto.accepting
+        seen, frontier = set(product.initial()), list(product.initial())
+        while frontier:
+            for child in product.successors(frontier.pop()):
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
+        capable = _payload_loop_capable(list(seen), succ)
+        assert all(k == product.clocks.sat for _, _, k in capable)
+        # seeds: every accepting state on a cycle, none below saturation
+        seeds = set(filter(product.accepting, seen))
+        assert set(filter(by_location, capable)) <= seeds
+        assert all(by_location(s) and s[2] == product.clocks.sat
+                   for s in seeds)
+        transient += sum(by_location(s) and s[2] < product.clocks.sat
+                         for s in seen)
+        cyclic += len(capable)
+
+        want = payload_shortest_lassos(
+            product.initial(), succ, by_location,
+            priority=lambda state: not by_location(state))
+        got = enumerate_accepting_lassos(product)
+        assert [_raw_states(l) for l in got] == [_raw_states(l) for l in want]
+        lassos += len(got)
+        assert _raw_states(find_accepting_lasso(product)) == _raw_states(
+            payload_find_accepting_cycle(product.initial(), succ, by_location))
+    assert transient > 300 and cyclic > 100 and lassos > 100
 
 
 @pytest.mark.parametrize("lo_open", [False, True])
