@@ -34,7 +34,7 @@ from .graph import (NetworkGraph, SpectralData, build_graph,
                     spectral)
 from .mitl import (Always, And, Atom, Eventually, Interval, MitlFormula, Next,
                    Not, TimedWord, Until, atoms, evaluate, formula_to_text,
-                   parse, to_fraction, word_from_lasso)
+                   parse, to_fraction, witness_instant, word_from_lasso)
 from .partition import (CellDecomposition, LabeledRegion, ServiceLabeling,
                         Workspace, cell_of, cells_of, grid_decompose,
                         refine_to_compliance)
@@ -45,8 +45,8 @@ from .simulate import (BoundednessReport, Trajectory, bang_bang_inputs,
 from .synthesis import (BuchiProduct, Lasso, Plan, SynthesisResult,
                         align_runs, consistent,
                         enumerate_accepting_lassos, find_accepting_lasso,
-                        synthesize, witness_instant)
-from .tba import (ClockBound, Edge, Guard, TimedAutomaton, accepts_lasso,
+                        synthesize)
+from .tba import (Edge, Guard, TimedAutomaton, accepts_lasso,
                   canonical_letters, from_flat_mitl, intersect,
                   universal_acceptor)
 

@@ -43,13 +43,13 @@ from .errors import (BudgetExceeded, MasError, ParseError, SchemaError,
                      SemanticError, Unsatisfiable)
 from .graph import NetworkGraph, SpectralData, build_graph, spectral
 from .mitl import (MitlFormula, TimedWord, atoms, evaluate, parse,
-                   to_fraction, word_from_lasso)
+                   to_fraction, witness_instant, word_from_lasso)
 from .partition import (CellDecomposition, LabeledRegion, ServiceLabeling,
                         Workspace, cell_of, grid_decompose,
                         refine_to_compliance)
 from .simulate import extract_service_word, integrate_plans
 from .synthesis import (DEFAULT_R_ITER, DEFAULT_STATE_CAP, Plan,
-                        SynthesisResult, synthesize, witness_instant)
+                        SynthesisResult, synthesize)
 
 logger = logging.getLogger(__name__)
 
@@ -74,7 +74,6 @@ class Scenario:
     workspace_upper: np.ndarray
     initial_positions: np.ndarray
     regions: list[LabeledRegion]
-    formula_texts: dict[int, str]
     formulas: dict[int, MitlFormula]
     safety: float = 1.1
     lambda_reach: float = 0.5
@@ -113,6 +112,7 @@ def _is_letter(x) -> bool:
 
 
 _LETTER = "expected an array of non-empty service names"
+_TIME = "expected a number or an exact-ratio string"
 
 
 def _get_int(col: _Collector, obj: dict, key: str, minimum: int) -> int | None:
@@ -375,7 +375,6 @@ def load_scenario(path) -> Scenario:
         workspace_upper=ws_upper,
         initial_positions=positions,
         regions=regions,
-        formula_texts=formula_texts,
         formulas=formulas,
         safety=params["safety"],
         lambda_reach=params["lambda"],
@@ -774,13 +773,19 @@ def word_from_json(obj) -> TimedWord:
     {"prefix": [{"services": [...], "time": T}, ...],
      "cycle":  [{"services": [...], "duration": D}, ...]} where times and
     durations are numbers or exact-ratio strings like "3/2". Every letter
-    is an array of service names; anything else is a SchemaError naming its
+    is an array of service names and every time (``dt`` too) such a number
+    or string, never a boolean; anything else is a SchemaError naming its
     position.
     """
     def letter(names, path: str) -> frozenset[str]:
         if not _is_letter(names):
             raise SchemaError([(path, _LETTER)], "timed word")
         return frozenset(names)
+
+    def time(value, path: str) -> Fraction:
+        if not (_is_num(value) or isinstance(value, str)):
+            raise SchemaError([(path, _TIME)], "timed word")
+        return to_fraction(value)
 
     if not isinstance(obj, dict):
         raise SchemaError([("", "expected a JSON object")], "timed word")
@@ -790,14 +795,14 @@ def word_from_json(obj) -> TimedWord:
                       for j, ls in enumerate(obj.get("prefix", []))]
             cycle = [letter(ls, f"/cycle/{j}")
                      for j, ls in enumerate(obj["cycle"])]
-            return word_from_lasso(prefix, cycle, to_fraction(obj["dt"]))
+            return word_from_lasso(prefix, cycle, time(obj["dt"], "/dt"))
         prefix = tuple(
             (letter(s["services"], f"/prefix/{j}/services"),
-             to_fraction(s["time"]))
+             time(s["time"], f"/prefix/{j}/time"))
             for j, s in enumerate(obj["prefix"]))
         cycle = tuple(
             (letter(s["services"], f"/cycle/{j}/services"),
-             to_fraction(s["duration"]))
+             time(s["duration"], f"/cycle/{j}/duration"))
             for j, s in enumerate(obj["cycle"]))
         return TimedWord(prefix, cycle)
     except (KeyError, TypeError, ValueError) as exc:

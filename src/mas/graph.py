@@ -104,16 +104,14 @@ class SpectralData:
     """Laplacian spectrum facts used by the reachability bounds."""
 
     laplacian: np.ndarray
-    incidence: np.ndarray
     lambda2: float
     lambda_max: float
     incidence_transpose_norm: float  # spectral norm of D^T, = sqrt(lambda_max)
 
 
 def spectral(g: NetworkGraph) -> SpectralData:
-    """Compute the Laplacian, incidence matrix and the eigenvalues in use."""
+    """Compute the Laplacian and the eigenvalues in use."""
     lap = g.laplacian
-    d = incidence_matrix(g)
     eigvals = np.linalg.eigvalsh(lap)
     lambda2 = float(eigvals[1])
     lambda_max = float(eigvals[-1])
@@ -122,7 +120,6 @@ def spectral(g: NetworkGraph) -> SpectralData:
             f"graph is disconnected (lambda_2 = {lambda2:.3e})")
     return SpectralData(
         laplacian=lap,
-        incidence=d,
         lambda2=lambda2,
         lambda_max=lambda_max,
         incidence_transpose_norm=float(np.sqrt(lambda_max)),

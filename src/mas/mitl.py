@@ -19,6 +19,14 @@ Words are ultimately periodic: a finite prefix with absolute timestamps
 followed by a repeating cycle given as per-step durations. All times are kept
 as exact rationals; float inputs are read at their shortest decimal
 representation (0.1 becomes 1/10), so window-boundary comparisons are exact.
+
+``Interval`` is the one timing-window type of the package: formula windows
+and the clock guards of ``tba`` alike. The parser refuses empty and point
+windows; an Interval itself only needs lo <= hi, since a guard may be the
+point [0,0]. Evaluation decides every window with one scan of the word
+(``_Evaluation.scan``): F, G and U are short loops over it, and
+``witness_instant`` returns the first in-window position of the same scan
+where the operand of a top-level F holds.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ def to_fraction(x: TimeLike) -> Fraction:
 
 @dataclass(frozen=True)
 class Interval:
-    """Timing window; ``hi=None`` means unbounded above."""
+    """Timing window; ``hi=None`` means unbounded above, and lo <= hi."""
 
     lo: Fraction
     hi: Fraction | None
@@ -66,8 +74,8 @@ class Interval:
             object.__setattr__(self, "hi", to_fraction(self.hi))
         if self.lo < 0:
             raise ValueError(f"interval lower bound must be >= 0, got {self.lo}")
-        if self.hi is not None and self.lo >= self.hi:
-            raise ValueError(f"interval [{self.lo}, {self.hi}] is empty or a point")
+        if self.hi is not None and self.lo > self.hi:
+            raise ValueError(f"interval [{self.lo}, {self.hi}] is empty")
 
     def contains(self, gap: Fraction) -> bool:
         if gap < self.lo or (self.lo_open and gap == self.lo):
@@ -83,9 +91,6 @@ class Interval:
         if self.hi is None:
             return False
         return gap > self.hi or (self.hi_open and gap == self.hi)
-
-    def reaches_lower(self, gap: Fraction) -> bool:
-        return gap > self.lo or (not self.lo_open and gap == self.lo)
 
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
@@ -395,11 +400,10 @@ class _Parser:
         if text not in ("]", ")"):
             raise ParseError(f"expected ']' or ')', found {text or 'end of input'!r}", pos3)
         self.advance()
-        hi_open = text == ")" or hi is None
-        try:
-            return Interval(lo, hi, lo_open=lo_open, hi_open=hi_open)
-        except ValueError as exc:
-            raise ParseError(str(exc), pos) from None
+        if hi is not None and lo >= hi:
+            raise ParseError(f"interval [{lo}, {hi}] is empty or a point", pos)
+        return Interval(lo, hi, lo_open=lo_open,
+                        hi_open=text == ")" or hi is None)
 
 
 def parse(text: str) -> MitlFormula:
@@ -420,6 +424,21 @@ def evaluate(word: TimedWord, formula: MitlFormula, position: int = 0,
     Raises HorizonOverflow if more than ``budget`` positions get scanned.
     """
     return _Evaluation(word, budget).at(formula, position)
+
+
+def witness_instant(word: TimedWord, formula: MitlFormula) -> Fraction | None:
+    """First in-window time witnessing a top-level eventually-goal.
+
+    Returns None for formulas that are not a top-level eventually, and for
+    unsatisfied ones. The positions tried are those ``evaluate`` scans.
+    """
+    if not isinstance(formula, Eventually):
+        return None
+    run = _Evaluation(word, DEFAULT_UNROLL_BUDGET)
+    for j, inside in run.scan(0, formula.interval):
+        if inside and run.at(formula.arg, j):
+            return word.time(j)
+    return None
 
 
 class _Evaluation:
@@ -444,17 +463,30 @@ class _Evaluation:
                 "formula evaluation exceeded its unrolling budget; "
                 "the word/formula combination needs too many positions")
 
-    def scan_stop(self, j: int, gap: Fraction, interval: Interval,
-                  full_period_from: int | None) -> tuple[bool, int | None]:
-        """(stop_now, updated full-period marker) for unbounded windows."""
-        if interval.hi is not None:
-            return interval.beyond_upper(gap), None
-        if full_period_from is None:
-            if interval.reaches_lower(gap) and j >= self.word.prefix_length:
-                full_period_from = j
-        elif j >= full_period_from + self.word.cycle_length:
-            return True, full_period_from
-        return False, full_period_from
+    def scan(self, i: int, interval: Interval):
+        """(j, whether time(j) - time(i) is in the window) for j = i, i+1, ...
+
+        Stops past the upper bound or, for an unbounded window, one full
+        cycle after the first in-window position at or past the prefix:
+        later positions repeat earlier suffixes up to a time shift.
+        """
+        word = self.word
+        base = word.time(i)
+        j, last = i, None
+        while True:
+            self.spend()
+            gap = word.time(j) - base
+            inside = interval.contains(gap)
+            yield j, inside
+            if interval.hi is not None:
+                if interval.beyond_upper(gap):
+                    return
+            elif last is None:
+                if inside and j >= word.prefix_length:
+                    last = j + word.cycle_length
+            elif j >= last:
+                return
+            j += 1
 
     def at(self, f: MitlFormula, i: int) -> bool:
         i = self.word.canonical(i)
@@ -467,7 +499,7 @@ class _Evaluation:
         return result
 
     def _eval(self, f: MitlFormula, i: int) -> bool:
-        word, eval_at, scan_stop = self.word, self.at, self.scan_stop
+        word, eval_at = self.word, self.at
         match f:
             case Atom(name):
                 return name in word.letter(i)
@@ -479,41 +511,16 @@ class _Evaluation:
                 gap = word.time(i + 1) - word.time(i)
                 return interval.contains(gap) and eval_at(arg, i + 1)
             case Eventually(interval, arg):
-                base = word.time(i)
-                j, marker = i, None
-                while True:
-                    self.spend()
-                    gap = word.time(j) - base
-                    if interval.contains(gap) and eval_at(arg, j):
-                        return True
-                    stop, marker = scan_stop(j, gap, interval, marker)
-                    if stop:
-                        return False
-                    j += 1
+                return any(inside and eval_at(arg, j)
+                           for j, inside in self.scan(i, interval))
             case Always(interval, arg):
-                base = word.time(i)
-                j, marker = i, None
-                while True:
-                    self.spend()
-                    gap = word.time(j) - base
-                    if interval.contains(gap) and not eval_at(arg, j):
-                        return False
-                    stop, marker = scan_stop(j, gap, interval, marker)
-                    if stop:
-                        return True
-                    j += 1
+                return all(not inside or eval_at(arg, j)
+                           for j, inside in self.scan(i, interval))
             case Until(interval, left, right):
-                base = word.time(i)
-                j, marker = i, None
-                while True:
-                    self.spend()
-                    gap = word.time(j) - base
-                    if interval.contains(gap) and eval_at(right, j):
+                for j, inside in self.scan(i, interval):
+                    if inside and eval_at(right, j):
                         return True
                     if not eval_at(left, j):
                         return False  # no later witness can be reached
-                    stop, marker = scan_stop(j, gap, interval, marker)
-                    if stop:
-                        return False
-                    j += 1
+                return False
         raise TypeError(f"not a formula node: {f!r}")

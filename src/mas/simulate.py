@@ -189,8 +189,10 @@ def integrate_plans(g: NetworkGraph, plans: list, decomp: CellDecomposition,
     to agents by their ``agent`` number. Raises SemanticError unless there
     is exactly one plan per agent, every planned cell exists and x0 lies in
     the plans' first cells; WorkspaceExit if any agent ever leaves the
-    workspace.
+    workspace; ValueError for a negative step count.
     """
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (g.agent_count, g.dimension):
         raise DimensionMismatch(

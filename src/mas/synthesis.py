@@ -44,8 +44,8 @@ from ._ndfs import Lasso
 from .abstraction import AgentWTS, ProductWTS, TransitionCertificate
 from .errors import LengthMismatch, Unsatisfiable
 from .graph import NetworkGraph
-from .mitl import (Eventually, MitlFormula, TimedWord, atoms, evaluate,
-                   formula_to_text, word_from_lasso)
+from .mitl import (MitlFormula, TimedWord, atoms, evaluate, formula_to_text,
+                   witness_instant, word_from_lasso)
 from .tba import TickClocks, TimedAutomaton, from_flat_mitl, intersect
 
 logger = logging.getLogger(__name__)
@@ -128,19 +128,23 @@ def _cell_at(prefix: tuple, cycle: tuple, position: int):
     return cycle[(position - p) % len(cycle)]
 
 
-def align_runs(runs: list[tuple[tuple, tuple]],
-               lcm_cap: int = DEFAULT_LCM_CAP) -> list[tuple[tuple, tuple]]:
-    """Reslice per-agent (prefix, cycle) runs to a common prefix and period.
-
-    The common prefix is the longest individual prefix; the common period is
-    the least common multiple of the cycle lengths, which must stay within
-    the alignment budget (LengthMismatch otherwise).
-    """
+def _aligned_shape(runs: list[tuple[tuple, tuple]],
+                   lcm_cap: int) -> tuple[int, int]:
+    """(common prefix length, common period) of runs: the longest prefix
+    and the lcm of the cycle lengths, LengthMismatch above ``lcm_cap``."""
     p_star = max(len(prefix) for prefix, _ in runs)
     c_star = math.lcm(*(len(cycle) for _, cycle in runs))
     if c_star > lcm_cap:
         raise LengthMismatch(
             f"aligned period {c_star} exceeds the budget {lcm_cap}")
+    return p_star, c_star
+
+
+def align_runs(runs: list[tuple[tuple, tuple]],
+               lcm_cap: int = DEFAULT_LCM_CAP) -> list[tuple[tuple, tuple]]:
+    """Reslice per-agent (prefix, cycle) runs to their common prefix and
+    period (``_aligned_shape``)."""
+    p_star, c_star = _aligned_shape(runs, lcm_cap)
     out = []
     for prefix, cycle in runs:
         new_prefix = tuple(_cell_at(prefix, cycle, j) for j in range(p_star))
@@ -154,17 +158,12 @@ def consistent(runs: list[tuple[tuple, tuple]], product: ProductWTS,
                lcm_cap: int = DEFAULT_LCM_CAP) -> bool:
     """Whether per-agent runs can be executed jointly.
 
-    Over one aligned prefix and period (LengthMismatch when the period
-    exceeds the alignment budget, as in ``align_runs``), every step's joint
-    move must be allowed by every agent's transition table under the action
-    derived from the joint state. Positions are read off the runs as given
-    and the walk stops at the first disallowed move.
+    Over the runs' common prefix and period (``_aligned_shape``), every
+    step's joint move must be allowed by every agent's transition table
+    under the action derived from the joint state. Positions are read off
+    the runs as given and the walk stops at the first disallowed move.
     """
-    p_star = max(len(prefix) for prefix, _ in runs)
-    c_star = math.lcm(*(len(cycle) for _, cycle in runs))
-    if c_star > lcm_cap:
-        raise LengthMismatch(
-            f"aligned period {c_star} exceeds the budget {lcm_cap}")
+    p_star, c_star = _aligned_shape(runs, lcm_cap)
     joint_next = tuple(_cell_at(prefix, cycle, 0) for prefix, cycle in runs)
     for j in range(p_star + c_star):
         joint = joint_next
@@ -232,34 +231,6 @@ class SynthesisResult:
     step_used: int  # 3 = per-agent combination, 4 = full product search
     agent_lasso_counts: list[int]
     combinations_tried: int
-
-
-def witness_instant(word: TimedWord, formula: MitlFormula) -> Fraction | None:
-    """First in-window time witnessing a top-level eventually-goal.
-
-    Returns None for formulas that are not a top-level eventually, and for
-    unsatisfied ones. For unbounded windows the scan stops once every cycle
-    phase has been visited at an in-window position.
-    """
-    if not isinstance(formula, Eventually):
-        return None
-    interval = formula.interval
-    base = word.time(0)
-    opened_at: int | None = None
-    j = 0
-    while True:
-        gap = word.time(j) - base
-        if interval.beyond_upper(gap):
-            return None
-        if interval.contains(gap):
-            if evaluate(word, formula.arg, j):
-                return word.time(j)
-            if opened_at is None:
-                opened_at = j
-        if opened_at is not None and \
-                j >= max(opened_at, word.prefix_length) + word.cycle_length:
-            return None
-        j += 1
 
 
 def _project_cells(lasso: Lasso, agent_index: int | None):

@@ -3,9 +3,11 @@
 Automata read timed words letter-by-letter: every location carries the letter
 (service set) it emits, a run consumes position j by delaying to that
 position's timestamp and taking one edge whose guard holds at the post-delay
-clock value and whose target emits letter j+1. Guards are conjunctions of
-interval bounds; disjunctive windows are split across parallel edges.
-Acceptance is Büchi (some accepting location recurs).
+clock value and whose target emits letter j+1. A guard is a conjunction
+of windows the clock must lie in, each a ``mitl.Interval``, the type of the
+formula windows themselves (a point window [0,0] included); disjunctive
+windows are split across parallel edges. Acceptance is Büchi (some
+accepting location recurs).
 
 There is one clock: the time since position 0. Every window of a flat
 formula is anchored at the word start, so no edge ever resets a clock and
@@ -49,36 +51,22 @@ _NODE_CAP = 500_000
 
 
 @dataclass(frozen=True)
-class ClockBound:
-    """An admissible interval lo..hi of the clock (hi None = unbounded)."""
-
-    lo: Fraction = Fraction(0)
-    lo_strict: bool = False
-    hi: Fraction | None = None
-    hi_strict: bool = False
-
-    def constants(self) -> list[Fraction]:
-        out = [self.lo]
-        if self.hi is not None:
-            out.append(self.hi)
-        return out
-
-
-@dataclass(frozen=True)
 class Guard:
-    """Conjunction of bounds on the clock; empty tuple = always true.
+    """Conjunction of windows the clock must lie in; empty tuple = always
+    true.
 
     A conjoined guard keeps every term, so its constants, and hence an
     automaton's c_max, are those of the guards it was built from.
     """
 
-    terms: tuple[ClockBound, ...] = ()
+    terms: tuple[Interval, ...] = ()
 
     def conjoin(self, other: "Guard") -> "Guard":
         return Guard(self.terms + other.terms)
 
     def constants(self) -> list[Fraction]:
-        return [c for bound in self.terms for c in bound.constants()]
+        return [c for term in self.terms for c in (term.lo, term.hi)
+                if c is not None]
 
 
 TRUE_GUARD = Guard()
@@ -155,8 +143,8 @@ class TickClocks:
     delta is the gcd of the delays time may advance by, so the clock value
     is an int k meaning k*delta, or ``sat`` = floor(c_max/delta) + 1 for
     every value above c_max. A guard becomes one inclusive tick range: each
-    bound admits ceil(lo/delta), or floor(lo/delta) + 1 when strict, up to
-    floor(hi/delta), or ceil(hi/delta) - 1 when strict, or up to ``sat``
+    window admits ceil(lo/delta), or floor(lo/delta) + 1 when open, up to
+    floor(hi/delta), or ceil(hi/delta) - 1 when open, or up to ``sat``
     when unbounded, and a conjunction admits the largest lower tick up to
     the smallest upper one (nothing when that range is empty). Since every
     constant is at most c_max, the saturated tick passes each lower bound
@@ -196,14 +184,14 @@ class TickClocks:
     def tick_range(self, guard: Guard) -> tuple[int, int]:
         """(lowest tick, highest tick) the guard admits."""
         lowest, highest = 0, self.sat
-        for bound in guard.terms:
-            lo = bound.lo / self.delta
-            lo = math.floor(lo) + 1 if bound.lo_strict else math.ceil(lo)
-            if bound.hi is None:
+        for term in guard.terms:
+            lo = term.lo / self.delta
+            lo = math.floor(lo) + 1 if term.lo_open else math.ceil(lo)
+            if term.hi is None:
                 hi = self.sat
             else:
-                hi = bound.hi / self.delta
-                hi = math.ceil(hi) - 1 if bound.hi_strict else math.floor(hi)
+                hi = term.hi / self.delta
+                hi = math.ceil(hi) - 1 if term.hi_open else math.floor(hi)
             lowest, highest = max(lowest, lo), min(highest, hi)
         return lowest, highest
 
@@ -306,21 +294,15 @@ def _phase_pred_holds(pred, letter) -> bool:
     return True if pred is _TOP else _prop_holds(pred, letter)
 
 
-def _in_window_guard(interval: Interval) -> Guard:
-    return Guard((ClockBound(
-        lo=interval.lo, lo_strict=interval.lo_open,
-        hi=interval.hi, hi_strict=interval.hi_open),))
-
-
 def _outside_window_guards(interval: Interval) -> list[Guard]:
     """Guards covering "clock not in window" (split per side)."""
     out = []
     if interval.lo > 0 or interval.lo_open:
-        out.append(Guard((ClockBound(
-            hi=interval.lo, hi_strict=not interval.lo_open),)))
+        out.append(Guard((Interval(0, interval.lo,
+                                   hi_open=not interval.lo_open),)))
     if interval.hi is not None:
-        out.append(Guard((ClockBound(
-            lo=interval.hi, lo_strict=not interval.hi_open),)))
+        out.append(Guard((Interval(interval.hi, None,
+                                   lo_open=not interval.hi_open),)))
     return out
 
 
@@ -328,7 +310,7 @@ def _wait_prune_guard(interval: Interval) -> Guard:
     """Upper bound for pre-witness waiting (a harmless search prune)."""
     if interval.hi is None:
         return TRUE_GUARD
-    return Guard((ClockBound(hi=interval.hi),))
+    return Guard((Interval(0, interval.hi),))
 
 
 def _unit_phases(unit: MitlFormula):
@@ -342,7 +324,7 @@ def _unit_phases(unit: MitlFormula):
         case Eventually(interval, arg):
             phases = [("wait", _TOP), ("hit", arg), ("done", _TOP)]
             edges = [("wait", "wait", _wait_prune_guard(interval)),
-                     ("wait", "hit", _in_window_guard(interval)),
+                     ("wait", "hit", Guard((interval,))),
                      ("hit", "done", TRUE_GUARD),
                      ("done", "done", TRUE_GUARD)]
             initials = ["wait"] + (["hit"] if interval.contains(Fraction(0)) else [])
@@ -350,14 +332,14 @@ def _unit_phases(unit: MitlFormula):
         case Until(interval, left, right):
             phases = [("hold", left), ("hit", right), ("done", _TOP)]
             edges = [("hold", "hold", _wait_prune_guard(interval)),
-                     ("hold", "hit", _in_window_guard(interval)),
+                     ("hold", "hit", Guard((interval,))),
                      ("hit", "done", TRUE_GUARD),
                      ("done", "done", TRUE_GUARD)]
             initials = ["hold"] + (["hit"] if interval.contains(Fraction(0)) else [])
             return phases, edges, initials, ["done"]
         case Next(interval, arg):
             phases = [("start", _TOP), ("hit", arg), ("done", _TOP)]
-            edges = [("start", "hit", _in_window_guard(interval)),
+            edges = [("start", "hit", Guard((interval,))),
                      ("hit", "done", TRUE_GUARD),
                      ("done", "done", TRUE_GUARD)]
             return phases, edges, ["start"], ["done"]

@@ -184,6 +184,9 @@ def test_simulate_reuses_plans_and_rejects_stale_ones(tmp_path, capsys):
     assert main(["synthesize", "--scenario", _pair_path(),
                  "--out", str(out)]) == 0
     assert main(["simulate", "--scenario", _pair_path(),
+                 "--out", str(out), "--horizon", "-1"]) == 1
+    assert "steps must be non-negative" in capsys.readouterr().err
+    assert main(["simulate", "--scenario", _pair_path(),
                  "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "reusing" in stdout
@@ -368,11 +371,25 @@ def test_check_reads_word_files_in_both_forms(tmp_path, capsys):
 
 def test_malformed_word_files_fail_cleanly(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"prefix": [], "cycle": []}))
-    assert main(["check", "--scenario", _pair_path(),
-                 "--out", str(tmp_path), "--agent", "1",
-                 "--word", str(bad), "--formula", "F[0,1] port"]) == 1
-    assert "malformed timed word" in capsys.readouterr().err
+    time = "expected a number or an exact-ratio string"
+    cases = [
+        ({"prefix": [], "cycle": []}, "malformed timed word"),
+        # a boolean time used to be read as 1 or 0
+        ({"dt": True, "prefix": [["port"]], "cycle": [[]]}, f"/dt: {time}"),
+        ({"prefix": [{"services": ["port"], "time": False}],
+          "cycle": [{"services": [], "duration": 1}]},
+         f"/prefix/0/time: {time}"),
+        ({"prefix": [{"services": ["port"], "time": 0}],
+          "cycle": [{"services": [], "duration": True}]},
+         f"/cycle/0/duration: {time}"),
+    ]
+    for word, message in cases:
+        bad.write_text(json.dumps(word))
+        assert main(["check", "--scenario", _pair_path(),
+                     "--out", str(tmp_path), "--agent", "1",
+                     "--word", str(bad), "--formula", "F[0,1] port"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
     with pytest.raises(SchemaError):
         word_from_json([1, 2, 3])
 

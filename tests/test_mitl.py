@@ -12,7 +12,7 @@ from mas import mitl
 from mas.errors import HorizonOverflow, NonRationalConstant, ParseError
 from mas.mitl import (Always, And, Atom, Eventually, Interval, Next, Not,
                       TimedWord, Until, atoms, evaluate, formula_to_text,
-                      parse, to_fraction, word_from_lasso)
+                      parse, to_fraction, witness_instant, word_from_lasso)
 
 from conftest import reference_eval, unroll
 
@@ -76,6 +76,10 @@ def test_formula_text_round_trip():
 def test_parse_error_positions():
     with pytest.raises(ParseError, match="position 1"):
         parse("F[2,1] a")  # empty interval
+    for window in ("[1,1]", "(1,1]", "[1,1)"):  # point windows
+        with pytest.raises(ParseError, match="empty or a point") as caught:
+            parse(f"a U{window} b")
+        assert caught.value.position == 3
     with pytest.raises(ParseError, match="position 4"):
         parse("a U b")  # missing interval
     with pytest.raises(ParseError, match="end of input"):
@@ -84,6 +88,14 @@ def test_parse_error_positions():
         parse("")
     with pytest.raises(ParseError, match="unexpected character"):
         parse("a @ b")
+
+
+def test_point_guard_interval_is_allowed():
+    # the outside-window guard of (0,b] is the point window [0,0]
+    point = Interval(Fraction(0), Fraction(0))
+    assert point.contains(Fraction(0)) and not point.contains(Fraction(1))
+    with pytest.raises(ValueError, match="empty"):
+        Interval(Fraction(2), Fraction(1))
 
 
 def test_non_rational_constant_rejected():
@@ -264,6 +276,45 @@ def test_evaluation_matches_reference_semantics(word, formula):
     letters, times = unroll(word, horizon)
     assert evaluate(word, formula) \
         == reference_eval(letters, times, formula)
+
+
+@st.composite
+def _eventually_goals(draw):
+    """F over a bounded or unbounded window, its operand an atom or one
+    bounded temporal operator over atoms."""
+    lo, hi = draw(_bounds)
+    lo_open = draw(st.booleans())
+    if draw(st.booleans()):
+        window = Interval(Fraction(lo), None, lo_open=lo_open, hi_open=True)
+    else:
+        window = Interval(Fraction(lo), Fraction(hi), lo_open=lo_open,
+                          hi_open=draw(st.booleans()))
+    operand = draw(st.one_of(
+        st.sampled_from([Atom("a"), Atom("b")]),
+        st.builds(lambda f, iv: Not(f(iv, Not(Atom("a")))),
+                  st.sampled_from([Eventually, Always]),
+                  st.sampled_from([Interval(Fraction(0), Fraction(1)),
+                                   Interval(Fraction(1), Fraction(2),
+                                            lo_open=True)])),
+        st.builds(lambda iv: Until(iv, Atom("a"), Atom("b")),
+                  st.sampled_from([Interval(Fraction(0), Fraction(2)),
+                                   Interval(Fraction(1, 2), Fraction(3),
+                                            hi_open=True)]))))
+    return Eventually(window, operand)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_words(), _eventually_goals())
+def test_witness_instant_is_the_first_witness(word, formula):
+    # slices 20 cycles longer than the search reach past every nested window
+    search = word.prefix_length + 40 * word.cycle_length
+    letters, times = unroll(word, search + 20 * word.cycle_length)
+    expected = next(
+        (times[j] for j in range(search)
+         if formula.interval.contains(times[j] - times[0])
+         and reference_eval(letters, times, formula.arg, j)), None)
+    assert witness_instant(word, formula) == expected
+    assert (expected is not None) == evaluate(word, formula)
 
 
 @settings(max_examples=200, deadline=None)

@@ -218,6 +218,8 @@ def test_plan_execution_preconditions():
     slow.agent = 2
     with pytest.raises(SemanticError, match="sampling interval"):
         integrate_plans(g, [plans[0], slow], decomp, x0, v_max=10.0, steps=2)
+    with pytest.raises(ValueError, match="steps must be non-negative"):
+        integrate_plans(g, plans, decomp, x0, v_max=10.0, steps=-1)
 
 
 @pytest.mark.parametrize("cell", [0, 5, 999])

@@ -33,9 +33,8 @@ from mas.errors import LengthMismatch
 from mas.mitl import to_fraction
 from mas.synthesis import (BuchiProduct, align_runs, consistent,
                            enumerate_accepting_lassos, find_accepting_lasso)
-from mas.tba import (ClockBound, Edge, Guard, TRUE_GUARD, TickClocks,
-                     TimedAutomaton, from_flat_mitl, intersect,
-                     universal_acceptor)
+from mas.tba import (Edge, Guard, TRUE_GUARD, TickClocks, TimedAutomaton,
+                     from_flat_mitl, intersect, universal_acceptor)
 
 from conftest import (four_state_timed_wts, random_connected_graph,
                       random_flat_formula)
@@ -50,13 +49,13 @@ INF = math.inf
 # oracle: the exact-rational timed product
 # --------------------------------------------------------------------------
 
-def _admits(bound: ClockBound, value) -> bool:
+def _admits(bound: mitl.Interval, value) -> bool:
     if value is not INF:
-        if value < bound.lo or (bound.lo_strict and value == bound.lo):
+        if value < bound.lo or (bound.lo_open and value == bound.lo):
             return False
     if bound.hi is not None:
         if value is INF or value > bound.hi \
-                or (bound.hi_strict and value == bound.hi):
+                or (bound.hi_open and value == bound.hi):
             return False
     return True
 
@@ -294,12 +293,12 @@ _CONSTANTS = tuple(Fraction(c) for c in
                    ("0", "1/2", "1", "6/5", "3/2", "2", "7/3", "5/2", "4"))
 
 
-def _random_bound(rng) -> ClockBound:
+def _random_bound(rng) -> mitl.Interval:
     lo, hi = sorted(_CONSTANTS[int(i)]
                     for i in rng.integers(len(_CONSTANTS), size=2))
-    return ClockBound(lo=lo, lo_strict=bool(rng.random() < 0.5),
-                      hi=None if rng.random() < 0.2 else hi,
-                      hi_strict=bool(rng.random() < 0.5))
+    return mitl.Interval(lo=lo, lo_open=bool(rng.random() < 0.5),
+                         hi=None if rng.random() < 0.2 else hi,
+                         hi_open=bool(rng.random() < 0.5))
 
 
 def test_conjoined_guards_compile_to_the_intersection_of_their_terms():
@@ -316,8 +315,8 @@ def test_conjoined_guards_compile_to_the_intersection_of_their_terms():
         lo, hi = _assert_same_range(clocks, guard)
         seen["empty"] += lo > hi
         for bound in guard.terms:
-            for c, strict in ((bound.lo, bound.lo_strict),
-                              (bound.hi, bound.hi_strict)):
+            for c, strict in ((bound.lo, bound.lo_open),
+                              (bound.hi, bound.hi_open)):
                 if c is not None and (c / delta).denominator == 1:
                     seen["strict tie" if strict else "non-strict tie"] += 1
             seen["unbounded"] += bound.hi is None
@@ -440,8 +439,9 @@ def _assert_same_automaton(lazy: TimedAutomaton, eager: TimedAutomaton):
 def _orphan_automaton() -> TimedAutomaton:
     """Its largest constant sits on the edges into its {p} location."""
     e, p = frozenset(), frozenset({"p"})
-    big = Guard((ClockBound(lo=Fraction(2), hi=Fraction(9)),))
-    small = Guard((ClockBound(hi=Fraction(3, 2), hi_strict=True),))
+    big = Guard((mitl.Interval(lo=Fraction(2), hi=Fraction(9)),))
+    small = Guard((mitl.Interval(lo=Fraction(0), hi=Fraction(3, 2),
+                                 hi_open=True),))
     edges = [Edge("s", small, "s"), Edge("s", big, "t"),
              Edge("t", TRUE_GUARD, "s"), Edge("t", big, "t")]
     return TimedAutomaton(["s", "t"], ["s"], edges, ["t"], {"s": e, "t": p},
