@@ -56,7 +56,7 @@ def automata(pipe):
     sc = pipe.scenario
     out = []
     for w in pipe.wts_list:
-        sigma = atoms(sc.formulas[w.agent]) | sc.agent_services(w.agent)
+        sigma = atoms(sc.formulas[w.agent])
         sigma |= frozenset().union(*w.labels.values())
         out.append(from_flat_mitl(sc.formulas[w.agent], sigma))
     return out

@@ -13,7 +13,8 @@ Modules: graph (topology + spectra), bounds (invariance and discretization
 constants), partition (workspace cells and service labels), mitl (formulas
 and timed words), tba (timed Büchi automata), abstraction (per-agent and
 product transition systems), synthesis (plan search), simulate (closed-loop
-execution), cli (the `mas` command).
+execution), files (scenario, plans.json and timed-word files), cli (the
+`mas` command).
 """
 
 from .abstraction import (AgentWTS, ProductWTS, TransitionCertificate,

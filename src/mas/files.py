@@ -1,0 +1,560 @@
+"""Input files: scenarios, plans.json and timed words, read by one walker.
+
+Each file's structure is a table: ``SCENARIO``, ``PLANS``, ``COMPACT_WORD``
+and ``EXPLICIT_WORD``. A table entry (:class:`Key`) names a key, gives its
+JSON type with a minimum or positivity rule and a length, and says whether
+the key is required; a length is a number or the name of a top-level key read
+before it (``agents``, ``dimension``). The walker checks a document against
+its table and collects every problem as a (JSON pointer, message) pair: a
+missing or unknown key, a wrong type, a number that is not finite, a wrong
+length, an agent key that is not the decimal form of an agent number in
+range. The problems are raised together as one SchemaError.
+
+Content that is well formed but inconsistent is checked after the walk by
+plain code. A scenario raises SemanticError or ParseError; a timed word with
+an empty cycle, times that do not increase or durations that are not
+positive raises a SchemaError at the empty pointer.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import math
+from collections import namedtuple
+from dataclasses import dataclass
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ParseError, SchemaError, SemanticError
+from .mitl import MitlFormula, TimedWord, atoms, parse, word_from_lasso
+from .partition import LabeledRegion, Workspace
+from .synthesis import Plan, SynthesisResult
+
+_BOUNDARY_TOL = 1e-9
+
+
+# --------------------------------------------------------------------------
+# the walker
+# --------------------------------------------------------------------------
+
+class _Walk:
+    """One document's problems, and the valid top-level values that lengths
+    and agent ranges refer to."""
+
+    def __init__(self):
+        self.problems: list[tuple[str, str]] = []
+        self.known: dict = {}
+
+    def fault(self, parent: str, key, message: str) -> None:
+        if isinstance(key, str):  # RFC 6901 escapes "~" and "/" in a key
+            key = key.replace("~", "~0").replace("/", "~1")
+        self.problems.append((_pointer(parent, key), message))
+
+
+def _pointer(parent: str, key) -> str:
+    return parent if key is None else f"{parent}/{key}"
+
+
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _ratio(v: str) -> bool:
+    try:
+        Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+# The scalar types, keyed by the words a fault message names them with: the
+# Python types json.loads gives such a value (never bool for a number), and a
+# test of its content where the type is not enough.
+_KINDS = {
+    "an integer": ({int}, None),
+    "a finite number": ({int, float}, _finite),
+    "a string": ({str}, None),
+    "a non-empty string": ({str}, bool),
+    "a number or an exact-ratio string": (
+        {int, float, str},
+        lambda v: _ratio(v) if isinstance(v, str) else _finite(v)),
+    "null or an exact-ratio string": (
+        {type(None), str}, lambda v: v is None or _ratio(v)),
+}
+
+# Every type has two methods. fault(value, walk, parent, key) returns what is
+# wrong with the value itself, or None, and records the problems of the
+# values inside it; a value is named by its parent's pointer and its key, and
+# a pointer is only spelt out where it is needed. fits(values, walk) says
+# whether a list of values has no problem at all, testing them together a
+# type or a key at a time, so that an array walks its items one by one, to
+# name their problems, only when they have some.
+
+
+class Scalar:
+    """A value of a ``_KINDS`` type that is at least ``minimum``, positive
+    if asked, and at most the top-level key ``maximum``."""
+
+    def __init__(self, kind: str, minimum: int | None = None,
+                 positive: bool = False, maximum: str | None = None):
+        self.kind = kind
+        self.types, self.content = _KINDS[kind]
+        self.minimum, self.positive, self.maximum = minimum, positive, maximum
+        self.bounded = minimum is not None or positive or maximum is not None
+
+    def fault(self, value, walk: _Walk, parent="", key=None) -> str | None:
+        if type(value) not in self.types or \
+                self.content and not self.content(value):
+            return f"expected {self.kind}"
+        if self.minimum is not None and value < self.minimum:
+            return f"must be at least {self.minimum}"
+        if self.positive and value <= 0:
+            return "must be positive"
+        top = walk.known.get(self.maximum)
+        if top is not None and value > top:
+            return f"must be at most {top}"
+        return None
+
+    def fits(self, values: list, walk: _Walk) -> bool:
+        if not set(map(type, values)) <= self.types or \
+                self.content and not all(map(self.content, values)):
+            return False
+        return not (self.bounded and values) or \
+            not self.fault(min(values), walk) and \
+            not self.fault(max(values), walk)
+
+
+@dataclass(frozen=True)
+class Array:
+    """An array of ``items`` of ``length`` (a number, or the top-level key
+    that gives it). ``whole`` describes an array of scalars whose faults,
+    its items' included, are reported at the array itself."""
+
+    items: object
+    length: int | str | None = None
+    nonempty: bool = False
+    whole: str | None = None
+
+    def fault(self, value, walk: _Walk, parent: str, key) -> str | None:
+        if not isinstance(value, list) or self.nonempty and not value or \
+                self.whole and not self.items.fits(value, walk):
+            return "expected " + (self.whole or ("a non-empty array"
+                                  if self.nonempty else "an array"))
+        n = walk.known.get(self.length) if isinstance(self.length, str) \
+            else self.length
+        if n is not None and len(value) != n:
+            return f"expected {n} items, got {len(value)}"
+        if not self.whole and not self.items.fits(value, walk):
+            here = _pointer(parent, key)
+            for k, x in enumerate(value):
+                message = self.items.fault(x, walk, here, k)
+                if message:
+                    walk.fault(here, k, message)
+        return None
+
+    def fits(self, values: list, walk: _Walk) -> bool:
+        n = walk.known.get(self.length) if isinstance(self.length, str) \
+            else self.length
+        return all(isinstance(v, list) and (v or not self.nonempty)
+                   and n in (None, len(v)) for v in values) and \
+            self.items.fits(list(itertools.chain.from_iterable(values)), walk)
+
+
+Key = namedtuple("Key", "name type required", defaults=(True,))
+
+
+class Object:
+    """An object with the given keys and the ``unchecked`` ones, whose
+    values are taken as they are, but no others; ``check`` names what is
+    wrong with a value whose parts are all well formed, or returns None."""
+
+    def __init__(self, *keys: Key, unchecked=(), check=None):
+        self.keys = keys
+        self.allowed = frozenset(key.name for key in keys).union(unchecked)
+        self.required = frozenset(key.name for key in keys if key.required)
+        self.check = check
+
+    def fault(self, value, walk: _Walk, parent: str, key) -> str | None:
+        if not isinstance(value, dict):
+            return "expected a JSON object"
+        before = len(walk.problems)
+        here = _pointer(parent, key)
+        for k in self.keys:
+            if k.name in value:
+                message = k.type.fault(value[k.name], walk, here, k.name)
+                if message:
+                    walk.fault(here, k.name, message)
+                elif not here:
+                    walk.known[k.name] = value[k.name]
+            elif k.required:
+                walk.fault(here, k.name, "required key is missing")
+        for name in sorted(set(value) - self.allowed):
+            walk.fault(here, name, f"unknown key (known: "
+                                   f"{', '.join(sorted(self.allowed))})")
+        if self.check and len(walk.problems) == before:
+            return self.check(value)
+        return None
+
+    def fits(self, values: list, walk: _Walk) -> bool:
+        return all(isinstance(v, dict) and self.allowed.issuperset(v)
+                   and self.required.issubset(v) for v in values) and \
+            all(k.type.fits([v[k.name] for v in values if k.name in v], walk)
+                for k in self.keys) and \
+            not (self.check and any(map(self.check, values)))
+
+
+_AGENT = Scalar("an integer", minimum=1, maximum="agents")
+
+
+@dataclass(frozen=True)
+class AgentMap:
+    """An object keyed by agent number in canonical decimal form ("1", not
+    "01"), up to the top-level ``agents``; ``every_agent`` requires a key
+    for each agent."""
+
+    values: object
+    nonempty: bool = False
+    every_agent: bool = False
+
+    def fault(self, value, walk: _Walk, parent: str, key) -> str | None:
+        if not isinstance(value, dict) or self.nonempty and not value:
+            return f"expected {'a non-empty' if self.nonempty else 'an'} " \
+                   f"object keyed by agent number"
+        here = _pointer(parent, key)
+        for k in sorted(value):
+            if k.isascii() and k.isdecimal() and str(int(k)) == k:
+                message = _AGENT.fault(int(k), walk) \
+                    or self.values.fault(value[k], walk, here, k)
+            else:
+                message = "expected an agent number as key"
+            if message:
+                walk.fault(here, k, message)
+        agents = walk.known.get("agents")
+        if self.every_agent and agents is not None:
+            for n in range(1, agents + 1):
+                if str(n) not in value:
+                    walk.fault(here, n, "required key is missing")
+        return None
+
+    def fits(self, values: list, walk: _Walk) -> bool:
+        return False  # agent maps are only in scenarios: walked one by one
+
+
+def _walk(document, table: Object, what: str) -> None:
+    walk = _Walk()
+    message = table.fault(document, walk, "", None)
+    if message:
+        walk.fault("", None, message)
+    if walk.problems:
+        raise SchemaError(walk.problems, what)
+
+
+# --------------------------------------------------------------------------
+# the tables
+# --------------------------------------------------------------------------
+
+_VECTOR = Array(Scalar("a finite number"), length="dimension",
+                whole="an array of finite numbers")
+_LETTER = Array(Scalar("a non-empty string"),
+                whole="an array of non-empty service names")
+_TIME = Scalar("a number or an exact-ratio string")
+
+
+def _lower_below_upper(box: dict) -> str | None:
+    if all(lo < hi for lo, hi in zip(box["lower"], box["upper"])):
+        return None
+    return "lower must be strictly below upper"
+
+
+# the optional scenario parameters and their defaults
+PARAMETERS = {"safety": 1.1, "lambda": 0.5, "cell_diameter": None,
+              "dt": None, "r_bar_override": None}
+
+SCENARIO = Object(
+    Key("name", Scalar("a string"), required=False),
+    Key("agents", Scalar("an integer", minimum=2)),
+    Key("dimension", Scalar("an integer", minimum=1)),
+    Key("v_max", Scalar("a finite number", positive=True)),
+    Key("edges", Array(Array(_AGENT, length=2,
+                             whole="a pair of agent numbers in 1..agents"),
+                       nonempty=True)),
+    Key("workspace", Object(Key("lower", _VECTOR), Key("upper", _VECTOR))),
+    Key("initial_positions", Array(_VECTOR, length="agents")),
+    Key("regions", Array(Object(
+        Key("lower", _VECTOR), Key("upper", _VECTOR),
+        Key("services", AgentMap(Array(
+            Scalar("a non-empty string"), nonempty=True,
+            whole="a non-empty array of service names"), nonempty=True)),
+        check=_lower_below_upper))),
+    Key("formulas", AgentMap(Scalar("a non-empty string"), every_agent=True)),
+    Key("parameters", Object(*(Key(name, Scalar("a finite number"),
+                                   required=False) for name in PARAMETERS)),
+        required=False),
+)
+
+_STEP = Object(
+    Key("cell", Scalar("an integer", minimum=1)),
+    Key("action", Array(Scalar("an integer"),
+                        whole="an array of cell numbers")),
+    Key("services", _LETTER),
+    unchecked=("time", "input_norm", "remainder"),
+)
+
+PLANS = Object(
+    Key("dt", Scalar("a finite number", positive=True)),
+    Key("agents", Array(Object(
+        Key("agent", Scalar("an integer", minimum=1)),
+        Key("witness_time", Scalar("null or an exact-ratio string"),
+            required=False),
+        Key("prefix", Array(_STEP)),
+        Key("cycle", Array(_STEP, nonempty=True)),
+        unchecked=("formula",),
+    ), nonempty=True)),
+    unchecked=("scenario", "prefix_length", "cycle_length", "step_used"),
+)
+
+COMPACT_WORD = Object(
+    Key("dt", _TIME),
+    Key("prefix", Array(_LETTER), required=False),
+    Key("cycle", Array(_LETTER)),
+)
+
+EXPLICIT_WORD = Object(
+    Key("prefix", Array(Object(Key("services", _LETTER), Key("time", _TIME)))),
+    Key("cycle", Array(Object(Key("services", _LETTER),
+                              Key("duration", _TIME)))),
+)
+
+
+# --------------------------------------------------------------------------
+# scenario files
+# --------------------------------------------------------------------------
+
+@dataclass(eq=False)
+class Scenario:
+    """Validated scenario: network, workspace, tasks, tuning knobs."""
+
+    name: str
+    agent_count: int
+    dimension: int
+    edges: tuple[tuple[int, int], ...]
+    v_max: float
+    workspace_lower: np.ndarray
+    workspace_upper: np.ndarray
+    initial_positions: np.ndarray
+    regions: list[LabeledRegion]
+    formulas: dict[int, MitlFormula]
+    safety: float = 1.1
+    lambda_reach: float = 0.5
+    cell_diameter: float | None = None
+    dt: float | None = None
+    r_bar_override: float | None = None
+
+    def workspace(self) -> Workspace:
+        return Workspace(self.workspace_lower, self.workspace_upper)
+
+
+def load_scenario(path) -> Scenario:
+    """Read and validate a scenario JSON file.
+
+    Structural problems are collected by walking ``SCENARIO`` and raised
+    together as a SchemaError whose message lists a JSON-pointer path per
+    problem. Well-formed but inconsistent content (overlapping service
+    alphabets, positions or regions outside the workspace, formulas using
+    foreign services, bad parameter values) raises SemanticError or
+    ParseError.
+    """
+    p = Path(path)
+    try:
+        raw = json.loads(p.read_text())
+    except OSError as exc:
+        raise SchemaError([("", f"cannot read scenario file: {exc}")]) from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError([("", f"not valid JSON: {exc}")]) from None
+    _walk(raw, SCENARIO, "scenario")
+
+    agents = raw["agents"]
+    ws_lower, ws_upper = (np.asarray(raw["workspace"][k], dtype=float)
+                          for k in ("lower", "upper"))
+    positions = np.asarray(raw["initial_positions"], dtype=float)
+    regions = [LabeledRegion(
+        np.asarray(r["lower"], dtype=float),
+        np.asarray(r["upper"], dtype=float),
+        {int(k): frozenset(v) for k, v in sorted(r["services"].items())})
+        for r in raw["regions"]]
+    params = PARAMETERS | {k: float(v)
+                           for k, v in raw.get("parameters", {}).items()}
+
+    if not np.all(ws_lower < ws_upper):
+        raise SemanticError(
+            "workspace lower corner must be strictly below the upper corner")
+    workspace = Workspace(ws_lower, ws_upper)
+    for i in range(agents):
+        if not workspace.contains(positions[i]):
+            raise SemanticError(
+                f"initial position of agent {i + 1} lies outside the workspace")
+    for k, region in enumerate(regions):
+        if np.any(region.lower < ws_lower - _BOUNDARY_TOL) or \
+                np.any(region.upper > ws_upper + _BOUNDARY_TOL):
+            raise SemanticError(f"region {k} is not inside the workspace")
+    owned: dict[str, int] = {}
+    for region in regions:
+        for aid, names in sorted(region.services.items()):
+            for s in sorted(names):
+                if owned.setdefault(s, aid) != aid:
+                    raise SemanticError(
+                        f"service '{s}' is assigned to both agent "
+                        f"{owned[s]} and agent {aid}; per-agent service sets "
+                        f"must be disjoint")
+    if params["safety"] <= 1.0:
+        raise SemanticError("parameters.safety must exceed 1")
+    if not 0.0 < params["lambda"] < 1.0:
+        raise SemanticError("parameters.lambda must lie strictly in (0, 1)")
+    for key in ("cell_diameter", "dt", "r_bar_override"):
+        if params[key] is not None and params[key] <= 0:
+            raise SemanticError(f"parameters.{key} must be positive")
+
+    formulas: dict[int, MitlFormula] = {}
+    for aid in range(1, agents + 1):
+        try:
+            formulas[aid] = parse(raw["formulas"][str(aid)])
+        except ParseError as exc:
+            raise ParseError(f"formula for agent {aid}: {exc}",
+                             exc.position) from None
+        own = frozenset().union(*(r.services.get(aid, frozenset())
+                                  for r in regions))
+        foreign = atoms(formulas[aid]) - own
+        if foreign:
+            raise SemanticError(
+                f"formula for agent {aid} uses services not assigned to it "
+                f"in any region: {', '.join(sorted(foreign))}")
+
+    return Scenario(
+        name=raw.get("name", p.stem),
+        agent_count=agents,
+        dimension=raw["dimension"],
+        edges=tuple(map(tuple, raw["edges"])),
+        v_max=float(raw["v_max"]),
+        workspace_lower=ws_lower,
+        workspace_upper=ws_upper,
+        initial_positions=positions,
+        regions=regions,
+        formulas=formulas,
+        safety=params["safety"],
+        lambda_reach=params["lambda"],
+        cell_diameter=params["cell_diameter"],
+        dt=params["dt"],
+        r_bar_override=params["r_bar_override"],
+    )
+
+
+# --------------------------------------------------------------------------
+# plans.json
+# --------------------------------------------------------------------------
+
+def plans_to_dict(sc: Scenario, result: SynthesisResult) -> dict:
+    agents = []
+    for plan in result.plans:
+        def step_entry(j: int, cell: int, action, services, cert) -> dict:
+            entry = {
+                "cell": cell,
+                "action": list(action),
+                "services": sorted(services),
+                "time": j * plan.dt,
+            }
+            if cert is not None:
+                entry["input_norm"] = cert.nominal_norm()
+                entry["remainder"] = cert.remainder
+            return entry
+
+        prefix = [step_entry(j, c, plan.prefix_actions[j],
+                             plan.provided_prefix[j],
+                             plan.certificates_prefix[j])
+                  for j, c in enumerate(plan.prefix_cells)]
+        base = len(plan.prefix_cells)
+        cycle = [step_entry(base + j, c, plan.cycle_actions[j],
+                            plan.provided_cycle[j],
+                            plan.certificates_cycle[j])
+                 for j, c in enumerate(plan.cycle_cells)]
+        wt = plan.witness_time
+        agents.append({
+            "agent": plan.agent,
+            "formula": plan.formula_text,
+            "witness_time": None if wt is None else str(wt),
+            "prefix": prefix,
+            "cycle": cycle,
+        })
+    first = result.plans[0]
+    return {
+        "scenario": sc.name,
+        "dt": first.dt,
+        "prefix_length": first.prefix_length,
+        "cycle_length": first.cycle_length,
+        "step_used": result.step_used,
+        "agents": agents,
+    }
+
+
+def plans_from_dict(obj) -> list[Plan]:
+    """Rebuild executable plans from plans.json (certificates are dropped).
+
+    Structural problems are collected by walking ``PLANS`` and raised
+    together as a SchemaError listing a JSON-pointer path per problem.
+    """
+    _walk(obj, PLANS, "plans.json")
+    plans = []
+    for a in obj["agents"]:
+        prefix, cycle = a["prefix"], a["cycle"]
+        wt = a.get("witness_time")
+        plans.append(Plan(
+            agent=a["agent"],
+            dt=obj["dt"],
+            prefix_cells=tuple(s["cell"] for s in prefix),
+            cycle_cells=tuple(s["cell"] for s in cycle),
+            prefix_actions=tuple(tuple(s["action"]) for s in prefix),
+            cycle_actions=tuple(tuple(s["action"]) for s in cycle),
+            provided_prefix=tuple(frozenset(s["services"]) for s in prefix),
+            provided_cycle=tuple(frozenset(s["services"]) for s in cycle),
+            certificates_prefix=(None,) * len(prefix),
+            certificates_cycle=(None,) * len(cycle),
+            formula_text=a.get("formula", ""),
+            witness_time=None if wt is None else Fraction(wt),
+        ))
+    return plans
+
+
+# --------------------------------------------------------------------------
+# timed words
+# --------------------------------------------------------------------------
+
+def word_from_json(obj) -> TimedWord:
+    """Timed word from JSON.
+
+    Compact form (``COMPACT_WORD``): {"dt": 0.5, "prefix": [["a"], []],
+    "cycle": [["b"]]} (position j occurs at j*dt; empty prefix allowed).
+    Explicit form (``EXPLICIT_WORD``): {"prefix": [{"services": [...],
+    "time": T}, ...], "cycle": [{"services": [...], "duration": D}, ...]}.
+    Every letter is an array of service names and every time (``dt`` too) a
+    finite number or an exact-ratio string like "3/2", never a boolean;
+    anything else is a SchemaError naming its position. A word whose content
+    is inconsistent (an empty cycle, times that do not increase, durations
+    that are not positive) is a SchemaError at the document.
+    """
+    compact = isinstance(obj, dict) and "dt" in obj
+    _walk(obj, COMPACT_WORD if compact else EXPLICIT_WORD, "timed word")
+    try:
+        if compact:
+            return word_from_lasso(obj.get("prefix", []), obj["cycle"],
+                                   obj["dt"])
+        return TimedWord(
+            tuple((s["services"], s["time"]) for s in obj["prefix"]),
+            tuple((s["services"], s["duration"]) for s in obj["cycle"]))
+    except ValueError as exc:
+        raise SchemaError([("", f"malformed timed word: {exc!r}")],
+                          "timed word") from None

@@ -419,8 +419,9 @@ def evaluate(word: TimedWord, formula: MitlFormula, position: int = 0,
              budget: int = DEFAULT_UNROLL_BUDGET) -> bool:
     """Pointwise satisfaction of a formula at a position of a lasso word.
 
-    Unbounded windows are decided by scanning one full cycle past the window's
-    lower bound (suffixes one cycle apart are identical up to a time shift).
+    An unbounded window is decided by scanning one full cycle from its first
+    position at or past the prefix (suffixes one cycle apart are identical
+    up to a time shift).
     Raises HorizonOverflow if more than ``budget`` positions get scanned.
     """
     return _Evaluation(word, budget).at(formula, position)
@@ -466,9 +467,10 @@ class _Evaluation:
     def scan(self, i: int, interval: Interval):
         """(j, whether time(j) - time(i) is in the window) for j = i, i+1, ...
 
-        Stops past the upper bound or, for an unbounded window, one full
-        cycle after the first in-window position at or past the prefix:
-        later positions repeat earlier suffixes up to a time shift.
+        Stops past the upper bound or, for an unbounded window, after the
+        c positions from the first in-window position j at or past the
+        prefix (c the cycle length): position j + c repeats j's suffix up to
+        a time shift, and every later one an earlier suffix.
         """
         word = self.word
         base = word.time(i)
@@ -481,11 +483,11 @@ class _Evaluation:
             if interval.hi is not None:
                 if interval.beyond_upper(gap):
                     return
-            elif last is None:
-                if inside and j >= word.prefix_length:
-                    last = j + word.cycle_length
-            elif j >= last:
-                return
+            else:
+                if last is None and inside and j >= word.prefix_length:
+                    last = j + word.cycle_length - 1
+                if last is not None and j >= last:
+                    return
             j += 1
 
     def at(self, f: MitlFormula, i: int) -> bool:

@@ -295,7 +295,6 @@ def synthesize(
     wts_list: list[AgentWTS],
     g: NetworkGraph,
     formulas: dict[int, MitlFormula],
-    alphabets: dict[int, frozenset[str]] | None = None,
     r_iter: int = DEFAULT_R_ITER,
     max_states: int = DEFAULT_STATE_CAP,
     lcm_cap: int = DEFAULT_LCM_CAP,
@@ -313,8 +312,6 @@ def synthesize(
     for w in wts_list:
         sigma = atoms(formulas[w.agent])
         sigma |= frozenset().union(*w.labels.values()) if w.labels else frozenset()
-        if alphabets and w.agent in alphabets:
-            sigma |= alphabets[w.agent]
         automata[w.agent] = from_flat_mitl(formulas[w.agent], sigma)
     product = ProductWTS(wts_list, g)
 

@@ -104,6 +104,18 @@ def test_parameter_ranges_are_policed(tmp_path):
         load_scenario(_dump(tmp_path, sc))
 
 
+@pytest.mark.parametrize("alias", ["01", " 1", "+1"])
+def test_agent_keys_must_be_canonical(tmp_path, alias):
+    # each alias used to parse to agent 1 and silently overwrite "1"
+    sc = _pair_dict()
+    sc["regions"][0]["services"][alias] = ["port"]
+    sc["formulas"][alias] = sc["formulas"]["1"]
+    with pytest.raises(SchemaError) as exc:
+        load_scenario(_dump(tmp_path, sc))
+    assert [path for path, _ in exc.value.problems] == \
+        [f"/regions/0/services/{alias}", f"/formulas/{alias}"]
+
+
 # --------------------------------------------------------------------------
 # subcommands and exit codes
 # --------------------------------------------------------------------------
@@ -433,6 +445,13 @@ _BROKEN_PLANS = {
         ["/dt", "/agents/0/agent", "/agents/0/prefix/0",
          "/agents/0/cycle/0/cell", "/agents/0/cycle/0/action",
          "/agents/0/cycle/0/services"]),
+    # these two used to end in a ZeroDivisionError traceback and in an
+    # error without a pointer
+    **{f"witness {wt}": ({"dt": 0.01, "agents": [{
+        "agent": 1, "witness_time": wt, "prefix": [],
+        "cycle": [{"cell": 1, "action": [1, 2], "services": []}]}]},
+        ["/agents/0/witness_time: expected null or an exact-ratio string"])
+       for wt in ("1/0", "abc")},
 }
 
 
@@ -449,6 +468,71 @@ def test_malformed_plans_fail_with_a_schema_error(tmp_path, capsys, command,
     assert err.startswith("error: invalid plans.json:")
     for pointer in pointers:
         assert pointer in err
+
+
+def test_unknown_keys_are_rejected_in_every_file(tmp_path, capsys):
+    # a misspelt "parameters" used to let the defaults apply, and synthesis
+    # then found no plan (exit 2)
+    sc = _pair_dict()
+    sc["paramters"] = sc.pop("parameters")
+    assert main(["synthesize", "--scenario", _dump(tmp_path, sc),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario:")
+    assert "/paramters: unknown key" in err
+    sc = _pair_dict()
+    sc["workspace"]["uper"] = [4.0]
+    sc["regions"][0]["servces"] = {"1": ["port"]}
+    with pytest.raises(SchemaError) as exc:
+        load_scenario(_dump(tmp_path, sc))
+    assert [path for path, _ in exc.value.problems] == \
+        ["/workspace/uper", "/regions/0/servces"]
+    out, plans = _synthesized_pair_plans(tmp_path)
+    plans["agents"][0]["witnes_time"] = None
+    plans["agents"][1]["cycle"][0]["cel"] = 3
+    (out / "plans.json").write_text(json.dumps(plans))
+    capsys.readouterr()
+    assert main(["check", "--scenario", _pair_path(), "--out", str(out),
+                 "--agent", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "/agents/0/witnes_time: unknown key" in err
+    assert "/agents/1/cycle/0/cel: unknown key" in err
+    for word, where in (
+            ({"dt": 1, "prefix": [], "cycle": [[]], "cylce": []}, "/cylce"),
+            ({"dt": 1, "prefix": [], "cycle": [[]], "c/y~": []}, "/c~1y~0"),
+            ({"prefix": [{"services": [], "time": 0, "duration": 1}],
+              "cycle": [{"services": [], "duration": 1}]},
+             "/prefix/0/duration")):
+        with pytest.raises(SchemaError, match=f"{where}: unknown key"):
+            word_from_json(word)
+
+
+def test_numbers_must_be_finite(tmp_path, capsys):
+    # json.loads reads NaN and Infinity; they used to surface as a nan
+    # sampling range, a Fraction error and a malformed word without pointer,
+    # and an integer too large for a float as an OverflowError traceback
+    for v_max in (float("inf"), 10**400):
+        sc = _pair_dict()
+        sc["v_max"] = v_max
+        assert main(["bounds", "--scenario", _dump(tmp_path, sc),
+                     "--out", str(tmp_path)]) == 1
+        assert "/v_max: expected a finite number" in capsys.readouterr().err
+    out, plans = _synthesized_pair_plans(tmp_path)
+    plans["dt"] = float("nan")
+    (out / "plans.json").write_text(json.dumps(plans))
+    capsys.readouterr()
+    assert main(["check", "--scenario", _pair_path(), "--out", str(out),
+                 "--agent", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid plans.json:")
+    assert "/dt: expected a finite number" in err
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps({"dt": float("inf"), "prefix": [["port"]],
+                                "cycle": [[]]}))
+    assert main(["check", "--scenario", _pair_path(), "--out", str(out),
+                 "--agent", "1", "--word", str(word)]) == 1
+    assert "/dt: expected a number or an exact-ratio string" in \
+        capsys.readouterr().err
 
 
 def test_repeated_commands_leave_no_argparse_cycles(tmp_path):

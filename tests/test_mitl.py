@@ -205,6 +205,17 @@ def test_horizon_budget_overflow():
         evaluate(w, parse("F[0,1000] b"), budget=50)
 
 
+def test_unbounded_window_scans_one_cycle_past_the_prefix():
+    # no b anywhere: the scan visits the prefix position and then one cycle
+    # from the first in-window position past the prefix, c positions
+    for cycle in ([E], [E, A, E]):
+        w = lasso([E], cycle)
+        visited = 1 + len(cycle)
+        assert not evaluate(w, parse("F[0,inf) b"), budget=visited)
+        with pytest.raises(HorizonOverflow):
+            evaluate(w, parse("F[0,inf) b"), budget=visited - 1)
+
+
 def test_example_timed_words_from_staging_system():
     # two runs over the same plant: the first meets its deadline window,
     # the second leaves the safe region before the horizon ends
