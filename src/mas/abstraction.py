@@ -23,12 +23,22 @@ transitions can be re-validated against the actual dynamics.
 Actions are (own cell, neighbor cells...) tuples: what the agent plans to do
 given where its neighbors currently are. The product system synchronizes all
 agents cell-wise.
+
+The endpoint box depends on the neighbor cells only through the per-axis sums
+of their bounds, so the table is keyed by class: neighbor tuples whose
+floating-point sums are equal share one class, the box test runs once per
+(source cell, class), and each class's targets are stored once. Every member
+of a class computes the same box bit for bit, so the table read per action
+tuple is the one a per-tuple enumeration builds; action and transition counts
+come from the class multiplicities.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+from collections import Counter
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -79,17 +89,73 @@ class TransitionCertificate:
         return float(np.linalg.norm(self.nominal_input))
 
 
+class SumClassTable(Mapping):
+    """Enabled targets per action tuple, stored once per neighbor-sum class.
+
+    ``classes`` maps every neighbor tuple, in ``itertools.product`` order, to
+    its class; ``targets`` maps (source cell, class) to the non-empty targets
+    of every action from that source whose neighbors are in that class. Read
+    as a mapping it is the per-tuple table: ``get`` takes two lookups and
+    iteration runs source by source in neighbor-tuple order. ``len`` and
+    `transition_count` count action tuples through the class multiplicities.
+    """
+
+    def __init__(self, cells: tuple[int, ...],
+                 classes: dict[tuple[int, ...], int],
+                 targets: dict[tuple[int, int], tuple[int, ...]]):
+        self._cells = cells
+        self._classes = classes
+        self._targets = targets
+        sizes = Counter(classes.values())
+        self._len = self._transition_count = 0
+        for (_, c), enabled in targets.items():
+            self._len += sizes[c]
+            self._transition_count += sizes[c] * len(enabled)
+
+    def get(self, action, default=None):
+        c = self._classes.get(action[1:])
+        if c is None or not action:
+            return default
+        return self._targets.get((action[0], c), default)
+
+    def __getitem__(self, action) -> tuple[int, ...]:
+        targets = self.get(action)
+        if targets is None:
+            raise KeyError(action)
+        return targets
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        for source in self._cells:
+            for nbrs, c in self._classes.items():
+                if (source, c) in self._targets:
+                    yield (source,) + nbrs
+
+    def __len__(self) -> int:
+        return self._len
+
+    def transition_count(self) -> int:
+        return self._transition_count
+
+    def moves(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(source, targets) once per stored (source, class) entry."""
+        for (source, _), targets in self._targets.items():
+            yield source, targets
+
+
 @dataclass(eq=False)
 class AgentWTS:
     """One agent's weighted transition system over cell indices.
 
     ``transitions`` maps an action tuple (own cell, neighbor cells...) to the
-    tuple of targets enabled under it. Every move takes one sampling period
-    ``dt``. ``successors(cell)`` quotients the neighbor assumptions away:
-    the per-agent search needs only the agent's own cell sequence, because
-    consistency later re-derives each action from the joint state.
-    ``certify`` maps an enabled (action, target) pair to its certificate;
-    hand-built systems have none.
+    tuple of targets enabled under it: a `SumClassTable` when built from the
+    dynamics, any mapping (a dict, say) when built by hand. Every move takes
+    one sampling period ``dt``. ``successors(cell)`` quotients the neighbor
+    assumptions away: the per-agent search needs only the agent's own cell
+    sequence, because consistency later re-derives each action from the joint
+    state. ``len(transitions)`` and `transition_count` count action tuples,
+    from the class multiplicities when the table is class-keyed. ``certify``
+    maps an enabled (action, target) pair to its certificate; hand-built
+    systems have none.
     """
 
     agent: int
@@ -97,7 +163,7 @@ class AgentWTS:
     initial: int
     dt: float
     labels: dict[int, frozenset[str]]
-    transitions: dict[tuple[int, ...], tuple[int, ...]]
+    transitions: Mapping[tuple[int, ...], tuple[int, ...]]
     neighbor_agents: tuple[int, ...] = ()
     certify: Callable[[tuple[int, ...], int], TransitionCertificate] | None \
         = None
@@ -127,15 +193,20 @@ class AgentWTS:
         table is built on first use.
         """
         if self._successors is None:
+            table = self.transitions
+            moves = table.moves() if isinstance(table, SumClassTable) \
+                else ((a[0], ts) for a, ts in table.items())
             reach: dict[int, set[int]] = {}
-            for action, targets in self.transitions.items():
-                reach.setdefault(action[0], set()).update(targets)
+            for source, targets in moves:
+                reach.setdefault(source, set()).update(targets)
             self._successors = {
                 s: tuple(sorted(ts, key=lambda t: (t == s, t)))
                 for s, ts in reach.items()}
         return self._successors.get(cell, ())
 
     def transition_count(self) -> int:
+        if isinstance(self.transitions, SumClassTable):
+            return self.transitions.transition_count()
         return sum(len(ts) for ts in self.transitions.values())
 
     def certificate(self, source: int, action, target: int):
@@ -164,11 +235,18 @@ def worst_distances(decomp: CellDecomposition, actions: np.ndarray,
     """
     lows = decomp.lows[actions - 1]    # (A, deg+1, n)
     highs = decomp.highs[actions - 1]
-    deg = actions.shape[1] - 1
     sums = (lows[:, 1:].sum(axis=1), highs[:, 1:].sum(axis=1))
+    return _box_distances(lows[:, 0], highs[:, 0], sums,
+                          actions.shape[1] - 1, centers, dt)
+
+
+def _box_distances(own_lo, own_hi, sums, deg: int, centers: np.ndarray,
+                   dt: float) -> np.ndarray:
+    """(A, T) worst distances from own bounds, broadcast against the A rows
+    of the neighbor sums (lows, highs), to the T target centers."""
     # the sign of 1 - deg*dt is not fixed, so evaluate both own bounds
     ends = [own + dt * (total - deg * own)
-            for own in (lows[:, 0], highs[:, 0]) for total in sums]
+            for own in (own_lo, own_hi) for total in sums]
     lo = np.minimum.reduce(ends)[:, None, :]
     hi = np.maximum.reduce(ends)[:, None, :]
     far = np.maximum(np.abs(centers[None] - lo), np.abs(centers[None] - hi))
@@ -204,11 +282,12 @@ def build_agent_wts(
     initial_cell: int,
     max_actions: int = ACTION_ENUMERATION_CAP,
 ) -> AgentWTS:
-    """Enumerate all well-posed transitions of one agent.
+    """All well-posed transitions of one agent, as a `SumClassTable`.
 
     The action space is every (own cell, neighbor cells...) combination, so
     its size is cells^(deg+1); a cap guards against accidental blow-ups.
-    Actions are tested one source cell at a time, all neighbor cells at once.
+    Neighbor tuples are grouped by the exact floating-point sums of their
+    cells' bounds, and each source cell is tested against all classes at once.
     """
     nbrs = g.neighbors(agent)
     cells = tuple(range(1, decomp.cell_count + 1))
@@ -225,15 +304,25 @@ def build_agent_wts(
     sized = np.nonzero(rho <= inradii)[0]  # per-target remainder test
     nbr_cells = np.array(list(itertools.product(cells, repeat=len(nbrs))),
                          dtype=int).reshape(len(cells) ** len(nbrs), len(nbrs))
+    # the same reduction as `worst_distances`, so each class key is the sum
+    # every one of its tuples would compute
+    sums = np.hstack([decomp.lows[nbr_cells - 1].sum(axis=1),
+                      decomp.highs[nbr_cells - 1].sum(axis=1)])
+    keys, inverse = np.unique(sums, axis=0, return_inverse=True)
+    classes = dict(zip(map(tuple, nbr_cells.tolist()),
+                       inverse.reshape(-1).tolist()))
+    key_sums = np.hsplit(keys, 2)
 
-    transitions: dict[tuple[int, ...], tuple[int, ...]] = {}
+    target_cells = (sized + 1).tolist()
+    targets: dict[tuple[int, int], tuple[int, ...]] = {}
     for source in cells:
-        actions = np.column_stack(
-            [np.full(len(nbr_cells), source), nbr_cells])
-        ok = worst_distances(decomp, actions, centers[sized], dt) <= budget
-        for row in np.nonzero(ok.any(axis=1))[0]:
-            transitions[tuple(actions[row].tolist())] = \
-                tuple((sized[ok[row]] + 1).tolist())
+        ok = _box_distances(decomp.lows[source - 1], decomp.highs[source - 1],
+                            key_sums, len(nbrs), centers[sized], dt) <= budget
+        for c, row in enumerate(ok.tolist()):
+            enabled = tuple(itertools.compress(target_cells, row))
+            if enabled:
+                targets[source, c] = enabled
+    transitions = SumClassTable(cells, classes, targets)
 
     labels = {c: labeling.label(agent, c) for c in cells}
     wts = AgentWTS(

@@ -540,13 +540,18 @@ def word_from_json(obj) -> TimedWord:
     "cycle": [["b"]]} (position j occurs at j*dt; empty prefix allowed).
     Explicit form (``EXPLICIT_WORD``): {"prefix": [{"services": [...],
     "time": T}, ...], "cycle": [{"services": [...], "duration": D}, ...]}.
+    A word is read in the compact form when it has ``dt`` or when no step of
+    its prefix or cycle is a JSON object, so a compact word without ``dt``
+    is reported as missing ``dt``.
     Every letter is an array of service names and every time (``dt`` too) a
     finite number or an exact-ratio string like "3/2", never a boolean;
     anything else is a SchemaError naming its position. A word whose content
     is inconsistent (an empty cycle, times that do not increase, durations
     that are not positive) is a SchemaError at the document.
     """
-    compact = isinstance(obj, dict) and "dt" in obj
+    compact = isinstance(obj, dict) and ("dt" in obj or not any(
+        isinstance(step, dict) for key in ("prefix", "cycle")
+        if isinstance(obj.get(key), list) for step in obj[key]))
     _walk(obj, COMPACT_WORD if compact else EXPLICIT_WORD, "timed word")
     try:
         if compact:

@@ -385,7 +385,13 @@ def test_malformed_word_files_fail_cleanly(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     time = "expected a number or an exact-ratio string"
     cases = [
-        ({"prefix": [], "cycle": []}, "malformed timed word"),
+        ({"dt": 1, "prefix": [], "cycle": []}, "malformed timed word"),
+        ({"prefix": [{"services": [], "time": 0}], "cycle": []},
+         "malformed timed word"),
+        # no step is an object, so the word is compact and lacks dt
+        ({"prefix": [], "cycle": []}, "/dt: required key is missing"),
+        ({"prefix": [["port"]], "cycle": [[]]},
+         "/dt: required key is missing"),
         # a boolean time used to be read as 1 or 0
         ({"dt": True, "prefix": [["port"]], "cycle": [[]]}, f"/dt: {time}"),
         ({"prefix": [{"services": ["port"], "time": False}],

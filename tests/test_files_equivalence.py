@@ -9,8 +9,8 @@ emptied and its first and last elements dropped or duplicated. On every case
 both readers must give the same exit code; where the oracle raises a
 SchemaError the new reader must name the same pointers in the same order;
 where both accept the file they must return the same value. The cases whose
-outcome may differ are word cases, listed in ``ITERATED``, ``OTHER_FORM`` and
-``CAUGHT`` by the rule that decides them.
+outcome may differ are word cases, listed in ``ITERATED`` and ``CAUGHT`` by
+the rule that decides them.
 """
 
 from __future__ import annotations
@@ -570,11 +570,9 @@ compact: /cycle = {}
 explicit: /prefix = {}
 explicit: /cycle = {}
 """  # the old reader iterated a string or an object where an array belongs
-OTHER_FORM = """
-compact: /dt deleted
-"""  # without "dt" a word is read in the explicit form, whose steps are objects
 CAUGHT = """
 compact: / = {}
+compact: /dt deleted
 compact: /dt = "x"
 compact: /prefix = null
 compact: /prefix = true
@@ -686,7 +684,6 @@ def test_word_reader_matches_the_oracle():
                         [("compact", COMPACT), ("explicit", EXPLICIT)])
     listed = {group: set(cases.strip().splitlines())
               for group, cases in (("iterated", ITERATED),
-                                   ("other form", OTHER_FORM),
                                    ("caught", CAUGHT))}
     assert set(seen) == set().union(*listed.values())
     for case in listed["caught"]:
