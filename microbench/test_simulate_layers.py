@@ -1,0 +1,73 @@
+"""Microbenchmarks of closed-loop validation on the plane3-closed-loop
+benchmark scenario at seed 0 (3 agents in 2-D, 16 refined cells):
+
+* ``integrate_plans`` over 5 000 sampling steps with 4 nodes per step, the
+  run ``mas simulate`` makes there;
+* ``cells_of`` on its 15 003 boundary points (5 001 boundaries x 3 agents)
+  in the refined decomposition, the read-back behind ``services.json``.
+
+Run from the repository root (not part of the default test run):
+
+    PYTHONPATH=src python -m pytest microbench --benchmark-min-rounds=5
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from mas.cli import load_scenario, stage_abstract, stage_bounds, \
+    stage_synthesize
+from mas.partition import cells_of
+from mas.simulate import integrate_plans
+
+STEPS = 5000
+
+PLANE3 = {
+    "name": "plane3-closed-loop", "agents": 3, "dimension": 2,
+    "edges": [[1, 2], [2, 3]], "v_max": 1000.0,
+    "workspace": {"lower": [0.0, 0.0], "upper": [0.76, 0.76]},
+    "initial_positions": [[0.462733, 0.444679], [0.420656, 0.441295],
+                          [0.091583, 0.147635]],
+    "regions": [
+        {"lower": [0.38, 0.57], "upper": [0.57, 0.76],
+         "services": {"1": ["green"]}},
+        {"lower": [0.0, 0.57], "upper": [0.19, 0.76],
+         "services": {"2": ["orange"]}},
+        {"lower": [0.57, 0.38], "upper": [0.76, 0.57],
+         "services": {"3": ["black"]}}],
+    "formulas": {"1": "F[0,0.0069] green", "2": "F[0.002,0.009] orange",
+                 "3": "F[0.0014,0.009] black"},
+    "parameters": {"safety": 1.05, "lambda": 0.45, "cell_diameter": 0.27,
+                   "dt": 0.00069},
+}
+
+
+@pytest.fixture(scope="module")
+def loop(tmp_path_factory):
+    """(pipeline, plans) of the scenario, synthesized once."""
+    path = tmp_path_factory.mktemp("scenario") / "scenario.json"
+    path.write_text(json.dumps(PLANE3))
+    pipe = stage_abstract(stage_bounds(load_scenario(path)))
+    return pipe, stage_synthesize(pipe).plans
+
+
+def _run(pipe, plans):
+    sc = pipe.scenario
+    return integrate_plans(pipe.g, plans, pipe.decomp, sc.initial_positions,
+                           sc.v_max, STEPS, substeps=4)
+
+
+def test_closed_loop_integration(benchmark, loop):
+    traj = benchmark(_run, *loop)
+    assert traj.states.shape == (4 * STEPS + 1, 3, 2)
+    assert not traj.saturated
+
+
+def test_boundary_cell_lookup(benchmark, loop):
+    pipe, plans = loop
+    points = _run(pipe, plans).states[::4]
+    assert points.size // 2 == 15003
+    cells = benchmark(cells_of, pipe.decomp, points)
+    assert cells.shape == (STEPS + 1, 3)

@@ -2,13 +2,14 @@
 
 Cells are half-open boxes [lo, hi) except on the workspace's upper faces,
 where the boundary belongs to the touching cell, so every workspace point has
-exactly one cell. Cell indices are 1-based. Uniform grids are numbered in
-C order (last axis fastest); refined decompositions keep construction order.
+exactly one cell. Cell indices are 1-based. Decompositions that are a product
+of per-axis cuts (uniform grids, and refinements that add cuts) are numbered
+in C order (last axis fastest) and keep their cuts for a binary-search
+lookup; refinements by tiling regions keep construction order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -55,15 +56,14 @@ class Workspace:
 class CellDecomposition:
     """Partition of a workspace into axis-aligned boxes.
 
-    ``cells_per_axis``/``sides`` are set for uniform grids (fast indexing);
-    refined decompositions store their cells explicitly.
+    ``cuts`` is set when the cells are the product of per-axis cut arrays
+    (see `_product_cells`); other decompositions are searched cell by cell.
     """
 
     workspace: Workspace
     lows: np.ndarray   # (M, n)
     highs: np.ndarray  # (M, n)
-    cells_per_axis: tuple[int, ...] | None = None
-    sides: np.ndarray | None = None
+    cuts: tuple[np.ndarray, ...] | None = None
     diameter: float = field(default=0.0)
 
     def __post_init__(self):
@@ -96,8 +96,30 @@ class CellDecomposition:
         return 0.5 * float((hi - lo).min())
 
     @property
-    def is_uniform(self) -> bool:
-        return self.cells_per_axis is not None
+    def cells_per_axis(self) -> tuple[int, ...] | None:
+        """Cells along each axis of a product of cuts, else None."""
+        if self.cuts is None:
+            return None
+        return tuple(len(c) - 1 for c in self.cuts)
+
+
+def _product_cells(workspace: Workspace, cuts,
+                   diameter: float = 0.0) -> CellDecomposition:
+    """The cells between consecutive cuts on every axis, in C order.
+
+    Each cut array runs from the workspace's lower to its upper bound, so
+    cell faces are the cut values themselves.
+    """
+    cuts = tuple(np.asarray(c, dtype=float) for c in cuts)
+
+    def corners(faces):
+        grid = np.meshgrid(*faces, indexing="ij")
+        return np.stack(grid, axis=-1).reshape(-1, len(cuts))
+
+    return CellDecomposition(workspace=workspace,
+                             lows=corners([c[:-1] for c in cuts]),
+                             highs=corners([c[1:] for c in cuts]),
+                             cuts=cuts, diameter=diameter)
 
 
 def grid_decompose(workspace: Workspace, target_diameter: float,
@@ -126,18 +148,8 @@ def grid_decompose(workspace: Workspace, target_diameter: float,
         cuts = workspace.lower[k] + sides[k] * np.arange(counts[k] + 1)
         cuts[-1] = workspace.upper[k]  # outer face exactly on the boundary
         grid_axes.append(cuts)
-    lows = np.array([[grid_axes[k][idx[k]] for k in range(n)]
-                     for idx in itertools.product(*[range(c) for c in counts])])
-    highs = np.array([[grid_axes[k][idx[k] + 1] for k in range(n)]
-                      for idx in itertools.product(*[range(c) for c in counts])])
-    return CellDecomposition(
-        workspace=workspace,
-        lows=lows,
-        highs=highs,
-        cells_per_axis=counts,
-        sides=sides,
-        diameter=float(np.linalg.norm(sides)),
-    )
+    return _product_cells(workspace, grid_axes,
+                          diameter=float(np.linalg.norm(sides)))
 
 
 def cell_of(decomposition: CellDecomposition, point) -> int:
@@ -168,13 +180,14 @@ def cells_of(decomposition: CellDecomposition, points) -> np.ndarray:
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, ws.dimension)
     inside = np.all((pts >= ws.lower) & (pts <= ws.upper), axis=1)
-    if decomposition.is_uniform:
-        counts = np.array(decomposition.cells_per_axis)
-        idx = np.floor((pts[inside] - ws.lower) / decomposition.sides)
-        idx = np.minimum(idx.astype(int), counts - 1)  # upper faces fold in
+    if decomposition.cuts is not None:
+        counts = decomposition.cells_per_axis
+        # index of the last cut <= p; upper faces fold into the last cell
+        idx = [np.clip(np.searchsorted(c, pts[:, k], side="right") - 1, 0,
+                       counts[k] - 1)
+               for k, c in enumerate(decomposition.cuts)]
+        cells = np.ravel_multi_index(idx, counts)
         found = inside
-        cells = np.zeros(len(pts), dtype=int)
-        cells[inside] = np.ravel_multi_index(tuple(idx.T), counts)
     else:
         lows, highs = decomposition.lows, decomposition.highs
         cells = np.empty(len(pts), dtype=int)
@@ -312,6 +325,11 @@ def refine_to_compliance(
                     lows.append(lo)
                     highs.append(hi)
                     owners.append([r])
+        refined = CellDecomposition(
+            workspace=ws,
+            lows=np.array(lows).reshape(len(lows), n),
+            highs=np.array(highs).reshape(len(highs), n),
+        )
     else:
         cuts = []
         for k in range(n):
@@ -329,21 +347,11 @@ def refine_to_compliance(
             merged[0] = float(ws.lower[k])
             merged[-1] = float(ws.upper[k])
             cuts.append(np.array(merged))
-        lows, highs, owners = [], [], []
-        for idx in itertools.product(*[range(len(c) - 1) for c in cuts]):
-            lo = np.array([cuts[k][idx[k]] for k in range(n)])
-            hi = np.array([cuts[k][idx[k] + 1] for k in range(n)])
-            covering = [r for r in fixed_regions
-                        if np.all(r.lower <= lo) and np.all(hi <= r.upper)]
-            lows.append(lo)
-            highs.append(hi)
-            owners.append(covering)
+        refined = _product_cells(ws, cuts)
+        owners = [[r for r in fixed_regions
+                   if np.all(r.lower <= lo) and np.all(hi <= r.upper)]
+                  for lo, hi in zip(refined.lows, refined.highs)]
 
-    refined = CellDecomposition(
-        workspace=ws,
-        lows=np.array(lows).reshape(len(lows), n),
-        highs=np.array(highs).reshape(len(highs), n),
-    )
     agents = sorted({a for r in fixed_regions for a in r.services})
     labels: dict[int, dict[int, frozenset[str]]] = {a: {} for a in agents}
     alphabets: dict[int, set[str]] = {a: set() for a in agents}

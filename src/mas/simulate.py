@@ -16,6 +16,21 @@ A_s x_j + G_s v_j to x_j, instead of forming e^{-Ls} x_j, keeps agents that
 sit still bitwise still. Saturated inputs are reported with a warning
 because a well-posed plan never needs them.
 
+Plan execution is computed for the whole horizon at once. Unclamped, the
+feedback v_j = d_j/dt + L x_j, with d_j = C_j - x_j the offset from the
+boundary state to interval j's target center C_j, cancels the held drift
+(A_s + G_s L = 0), so every node is
+
+    x(t_j + s) = x_j + (G_s/dt) d_j,   d_{j+1} = M d_j + (C_{j+1} - C_j),
+
+with M = I - G_dt/dt diagonal in the eigenbasis, m(lam) in [0, 1). A
+doubling scan (z[k:] += m^k z[:-k] for k = 1, 2, 4, ... until k covers the
+horizon or m^k underflows to 0) gives every offset exactly, the boundary
+states are x_j = C_j - d_j, one matrix product gives all nodes, and the
+workspace check runs once over them. From the first step whose input would
+clamp, the loop is stepped interval by interval with the clamped feedback,
+as open-loop inputs always are.
+
 The helpers at the bottom turn a continuous trajectory back into discrete
 data: the cell occupied at every sampling boundary, the services provided
 (merging consecutive boundaries in the same cell into a single visit, stamped
@@ -74,18 +89,28 @@ class Trajectory:
         return np.linalg.norm(rel.reshape(rel.shape[0], -1), axis=1)
 
 
-def _interval_operator(g: NetworkGraph, dt: float,
-                       substeps: int) -> np.ndarray:
-    """[A_s | G_s] for s = h, 2h, ..., dt stacked into (substeps*N, 2N)."""
+def _modes(g: NetworkGraph, dt: float, substeps: int):
+    """Laplacian eigenbasis and the per-mode flow at s = h, 2h, ..., dt.
+
+    Returns (basis, decay, gain) with decay[s] = expm1(-lam s) and
+    gain[s] = -decay[s]/lam (s for a zero eigenvalue), each (substeps, N).
+    """
     lam, basis = np.linalg.eigh(g.laplacian)
     offsets = np.arange(1, substeps + 1) * (dt / substeps)
     decay = np.expm1(np.outer(-offsets, lam))
     gain = np.divide(-decay, lam, where=lam != 0.0,
                      out=np.repeat(offsets[:, None], lam.size, axis=1))
+    return basis, decay, gain
+
+
+def _interval_operator(g: NetworkGraph, dt: float,
+                       substeps: int) -> np.ndarray:
+    """[A_s | G_s] for s = h, 2h, ..., dt stacked into (substeps*N, 2N)."""
+    basis, decay, gain = _modes(g, dt, substeps)
     a = (basis * decay[:, None, :]) @ basis.T
     gam = (basis * gain[:, None, :]) @ basis.T
-    return np.concatenate((a, gam), axis=2).reshape(substeps * lam.size,
-                                                    2 * lam.size)
+    return np.concatenate((a, gam), axis=2).reshape(substeps * basis.shape[0],
+                                                    2 * basis.shape[0])
 
 
 def _check_workspace(workspace: Workspace, block: np.ndarray,
@@ -99,36 +124,89 @@ def _check_workspace(workspace: Workspace, block: np.ndarray,
             f"agent {int(i) + 1} left the workspace at t={times[k]:.6g}")
 
 
-def _propagate(g: NetworkGraph, x0: np.ndarray, steps: int, dt: float,
-               substeps: int, control: Callable[[int, np.ndarray], np.ndarray],
-               workspace: Workspace | None):
-    """Exact flow under the inputs control(j, x_j) held over interval j.
-
-    Returns (times, states, inputs); every node is checked against the
-    workspace when one is given.
-    """
+def _blank_trajectory(g: NetworkGraph, x0: np.ndarray, steps: int, dt: float,
+                      substeps: int) -> Trajectory:
+    """Trajectory of the right shape holding x0 at node 0, the rest unset."""
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
-    step = _interval_operator(g, dt, substeps)
-    h = dt / substeps
     total = steps * substeps
-    times = np.arange(total + 1) * h
     states = np.empty((total + 1, g.agent_count, g.dimension))
-    inputs = np.empty((steps, g.agent_count, g.dimension))
     states[0] = x0
+    return Trajectory(times=np.arange(total + 1) * (dt / substeps),
+                      states=states,
+                      inputs=np.empty((steps, g.agent_count, g.dimension)),
+                      dt=dt, substeps=substeps)
+
+
+def _propagate(g: NetworkGraph, traj: Trajectory,
+               control: Callable[[int, np.ndarray], np.ndarray],
+               workspace: Workspace | None, start: int = 0) -> None:
+    """Step the exact flow under control(j, x_j) held over interval j.
+
+    Fills traj's nodes and inputs from step ``start`` on, starting from the
+    boundary state already stored there; every node from there on is checked
+    against the workspace when one is given.
+    """
+    substeps, times, states = traj.substeps, traj.times, traj.states
+    step = _interval_operator(g, traj.dt, substeps)
     if workspace is not None:
-        _check_workspace(workspace, states[:1], times[:1])
-    for j in range(steps):
+        k = start * substeps
+        _check_workspace(workspace, states[k:k + 1], times[k:k + 1])
+    for j in range(start, traj.steps):
         k = j * substeps
         x = states[k]
         v = control(j, x)
-        inputs[j] = v
+        traj.inputs[j] = v
         block = states[k + 1:k + substeps + 1]
         increment = step @ np.concatenate((x, v))
         np.add(x, increment.reshape(block.shape), out=block)
         if workspace is not None:
             _check_workspace(workspace, block, times[k + 1:k + substeps + 1])
-    return times, states, inputs
+
+
+def _track(g: NetworkGraph, traj: Trajectory, targets: np.ndarray,
+           v_max: float) -> int:
+    """Fill traj under unclamped feedback up to its first clamped step.
+
+    targets[j] is interval j's aim C_j. Returns the first step whose input
+    would clamp (traj.steps when none does); the nodes and inputs before it
+    are set from the offset scan in the module docstring, the rest are left
+    for the stepped loop. Nothing is checked against the workspace here.
+    """
+    steps, substeps, dt = traj.steps, traj.substeps, traj.dt
+    if steps == 0:
+        return 0
+    basis, _, gain = _modes(g, dt, substeps)
+    x0 = traj.states[0]
+    # aim past the horizon at the last target, so x_steps = C_steps - d_steps
+    aims = np.concatenate((targets, targets[-1:]))
+    z = np.empty_like(aims)
+    z[0] = aims[0] - x0
+    np.subtract(aims[1:], aims[:-1], out=z[1:])
+    z = basis.T @ z
+    factor = (1.0 - gain[-1] / dt)[:, None]  # m, per eigenmode
+    k = 1
+    while k < len(z) and factor.any():
+        z[k:] += factor * z[:-k]
+        factor = factor * factor
+        k *= 2
+    offsets = basis @ z
+    x = aims - offsets
+    x[0] = x0
+    v = offsets[:-1] / dt + g.laplacian @ x[:-1]
+    clamped = (np.sqrt((v * v).sum(axis=2)) > v_max).any(axis=1)
+    first = int(np.argmax(clamped)) if clamped.any() else steps
+    agents, dimension = x0.shape
+    node_op = ((basis * (gain / dt)[:, None, :]) @ basis.T).reshape(
+        substeps * agents, agents)
+    nodes = traj.states[1:first * substeps + 1]
+    np.matmul(node_op, offsets[:first],
+              out=nodes.reshape(first, substeps * agents, dimension))
+    nodes = nodes.reshape(first, substeps, agents, dimension)
+    nodes += x[:first, None]
+    nodes[:, -1] = x[1:first + 1]
+    traj.inputs[:first] = v[:first]
+    return first
 
 
 def integrate_inputs(g: NetworkGraph, x0: np.ndarray, inputs: np.ndarray,
@@ -150,11 +228,9 @@ def integrate_inputs(g: NetworkGraph, x0: np.ndarray, inputs: np.ndarray,
         raise DimensionMismatch(
             f"inputs must have shape (steps, {g.agent_count}, "
             f"{g.dimension}), got {inputs.shape}")
-    times, states, applied = _propagate(
-        g, x0, inputs.shape[0], dt, substeps, lambda j, x: inputs[j],
-        workspace)
-    return Trajectory(times=times, states=states, inputs=applied, dt=dt,
-                      substeps=substeps)
+    traj = _blank_trajectory(g, x0, inputs.shape[0], dt, substeps)
+    _propagate(g, traj, lambda j, x: inputs[j], workspace)
+    return traj
 
 
 def _planned_cells(plans: list, positions: int,
@@ -225,17 +301,20 @@ def integrate_plans(g: NetworkGraph, plans: list, decomp: CellDecomposition,
             saturated.extend((j, int(i) + 1) for i in np.flatnonzero(clipped))
         return v
 
-    times, states, inputs = _propagate(g, x0, steps, dt, substeps, control,
-                                       decomp.workspace)
+    traj = _blank_trajectory(g, x0, steps, dt, substeps)
+    first = _track(g, traj, targets, v_max)
+    node = first * substeps + 1
+    _check_workspace(decomp.workspace, traj.states[:node], traj.times[:node])
+    _propagate(g, traj, control, decomp.workspace, start=first)
     if saturated:
         warnings.warn(
             f"feedback input saturated at {len(saturated)} (step, agent) "
             f"pairs; first at step {saturated[0][0]} for agent "
             f"{saturated[0][1]}", InputSaturationFlag, stacklevel=2)
+    traj.saturated = tuple(saturated)
     logger.info("integrated %d steps (%d nodes) up to t=%.6g", steps,
-                states.shape[0], float(times[-1]))
-    return Trajectory(times=times, states=states, inputs=inputs, dt=dt,
-                      substeps=substeps, saturated=tuple(saturated))
+                traj.states.shape[0], float(traj.times[-1]))
+    return traj
 
 
 def boundary_cells(traj: Trajectory, decomp: CellDecomposition) -> np.ndarray:

@@ -91,19 +91,15 @@ def test_cell_of_returns_a_containing_cell(px, py):
 
 
 def _reference_cell(decomposition, point) -> int:
-    """Point-at-a-time lookup the array form replaced (test oracle)."""
+    """First cell whose stored bounds hold the point (test oracle).
+
+    Cells are half-open except on the workspace's upper faces, which belong
+    to the touching cell.
+    """
     p = np.asarray(point, dtype=float).reshape(-1)
     ws = decomposition.workspace
     if not ws.contains(p):
         raise OutsideWorkspace("outside")
-    if decomposition.is_uniform:
-        counts = np.array(decomposition.cells_per_axis)
-        idx = np.floor((p - ws.lower) / decomposition.sides).astype(int)
-        idx = np.minimum(idx, counts - 1)
-        flat = 0
-        for k in range(ws.dimension):
-            flat = flat * counts[k] + idx[k]
-        return int(flat) + 1
     at_top = p == ws.upper
     ge_lo = decomposition.lows <= p
     lt_hi = (p < decomposition.highs) | (at_top & (p == decomposition.highs))
@@ -158,6 +154,49 @@ def test_array_lookup_matches_the_point_lookup_it_replaced():
         grid = points[:120].reshape(40, 3, -1)
         assert np.array_equal(cells_of(decomposition, grid),
                               np.reshape(expected[:120], (40, 3)))
+
+
+def _cut_probes(decomposition, rng, count):
+    """Points with one coordinate on a cut or one ulp either side of it,
+    and points with every coordinate so (grid corners and their ulps)."""
+    ws = decomposition.workspace
+    n = ws.dimension
+    points = []
+    for k, cuts in enumerate(decomposition.cuts):
+        near = np.concatenate([cuts, np.nextafter(cuts, -np.inf),
+                               np.nextafter(cuts, np.inf)])
+        near = near[(near >= ws.lower[k]) & (near <= ws.upper[k])]
+        base = ws.lower + rng.random((near.size, n)) * ws.extent
+        base[:, k] = near
+        points.append(base)
+    corners = np.empty((count, n))
+    for k, cuts in enumerate(decomposition.cuts):
+        picks = rng.choice(cuts, size=count)
+        corners[:, k] = np.nextafter(
+            picks, picks + rng.choice([-1.0, 0.0, 1.0], size=count))
+    points.append(np.clip(corners, ws.lower, ws.upper))
+    return np.concatenate(points)
+
+
+def test_lookup_agrees_with_the_stored_bounds_on_and_beside_every_cut():
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n = 1 + trial % 2
+        lower = rng.uniform(-3.0, 3.0, size=n)
+        ws = _ws(lower, lower + rng.uniform(0.5, 4.0, size=n))
+        grid = grid_decompose(ws, float(rng.uniform(0.05, 1.0)))
+        patch_lo = ws.lower + rng.random(n) * 0.5 * ws.extent
+        patch = LabeledRegion(patch_lo, patch_lo + 0.37 * ws.extent,
+                              {1: frozenset({"a"})})
+        for decomposition in (grid, refine_to_compliance([patch], grid)[0]):
+            assert decomposition.cuts is not None
+            points = _cut_probes(decomposition, rng, 40)
+            cells = cells_of(decomposition, points)
+            lo = decomposition.lows[cells - 1]
+            hi = decomposition.highs[cells - 1]
+            assert np.all((lo <= points) & (points <= hi))
+            expected = [_reference_cell(decomposition, p) for p in points]
+            assert cells.tolist() == expected
 
 
 def test_array_lookup_rejects_outside_points_and_names_the_first():

@@ -5,13 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from mas.abstraction import feedback_input
+from mas.abstraction import feedback_input, feedback_inputs
 from mas.errors import (DimensionMismatch, InputSaturationFlag, LabelMismatch,
                         SemanticError, WorkspaceExit)
 from mas.graph import build_graph, relative_state, spectral
 from mas.partition import (CellDecomposition, ServiceLabeling, Workspace,
                            grid_decompose)
-from mas.simulate import (Trajectory, bang_bang_inputs, boundary_cells,
+from mas.simulate import (WORKSPACE_TOL, Trajectory, _interval_operator,
+                          bang_bang_inputs, boundary_cells,
                           extract_service_word, integrate_inputs,
                           integrate_plans, verify_against_plans,
                           verify_boundedness)
@@ -332,6 +333,113 @@ def test_closed_loop_names_the_agent_that_leaves_the_workspace():
                              f"t={first * 0.0625:.6g}$"):
         integrate_plans(g, [plan1, plan2], decomp, x0, v_max=1000.0, steps=2,
                         substeps=4)
+
+
+def _stepped_closed_loop(g, plans, decomp, x0, v_max, steps, substeps):
+    """The closed loop stepped one interval at a time (test oracle).
+
+    Feedback from the measured boundary state, then the exact flow over the
+    interval's nodes, each checked against the workspace in time order.
+    Returns (states, inputs, saturated).
+    """
+    dt = plans[0].dt
+    ordered = sorted(plans, key=lambda plan: plan.agent)
+    step = _interval_operator(g, dt, substeps)
+    ws = decomp.workspace
+    h = dt / substeps
+    states, inputs, saturated = [np.asarray(x0, dtype=float)], [], []
+
+    def check(x, k):
+        out = ((x < ws.lower - WORKSPACE_TOL)
+               | (x > ws.upper + WORKSPACE_TOL)).any(axis=1)
+        if out.any():
+            raise WorkspaceExit(f"agent {int(np.argmax(out)) + 1} left the "
+                                f"workspace at t={k * h:.6g}")
+
+    check(states[0], 0)
+    for j in range(steps):
+        x = states[-1]
+        aims = np.array([decomp.center(p.cell_at(j + 1)) for p in ordered])
+        v, clipped = feedback_inputs(g, x, aims, dt, v_max)
+        saturated.extend((j, int(i) + 1) for i in np.flatnonzero(clipped))
+        inputs.append(v)
+        block = x + (step @ np.concatenate((x, v))).reshape(substeps, *x.shape)
+        for s, node in enumerate(block, start=1):
+            check(node, j * substeps + s)
+            states.append(node)
+    return np.array(states), np.array(inputs), saturated
+
+
+def _random_connected_graph(rng, agents, dimension):
+    edges = {(int(rng.integers(1, i)), i) for i in range(2, agents + 1)}
+    for i in range(1, agents + 1):
+        for k in range(i + 1, agents + 1):
+            if rng.random() < 0.3:
+                edges.add((i, k))
+    return build_graph(agents, sorted(edges), dimension=dimension)
+
+
+def _outcome(g, plans, decomp, x0, v_max, steps, substeps):
+    """(trajectory or WorkspaceExit text) of integrate_plans, no warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InputSaturationFlag)
+        try:
+            return integrate_plans(g, plans, decomp, x0, v_max, steps,
+                                   substeps=substeps)
+        except WorkspaceExit as exc:
+            return str(exc)
+
+
+def test_closed_loop_matches_the_stepped_loop_on_long_random_runs():
+    rng = np.random.default_rng(13)
+    steps = 2000
+    clamped_mid_run = exits = 0
+    for trial in range(12):
+        dimension = 1 + trial % 2
+        g = _random_connected_graph(rng, int(rng.integers(2, 5)), dimension)
+        lower = rng.uniform(-2.0, 2.0, size=dimension)
+        ws = _ws(lower, lower + rng.uniform(1.0, 4.0, size=dimension))
+        grid = grid_decompose(ws, float(rng.uniform(0.3, 0.8)))
+        dt = float(10 ** rng.uniform(-3.0, -0.3))  # m from ~1e-3 to ~0.4
+        substeps = int(rng.integers(1, 5))
+        plans = _random_walk_plans(grid, rng, g.agent_count, dt, steps + 1)
+        # one far jump mid-run: the largest input of an unclamped run
+        jump = int(rng.integers(steps // 4, 3 * steps // 4))
+        cells = [*plans[0].prefix_cells, *plans[0].cycle_cells]
+        cells[jump + 1:] = [grid.cell_count + 1 - c for c in cells[jump + 1:]]
+        plans[0] = _plan(cells, dt)
+        decomp = grid
+        if trial % 4 == 3:  # cells on the upper x face reach past the wall
+            highs = grid.highs.copy()
+            highs[highs[:, 0] == ws.upper[0], 0] += 3.0 * ws.extent[0]
+            decomp = CellDecomposition(ws, lows=grid.lows, highs=highs)
+        x0 = np.array([grid.center(p.cell_at(0)) for p in plans])
+        x0 += rng.uniform(-0.2, 0.2, size=x0.shape) * grid.diameter
+        x0 = np.clip(x0, ws.lower, ws.upper)
+        args = (g, plans, decomp, x0)
+        try:
+            _, free, _ = _stepped_closed_loop(*args, np.inf, steps, substeps)
+            peaks = np.linalg.norm(free, axis=2).max(axis=1)
+            limits = (np.inf, 0.5 * (peaks[:jump].max() + peaks.max()))
+        except WorkspaceExit:
+            limits = (np.inf,)
+        for v_max in limits:
+            got = _outcome(*args, v_max, steps, substeps)
+            try:
+                states, inputs, saturated = _stepped_closed_loop(
+                    *args, v_max, steps, substeps)
+            except WorkspaceExit as exc:
+                assert got == str(exc)
+                exits += 1
+                continue
+            scale = float(ws.extent.max())
+            assert np.max(np.abs(got.states - states)) <= 1e-12 * scale
+            assert np.max(np.abs(got.inputs - inputs)) <= 1e-12 * scale / dt
+            assert list(got.saturated) == saturated
+            if saturated:
+                assert saturated[0][0] >= jump > 0
+                clamped_mid_run += 1
+    assert clamped_mid_run and exits
 
 
 # --------------------------------------------------------------------------
