@@ -1,13 +1,17 @@
 """Microbenchmarks of the timed search inside ``synthesize``.
 
-All four run on a two-agent scenario with two-window goals whose per-agent
-runs never combine, so synthesis enumerates lassos, rejects all 276
-combinations and searches the joint product:
+The first four run on a two-agent scenario with two-window goals whose
+per-agent runs never combine, so synthesis enumerates lassos, rejects all
+276 combinations and searches the joint product:
 
 * cold ``BuchiProduct.successors`` expansion of agent 1's whole product;
 * cold ``enumerate_accepting_lassos`` on agent 1's product (its 12 lassos);
 * ``consistent`` over the 276 combinations of per-agent lassos;
 * ``intersect`` of the two agents' automata, with its largest constant.
+
+The last translates ``F[0,1] a & F[0,2] b & G[0,3] !c`` over the letters an
+agent with k one-service regions emits, none and one per service, for
+k = 3..7.
 
 Run from the repository root (not part of the default test run):
 
@@ -22,7 +26,7 @@ import json
 import pytest
 
 from mas.cli import load_scenario, stage_abstract, stage_bounds
-from mas.mitl import atoms
+from mas.mitl import parse
 from mas.synthesis import (BuchiProduct, _project_cells, consistent,
                            enumerate_accepting_lassos)
 from mas.abstraction import ProductWTS
@@ -52,14 +56,10 @@ def pipe(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def automata(pipe):
-    """Each agent's automaton over the alphabet ``synthesize`` uses."""
-    sc = pipe.scenario
-    out = []
-    for w in pipe.wts_list:
-        sigma = atoms(sc.formulas[w.agent])
-        sigma |= frozenset().union(*w.labels.values())
-        out.append(from_flat_mitl(sc.formulas[w.agent], sigma))
-    return out
+    """Each agent's automaton over the letters ``synthesize`` passes."""
+    return [from_flat_mitl(pipe.scenario.formulas[w.agent],
+                           {w.label(c) for c in w.cells})
+            for w in pipe.wts_list]
 
 
 def _expand_all(system, automaton) -> int:
@@ -103,3 +103,12 @@ def test_consistency_over_all_combinations(benchmark, pipe, automata):
 def test_intersection_of_agent_automata(benchmark, automata):
     c_max = benchmark(lambda: intersect(*automata).c_max)
     assert c_max == 2
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_translation_over_emitted_letters(benchmark, k):
+    formula = parse("F[0,1] a & F[0,2] b & G[0,3] !c")
+    letters = [frozenset()] + [frozenset({s}) for s in "abcdefg"[:k]]
+    automaton = benchmark(from_flat_mitl, formula, letters)
+    assert {automaton.labels[q] for q in automaton.locations} \
+        <= set(letters)

@@ -3,9 +3,11 @@
 The planner works in stages:
 
 1. translate each agent's formula into a timed Büchi automaton over the
-   agent's service alphabet;
+   letters its cells emit;
 2. build each agent's (transition system x automaton) product and enumerate
-   candidate accepting lassos, cheapest first;
+   candidate accepting lassos, cheapest first; an agent whose product has
+   none makes the whole problem unsatisfiable (its system allows every
+   neighbor move, so every joint run projects onto a run of it);
 3. try combinations of per-agent lassos (lexicographically, up to an
    iteration budget): align them to a common prefix/period and keep the first
    combination whose joint behavior every agent's transition table allows;
@@ -44,7 +46,7 @@ from ._ndfs import Lasso
 from .abstraction import AgentWTS, ProductWTS, TransitionCertificate
 from .errors import LengthMismatch, Unsatisfiable
 from .graph import NetworkGraph
-from .mitl import (MitlFormula, TimedWord, atoms, evaluate, formula_to_text,
+from .mitl import (MitlFormula, TimedWord, evaluate, formula_to_text,
                    witness_instant, word_from_lasso)
 from .tba import TickClocks, TimedAutomaton, from_flat_mitl, intersect
 
@@ -301,53 +303,55 @@ def synthesize(
 ) -> SynthesisResult:
     """Synthesize consistent per-agent plans satisfying every agent's formula.
 
-    Raises Unsatisfiable when the exhaustive product search proves there is
-    no accepting joint run; BudgetExceeded when a cap stopped the search
+    Raises Unsatisfiable when some agent's own product has no accepting
+    lasso, or when the exhaustive joint product search proves there is no
+    accepting joint run; BudgetExceeded when a cap stopped the search
     before it could conclude either way.
     """
     if sorted(formulas) != [w.agent for w in wts_list]:
         raise ValueError("need exactly one formula per agent")
     dt = wts_list[0].dt
-    automata: dict[int, TimedAutomaton] = {}
-    for w in wts_list:
-        sigma = atoms(formulas[w.agent])
-        sigma |= frozenset().union(*w.labels.values()) if w.labels else frozenset()
-        automata[w.agent] = from_flat_mitl(formulas[w.agent], sigma)
+    automata = [from_flat_mitl(formulas[w.agent],
+                               {w.label(c) for c in w.cells})
+                for w in wts_list]
     product = ProductWTS(wts_list, g)
 
     per_agent: list[list[Lasso]] = []
-    for w in wts_list:
-        bp = BuchiProduct(w, automata[w.agent])
+    for w, automaton in zip(wts_list, automata):
+        bp = BuchiProduct(w, automaton)
+        # shortest_lassos raises BudgetExceeded rather than stop early, so
+        # an empty list comes from a complete search
         lassos = enumerate_accepting_lassos(bp, max_states=max_states)
         logger.info("agent %d: %d candidate accepting lassos", w.agent,
                     len(lassos))
+        if not lassos:
+            raise Unsatisfiable(f"agent {w.agent} cannot meet its formula "
+                                f"{formula_to_text(formulas[w.agent])} even "
+                                f"alone: its product has no accepting lasso")
         per_agent.append(lassos)
 
     combos_tried = 0
-    if all(per_agent):
-        projected = [[_project_cells(lasso, None) for lasso in lassos]
-                     for lassos in per_agent]
-        for runs in itertools.product(*projected):
-            if combos_tried >= r_iter:
-                logger.info("combination budget %d exhausted", r_iter)
-                break
-            combos_tried += 1
-            try:
-                ok = consistent(runs, product, lcm_cap)
-            except LengthMismatch:
-                continue
-            if ok:
-                aligned = align_runs(runs, lcm_cap)
-                plans = _build_plans(aligned, wts_list, product, formulas, dt)
-                return SynthesisResult(
-                    plans=plans, step_used=3,
-                    agent_lasso_counts=[len(ls) for ls in per_agent],
-                    combinations_tried=combos_tried)
+    projected = [[_project_cells(lasso, None) for lasso in lassos]
+                 for lassos in per_agent]
+    for runs in itertools.product(*projected):
+        if combos_tried >= r_iter:
+            logger.info("combination budget %d exhausted", r_iter)
+            break
+        combos_tried += 1
+        try:
+            ok = consistent(runs, product, lcm_cap)
+        except LengthMismatch:
+            continue
+        if ok:
+            aligned = align_runs(runs, lcm_cap)
+            plans = _build_plans(aligned, wts_list, product, formulas, dt)
+            return SynthesisResult(
+                plans=plans, step_used=3,
+                agent_lasso_counts=[len(ls) for ls in per_agent],
+                combinations_tried=combos_tried)
 
     logger.info("falling back to the full product search")
-    joint_automaton = reduce(intersect,
-                             [automata[w.agent] for w in wts_list])
-    bp = BuchiProduct(product, joint_automaton)
+    bp = BuchiProduct(product, reduce(intersect, automata))
     lasso = find_accepting_lasso(bp, max_states=max_states)
     if lasso is None:
         raise Unsatisfiable(

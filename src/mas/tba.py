@@ -17,16 +17,20 @@ all hold this same value, and an intersection shares it too.
 ``from_flat_mitl`` builds an automaton accepting exactly the words that
 satisfy a flat formula: each temporal conjunct becomes a three-phase shape
 (waiting / witnessing / done, or outside-window / inside-window for "always")
-whose phases are expanded over the concrete letters satisfying their
-propositional operand; conjunction is the synchronous product. ``intersect``
-builds the product's locations at once and each location's edges when they
-are first asked for.
+whose phases are expanded over the given letters (the service sets the
+words can carry; by default every subset of the formula's atoms) that
+satisfy their propositional operand; conjunction is the synchronous
+product. ``intersect`` builds the product's locations at once and each
+location's edges when they are first asked for.
 
 The clock is counted in integer ticks (``TickClocks``): when every delay is
 a multiple of delta, their gcd, the clock value is k*delta for an int k, and
 each guard is an integer range on k. Values above the largest constant
 c_max are saturated to one tick, floor(c_max/delta) + 1, which guards cannot
-tell apart from the true value. In a synthesis product every move takes the
+tell apart from the true value. c_max is read off the windows: a
+conjunct's is its formula window's largest constant, whichever letters its
+phases were expanded over, and an intersection's is the larger of its
+parts'. In a synthesis product every move takes the
 sampling period, so delta is dt; ``accepts_lasso`` ticks at the gcd of the
 checked word's gaps. Either way each move adds at least one tick, so the
 clock never decreases and every cycle of a product lies at the saturated
@@ -53,23 +57,21 @@ _NODE_CAP = 500_000
 @dataclass(frozen=True)
 class Guard:
     """Conjunction of windows the clock must lie in; empty tuple = always
-    true.
-
-    A conjoined guard keeps every term, so its constants, and hence an
-    automaton's c_max, are those of the guards it was built from.
-    """
+    true."""
 
     terms: tuple[Interval, ...] = ()
 
     def conjoin(self, other: "Guard") -> "Guard":
         return Guard(self.terms + other.terms)
 
-    def constants(self) -> list[Fraction]:
-        return [c for term in self.terms for c in (term.lo, term.hi)
-                if c is not None]
-
 
 TRUE_GUARD = Guard()
+
+
+def _largest_constant(guards: Iterable[Guard]) -> Fraction:
+    """Largest window end in the guards (0 without any; none is negative)."""
+    return max([Fraction(0), *(c for g in guards for t in g.terms
+                               for c in (t.lo, t.hi) if c is not None)])
 
 
 @dataclass(frozen=True)
@@ -83,30 +85,23 @@ class TimedAutomaton:
     """Timed Büchi automaton with letter-labelled locations.
 
     ``edges_from[q]`` lists the edges leaving q in a fixed order; ``edges``
-    lists them all, location by location. ``edge_constants`` maps each
-    (source letter, target letter) class of edges to the largest constant in
-    their guards, 0 when they have none (constants are non-negative).
+    lists them all, location by location. ``c_max`` is the largest constant
+    the clock is compared with: by default the largest guard constant on
+    the edges; a translation passes its formula windows' instead.
     """
 
     def __init__(self, locations, initial, edges, accepting, labels,
-                 alphabet):
+                 alphabet, c_max: Fraction | None = None):
         self._set_locations(locations, initial, accepting, labels, alphabet)
-        known = set(self.locations)
         edges = tuple(edges)
+        grouped: dict[Any, list[Edge]] = {loc: [] for loc in self.locations}
         for edge in edges:
-            if edge.source not in known or edge.target not in known:
+            if edge.source not in grouped or edge.target not in grouped:
                 raise ValueError(f"edge {edge} references an unknown location")
-        self.edges_from: dict[Any, tuple[Edge, ...]] = {loc: () for loc in self.locations}
-        grouped: dict[Any, list[Edge]] = {}
-        self.edge_constants: dict[tuple, Fraction] = {}
-        for edge in edges:
-            grouped.setdefault(edge.source, []).append(edge)
-            key = (self.labels[edge.source], self.labels[edge.target])
-            self.edge_constants[key] = max(
-                [self.edge_constants.get(key, Fraction(0)),
-                 *edge.guard.constants()])
-        for loc, lst in grouped.items():
-            self.edges_from[loc] = tuple(lst)
+            grouped[edge.source].append(edge)
+        self.edges_from = {loc: tuple(lst) for loc, lst in grouped.items()}
+        self.c_max = _largest_constant(e.guard for e in edges) \
+            if c_max is None else c_max
 
     def _set_locations(self, locations, initial, accepting, labels, alphabet):
         self.locations = tuple(locations)
@@ -121,11 +116,6 @@ class TimedAutomaton:
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(e for loc in self.locations for e in self.edges_from[loc])
-
-    @cached_property
-    def c_max(self) -> Fraction:
-        """Largest constant in any guard (0 without any)."""
-        return max([Fraction(0), *self.edge_constants.values()])
 
     def location_count(self) -> int:
         return len(self.locations)
@@ -278,7 +268,8 @@ def _conjuncts(f: MitlFormula) -> list[MitlFormula]:
 
 
 def canonical_letters(alphabet: frozenset[str]) -> list[frozenset[str]]:
-    """All subsets of the alphabet in a deterministic order."""
+    """All subsets of the alphabet in canonical order: by size, then by
+    their sorted names."""
     names = sorted(alphabet)
     letters = []
     for r in range(len(names) + 1):
@@ -376,10 +367,10 @@ def _check_flat(unit: MitlFormula):
             raise UnsupportedNesting(f"unsupported conjunct: {unit!r}")
 
 
-def _unit_automaton(unit: MitlFormula, alphabet: frozenset[str]) -> TimedAutomaton:
+def _unit_automaton(unit: MitlFormula, letters: list[frozenset[str]],
+                    alphabet: frozenset[str]) -> TimedAutomaton:
     _check_flat(unit)
     phases, phase_edges, initials, accepting = _unit_phases(unit)
-    letters = canonical_letters(alphabet)
     phase_letters = {
         name: [lt for lt in letters if _phase_pred_holds(pred, lt)]
         for name, pred in phases}
@@ -399,23 +390,27 @@ def _unit_automaton(unit: MitlFormula, alphabet: frozenset[str]) -> TimedAutomat
     accept = [(name, lt) for name in accepting for lt in phase_letters[name]]
     return TimedAutomaton(
         locations=locations, initial=initial, edges=edges, accepting=accept,
-        labels=labels, alphabet=alphabet)
+        labels=labels, alphabet=alphabet,
+        c_max=_largest_constant(guard for _, _, guard in phase_edges))
 
 
 def from_flat_mitl(formula: MitlFormula,
-                   alphabet: Iterable[str] | None = None) -> TimedAutomaton:
+                   letters: Iterable[Iterable[str]] | None = None
+                   ) -> TimedAutomaton:
     """Automaton accepting exactly the timed words satisfying a flat formula.
 
-    ``alphabet`` (defaults to the formula's atoms) fixes the service universe
-    the word letters range over; it must cover the formula's atoms.
+    ``letters`` are the service sets a word's positions can carry, by
+    default every subset of the formula's atoms (``canonical_letters``).
+    Each phase is expanded over those letters only, in canonical order, so
+    an atom that no letter carries is never true. The automaton's alphabet
+    is the formula's atoms and every service of the letters.
     """
-    sigma = frozenset(alphabet) if alphabet is not None else atoms(formula)
-    missing = atoms(formula) - sigma
-    if missing:
-        raise ValueError(f"alphabet is missing formula atoms: {sorted(missing)}")
-    normalized = _normalize(formula)
-    units = _conjuncts(normalized)
-    automata = [_unit_automaton(u, sigma) for u in units]
+    universe = canonical_letters(atoms(formula)) if letters is None \
+        else sorted({frozenset(lt) for lt in letters},
+                    key=lambda lt: (len(lt), sorted(lt)))
+    alphabet = atoms(formula).union(*universe)
+    automata = [_unit_automaton(u, universe, alphabet)
+                for u in _conjuncts(_normalize(formula))]
     return reduce(intersect, automata)
 
 
@@ -488,15 +483,7 @@ class _Intersection(TimedAutomaton):
                     for qa, qb, ph in locations},
             alphabet=a.alphabet | b.alphabet)
         self.edges_from = _EdgeTable(a, b, view_a, view_b)
-        # an edge pair exists iff both ends agree on the shared alphabet,
-        # which depends on the letters only
-        self.edge_constants = {}
-        for (sa, ta), ca in a.edge_constants.items():
-            for (sb, tb), cb in b.edge_constants.items():
-                if sa & shared == sb & shared and ta & shared == tb & shared:
-                    key = (sa | sb, ta | tb)
-                    self.edge_constants[key] = max(
-                        self.edge_constants.get(key, Fraction(0)), ca, cb)
+        self.c_max = max(a.c_max, b.c_max)
 
 
 def universal_acceptor(alphabet: Iterable[str]) -> TimedAutomaton:
@@ -525,20 +512,30 @@ def accepts_lasso(automaton: TimedAutomaton, word: TimedWord,
     BudgetExceeded fires once the search has visited more than ``node_cap``
     nodes. Timestamps strictly increase, so each move adds at least one
     tick and only saturated nodes can close the cycle (``recurs``).
+
+    The automaton reads each word letter's services in its alphabet; a
+    ValueError names the first such letter that no location carries.
     """
     if not isinstance(word, TimedWord):
         raise NonPeriodicWord(
             f"need an ultimately periodic TimedWord, got {type(word).__name__}")
     clocks = TickClocks(automaton, word.gaps())
+    letters = [word.letter(j) & automaton.alphabet
+               for j in range(word.prefix_length + word.cycle_length)]
+    carried = set(automaton.labels.values())
+    for position, letter in enumerate(letters):
+        if letter not in carried:
+            raise ValueError(f"no location carries the letter "
+                             f"{sorted(letter)} at word position {position}")
     starts = [(loc, 0, 0) for loc in automaton.initial
-              if automaton.labels[loc] == word.letter(0)]
+              if automaton.labels[loc] == letters[0]]
 
     def successors(node):
         loc, k, phase = node
         # the position this phase stands for advances to phase+1
         d = clocks.ticks(word.time(phase + 1) - word.time(phase))
         next_phase = word.canonical(phase + 1)
-        k, targets = clocks.moves(loc, k, d, word.letter(phase + 1))
+        k, targets = clocks.moves(loc, k, d, letters[next_phase])
         return [(target, k, next_phase) for target in targets]
 
     lasso = _ndfs.find_accepting_cycle(

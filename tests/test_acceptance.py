@@ -21,7 +21,7 @@ from mas.mitl import TimedWord, evaluate, parse, to_fraction, word_from_lasso
 from mas.partition import cell_of
 from mas.simulate import bang_bang_inputs, integrate_inputs
 from mas.synthesis import BuchiProduct, find_accepting_lasso, synthesize
-from mas.tba import accepts_lasso, from_flat_mitl
+from mas.tba import accepts_lasso, canonical_letters, from_flat_mitl
 
 from conftest import (batched_rk4, planning_example, random_connected_graph,
                       random_flat_formula, random_lasso_word)
@@ -164,8 +164,9 @@ def test_word_evaluator_agrees_with_template_automata():
     agreements = satisfied = 0
     for _ in range(500):
         formula = random_flat_formula(rng)
-        word = random_lasso_word(rng)
-        auto = from_flat_mitl(formula, alphabet=frozenset({"p", "q"}))
+        # r is a service outside the automaton's alphabet
+        word = random_lasso_word(rng, names=("p", "q", "r"))
+        auto = from_flat_mitl(formula, letters=canonical_letters({"p", "q"}))
         by_eval = evaluate(word, formula)
         by_auto = accepts_lasso(auto, word)
         agreements += by_eval is by_auto
@@ -280,7 +281,7 @@ def test_product_emptiness_matches_exhaustive_word_search():
     with_plan = without = 0
     for _ in range(20):
         wts, formula = _random_instance(rng)
-        auto = from_flat_mitl(formula, alphabet=frozenset({"p", "q"}))
+        auto = from_flat_mitl(formula, letters=canonical_letters({"p", "q"}))
         lasso = find_accepting_lasso(BuchiProduct(wts, auto))
         words = _all_lasso_words(wts)
         sample = itertools.islice(sorted(words), 25)

@@ -182,7 +182,10 @@ def test_unsatisfiable_scenario_exits_2(tmp_path, capsys):
     assert main(["synthesize",
                  "--scenario", str(SCENARIOS / "pair_line_unsat.json"),
                  "--out", str(tmp_path)]) == 2
-    assert "unsatisfiable" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unsatisfiable" in err
+    # agent 1's own product already has no accepting lasso
+    assert "agent 1 " in err
 
 
 def test_exhausted_state_budget_exits_3(tmp_path, capsys):

@@ -21,7 +21,8 @@ import pytest
 from mas import _ndfs
 from mas.errors import BudgetExceeded
 from mas.mitl import TimedWord
-from mas.tba import TickClocks, accepts_lasso, from_flat_mitl
+from mas.tba import (TickClocks, accepts_lasso, canonical_letters,
+                     from_flat_mitl)
 
 from conftest import random_flat_formula, random_lasso_word
 
@@ -396,7 +397,7 @@ def test_on_demand_acceptance_matches_the_eager_graph():
     verdicts = set()
     for k in range(300):
         formula = random_flat_formula(rng)
-        auto = from_flat_mitl(formula, alphabet=frozenset({"p", "q"}))
+        auto = from_flat_mitl(formula, letters=canonical_letters({"p", "q"}))
         if k % 2:
             word = random_lasso_word(rng)
         else:  # non-uniform gaps: a prefix at one spacing, a cycle at another

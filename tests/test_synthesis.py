@@ -1,17 +1,22 @@
 """Plan synthesis: per-agent products, alignment, consistency, joint search."""
 
+import json
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from mas import synthesis, tba
 from mas.abstraction import AgentWTS, ProductWTS
+from mas.cli import load_scenario, stage_abstract, stage_bounds
 from mas.errors import LengthMismatch, Unsatisfiable
 from mas.graph import build_graph
 from mas.mitl import evaluate, parse, word_from_lasso
 from mas.synthesis import (BuchiProduct, align_runs, consistent,
                            enumerate_accepting_lassos, find_accepting_lasso,
                            synthesize, witness_instant)
-from mas.tba import accepts_lasso, from_flat_mitl
+from mas.tba import accepts_lasso, canonical_letters, from_flat_mitl
 
 from conftest import four_state_timed_wts, planning_example
 
@@ -19,7 +24,8 @@ from conftest import four_state_timed_wts, planning_example
 def _single_agent_product(formula_text, wts=None):
     # a period of 1.5 brings green back every 3 time units
     wts = wts or four_state_timed_wts(dt=1.5)
-    auto = from_flat_mitl(parse(formula_text), alphabet=frozenset({"green"}))
+    auto = from_flat_mitl(parse(formula_text),
+                          letters=canonical_letters({"green"}))
     return BuchiProduct(wts, auto), wts, auto
 
 
@@ -168,8 +174,74 @@ def test_forced_joint_search_finds_the_same_witnesses():
 def test_impossible_deadline_is_proven_unsatisfiable():
     wts_list, g, formulas = planning_example(1.0)
     formulas[3] = parse("F[0,1] blue")  # blue is three moves away
-    with pytest.raises(Unsatisfiable):
+    with pytest.raises(Unsatisfiable, match=r"agent 3 .* F\[0,1\] \(blue\)"):
         synthesize(wts_list, g, formulas)
+
+
+def test_joint_conflict_is_proven_unsatisfiable_by_the_joint_search():
+    # each agent meets its goal on its own, but agent 1 may leave cell 0
+    # for its cell a only while agent 2 sits in its cell b, where agent 2
+    # must never be
+    g = build_graph(2, [(1, 2)])
+    w1 = AgentWTS(agent=1, cells=(0, 1), initial=0, dt=1.0,
+                  labels={1: frozenset({"a"})},
+                  transitions={(0, 0): (0,), (0, 1): (0, 1), (1, 0): (1,),
+                               (1, 1): (1,)},
+                  neighbor_agents=(2,))
+    w2 = AgentWTS(agent=2, cells=(0, 1), initial=0, dt=1.0,
+                  labels={1: frozenset({"b"})},
+                  transitions={(c, d): (0, 1) for c in (0, 1)
+                               for d in (0, 1)},
+                  neighbor_agents=(1,))
+    formulas = {1: parse("F[0,3] a"), 2: parse("G[0,inf) !b")}
+    with pytest.raises(Unsatisfiable, match="no accepting joint run"):
+        synthesize([w1, w2], g, formulas)
+
+
+def _six_service_pair() -> dict:
+    """pair_line's geometry with six one-service regions per agent: agent 1
+    serves s1..s6 in cells 1-6 and agent 2 ds1..ds6 in cells 7-12."""
+    scenario = json.loads(
+        (Path(__file__).resolve().parent.parent / "scenarios"
+         / "pair_line.json").read_text())
+    side = scenario["parameters"]["cell_diameter"]
+    scenario["regions"] = [
+        {"lower": [round((cell - 1) * side, 6)],
+         "upper": [round(cell * side, 6)],
+         "services": {str(agent): [f"{prefix}s{k}"]}}
+        for agent, prefix, first in ((1, "", 1), (2, "d", 7))
+        for k, cell in enumerate(range(first, first + 6), start=1)]
+    scenario["formulas"] = {"1": "F[0,1] s1 & F[0,2] s2", "2": "F[0,1] ds3"}
+    return scenario
+
+
+def _phase_of(location):
+    """A location with its letters left out: unit locations are (phase,
+    letter), intersection locations (left, right, round)."""
+    if len(location) == 2:
+        return location[0]
+    return _phase_of(location[0]), _phase_of(location[1]), location[2]
+
+
+def test_agent_automata_expand_only_the_letters_the_cells_emit(
+        tmp_path, monkeypatch):
+    # each agent emits 7 of its 64 letters: none and one per service
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_six_service_pair()))
+    pipe = stage_abstract(stage_bounds(load_scenario(path)))
+    built = []
+
+    def recording(formula, letters=None):
+        built.append(tba.from_flat_mitl(formula, letters))
+        return built[-1]
+
+    monkeypatch.setattr(synthesis, "from_flat_mitl", recording)
+    result = synthesize(pipe.wts_list, pipe.g, pipe.scenario.formulas)
+    assert len(result.plans) == 2 and len(built) == 2
+    for auto in built:
+        assert len({auto.labels[q] for q in auto.locations}) == 7
+        per_phase = Counter(_phase_of(q) for q in auto.locations)
+        assert max(per_phase.values()) <= 7
 
 
 def test_one_formula_per_agent_is_checked():

@@ -32,7 +32,7 @@ def test_translation_agrees_with_evaluation_on_window_boundaries():
         ("G[0,1] !p", True),
         ("G[0,2] !p", False),
     ]:
-        auto = from_flat_mitl(parse(text), alphabet={"p"})
+        auto = from_flat_mitl(parse(text), letters=canonical_letters({"p"}))
         assert accepts_lasso(auto, word) is expect, text
         assert evaluate(word, parse(text)) is expect, text
 
@@ -73,7 +73,8 @@ def test_universal_acceptor_accepts_anything():
 
 def test_intersection_with_universal_is_identity_on_language():
     rng = np.random.default_rng(17)
-    base = from_flat_mitl(parse("F[1,4] p"), alphabet={"p", "q"})
+    base = from_flat_mitl(parse("F[1,4] p"),
+                          letters=canonical_letters({"p", "q"}))
     both = intersect(base, universal_acceptor({"p", "q"}))
     for _ in range(60):
         word = random_lasso_word(rng)
@@ -84,8 +85,8 @@ def test_intersection_is_language_conjunction():
     rng = np.random.default_rng(23)
     f = parse("F[0,3] p")
     g = parse("G[1,4] q")
-    auto = intersect(from_flat_mitl(f, alphabet={"p", "q"}),
-                     from_flat_mitl(g, alphabet={"p", "q"}))
+    auto = intersect(from_flat_mitl(f, letters=canonical_letters({"p", "q"})),
+                     from_flat_mitl(g, letters=canonical_letters({"p", "q"})))
     for _ in range(60):
         word = random_lasso_word(rng, max_length=8)
         expect = evaluate(word, f) and evaluate(word, g)
@@ -107,9 +108,26 @@ def test_translation_rejects_nested_temporal_operands():
         from_flat_mitl(parse("!(a U[0,1] b)"))
 
 
-def test_alphabet_must_cover_formula_atoms():
-    with pytest.raises(ValueError):
-        from_flat_mitl(parse("F[0,1] a"), alphabet={"b"})
+def test_an_atom_no_letter_carries_is_never_true():
+    b = frozenset({"b"})
+    auto = from_flat_mitl(parse("F[0,1] a"), letters=canonical_letters({"b"}))
+    assert auto.alphabet == {"a", "b"}
+    assert {auto.labels[q] for q in auto.locations} == {E, b}
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        word = random_lasso_word(rng, names=("b",), max_length=6)
+        assert not accepts_lasso(auto, word)
+    # a word that does carry the atom has no location to read it in
+    with pytest.raises(ValueError, match=r"\['a'\].*position 1"):
+        accepts_lasso(auto, word_from_lasso([E, frozenset({"a"})], [E], 1))
+
+
+def test_services_outside_the_alphabet_are_ignored():
+    word = word_from_lasso([frozenset({"p", "q"})], [E], Fraction(1, 2))
+    formula = parse("F[0,1] p")
+    assert evaluate(word, formula)
+    assert accepts_lasso(from_flat_mitl(formula), word)
+    assert not accepts_lasso(from_flat_mitl(parse("G[0,1] p")), word)
 
 
 def test_lasso_acceptance_needs_a_timed_word():
@@ -124,10 +142,28 @@ def test_canonical_letters_order():
         frozenset({"a", "b"})]
 
 
+def test_given_letters_are_expanded_in_canonical_order():
+    # the universe is deduplicated and sorted by size, then by names, the
+    # order of canonical_letters, which the default universe uses as is
+    formula = parse("F[0,2] p & G[0,1] !q")
+    full = from_flat_mitl(formula)
+    shuffled = canonical_letters({"p", "q"})[::-1] * 2
+    auto = from_flat_mitl(formula, letters=shuffled)
+    assert (auto.locations, auto.edges) == (full.locations, full.edges)
+    # a smaller universe keeps the relative order of what is left
+    auto = from_flat_mitl(formula, letters=[frozenset({"p", "q"}), E,
+                                            frozenset({"q"})])
+    assert auto.locations == tuple(
+        q for q in full.locations if full.labels[q] != P)
+    assert auto.edges == tuple(
+        e for e in full.edges
+        if P not in (full.labels[e.source], full.labels[e.target]))
+
+
 def test_negated_units_translate_via_duality():
     word = word_from_lasso([P, P, E], [P], 1)
     for text in ("!(F[0,1] p)", "!(G[0,5] p)"):
-        auto = from_flat_mitl(parse(text), alphabet={"p"})
+        auto = from_flat_mitl(parse(text), letters=canonical_letters({"p"}))
         assert accepts_lasso(auto, word) == evaluate(word, parse(text))
 
 
@@ -140,7 +176,8 @@ def test_next_and_until_templates():
         ("p U[2,4] q", False),  # p fails at position 1 before any late q
     ]
     for text, expect in cases:
-        auto = from_flat_mitl(parse(text), alphabet={"p", "q"})
+        auto = from_flat_mitl(parse(text),
+                              letters=canonical_letters({"p", "q"}))
         assert accepts_lasso(auto, word) is expect, text
         assert evaluate(word, parse(text)) is expect, text
 
@@ -150,7 +187,7 @@ def test_translation_agrees_with_evaluation_on_random_instances():
     for _ in range(120):
         formula = random_flat_formula(rng)
         word = random_lasso_word(rng, max_length=8)
-        auto = from_flat_mitl(formula, alphabet={"p", "q"})
+        auto = from_flat_mitl(formula, letters=canonical_letters({"p", "q"}))
         assert accepts_lasso(auto, word) == evaluate(word, formula), \
             (mitl.formula_to_text(formula), word)
 
@@ -160,7 +197,7 @@ def test_fractional_step_words_agree_too():
     for _ in range(60):
         formula = random_flat_formula(rng)
         word = random_lasso_word(rng, max_length=6, dt=Fraction(1, 2))
-        auto = from_flat_mitl(formula, alphabet={"p", "q"})
+        auto = from_flat_mitl(formula, letters=canonical_letters({"p", "q"}))
         assert accepts_lasso(auto, word) == evaluate(word, formula), \
             (mitl.formula_to_text(formula), word)
 
@@ -192,7 +229,7 @@ def test_mixed_gap_words_agree_too():
     for _ in range(300):
         formula = random_flat_formula(rng)
         word = _mixed_gap_word(rng)
-        auto = from_flat_mitl(formula, alphabet={"p", "q"})
+        auto = from_flat_mitl(formula, letters=canonical_letters({"p", "q"}))
         got = accepts_lasso(auto, word)
         assert got == evaluate(word, formula), \
             (mitl.formula_to_text(formula), word)
@@ -203,7 +240,7 @@ def test_mixed_gap_words_agree_too():
 
 
 def test_intersection_is_freed_without_the_cycle_collector():
-    parts = [from_flat_mitl(parse(text), alphabet={"p", "q"})
+    parts = [from_flat_mitl(parse(text), letters=canonical_letters({"p", "q"}))
              for text in ("F[0,2] p", "G[0,1] !q", "F[1,3] q")]
     enabled = gc.isenabled()
     gc.disable()

@@ -14,6 +14,8 @@ Each test keeps a local copy of the earlier implementation as its oracle:
   that quotiented neighbor assumptions away, against
   ``AgentWTS.successors``;
 * the eager automaton intersection, against the lazy ``intersect``;
+* automata over every subset of the agents' services, against those over
+  the letters the agents' cells emit, which ``synthesize`` builds;
 * the alignment-based consistency check, against the early-exit
   ``consistent``.
 """
@@ -34,7 +36,8 @@ from mas.mitl import to_fraction
 from mas.synthesis import (BuchiProduct, align_runs, consistent,
                            enumerate_accepting_lassos, find_accepting_lasso)
 from mas.tba import (Edge, Guard, TRUE_GUARD, TickClocks, TimedAutomaton,
-                     from_flat_mitl, intersect, universal_acceptor)
+                     canonical_letters, from_flat_mitl, intersect,
+                     universal_acceptor)
 
 from conftest import (four_state_timed_wts, random_connected_graph,
                       random_flat_formula)
@@ -207,7 +210,8 @@ def _random_instances():
             else _random_timed_system(rng)
         formula = _scaled(random_flat_formula(rng),
                           factors[int(rng.integers(len(factors)))])
-        yield wts, from_flat_mitl(formula, alphabet=frozenset({"p", "q"}))
+        yield wts, from_flat_mitl(formula,
+                                  letters=canonical_letters({"p", "q"}))
 
 
 def test_tick_product_matches_the_fraction_product_on_random_instances():
@@ -279,7 +283,7 @@ def test_tick_ranges_at_exact_ties(lo, hi, lo_open, hi_open):
                     mitl.Always(interval, mitl.Atom("green")),
                     mitl.Until(interval, mitl.Not(mitl.Atom("green")),
                                mitl.Atom("green"))):
-        auto = from_flat_mitl(formula, alphabet=frozenset({"green"}))
+        auto = from_flat_mitl(formula, letters=canonical_letters({"green"}))
         fast = BuchiProduct(wts, auto)
         assert fast.clocks.delta == Fraction(1, 2)
         for edge in auto.edges:
@@ -421,7 +425,8 @@ def eager_intersect(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
                                   (ea.target, eb.target, nxt)))
     return TimedAutomaton(
         locations=locations, initial=initial, edges=edges,
-        accepting=accepting, labels=labels, alphabet=a.alphabet | b.alphabet)
+        accepting=accepting, labels=labels, alphabet=a.alphabet | b.alphabet,
+        c_max=max(a.c_max, b.c_max))
 
 
 def _assert_same_automaton(lazy: TimedAutomaton, eager: TimedAutomaton):
@@ -458,26 +463,93 @@ def test_lazy_intersection_matches_the_eager_one():
             sigma = set(alphabets[int(rng.integers(2 if k == 2 else 4))])
             names = tuple(sorted(sigma))
             formula = random_flat_formula(rng, names=names)
-            parts.append(from_flat_mitl(formula, alphabet=sigma))
+            parts.append(from_flat_mitl(formula,
+                                        letters=canonical_letters(sigma)))
         lazy, eager = parts[0], parts[0]
         for part in parts[1:]:
             lazy, eager = intersect(lazy, part), eager_intersect(eager, part)
             _assert_same_automaton(lazy, eager)
 
 
-def test_lazy_intersection_drops_constants_of_unmatched_edges():
+def test_intersection_c_max_is_the_larger_of_its_parts():
     # no edge of the G !p automaton enters a {p} location, so the orphan's
-    # edges into its {p} location have no partner and their constant 9
-    # leaves c_max
-    never_p = from_flat_mitl(mitl.parse("G[0,inf) !p"), alphabet={"p"})
+    # edges into its {p} location have no partner; their constant 9 still
+    # counts, since c_max is read off the parts, not the matched edges
+    never_p = from_flat_mitl(mitl.parse("G[0,inf) !p"),
+                             letters=canonical_letters({"p"}))
     orphan = _orphan_automaton()
+    assert (orphan.c_max, never_p.c_max) == (Fraction(9), Fraction(0))
     for a, b in ((orphan, never_p), (never_p, orphan),
                  (orphan, universal_acceptor({"q"}))):
         lazy, eager = intersect(a, b), eager_intersect(a, b)
         _assert_same_automaton(lazy, eager)
-    assert intersect(orphan, never_p).c_max == Fraction(3, 2)
-    assert intersect(never_p, orphan).c_max == Fraction(3, 2)
-    assert intersect(orphan, universal_acceptor({"q"})).c_max == Fraction(9)
+        assert lazy.c_max == Fraction(9)
+
+
+# --------------------------------------------------------------------------
+# oracle: the automata over every subset of the services
+# --------------------------------------------------------------------------
+
+def _random_labelled_product(rng) -> ProductWTS:
+    """Two agents on three or four cells, each cell carrying a random set
+    of its agent's services p<agent>, q<agent> (often none)."""
+    g = random_connected_graph(rng, max_agents=2, max_dimension=1)
+    cells = tuple(range(int(rng.integers(3, 5))))
+    dt = float(rng.choice(_PERIODS))
+    wts_list = []
+    for agent in (1, 2):
+        labels = {c: frozenset(s for s in (f"p{agent}", f"q{agent}")
+                               if rng.random() < 0.35) for c in cells}
+        table = {}
+        for action in itertools.product(cells, repeat=2):
+            if rng.random() < 0.8:
+                table[action] = tuple(sorted(
+                    {action[0]} | {c for c in cells if rng.random() < 0.5}))
+        wts_list.append(AgentWTS(agent=agent, cells=cells,
+                                 initial=int(rng.integers(len(cells))),
+                                 dt=dt, labels=labels, transitions=table,
+                                 neighbor_agents=(3 - agent,)))
+    return ProductWTS(wts_list, g)
+
+
+def _assert_same_successors(emitted: BuchiProduct, full: BuchiProduct,
+                            cap: int = 20_000) -> int:
+    """Both products expand the same states into the same ordered lists
+    (the first ``cap`` states reached, depth first)."""
+    assert emitted.clocks.sat == full.clocks.sat
+    starts = emitted.initial()
+    assert starts == full.initial()
+    seen, frontier = set(starts), list(starts)
+    while frontier and len(seen) < cap:
+        state = frontier.pop()
+        got = emitted.successors(state)
+        assert got == full.successors(state), state
+        for child in got:
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return len(seen)
+
+
+def test_automata_over_the_emitted_letters_give_the_same_products():
+    rng = np.random.default_rng(7006)
+    states = restricted = 0
+    for _ in range(60):
+        product = _random_labelled_product(rng)
+        emitted, full = [], []
+        for w in product.wts_list:
+            services = {f"p{w.agent}", f"q{w.agent}"}
+            formula = random_flat_formula(rng, names=tuple(sorted(services)))
+            letters = {w.label(c) for c in w.cells}
+            emitted.append(from_flat_mitl(formula, letters))
+            full.append(from_flat_mitl(formula, canonical_letters(services)))
+            restricted += len(letters) < 4
+            states += _assert_same_successors(BuchiProduct(w, emitted[-1]),
+                                              BuchiProduct(w, full[-1]))
+        states += _assert_same_successors(
+            BuchiProduct(product, intersect(*emitted)),
+            BuchiProduct(product, intersect(*full)))
+    assert restricted > 60 and states > 4000
 
 
 # --------------------------------------------------------------------------
