@@ -13,9 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from mas.abstraction import feedback_input
+from mas.abstraction import feedback_inputs
 from mas.cli import load_scenario, stage_abstract, stage_bounds
-from mas.graph import spectral
 from mas.partition import cell_of
 from mas.simulate import bang_bang_inputs
 
@@ -50,7 +49,7 @@ print(f"  every move takes dt = {w.dt:.4g}")
 # Monte-Carlo attack: uniform starts inside the action cells, the neighbor
 # drives bang-bang at full v_max, we steer with the measured-drift feedback
 g, dt, v_max = pipe.g, pipe.disc.chosen_dt, sc.v_max
-lap = spectral(g).laplacian
+lap = g.laplacian
 samples = 200
 
 
@@ -69,6 +68,16 @@ def rk4_batch(starts, inputs, substeps=8):
 
 own = w.agent - 1
 nbr = [a - 1 for a in w.neighbor_agents]
+
+
+def steer(starts, inputs, center):
+    """Our agent's input in each sample: its row of the feedback law, aimed
+    at ``center`` from the sampled positions."""
+    for b in range(len(starts)):
+        aims = starts[b].copy()
+        aims[own] = center
+        inputs[b, own] = feedback_inputs(g, starts[b], aims, dt, v_max)[0][own]
+
 boxes = [decomp.bounds(c) for c in action]
 
 starts = np.empty((samples, g.agent_count, g.dimension))
@@ -77,11 +86,7 @@ for k, j in enumerate(nbr):
     starts[:, j] = rng.uniform(*boxes[1 + k], (samples, g.dimension))
 
 inputs = bang_bang_inputs(g, v_max, samples, rng)
-center = decomp.center(target)
-for b in range(samples):
-    v, clipped = feedback_input(g, w.agent, starts[b], center, dt, v_max)
-    inputs[b, own] = v
-
+steer(starts, inputs, decomp.center(target))
 ends = rk4_batch(starts, inputs)
 landed = sum(cell_of(decomp, ends[b, own]) == target for b in range(samples))
 print(f"\nMonte-Carlo: {landed}/{samples} adversarial runs landed in "
@@ -97,10 +102,7 @@ for action in sorted(w.transitions):
         for k, j in enumerate(nbr):
             starts[:, j] = rng.uniform(*boxes[1 + k], (25, g.dimension))
         inputs = bang_bang_inputs(g, v_max, 25, rng)
-        center = decomp.center(target)
-        for b in range(25):
-            v, _ = feedback_input(g, w.agent, starts[b], center, dt, v_max)
-            inputs[b, own] = v
+        steer(starts, inputs, decomp.center(target))
         ends = rk4_batch(starts, inputs)
         total += 25
         good += sum(cell_of(decomp, ends[b, own]) == target for b in range(25))

@@ -19,7 +19,7 @@ g = build_graph(3, [(1, 2), (2, 3)])
 spec = spectral(g)
 
 print("== graph ==")
-print("laplacian:\n", spec.laplacian)
+print("laplacian:\n", g.laplacian)
 print(f"lambda_2 = {spec.lambda2:.6g} (connectivity)")
 print(f"lambda_max = {spec.lambda_max:.6g}")
 print(f"||D^T|| = {spec.incidence_transpose_norm:.6g}")

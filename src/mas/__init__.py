@@ -9,17 +9,17 @@ translates the tasks into timed Büchi automata, searches the products for
 consistent accepting runs, and turns them into executable feedback plans whose
 closed loop is validated on the exact sampled flow of the coupled dynamics.
 
-Modules: graph (topology + spectra), bounds (invariance and discretization
-constants), partition (workspace cells and service labels), mitl (formulas
-and timed words), tba (timed Büchi automata), abstraction (per-agent and
-product transition systems), synthesis (plan search), simulate (closed-loop
-execution), files (scenario, plans.json and timed-word files), cli (the
-`mas` command).
+Modules: graph (topology, the Laplacian and its spectrum), bounds
+(invariance and discretization constants), partition (workspace cells and
+service labels), mitl (formulas and timed words), tba (timed Büchi
+automata), abstraction (per-agent and product transition systems, and the
+one feedback law, v = (C - x)/dt + Lx, that certificates and the closed loop
+share), synthesis (plan search), simulate (closed-loop execution), files
+(scenario, plans.json and timed-word files), cli (the `mas` command).
 """
 
 from .abstraction import (AgentWTS, ProductWTS, TransitionCertificate,
-                          build_agent_wts, drift, drift_all, feedback_input,
-                          feedback_inputs)
+                          build_agent_wts, feedback_inputs)
 from .bounds import (BoundsReport, DiscretizationRange, deviation_remainder,
                      discretization_range, lipschitz_constants,
                      theorem1_constants)

@@ -1,12 +1,12 @@
 """Decentralized abstraction: per-agent transition systems over workspace cells.
 
 Each agent's motion couples to its graph neighbors through the consensus
-drift f_i(x) = -sum_{j in N(i)} (x_i - x_j). A cell-to-cell transition is
-enabled when, from every point of the source cell and under every position of
-the neighbors in their cells, a bounded correction input can steer the
-sampled prediction x_i + dt*f_i(x) to the target cell's center, and the
-continuous flow cannot drift out of the target by more than its inradius in
-one sampling period.
+drift f_i(x) = -sum_{j in N(i)} (x_i - x_j), row i of -Lx with L the graph
+Laplacian. A cell-to-cell transition is enabled when, from every point of
+the source cell and under every position of the neighbors in their cells, a
+bounded correction input can steer the sampled prediction x_i + dt*f_i(x) to
+the target cell's center, and the continuous flow cannot drift out of the
+target by more than its inradius in one sampling period.
 
 The prediction is affine in every coordinate and the axes are independent,
 so over box-shaped cells its range is itself a box: per axis, the extremes
@@ -15,10 +15,15 @@ neighbors' lower and upper bounds. The worst distance from a target center
 to that box is the norm of max(|c - lo|, |c - hi|) taken per axis. In
 floating point this equals the maximum over all cell corners, because
 addition, scaling by dt > 0, squaring and the square root are monotone.
+`_box_distances` is that test, the only one.
 
-A certificate (the center-to-center nominal input and the deviation
-remainder rho(dt)) is computed when asked for, once per distinct move, so
-transitions can be re-validated against the actual dynamics.
+The correction input is v = (C - x)/dt + Lx for all agents at once:
+`feedback_inputs`, which the stepped closed loop runs (the one-pass loop in
+`mas.simulate` evaluates the same expression for all unclamped steps). A
+certificate is computed when asked for, once per distinct move, so
+transitions can be re-validated against the actual dynamics: its nominal
+input is that law with every agent at its cell center, and its remainder is
+the deviation bound rho(dt).
 
 Actions are (own cell, neighbor cells...) tuples: what the agent plans to do
 given where its neighbors currently are. The product system synchronizes all
@@ -53,25 +58,6 @@ from .partition import CellDecomposition, ServiceLabeling
 logger = logging.getLogger(__name__)
 
 ACTION_ENUMERATION_CAP = 10**7
-
-
-def drift(g: NetworkGraph, agent: int, x_i, x_neighbors) -> np.ndarray:
-    """Consensus drift of one agent given its neighbors' positions."""
-    nbrs = g.neighbors(agent)
-    xs = [np.asarray(x, dtype=float).reshape(-1) for x in x_neighbors]
-    if len(xs) != len(nbrs):
-        raise ArityMismatch(
-            f"agent {agent} has {len(nbrs)} neighbors, got {len(xs)} positions")
-    own = np.asarray(x_i, dtype=float).reshape(-1)
-    out = np.zeros_like(own)
-    for x in xs:
-        out -= own - x
-    return out
-
-
-def drift_all(g: NetworkGraph, positions: np.ndarray) -> np.ndarray:
-    """Stacked consensus drift for all agents; positions is (N, n)."""
-    return -g.laplacian @ positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,12 +157,6 @@ class AgentWTS:
     _certificates: dict[tuple, TransitionCertificate] = field(
         default_factory=dict)
 
-    def post(self, source: int, action: tuple[int, ...]) -> tuple[int, ...]:
-        if action[0] != source:
-            raise ArityMismatch(
-                f"action {action} does not start at cell {source}")
-        return self.transitions.get(action, ())
-
     def label(self, cell: int) -> frozenset[str]:
         return self.labels.get(cell, frozenset())
 
@@ -224,22 +204,6 @@ class AgentWTS:
         return cert
 
 
-def worst_distances(decomp: CellDecomposition, actions: np.ndarray,
-                    centers: np.ndarray, dt: float) -> np.ndarray:
-    """Largest distance from each target center to the sampled prediction.
-
-    ``actions`` is an (A, deg+1) array of 1-based cells, own cell first;
-    ``centers`` is (T, n). Returns (A, T): for every action, the maximum over
-    all points of the source cell and the neighbor cells of the distance from
-    a target center to own + dt*(sum of neighbors - deg*own).
-    """
-    lows = decomp.lows[actions - 1]    # (A, deg+1, n)
-    highs = decomp.highs[actions - 1]
-    sums = (lows[:, 1:].sum(axis=1), highs[:, 1:].sum(axis=1))
-    return _box_distances(lows[:, 0], highs[:, 0], sums,
-                          actions.shape[1] - 1, centers, dt)
-
-
 def _box_distances(own_lo, own_hi, sums, deg: int, centers: np.ndarray,
                    dt: float) -> np.ndarray:
     """(A, T) worst distances from own bounds, broadcast against the A rows
@@ -253,15 +217,18 @@ def _box_distances(own_lo, own_hi, sums, deg: int, centers: np.ndarray,
     return np.linalg.norm(far, axis=2)
 
 
-def _certificate(g: NetworkGraph, decomp: CellDecomposition, agent: int,
-                 dt: float, rho: float, action: tuple[int, ...],
+def _certificate(decomp: CellDecomposition, agent: int, dt: float,
+                 rho: float, action: tuple[int, ...],
                  target: int) -> TransitionCertificate:
-    """Center-to-center nominal input and remainder for one enabled move."""
+    """Center-to-center nominal input and remainder for one enabled move:
+    the feedback law of `feedback_inputs` with every agent at its cell
+    center."""
     source, neighbor_cells = action[0], tuple(action[1:])
-    center_f = drift(g, agent, decomp.center(source),
-                     [decomp.center(c) for c in neighbor_cells])
-    nominal = (decomp.center(target) - decomp.center(source)
-               - dt * center_f) / dt
+    own = decomp.center(source)
+    drift = np.zeros_like(own)
+    for c in neighbor_cells:
+        drift -= own - decomp.center(c)
+    nominal = (decomp.center(target) - own - dt * drift) / dt
     return TransitionCertificate(
         agent=agent,
         source=source,
@@ -304,8 +271,8 @@ def build_agent_wts(
     sized = np.nonzero(rho <= inradii)[0]  # per-target remainder test
     nbr_cells = np.array(list(itertools.product(cells, repeat=len(nbrs))),
                          dtype=int).reshape(len(cells) ** len(nbrs), len(nbrs))
-    # the same reduction as `worst_distances`, so each class key is the sum
-    # every one of its tuples would compute
+    # one reduction for every tuple, so each class key is the sum every one
+    # of its tuples would compute
     sums = np.hstack([decomp.lows[nbr_cells - 1].sum(axis=1),
                       decomp.highs[nbr_cells - 1].sum(axis=1)])
     keys, inverse = np.unique(sums, axis=0, return_inverse=True)
@@ -333,7 +300,7 @@ def build_agent_wts(
         labels=labels,
         transitions=transitions,
         neighbor_agents=nbrs,
-        certify=partial(_certificate, g, decomp, agent, dt, rho),
+        certify=partial(_certificate, decomp, agent, dt, rho),
     )
     logger.info("agent %d abstraction: %d cells, %d actions, %d transitions",
                 agent, len(cells), len(transitions), wts.transition_count())
@@ -403,25 +370,9 @@ def feedback_inputs(
     never needs that).
     """
     x = np.asarray(positions, dtype=float)
-    v = (np.asarray(target_centers, dtype=float) - x) / dt - drift_all(g, x)
+    v = (np.asarray(target_centers, dtype=float) - x) / dt + g.laplacian @ x
     norms = np.sqrt((v * v).sum(axis=1))
     clipped = norms > v_max
     if clipped.any():
         v[clipped] *= (v_max / norms[clipped])[:, None]
     return v, clipped
-
-
-def feedback_input(
-    g: NetworkGraph,
-    agent: int,
-    positions: np.ndarray,
-    target_center: np.ndarray,
-    dt: float,
-    v_max: float,
-) -> tuple[np.ndarray, bool]:
-    """One agent's row of `feedback_inputs`, with its clamping flag."""
-    x = np.asarray(positions, dtype=float)
-    targets = x.copy()
-    targets[agent - 1] = target_center
-    v, clipped = feedback_inputs(g, x, targets, dt, v_max)
-    return v[agent - 1], bool(clipped[agent - 1])

@@ -355,6 +355,17 @@ def cmd_check(args) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+def _at_least(low: int):
+    """argparse type for an integer count no smaller than ``low``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return count
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept: argparse's
@@ -378,23 +389,26 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("abstract", help="build per-agent transition systems")
     common(p)
-    p.add_argument("--max-states", type=int, default=ACTION_ENUMERATION_CAP,
+    p.add_argument("--max-states", type=_at_least(1),
+                   default=ACTION_ENUMERATION_CAP,
                    help="cap on per-agent action tuples, cells^(deg+1)")
 
     p = sub.add_parser("synthesize", help="find consistent satisfying plans")
     common(p)
-    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP,
+    p.add_argument("--max-states", type=_at_least(1),
+                   default=DEFAULT_STATE_CAP,
                    help="cap on explored product states")
-    p.add_argument("--max-iters", type=int, default=DEFAULT_R_ITER,
+    p.add_argument("--max-iters", type=_at_least(0), default=DEFAULT_R_ITER,
                    help="cap on per-agent run combinations before the full "
                         "product search")
 
     p = sub.add_parser("simulate",
                        help="execute plans in closed loop (reuses plans.json)")
     common(p)
-    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP,
+    p.add_argument("--max-states", type=_at_least(1),
+                   default=DEFAULT_STATE_CAP,
                    help="cap on explored product states")
-    p.add_argument("--max-iters", type=int, default=DEFAULT_R_ITER,
+    p.add_argument("--max-iters", type=_at_least(0), default=DEFAULT_R_ITER,
                    help="cap on per-agent run combinations before the full "
                         "product search")
     p.add_argument("--horizon", type=int, default=None,
@@ -422,7 +436,12 @@ def main(argv=None) -> int:
         logging.basicConfig(
             level=getattr(logging, level, logging.INFO),
             format="%(levelname)s %(name)s: %(message)s")
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (exit 0) or the usage and the error;
+        # exit code 2 is kept for unsatisfiable verdicts
+        return 0 if exc.code == 0 else 1
     try:
         # Looked up by name on each call, so a command replaced on the
         # module after the parser was cached is the one that runs.

@@ -101,25 +101,23 @@ def build_graph(agent_count: int, edges, dimension: int = 1) -> NetworkGraph:
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Laplacian spectrum facts used by the reachability bounds."""
+    """Laplacian spectrum facts used by the reachability bounds (the
+    Laplacian itself is `NetworkGraph.laplacian`)."""
 
-    laplacian: np.ndarray
     lambda2: float
     lambda_max: float
     incidence_transpose_norm: float  # spectral norm of D^T, = sqrt(lambda_max)
 
 
 def spectral(g: NetworkGraph) -> SpectralData:
-    """Compute the Laplacian and the eigenvalues in use."""
-    lap = g.laplacian
-    eigvals = np.linalg.eigvalsh(lap)
+    """Compute the Laplacian eigenvalues in use."""
+    eigvals = np.linalg.eigvalsh(g.laplacian)
     lambda2 = float(eigvals[1])
     lambda_max = float(eigvals[-1])
     if lambda2 <= CONNECTIVITY_TOL:
         raise DisconnectedGraph(
             f"graph is disconnected (lambda_2 = {lambda2:.3e})")
     return SpectralData(
-        laplacian=lap,
         lambda2=lambda2,
         lambda_max=lambda_max,
         incidence_transpose_norm=float(np.sqrt(lambda_max)),

@@ -236,6 +236,27 @@ def random_lasso_word(rng: np.random.Generator, names=("p", "q"),
 
 
 # --------------------------------------------------------------------------
+# the feedback law, per agent (oracle for the all-agents form)
+# --------------------------------------------------------------------------
+
+def reference_drift(g, agent, positions):
+    """Consensus drift of one agent, summed over its neighbor list."""
+    own = positions[agent - 1]
+    return -sum(own - positions[j - 1] for j in g.neighbors(agent))
+
+
+def reference_feedback(g, agent, positions, center, dt, v_max):
+    """One agent's input v = (C - x_i)/dt - f_i(x), scaled back onto the
+    input bound when longer; returns (input, clamped)."""
+    own = positions[agent - 1]
+    v = (center - own) / dt - reference_drift(g, agent, positions)
+    norm = float(np.linalg.norm(v))
+    if norm > v_max:
+        return v * (v_max / norm), True
+    return v, False
+
+
+# --------------------------------------------------------------------------
 # batched integration (validation sweeps)
 # --------------------------------------------------------------------------
 
@@ -246,9 +267,7 @@ def batched_rk4(g, starts: np.ndarray, inputs: np.ndarray, dt: float,
     ``starts``/``inputs`` have shape (batch, agents, dimension); the input is
     held constant over the interval. Returns the batch of endpoint states.
     """
-    from mas.graph import spectral
-
-    lap = spectral(g).laplacian
+    lap = g.laplacian
     h = dt / substeps
 
     def f(x):

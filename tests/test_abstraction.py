@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from mas.abstraction import (AgentWTS, ProductWTS, build_agent_wts, drift,
-                             drift_all, feedback_input, feedback_inputs,
-                             worst_distances)
+from mas.abstraction import (ProductWTS, _box_distances, build_agent_wts,
+                             feedback_inputs)
 from mas.bounds import (BoundsReport, DiscretizationRange,
                         deviation_remainder, discretization_range,
                         theorem1_constants)
@@ -17,7 +16,8 @@ from mas.graph import build_graph, spectral
 from mas.partition import (LabeledRegion, ServiceLabeling, Workspace,
                            grid_decompose, refine_to_compliance)
 
-from conftest import granted_chain_wts
+from conftest import (granted_chain_wts, random_connected_graph,
+                      reference_drift, reference_feedback)
 
 
 def _pair_setup():
@@ -39,24 +39,20 @@ def _pair_setup():
 def test_drift_hand_values_on_path3():
     g = build_graph(3, [(1, 2), (2, 3)])
     x = np.array([[0.0], [1.0], [3.0]])
-    assert drift(g, 1, x[0], x[[1]]) == pytest.approx([1.0])
-    assert drift(g, 2, x[1], x[[0, 2]]) == pytest.approx([1.0])
-    assert drift(g, 3, x[2], x[[1]]) == pytest.approx([-2.0])
-    assert np.allclose(drift_all(g, x), [[1.0], [1.0], [-2.0]])
+    assert np.array_equal([reference_drift(g, i, x) for i in (1, 2, 3)],
+                          [[1.0], [1.0], [-2.0]])
+    assert np.array_equal(-(g.laplacian @ x), [[1.0], [1.0], [-2.0]])
+    # aimed at where they are, the inputs only cancel the drift
+    v, clipped = feedback_inputs(g, x, x, dt=1.0, v_max=np.inf)
+    assert np.array_equal(v, [[-1.0], [-1.0], [2.0]]) and not clipped.any()
 
 
 def test_drift_is_negative_laplacian_action():
     rng = np.random.default_rng(2)
     g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], dimension=3)
     x = rng.normal(size=(4, 3))
-    lap = spectral(g).laplacian
-    assert np.allclose(drift_all(g, x), -lap @ x, atol=1e-12)
-
-
-def test_drift_neighbor_arity_checked():
-    g = build_graph(3, [(1, 2), (2, 3)])
-    with pytest.raises(ArityMismatch):
-        drift(g, 1, np.zeros(1), np.zeros((2, 1)))  # agent 1 has one neighbor
+    per_agent = np.array([reference_drift(g, i, x) for i in range(1, 5)])
+    assert np.allclose(per_agent, -(g.laplacian @ x), atol=1e-12)
 
 
 def test_self_loops_are_always_well_posed():
@@ -71,13 +67,13 @@ def test_adjacent_moves_enabled_near_neighbors_only():
     g, rep, disc, decomp, labeling = _pair_setup()
     w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=6)
     # neighbor in the adjacent cell: moving toward it is fine
-    assert 5 in w.post(6, (6, 7))
-    assert 7 in w.post(6, (6, 7))
+    assert 5 in w.transitions.get((6, 7), ())
+    assert 7 in w.transitions.get((6, 7), ())
     # distant cells are out of one-step reach regardless of the neighbor
-    assert 3 not in w.post(6, (6, 7))
-    assert 9 not in w.post(6, (6, 7))
+    assert 3 not in w.transitions.get((6, 7), ())
+    assert 9 not in w.transitions.get((6, 7), ())
     # a far-away neighbor drags the drift term above the reach budget
-    assert 5 not in w.post(6, (6, 12))
+    assert 5 not in w.transitions.get((6, 12), ())
 
 
 def test_certificate_records_the_validated_move():
@@ -138,13 +134,6 @@ def test_agent_wts_action_budget():
                         max_actions=100)
 
 
-def test_wts_post_requires_matching_source():
-    w = granted_chain_wts(1, (1, 2), {}, (), (1, 2), 1.0)
-    assert w.post(1, (1,)) == (1, 2)
-    with pytest.raises(ArityMismatch):
-        w.post(2, (1,))
-
-
 def test_product_synchronizes_agent_moves():
     dt = 1.0
     cells = (1, 2, 3)
@@ -171,32 +160,21 @@ def test_product_rejects_mismatched_sampling_periods():
 def test_feedback_input_compensates_drift():
     g = build_graph(2, [(1, 2)])
     positions = np.array([[0.0], [1.0]])
-    # already at the target center: the input only cancels the coupling
-    v, clipped = feedback_input(g, 1, positions, np.array([0.0]),
-                                dt=0.5, v_max=10.0)
-    assert not clipped
-    assert v == pytest.approx([-1.0])
+    # already at the target center: agent 1's input only cancels the coupling
+    v, clipped = feedback_inputs(g, positions, np.array([[0.0], [1.0]]),
+                                 dt=0.5, v_max=10.0)
+    assert not clipped[0]
+    assert v[0] == pytest.approx([-1.0])
     # reach for a center half a cell away
-    v, clipped = feedback_input(g, 1, positions, np.array([0.5]),
-                                dt=0.5, v_max=10.0)
-    assert not clipped
-    assert v == pytest.approx([0.0])
+    v, clipped = feedback_inputs(g, positions, np.array([[0.5], [1.0]]),
+                                 dt=0.5, v_max=10.0)
+    assert not clipped[0]
+    assert v[0] == pytest.approx([0.0])
     # saturated when the request exceeds the budget
-    v, clipped = feedback_input(g, 1, positions, np.array([3.0]),
-                                dt=0.5, v_max=1.0)
-    assert clipped
-    assert np.linalg.norm(v) == pytest.approx(1.0)
-
-
-def _reference_feedback(g, agent, positions, center, dt, v_max):
-    """Per-agent feedback law the all-agents form replaced (test oracle)."""
-    own = positions[agent - 1]
-    f = drift(g, agent, own, [positions[j - 1] for j in g.neighbors(agent)])
-    v = (center - own) / dt - f
-    norm = float(np.linalg.norm(v))
-    if norm > v_max:
-        return v * (v_max / norm), True
-    return v, False
+    v, clipped = feedback_inputs(g, positions, np.array([[3.0], [1.0]]),
+                                 dt=0.5, v_max=1.0)
+    assert clipped[0]
+    assert np.linalg.norm(v[0]) == pytest.approx(1.0)
 
 
 def test_all_agents_feedback_matches_the_per_agent_law():
@@ -216,14 +194,10 @@ def test_all_agents_feedback_matches_the_per_agent_law():
             v, flags = feedback_inputs(g, x, centers, dt, v_max)
             assert v.shape == x.shape and flags.shape == (g.agent_count,)
             for i in range(g.agent_count):
-                ref, ref_flag = _reference_feedback(g, i + 1, x, centers[i],
-                                                    dt, v_max)
+                ref, ref_flag = reference_feedback(g, i + 1, x, centers[i],
+                                                   dt, v_max)
                 assert bool(flags[i]) == ref_flag
                 assert np.allclose(v[i], ref, rtol=1e-12, atol=1e-9)
-                one, one_flag = feedback_input(g, i + 1, x, centers[i], dt,
-                                               v_max)
-                assert one_flag == bool(flags[i])
-                assert np.array_equal(one, v[i])
                 clamped += ref_flag
                 unclamped += not ref_flag
             assert np.all(np.linalg.norm(v, axis=1) <= v_max * (1 + 1e-12))
@@ -239,8 +213,8 @@ def test_validated_moves_cover_the_planning_chain():
     run1 = (6, 5, 4, 3)
     run2 = (7, 6, 5, 5)
     for k in range(3):
-        assert run1[k + 1] in w1.post(run1[k], (run1[k], run2[k]))
-        assert run2[k + 1] in w2.post(run2[k], (run2[k], run1[k]))
+        assert run1[k + 1] in w1.transitions.get((run1[k], run2[k]), ())
+        assert run2[k + 1] in w2.transitions.get((run2[k], run1[k]), ())
 
 
 # --------------------------------------------------------------------------
@@ -271,6 +245,13 @@ def _star_system(dimension, degree, side, counts, dt, v_max, rho,
     the remainder rho(dt) set to about ``rho``."""
     g = build_graph(degree + 1, [(1, j) for j in range(2, degree + 2)],
                     dimension)
+    return (g, *_grid_system(g, side, counts, dt, v_max, rho, regions))
+
+
+def _grid_system(g, side, counts, dt, v_max, rho, regions=()):
+    """Decomposition, labelling, bounds and discretization of graph ``g`` on
+    a grid as `_star_system` describes it."""
+    dimension = g.dimension
     ws = Workspace(np.zeros(dimension), side * np.array(counts, dtype=float))
     grid = grid_decompose(ws, side * math.sqrt(dimension))
     assert grid.cells_per_axis == tuple(counts)
@@ -281,7 +262,7 @@ def _star_system(dimension, degree, side, counts, dt, v_max, rho,
                        safety=1.1)
     disc = DiscretizationRange(d_max_sup=1.0, dt_lo=dt, dt_hi=dt,
                                chosen_d_max=side, chosen_dt=dt)
-    return g, decomp, labeling, rep, disc
+    return decomp, labeling, rep, disc
 
 
 # (dimension, degree, grid cells per axis, refined by a random region)
@@ -316,7 +297,13 @@ def test_box_reachability_matches_corner_oracle(dimension, degree, counts,
         assert rho <= 0.5 * side
         w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=1)
         actions = list(itertools.product(cells, repeat=degree + 1))
-        box = worst_distances(decomp, np.array(actions), centers, dt)
+        # the box test `build_agent_wts` runs, on each tuple's own sums
+        lows = decomp.lows[np.array(actions) - 1]
+        highs = decomp.highs[np.array(actions) - 1]
+        box = _box_distances(lows[:, 0], highs[:, 0],
+                             (lows[:, 1:].sum(axis=1),
+                              highs[:, 1:].sum(axis=1)),
+                             degree, centers, dt)
         expected = {}
         for a, action in enumerate(actions):
             worst = _corner_worst(decomp, action, centers, dt)
@@ -329,10 +316,10 @@ def test_box_reachability_matches_corner_oracle(dimension, degree, counts,
                 cert = w.certificate(action[0], action, t)
                 assert (cert is not None) == ok
                 if ok:
-                    f = drift(g, 1, decomp.center(action[0]),
-                              [decomp.center(c) for c in action[1:]])
-                    nominal = (decomp.center(t) - decomp.center(action[0])
-                               - dt * f) / dt
+                    # the star's agent j+1 sits in cell action[j]
+                    x = np.array([decomp.center(c) for c in action])
+                    nominal = (decomp.center(t) - x[0]
+                               - dt * reference_drift(g, 1, x)) / dt
                     assert (cert.source, cert.target) == (action[0], t)
                     assert cert.neighbor_cells == action[1:]
                     assert np.array_equal(cert.nominal_input, nominal)
@@ -354,6 +341,51 @@ def test_box_reachability_accepts_a_worst_corner_exactly_at_the_budget():
         w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=2)
         assert (2 in w.transitions.get((2, 2), ())) == enabled
         assert (w.certificate(2, (2, 2), 2) is not None) == enabled
+
+
+def test_certificates_are_the_feedback_law_at_cell_centers():
+    """A certificate's nominal input is row ``agent`` of `feedback_inputs`
+    with the agent at its source center, its neighbors at their cell centers
+    and its target center in its row; the other agents' rows and positions
+    play no part. An enabled move keeps it within lambda*v_max."""
+    rng = np.random.default_rng(41)
+    checked = coupled = 0
+    for counts in [(5,), (6,), (3, 2), (2, 3)] * 3:
+        g = random_connected_graph(rng, max_agents=4, max_dimension=1)
+        g = build_graph(g.agent_count, g.edges, len(counts))
+        side = float(rng.uniform(0.2, 1.0))
+        dt = float(rng.uniform(0.05, 0.3))
+        v_max = side * float(rng.uniform(1.0, 3.0)) / (0.5 * dt)
+        decomp, labeling, rep, disc = _grid_system(
+            g, side, counts, dt, v_max, float(rng.uniform(0.1, 0.4)) * side)
+        for agent in range(1, g.agent_count + 1):
+            w = build_agent_wts(g, agent, decomp, labeling, rep, disc,
+                                initial_cell=1)
+            moves = [(a, t) for a, ts in w.transitions.items() for t in ts]
+            for k in rng.choice(len(moves), min(len(moves), 40),
+                                replace=False):
+                action, target = moves[k]
+                cert = w.certificate(action[0], action, target)
+                x = rng.uniform(0.0, side * max(counts),
+                                (g.agent_count, g.dimension))
+                centers = rng.uniform(0.0, side * max(counts), x.shape)
+                x[agent - 1] = decomp.center(action[0])
+                for j, c in zip(g.neighbors(agent), action[1:]):
+                    x[j - 1] = decomp.center(c)
+                centers[agent - 1] = decomp.center(target)
+                v, _ = feedback_inputs(g, x, centers, dt, np.inf)
+                law = v[agent - 1]
+                # relative to the terms summed, which may cancel
+                scale = np.linalg.norm((centers - x)[agent - 1]) / dt \
+                    + np.linalg.norm(np.abs(g.laplacian[agent - 1]) @ abs(x))
+                assert np.allclose(cert.nominal_input, law, rtol=1e-12,
+                                   atol=1e-12 * scale)
+                assert cert.nominal_norm() \
+                    <= rep.lambda_reach * v_max * (1 + 1e-12)
+                checked += 1
+                coupled += bool(np.any(g.laplacian[agent - 1] @ x))
+    # most moves have a nonzero drift, so its sign is pinned
+    assert checked > 400 and coupled > checked // 2
 
 
 def test_certificates_are_computed_once_per_move():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mas.abstraction import AgentWTS, feedback_input
+from mas.abstraction import AgentWTS
 from mas.bounds import discretization_range, theorem1_constants
 from mas.cli import load_scenario, main, stage_abstract, stage_bounds
 from mas.graph import (build_graph, perp_component, relative_state, spectral)
@@ -24,7 +24,8 @@ from mas.synthesis import BuchiProduct, find_accepting_lasso, synthesize
 from mas.tba import accepts_lasso, canonical_letters, from_flat_mitl
 
 from conftest import (batched_rk4, planning_example, random_connected_graph,
-                      random_flat_formula, random_lasso_word)
+                      random_flat_formula, random_lasso_word,
+                      reference_feedback)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -49,7 +50,7 @@ def test_relative_state_inequalities_on_random_graphs():
         x = rng.normal(size=(g.agent_count, g.dimension)) \
             * 10.0 ** float(rng.integers(-2, 3))
         perp = perp_component(g, x).reshape(g.agent_count, g.dimension)
-        lhs = np.linalg.norm(s.laplacian @ x, axis=0)
+        lhs = np.linalg.norm(g.laplacian @ x, axis=0)
         rhs = s.lambda2 * np.linalg.norm(perp, axis=0)
         min_slack = min(min_slack, float(np.min(lhs - rhs)))
         factor = math.sqrt(2 * (g.agent_count - 1))
@@ -140,8 +141,8 @@ def test_every_abstract_transition_survives_adversarial_execution():
                 inputs = bang_bang_inputs(g, v_max, samples, rng)
                 center = decomp.center(target)
                 for b in range(samples):
-                    v, _ = feedback_input(g, w.agent, positions[b], center,
-                                          dt, v_max)
+                    v, _ = reference_feedback(g, w.agent, positions[b],
+                                              center, dt, v_max)
                     inputs[b, own_idx] = v
                 ends = batched_rk4(g, positions, inputs, dt, substeps=8)
                 checked += samples

@@ -194,6 +194,37 @@ def test_exhausted_state_budget_exits_3(tmp_path, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+_PAIR = ["--scenario", str(SCENARIOS / "pair_line.json")]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["synthesize", *_PAIR, "--max-states", "abc"],
+     "argument --max-states: invalid count value: 'abc'"),
+    (["synthesize", *_PAIR, "--max-states", "0"],
+     "argument --max-states: must be at least 1, got 0"),
+    (["abstract", *_PAIR, "--max-states", "-1"],
+     "argument --max-states: must be at least 1, got -1"),
+    (["synthesize", *_PAIR, "--max-iters", "-5"],
+     "argument --max-iters: must be at least 0, got -5"),
+    (["simulate", *_PAIR, "--max-iters", "-1"],
+     "argument --max-iters: must be at least 0, got -1"),
+    (["synthesize"], "the following arguments are required: --scenario"),
+])
+def test_usage_errors_exit_1_before_any_work(tmp_path, capsys, args,
+                                              message):
+    # exit code 2 means unsatisfiable, so a bad command line must not use it
+    assert main([*args, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mas ") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["synthesize", "--help"]) == 0
+    assert "--max-iters" in capsys.readouterr().out
+
+
 def test_simulate_reuses_plans_and_rejects_stale_ones(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["synthesize", "--scenario", _pair_path(),

@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from mas.abstraction import feedback_input, feedback_inputs
+from mas.abstraction import feedback_inputs
 from mas.errors import (DimensionMismatch, InputSaturationFlag, LabelMismatch,
                         SemanticError, WorkspaceExit)
-from mas.graph import build_graph, relative_state, spectral
+from mas.graph import build_graph, relative_state
 from mas.partition import (CellDecomposition, ServiceLabeling, Workspace,
                            grid_decompose)
 from mas.simulate import (WORKSPACE_TOL, Trajectory, _interval_operator,
@@ -18,7 +18,7 @@ from mas.simulate import (WORKSPACE_TOL, Trajectory, _interval_operator,
                           verify_boundedness)
 from mas.synthesis import Plan
 
-from conftest import batched_rk4
+from conftest import batched_rk4, reference_feedback
 
 
 def _ws(lower, upper):
@@ -28,7 +28,7 @@ def _ws(lower, upper):
 
 def _exact_state(g, x0, v, t):
     """Closed-form solution of x' = -Lx + v for constant v (per coordinate)."""
-    lam, basis = np.linalg.eigh(spectral(g).laplacian)
+    lam, basis = np.linalg.eigh(g.laplacian)
     y0 = basis.T @ x0
     w = basis.T @ v
     decay = np.exp(-lam * t)
@@ -243,7 +243,7 @@ def _reference_closed_loop(g, plans, decomp, x0, v_max, steps, substeps):
     for j in range(steps):
         v = np.empty_like(x)
         for i, plan in enumerate(plans):
-            v[i], clipped = feedback_input(
+            v[i], clipped = reference_feedback(
                 g, i + 1, x, decomp.center(plan.cell_at(j + 1)), dt, v_max)
             if clipped:
                 saturated.append((j, i + 1))
