@@ -4,7 +4,9 @@ benchmark scenario at seed 0 (3 agents in 2-D, 16 refined cells):
 * ``integrate_plans`` over 5 000 sampling steps with 4 nodes per step, the
   run ``mas simulate`` makes there;
 * ``cells_of`` on its 15 003 boundary points (5 001 boundaries x 3 agents)
-  in the refined decomposition, the read-back behind ``services.json``.
+  in the refined decomposition, the read-back behind ``services.json``;
+* ``_write_trajectory_csv`` on that run's 20 001 nodes, the
+  ``trajectory.csv`` it writes.
 
 Run from the repository root (not part of the default test run):
 
@@ -17,8 +19,8 @@ import json
 
 import pytest
 
-from mas.cli import load_scenario, stage_abstract, stage_bounds, \
-    stage_synthesize
+from mas.cli import _write_trajectory_csv, load_scenario, stage_abstract, \
+    stage_bounds, stage_synthesize
 from mas.partition import cells_of
 from mas.simulate import integrate_plans
 
@@ -63,6 +65,13 @@ def test_closed_loop_integration(benchmark, loop):
     traj = benchmark(_run, *loop)
     assert traj.states.shape == (4 * STEPS + 1, 3, 2)
     assert not traj.saturated
+
+
+def test_trajectory_csv_writer(benchmark, loop, tmp_path):
+    traj = _run(*loop)
+    path = tmp_path / "trajectory.csv"
+    benchmark(_write_trajectory_csv, path, traj, 3, 2)
+    assert len(path.read_text().splitlines()) == 1 + 4 * STEPS + 1
 
 
 def test_boundary_cell_lookup(benchmark, loop):

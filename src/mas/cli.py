@@ -186,17 +186,38 @@ def report_dict(pipe: Pipeline) -> dict:
 
 def _write_trajectory_csv(path: Path, traj, agent_count: int,
                           dimension: int) -> None:
+    """One row per node: the time, then every agent's coordinates, each
+    float in its shortest repr.
+
+    Agents dwell at their cell centres, so most rows repeat the state of
+    the row above. A row's state text is formatted only when its state
+    differs from that row's, and reused until it changes. The comparison is
+    on the bits, not with ``==``: ``0.0 == -0.0`` but their reprs differ
+    (and ``nan != nan``). The first row of every chunk is formatted anyway,
+    so each chunk stands alone.
+    """
     header = ["t"]
     for i in range(1, agent_count + 1):
         for k in range(1, dimension + 1):
             header.append(f"agent{i}_x{k}")
-    rows = np.column_stack((traj.times,
-                            traj.states.reshape(len(traj.times), -1)))
+    n = len(traj.times)
+    states = traj.states.reshape(n, -1)
+    bits = states.view(np.uint64)
+    moved = np.ones(n, dtype=bool)
+    np.any(bits[1:] != bits[:-1], axis=1, out=moved[1:])
+    moved[::_CSV_CHUNK] = True
+    times = traj.times.tolist()
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), _CSV_CHUNK):
-            chunk = rows[start:start + _CSV_CHUNK].tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in chunk))
+        for start in range(0, n, _CSV_CHUNK):
+            chunk = slice(start, start + _CSV_CHUNK)
+            keep = moved[chunk]
+            tails = ["," + ",".join(map(repr, row)) + "\n"
+                     for row in states[chunk][keep].tolist()]
+            # the tail of row k is the last one formatted at or before k
+            owner = (np.cumsum(keep) - 1).tolist()
+            fh.write("".join([repr(t) + tails[k]
+                              for t, k in zip(times[chunk], owner)]))
 
 
 # --------------------------------------------------------------------------
@@ -411,10 +432,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=_at_least(0), default=DEFAULT_R_ITER,
                    help="cap on per-agent run combinations before the full "
                         "product search")
-    p.add_argument("--horizon", type=int, default=None,
+    p.add_argument("--horizon", type=_at_least(0), default=None,
                    help="sampling steps to simulate (default: prefix + two "
                         "cycles)")
-    p.add_argument("--substeps", type=int, default=4,
+    p.add_argument("--substeps", type=_at_least(1), default=4,
                    help="recorded and workspace-checked nodes per sampling "
                         "step (default 4)")
 

@@ -4,15 +4,32 @@ sweeps."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mas.abstraction import AgentWTS
 from mas.graph import build_graph
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def bench_families():
+    """The benchmark's scenario generators, ``{family: seed -> Workload}``,
+    from `perfbench/families.py`."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_families", PERFBENCH / "families.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.FAMILIES
 
 
 # --------------------------------------------------------------------------

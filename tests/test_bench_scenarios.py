@@ -3,34 +3,22 @@
 Each family of `perfbench/families.py` is regenerated at seeds 0-2 and run
 through `synthesize` and `simulate` (with the workload's horizon and
 substeps) in-process; `plans.json` and `services.json` must hash to the
-digests in `perfbench/digests.json`. `trajectory.csv` is left out: its
-recorded digests predate exact propagation.
+digests in `perfbench/digests.json`. The recorded `trajectory.csv` digests
+predate exact propagation, so the trajectory is checked for its shape
+instead: one data row per node, every field in its shortest repr.
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from mas.cli import main
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import PERFBENCH, bench_families
+
 DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())["digests"]
-
-
-def _families():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_families", PERFBENCH / "families.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module.FAMILIES
-
-
-FAMILIES = _families()
+FAMILIES = bench_families()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -49,3 +37,11 @@ def test_bench_scenario_artifacts_match_the_recorded_digests(
         digest = hashlib.sha256(
             (tmp_path / "out" / name).read_bytes()).hexdigest()
         assert digest == recorded[name], name
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == wl.horizon * wl.substeps + 1
+    width = 1 + wl.scenario["agents"] * wl.scenario["dimension"]
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == width
+        # repr round-trips, so this holds exactly for the canonical text
+        assert fields == [repr(float(f)) for f in fields], row

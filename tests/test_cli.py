@@ -7,11 +7,18 @@ import os
 import shutil
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from mas.cli import load_scenario, main, word_from_json
+from mas.cli import (_CSV_CHUNK, _write_trajectory_csv, load_scenario, main,
+                     stage_abstract, stage_bounds, stage_synthesize,
+                     word_from_json)
 from mas.errors import ParseError, SchemaError, SemanticError
+from mas.simulate import integrate_plans
+
+from conftest import bench_families
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -208,6 +215,10 @@ _PAIR = ["--scenario", str(SCENARIOS / "pair_line.json")]
      "argument --max-iters: must be at least 0, got -5"),
     (["simulate", *_PAIR, "--max-iters", "-1"],
      "argument --max-iters: must be at least 0, got -1"),
+    (["simulate", *_PAIR, "--substeps", "0"],
+     "argument --substeps: must be at least 1, got 0"),
+    (["simulate", *_PAIR, "--horizon", "-1"],
+     "argument --horizon: must be at least 0, got -1"),
     (["synthesize"], "the following arguments are required: --scenario"),
 ])
 def test_usage_errors_exit_1_before_any_work(tmp_path, capsys, args,
@@ -231,7 +242,8 @@ def test_simulate_reuses_plans_and_rejects_stale_ones(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert main(["simulate", "--scenario", _pair_path(),
                  "--out", str(out), "--horizon", "-1"]) == 1
-    assert "steps must be non-negative" in capsys.readouterr().err
+    assert "argument --horizon: must be at least 0, got -1" in \
+        capsys.readouterr().err
     assert main(["simulate", "--scenario", _pair_path(),
                  "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
@@ -319,6 +331,93 @@ def test_shipped_scenario_artifacts_are_byte_identical(tmp_path, capsys, name):
     assert digests == ARTIFACT_SHA256[name]
     if name == "step4":
         assert json.loads((out / "plans.json").read_text())["step_used"] == 4
+
+
+# --------------------------------------------------------------------------
+# trajectory.csv
+# --------------------------------------------------------------------------
+
+def _reference_trajectory_csv(path, traj, agent_count, dimension):
+    """Every row formatted on its own: the writer before it reused the text
+    of rows whose state did not move."""
+    header = ["t"] + [f"agent{i}_x{k}" for i in range(1, agent_count + 1)
+                      for k in range(1, dimension + 1)]
+    rows = np.column_stack((traj.times,
+                            traj.states.reshape(len(traj.times), -1)))
+    path.write_text(",".join(header) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+
+
+def _assert_writers_agree(tmp_path, traj):
+    _, agents, dimension = traj.states.shape
+    _write_trajectory_csv(tmp_path / "fast.csv", traj, agents, dimension)
+    _reference_trajectory_csv(tmp_path / "ref.csv", traj, agents, dimension)
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+
+_FLOATS = (0.0, -0.0, 1.0, -2.5, 0.1, 1 / 3, 123456.789, 1e-300, -5e-324,
+           1.7976931348623157e308)
+
+
+def _random_states(rng, rows, width):
+    """Runs of repeated states, broken by one-column moves, zeros that flip
+    sign and fresh rows."""
+    states = np.empty((rows, width))
+    states[0] = rng.choice(_FLOATS, width)
+    for k in range(1, rows):
+        states[k] = states[k - 1]
+        col, u = rng.integers(width), rng.random()
+        if u < 0.1:
+            states[k, col] = rng.choice(_FLOATS) + rng.normal()
+        elif u < 0.2:
+            # a zero of the other sign: equal under ==, not in its repr
+            states[k, col] = -np.copysign(0.0, states[k - 1, col])
+        elif u < 0.23:
+            states[k] = rng.choice(_FLOATS, width)
+    return states
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trajectory_writer_matches_the_per_row_oracle(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    agents, dimension = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    rows = 2 * _CSV_CHUNK + int(rng.integers(1, 50))
+    states = _random_states(rng, rows, agents * dimension)
+    # a repeated run across the first chunk boundary
+    states[_CSV_CHUNK - 3:_CSV_CHUNK + 3] = states[_CSV_CHUNK - 3]
+    equal = (states[1:] == states[:-1]).all(axis=1)
+    same_bits = (states[1:].view(np.uint64)
+                 == states[:-1].view(np.uint64)).all(axis=1)
+    assert same_bits.sum() > rows // 2
+    assert (equal & ~same_bits).any()  # only the sign of a zero differs
+    traj = SimpleNamespace(
+        times=np.arange(rows) * rng.uniform(1e-4, 1e-2),
+        states=states.reshape(rows, agents, dimension))
+    _assert_writers_agree(tmp_path, traj)
+    single = SimpleNamespace(times=traj.times[:1], states=traj.states[:1])
+    _assert_writers_agree(tmp_path, single)
+
+
+@pytest.mark.parametrize("name,steps", [
+    ("pair_line.json", None), ("pair_line.json", 0),
+    ("path3_plane.json", None), ("plane3-closed-loop", None)])
+def test_trajectory_writer_matches_the_oracle_on_closed_loop_runs(
+        tmp_path, name, steps):
+    if name == "plane3-closed-loop":
+        wl = bench_families()[name](0)
+        path, steps = _dump(tmp_path, wl.scenario), wl.horizon
+    else:
+        path = SCENARIOS / name
+    sc = load_scenario(path)
+    pipe = stage_abstract(stage_bounds(sc))
+    plans = stage_synthesize(pipe).plans
+    if steps is None:
+        steps = plans[0].prefix_length + 2 * plans[0].cycle_length
+    traj = integrate_plans(pipe.g, plans, pipe.decomp, sc.initial_positions,
+                           sc.v_max, steps)
+    assert len(traj.times) == 4 * steps + 1
+    _assert_writers_agree(tmp_path, traj)
 
 
 def _synthesized_pair_plans(tmp_path):
