@@ -70,8 +70,8 @@ def incidence_matrix(g: NetworkGraph) -> np.ndarray:
 def build_graph(agent_count: int, edges, dimension: int = 1) -> NetworkGraph:
     """Validate and normalize a graph description.
 
-    Raises SelfLoop / DuplicateEdge on malformed edge lists and
-    DisconnectedGraph when the second Laplacian eigenvalue is below tolerance.
+    Raises SelfLoop / DuplicateEdge on malformed edge lists, and
+    DisconnectedGraph (from `spectral`) when the graph is not connected.
     """
     if agent_count < 2:
         raise ValueError(f"need at least 2 agents, got {agent_count}")
@@ -92,10 +92,7 @@ def build_graph(agent_count: int, edges, dimension: int = 1) -> NetworkGraph:
         normalized.append(key)
     normalized.sort()
     g = NetworkGraph(agent_count, dimension, tuple(normalized))
-    eigvals = np.linalg.eigvalsh(g.laplacian)
-    if eigvals[1] <= CONNECTIVITY_TOL:
-        raise DisconnectedGraph(
-            f"graph is disconnected (lambda_2 = {eigvals[1]:.3e})")
+    spectral(g)  # the connectivity check
     return g
 
 
@@ -110,7 +107,10 @@ class SpectralData:
 
 
 def spectral(g: NetworkGraph) -> SpectralData:
-    """Compute the Laplacian eigenvalues in use."""
+    """Compute the Laplacian eigenvalues in use.
+
+    Raises DisconnectedGraph when the second eigenvalue is below tolerance.
+    """
     eigvals = np.linalg.eigvalsh(g.laplacian)
     lambda2 = float(eigvals[1])
     lambda_max = float(eigvals[-1])

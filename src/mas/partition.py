@@ -1,11 +1,12 @@
 """Workspace decompositions into axis-aligned cells, and service labelings.
 
-Cells are half-open boxes [lo, hi) except on the workspace's upper faces,
-where the boundary belongs to the touching cell, so every workspace point has
-exactly one cell. Cell indices are 1-based. Decompositions that are a product
-of per-axis cuts (uniform grids, and refinements that add cuts) are numbered
-in C order (last axis fastest) and keep their cuts for a binary-search
-lookup; refinements by tiling regions keep construction order.
+Every decomposition is a product of per-axis cuts: the cells are the boxes
+between consecutive cuts on every axis, numbered 1-based in C order (last
+axis fastest). Cells are half-open boxes [lo, hi) except on the workspace's
+upper faces, where the boundary belongs to the touching cell, so every
+workspace point has exactly one cell, found by a binary search per axis.
+A label-compliant refinement adds the (snapped) region bounds to a grid's
+cuts, so it is again a product.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import BudgetExceeded, OutsideWorkspace, SemanticError
 
 GRID_CELL_CAP = 10**6
 _ALIGN_TOL = 1e-9  # relative snap distance for region bounds onto grid cuts
-_LOOKUP_CHUNK = 1 << 15  # point x cell x axis comparisons per lookup block
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,24 +54,33 @@ class Workspace:
 
 @dataclass(eq=False)
 class CellDecomposition:
-    """Partition of a workspace into axis-aligned boxes.
+    """The boxes between consecutive per-axis cuts of a workspace.
 
-    ``cuts`` is set when the cells are the product of per-axis cut arrays
-    (see `_product_cells`); other decompositions are searched cell by cell.
+    ``cuts[k]`` is the increasing array of cell faces on axis k. It runs
+    from the workspace's lower to its upper bound, so neighbouring cells
+    share bitwise-equal faces. ``lows`` and ``highs`` (M x n) hold each
+    cell's corners in C order, and ``diameter`` is the longest cell
+    diagonal; all three are derived from the cuts.
     """
 
     workspace: Workspace
-    lows: np.ndarray   # (M, n)
-    highs: np.ndarray  # (M, n)
-    cuts: tuple[np.ndarray, ...] | None = None
-    diameter: float = field(default=0.0)
+    cuts: tuple[np.ndarray, ...]
+    lows: np.ndarray = field(init=False)
+    highs: np.ndarray = field(init=False)
+    diameter: float = field(init=False)
 
     def __post_init__(self):
-        self.lows = np.asarray(self.lows, dtype=float)
-        self.highs = np.asarray(self.highs, dtype=float)
-        if self.diameter == 0.0:
-            self.diameter = float(
-                np.sqrt(((self.highs - self.lows) ** 2).sum(axis=1)).max())
+        self.cuts = tuple(np.asarray(c, dtype=float) for c in self.cuts)
+
+        def corners(faces):
+            grid = np.meshgrid(*faces, indexing="ij")
+            return np.stack(grid, axis=-1).reshape(-1, len(faces))
+
+        self.lows = corners([c[:-1] for c in self.cuts])
+        self.highs = corners([c[1:] for c in self.cuts])
+        # a product holds a cell that is widest on every axis at once
+        self.diameter = float(np.linalg.norm(
+            [np.diff(c).max() for c in self.cuts]))
 
     @property
     def cell_count(self) -> int:
@@ -80,6 +89,11 @@ class CellDecomposition:
     @property
     def dimension(self) -> int:
         return self.workspace.dimension
+
+    @property
+    def cells_per_axis(self) -> tuple[int, ...]:
+        """Cells along each axis."""
+        return tuple(len(c) - 1 for c in self.cuts)
 
     def bounds(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) corners of a cell (1-based index)."""
@@ -94,32 +108,6 @@ class CellDecomposition:
     def inradius(self, index: int) -> float:
         lo, hi = self.bounds(index)
         return 0.5 * float((hi - lo).min())
-
-    @property
-    def cells_per_axis(self) -> tuple[int, ...] | None:
-        """Cells along each axis of a product of cuts, else None."""
-        if self.cuts is None:
-            return None
-        return tuple(len(c) - 1 for c in self.cuts)
-
-
-def _product_cells(workspace: Workspace, cuts,
-                   diameter: float = 0.0) -> CellDecomposition:
-    """The cells between consecutive cuts on every axis, in C order.
-
-    Each cut array runs from the workspace's lower to its upper bound, so
-    cell faces are the cut values themselves.
-    """
-    cuts = tuple(np.asarray(c, dtype=float) for c in cuts)
-
-    def corners(faces):
-        grid = np.meshgrid(*faces, indexing="ij")
-        return np.stack(grid, axis=-1).reshape(-1, len(cuts))
-
-    return CellDecomposition(workspace=workspace,
-                             lows=corners([c[:-1] for c in cuts]),
-                             highs=corners([c[1:] for c in cuts]),
-                             cuts=cuts, diameter=diameter)
 
 
 def grid_decompose(workspace: Workspace, target_diameter: float,
@@ -148,8 +136,7 @@ def grid_decompose(workspace: Workspace, target_diameter: float,
         cuts = workspace.lower[k] + sides[k] * np.arange(counts[k] + 1)
         cuts[-1] = workspace.upper[k]  # outer face exactly on the boundary
         grid_axes.append(cuts)
-    return _product_cells(workspace, grid_axes,
-                          diameter=float(np.linalg.norm(sides)))
+    return CellDecomposition(workspace, tuple(grid_axes))
 
 
 def cell_of(decomposition: CellDecomposition, point) -> int:
@@ -169,8 +156,8 @@ def cell_of(decomposition: CellDecomposition, point) -> int:
 def cells_of(decomposition: CellDecomposition, points) -> np.ndarray:
     """`cell_of` for every point of a (..., n) array at once.
 
-    Returns an int array of shape (...). When some points have no cell, the
-    OutsideWorkspace error names the first of them in C order.
+    Returns an int array of shape (...). When some points lie outside the
+    workspace, the OutsideWorkspace error names the first of them in C order.
     """
     pts = np.asarray(points, dtype=float)
     ws = decomposition.workspace
@@ -180,35 +167,16 @@ def cells_of(decomposition: CellDecomposition, points) -> np.ndarray:
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, ws.dimension)
     inside = np.all((pts >= ws.lower) & (pts <= ws.upper), axis=1)
-    if decomposition.cuts is not None:
-        counts = decomposition.cells_per_axis
-        # index of the last cut <= p; upper faces fold into the last cell
-        idx = [np.clip(np.searchsorted(c, pts[:, k], side="right") - 1, 0,
-                       counts[k] - 1)
-               for k, c in enumerate(decomposition.cuts)]
-        cells = np.ravel_multi_index(idx, counts)
-        found = inside
-    else:
-        lows, highs = decomposition.lows, decomposition.highs
-        cells = np.empty(len(pts), dtype=int)
-        found = np.empty(len(pts), dtype=bool)
-        chunk = max(1, _LOOKUP_CHUNK // lows.size)
-        for start in range(0, len(pts), chunk):
-            p = pts[start:start + chunk, None, :]
-            inside_cell = p < highs
-            inside_cell |= (p == ws.upper) & (p == highs)
-            inside_cell &= lows <= p
-            hit = inside_cell.all(axis=2)
-            first = np.argmax(hit, axis=1)  # the first containing cell
-            cells[start:start + chunk] = first
-            found[start:start + chunk] = hit[np.arange(len(first)), first]
-        found &= inside
-    if not found.all():
-        k = int(np.argmin(found))
-        where = "falls between cells" if inside[k] else \
-            "is outside the workspace"
-        raise OutsideWorkspace(f"point {pts[k].tolist()} {where}")
-    return (cells + 1).reshape(shape)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise OutsideWorkspace(f"point {pts[k].tolist()} is outside the "
+                               f"workspace")
+    counts = decomposition.cells_per_axis
+    # index of the last cut <= p; upper faces fold into the last cell
+    idx = [np.clip(np.searchsorted(c, pts[:, k], side="right") - 1, 0,
+                   counts[k] - 1)
+           for k, c in enumerate(decomposition.cuts)]
+    return (np.ravel_multi_index(idx, counts) + 1).reshape(shape)
 
 
 @dataclass(eq=False)
@@ -249,122 +217,74 @@ class ServiceLabeling:
         return self.labels.get(agent, {}).get(cell, frozenset())
 
 
-def _snap(values: np.ndarray, cuts: np.ndarray, scale: float) -> np.ndarray:
-    """Snap values onto nearby cut coordinates (within relative tolerance)."""
-    out = values.copy()
-    for i, v in enumerate(values):
-        j = np.argmin(np.abs(cuts - v))
-        if abs(cuts[j] - v) <= _ALIGN_TOL * max(1.0, abs(scale)):
-            out[i] = cuts[j]
-    return out
+def _refined_axis(grid_cuts: np.ndarray, bounds: np.ndarray, tol: float):
+    """One axis of a refinement: (cuts, where each region bound ended up).
 
-
-def _is_partition(regions, workspace) -> bool:
-    """True when the regions tile the workspace (disjoint interiors, full cover)."""
-    vol_ws = float(np.prod(workspace.extent))
-    vol_sum = 0.0
-    boxes = []
-    for r in regions:
-        lo = np.maximum(r.lower, workspace.lower)
-        hi = np.minimum(r.upper, workspace.upper)
-        if np.any(lo >= hi):
-            return False
-        boxes.append((lo, hi))
-        vol_sum += float(np.prod(hi - lo))
-    if abs(vol_sum - vol_ws) > 1e-9 * vol_ws:
-        return False
-    for a in range(len(boxes)):
-        for b in range(a + 1, len(boxes)):
-            lo = np.maximum(boxes[a][0], boxes[b][0])
-            hi = np.minimum(boxes[a][1], boxes[b][1])
-            if np.all(hi - lo > 1e-9 * np.max(workspace.extent)):
-                return False
-    return True
+    Region bounds within ``tol`` of a grid cut snap onto it. The cuts are
+    the grid cuts plus the snapped bounds, with cuts closer than ``tol`` to
+    the one below merged into it (no sliver cells). Each bound is returned
+    as the cut it ended up on, so a region covers whole cells.
+    """
+    nearest = grid_cuts[np.abs(grid_cuts[:, None] - bounds).argmin(axis=0)]
+    bounds = np.where(np.abs(nearest - bounds) <= tol, nearest, bounds)
+    ordered, slot = np.unique(np.concatenate([grid_cuts, bounds]),
+                              return_inverse=True)
+    merged = [0]  # index into ordered of each kept cut
+    into = np.zeros(len(ordered), dtype=int)  # kept cut of every value
+    for i in range(1, len(ordered)):
+        if ordered[i] - ordered[merged[-1]] > tol:
+            merged.append(i)
+        into[i] = len(merged) - 1
+    cuts = ordered[merged]
+    return cuts, cuts[into[slot[len(grid_cuts):]]]
 
 
 def refine_to_compliance(
     regions: list[LabeledRegion],
     grid: CellDecomposition,
 ) -> tuple[CellDecomposition, ServiceLabeling]:
-    """Refine an abstraction grid so service labels are constant per cell.
+    """Refine a grid so service labels are constant per cell.
 
-    When the regions tile the workspace, the result is the set of pairwise
-    region/cell intersections with empties dropped. Sparse labeled patches are
-    completed rectilinearly first (cut coordinates = grid cuts + region
-    bounds), leaving uncovered space unlabeled. Either way every output cell
-    lies inside exactly one input grid cell and inside or outside each region
-    as a whole.
+    The refined cuts on each axis are the grid cuts plus the region bounds,
+    clipped to the workspace and snapped onto nearby cuts (see
+    `_refined_axis`). So every refined cell lies inside exactly one grid
+    cell, and inside or outside each region as a whole. An agent's label on
+    a cell is the union of its services over the regions containing the
+    cell; space no region covers stays unlabeled.
     """
     ws = grid.workspace
     n = ws.dimension
-    grid_cuts = [np.unique(np.concatenate([grid.lows[:, k], grid.highs[:, k]]))
-                 for k in range(n)]
     for r in regions:
         if r.lower.size != n:
             raise SemanticError(
                 f"region has dimension {r.lower.size}, workspace has {n}")
-    # snap region bounds onto grid cut coordinates axis by axis
-    fixed_regions = []
-    for r in regions:
-        lo = r.lower.copy()
-        hi = r.upper.copy()
-        for k in range(n):
-            scale = ws.extent[k]
-            lo[k:k + 1] = _snap(lo[k:k + 1], grid_cuts[k], scale)
-            hi[k:k + 1] = _snap(hi[k:k + 1], grid_cuts[k], scale)
-        fixed_regions.append(LabeledRegion(lo, hi, r.services))
+    # every region's lower corner, then every region's upper corner
+    bounds = np.clip(np.reshape([r.lower for r in regions]
+                                + [r.upper for r in regions], (-1, n)),
+                     ws.lower, ws.upper)
+    cuts = []
+    for k in range(n):
+        tol = _ALIGN_TOL * max(1.0, abs(ws.extent[k]))
+        axis_cuts, bounds[:, k] = _refined_axis(grid.cuts[k], bounds[:, k],
+                                                tol)
+        cuts.append(axis_cuts)
+    refined = CellDecomposition(ws, tuple(cuts))
+    lows, highs = np.split(bounds, 2)
+    # (cell, region) pairs where the cell lies inside the region
+    covers = np.all((lows <= refined.lows[:, None])
+                    & (refined.highs[:, None] <= highs), axis=2)
 
-    if fixed_regions and _is_partition(fixed_regions, ws):
-        lows, highs, owners = [], [], []
-        for cell_idx in range(1, grid.cell_count + 1):
-            clo, chi = grid.bounds(cell_idx)
-            for r in fixed_regions:
-                lo = np.maximum(clo, r.lower)
-                hi = np.minimum(chi, r.upper)
-                if np.all(lo < hi):
-                    lows.append(lo)
-                    highs.append(hi)
-                    owners.append([r])
-        refined = CellDecomposition(
-            workspace=ws,
-            lows=np.array(lows).reshape(len(lows), n),
-            highs=np.array(highs).reshape(len(highs), n),
-        )
-    else:
-        cuts = []
-        for k in range(n):
-            coords = list(grid_cuts[k])
-            for r in fixed_regions:
-                coords.extend([r.lower[k], r.upper[k]])
-            coords = [c for c in coords if ws.lower[k] <= c <= ws.upper[k]]
-            ordered = np.unique(np.array(coords, dtype=float))
-            # merge cuts closer than the snap tolerance (no sliver cells)
-            tol = _ALIGN_TOL * max(1.0, abs(ws.extent[k]))
-            merged = [float(ordered[0])]
-            for c in ordered[1:]:
-                if c - merged[-1] > tol:
-                    merged.append(float(c))
-            merged[0] = float(ws.lower[k])
-            merged[-1] = float(ws.upper[k])
-            cuts.append(np.array(merged))
-        refined = _product_cells(ws, cuts)
-        owners = [[r for r in fixed_regions
-                   if np.all(r.lower <= lo) and np.all(hi <= r.upper)]
-                  for lo, hi in zip(refined.lows, refined.highs)]
-
-    agents = sorted({a for r in fixed_regions for a in r.services})
+    agents = sorted({a for r in regions for a in r.services})
     labels: dict[int, dict[int, frozenset[str]]] = {a: {} for a in agents}
-    alphabets: dict[int, set[str]] = {a: set() for a in agents}
-    for cell0, covering in enumerate(owners):
+    for cell0, row in enumerate(covers):
+        covering = [regions[i] for i in np.flatnonzero(row)]
         for agent in agents:
-            svc: set[str] = set()
-            for r in covering:
-                svc |= r.services.get(agent, frozenset())
+            svc = frozenset().union(
+                *(r.services.get(agent, frozenset()) for r in covering))
             if svc:
-                labels[agent][cell0 + 1] = frozenset(svc)
-                alphabets[agent] |= svc
+                labels[agent][cell0 + 1] = svc
     labeling = ServiceLabeling(
-        alphabets={a: frozenset(s) for a, s in alphabets.items()},
+        alphabets={a: frozenset().union(*labels[a].values()) for a in agents},
         labels=labels,
     )
     return refined, labeling

@@ -279,30 +279,42 @@ STEP4_SCENARIO = {
                    "dt": 0.0103},
 }
 
-# sha256 of what synthesize + simulate write for the shipped scenarios and
-# the step-4 scenario above (synthesize's report.json, which carries the
-# lasso counts, is hashed before simulate overwrites it); a change meant to
-# keep results must keep these bytes
+# sha256 of what abstract + synthesize + simulate write for the shipped
+# scenarios and the step-4 scenario above (each command's report.json is
+# hashed before the next command overwrites it); a change meant to keep
+# results must keep these bytes
 ARTIFACT_SHA256 = {
     "pair_line.json": {
+        "abstract/report.json":
+            "89d7ef826052a4beb1b0b3a7167585342155244ab643a56dc050534342d75cf2",
         "synthesize/report.json":
             "65029d531ea786e7f258ccfffa2338960ca249b9adaefbf50864227bb09543c3",
+        "simulate/report.json":
+            "1e4c9ebad1567eaee74c884b114678dcd5380b9987ffeda8a78387ef9eb337fd",
         "plans.json":
             "bbcb7a2910eb5b477473c62f88102f511fed0920694f178b227083e3a28a5e67",
         "services.json":
             "88d9f194f4b00c940aa73216a514145ed9108a08653edf2ec8f94c4d54fc1bd1",
     },
     "path3_plane.json": {
+        "abstract/report.json":
+            "4baa3496d2838d3671fff4b41b44dab773696ab4512713ff4fb2b8cbb3441938",
         "synthesize/report.json":
             "a9b33d70827b02975e63daff16dfd484f7efbdff3bf29624f4e446b927412702",
+        "simulate/report.json":
+            "002e8052fecd35434ad2f0723c2add40f536c41a207ad7305132ab52c91499af",
         "plans.json":
             "b09ed26af7228c5147c9a16338f191e2dbe274d0d2f2125b2f541a375c1b2457",
         "services.json":
             "70e03e0757ba6cf5831c1febed281394ab6d6bb8cca1017a6c4024240e49dc99",
     },
     "step4": {
+        "abstract/report.json":
+            "3db3f5dcbddd99591c9c336239894159d0389e2206f505e8d9eb585a7414e980",
         "synthesize/report.json":
             "45054ba02d5ee5360c66eeacd4ccb86029f2b2bbf6ba5a061375478b9cc3f6f2",
+        "simulate/report.json":
+            "5fa067787ac49430a56a66a23ba8efd48552b1b51ad341f9a8e3469f8295d36d",
         "plans.json":
             "6d53f6865a24df068c63b9ae558cff22a00a1de33be9d02cf5f3159a2079da9d",
         "services.json":
@@ -321,11 +333,10 @@ def test_shipped_scenario_artifacts_are_byte_identical(tmp_path, capsys, name):
         else str(SCENARIOS / name)
     out = tmp_path / "run"
     digests = {}
-    for command in ("synthesize", "simulate"):
+    for command in ("abstract", "synthesize", "simulate"):
         assert main([command, "--scenario", scenario,
                      "--out", str(out)]) == 0
-        if command == "synthesize":
-            digests["synthesize/report.json"] = _sha256(out / "report.json")
+        digests[f"{command}/report.json"] = _sha256(out / "report.json")
     digests.update({f: _sha256(out / f) for f in ARTIFACT_SHA256[name]
                     if "/" not in f})
     assert digests == ARTIFACT_SHA256[name]

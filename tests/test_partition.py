@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mas.errors import BudgetExceeded, OutsideWorkspace, SemanticError
-from mas.partition import (CellDecomposition, LabeledRegion, ServiceLabeling,
+from mas.partition import (_ALIGN_TOL, LabeledRegion, ServiceLabeling,
                            Workspace, cell_of, cells_of, grid_decompose,
                            refine_to_compliance)
 
@@ -178,18 +178,111 @@ def _cut_probes(decomposition, rng, count):
     return np.concatenate(points)
 
 
+def _random_services(rng):
+    """Services of one region: 1-2 agents, each from its own name pool."""
+    agents = rng.choice([1, 2, 3], size=int(rng.integers(1, 3)), replace=False)
+    return {int(a): frozenset(f"s{a}{int(j)}"
+                              for j in rng.integers(0, 3, size=2))
+            for a in agents}
+
+
+def _random_regions(kind, ws, grid, rng):
+    """A region list of one kind, in shuffled order.
+
+    sparse: a few boxes anywhere, some reaching past the workspace;
+    aligned: boxes between grid cuts, some bounds a fraction of the snap
+    tolerance off the cut; tiling: a guillotine tiling of the workspace
+    (not a product in 2-D); near: sparse boxes plus boxes whose bounds lie
+    a fraction of the snap tolerance off another region's bound.
+    """
+    n = ws.dimension
+    tol = _ALIGN_TOL * np.maximum(1.0, ws.extent)
+
+    def jitter(values, k):
+        return values + rng.uniform(-0.4, 0.4, size=np.shape(values)) * tol[k]
+
+    boxes = []
+    if kind in ("sparse", "near"):
+        for _ in range(int(rng.integers(1, 5))):
+            lo = ws.lower - 0.2 * ws.extent + rng.random(n) * 1.2 * ws.extent
+            boxes.append((lo, lo + rng.uniform(0.05, 0.6, size=n) * ws.extent))
+    if kind == "near":
+        for _ in range(int(rng.integers(1, 4))):
+            lo, hi = np.empty(n), np.empty(n)
+            for k in range(n):
+                anchors = np.unique(np.concatenate(
+                    [[b[0][k] for b in boxes], [b[1][k] for b in boxes],
+                     grid.cuts[k]]))
+                a, b = np.sort(rng.choice(anchors, size=2, replace=False))
+                lo[k], hi[k] = jitter(a, k), jitter(b, k)
+            boxes.append((lo, hi))
+    if kind == "aligned":
+        for _ in range(int(rng.integers(1, 5))):
+            lo, hi = np.empty(n), np.empty(n)
+            for k, cuts in enumerate(grid.cuts):
+                i, j = np.sort(rng.choice(len(cuts), size=2, replace=False))
+                lo[k], hi[k] = cuts[i], cuts[j]
+                if rng.random() < 0.5:
+                    lo[k], hi[k] = jitter(lo[k], k), jitter(hi[k], k)
+            boxes.append((lo, hi))
+    if kind == "tiling":
+        boxes = [(ws.lower.copy(), ws.upper.copy())]
+        for _ in range(int(rng.integers(1, 6))):
+            lo, hi = boxes.pop(int(rng.integers(len(boxes))))
+            k = int(rng.integers(n))
+            cut = lo[k] + rng.uniform(0.2, 0.8) * (hi[k] - lo[k])
+            upper, lower = hi.copy(), lo.copy()
+            upper[k] = lower[k] = cut
+            boxes += [(lo, upper), (lower, hi)]
+    order = rng.permutation(len(boxes))
+    return [LabeledRegion(*boxes[i], _random_services(rng)) for i in order]
+
+
+def _assert_compliant(regions, grid, refined, labeling):
+    """The refinement tiles the workspace, nests in the grid, respects every
+    region and labels each cell with its covering regions' services."""
+    ws = grid.workspace
+    for k, cuts in enumerate(refined.cuts):
+        assert cuts[0] == ws.lower[k] and cuts[-1] == ws.upper[k]
+        assert np.all(np.diff(cuts) > 0)
+    volumes = np.prod(refined.highs - refined.lows, axis=1)
+    assert volumes.sum() == pytest.approx(float(np.prod(ws.extent)),
+                                          rel=1e-12)
+    # every cell nests in exactly one grid cell, face for face
+    nests = np.all((grid.lows <= refined.lows[:, None])
+                   & (refined.highs[:, None] <= grid.highs), axis=2)
+    assert np.all(nests.sum(axis=1) == 1)
+    # a region bound moves by at most the snap tolerance
+    tol = _ALIGN_TOL * np.maximum(1.0, ws.extent)
+    agents = sorted({a for r in regions for a in r.services})
+    for c in range(1, refined.cell_count + 1):
+        lo, hi = refined.bounds(c)
+        expected = {a: set() for a in agents}
+        for r in regions:
+            inside = np.all(r.lower - tol <= lo) and np.all(hi <= r.upper + tol)
+            apart = np.any(np.minimum(hi, r.upper) - np.maximum(lo, r.lower)
+                           <= tol)
+            assert inside != apart
+            if inside:
+                for a, services in r.services.items():
+                    expected[a] |= services
+        assert {a: set(labeling.label(a, c)) for a in agents} == expected
+    assert labeling.alphabets == {
+        a: frozenset().union(*labeling.labels[a].values()) for a in agents}
+
+
 def test_lookup_agrees_with_the_stored_bounds_on_and_beside_every_cut():
     rng = np.random.default_rng(5)
-    for trial in range(60):
+    kinds = ("sparse", "aligned", "tiling", "near")
+    for trial in range(80):
         n = 1 + trial % 2
         lower = rng.uniform(-3.0, 3.0, size=n)
         ws = _ws(lower, lower + rng.uniform(0.5, 4.0, size=n))
         grid = grid_decompose(ws, float(rng.uniform(0.05, 1.0)))
-        patch_lo = ws.lower + rng.random(n) * 0.5 * ws.extent
-        patch = LabeledRegion(patch_lo, patch_lo + 0.37 * ws.extent,
-                              {1: frozenset({"a"})})
-        for decomposition in (grid, refine_to_compliance([patch], grid)[0]):
-            assert decomposition.cuts is not None
+        regions = _random_regions(kinds[trial // 2 % 4], ws, grid, rng)
+        refined, labeling = refine_to_compliance(regions, grid)
+        _assert_compliant(regions, grid, refined, labeling)
+        for decomposition in (grid, refined):
             points = _cut_probes(decomposition, rng, 40)
             cells = cells_of(decomposition, points)
             lo = decomposition.lows[cells - 1]
@@ -215,15 +308,6 @@ def test_array_lookup_rejects_outside_points_and_names_the_first():
                 cell_of(decomposition, bad)
         with pytest.raises(OutsideWorkspace, match="dimension"):
             cells_of(decomposition, np.zeros((3, ws.dimension + 1)))
-
-
-def test_array_lookup_reports_points_between_cells():
-    ws = _ws([0.0], [3.0])
-    gap = CellDecomposition(ws, lows=np.array([[0.0], [2.0]]),
-                            highs=np.array([[1.0], [3.0]]))
-    assert cells_of(gap, np.array([[0.5], [3.0]])).tolist() == [1, 2]
-    with pytest.raises(OutsideWorkspace, match=r"\[1.5\] falls between"):
-        cells_of(gap, np.array([[0.5], [1.5], [9.0]]))
 
 
 def test_refinement_identity_when_regions_align():
@@ -268,7 +352,7 @@ def test_refinement_of_staggered_region():
         assert covered == (c in lab.labels[1])
 
 
-def test_refinement_of_tiling_regions_uses_intersections():
+def test_refinement_of_tiling_regions_labels_every_cell_once():
     grid = grid_decompose(_ws([0, 0], [2, 1]), 0.75)
     regions = [
         LabeledRegion(np.array([0.0, 0.0]), np.array([1.0, 1.0]),
@@ -277,6 +361,7 @@ def test_refinement_of_tiling_regions_uses_intersections():
                       {2: frozenset({"right"})}),
     ]
     dec, lab = refine_to_compliance(regions, grid)
+    assert dec.cells_per_axis == grid.cells_per_axis
     total = np.prod(_ws([0, 0], [2, 1]).extent)
     volumes = [np.prod(dec.bounds(c)[1] - dec.bounds(c)[0])
                for c in range(1, dec.cell_count + 1)]
@@ -286,6 +371,51 @@ def test_refinement_of_tiling_regions_uses_intersections():
         left = lab.label(1, c)
         right = lab.label(2, c)
         assert (left == frozenset({"left"})) != (right == frozenset({"right"}))
+
+
+def test_tiling_that_is_not_a_product_gets_the_product_refinement():
+    grid = grid_decompose(_ws([0, 0], [2, 1]), 1.5)
+    assert grid.cells_per_axis == (2, 1)
+    regions = [
+        LabeledRegion(np.array([0.0, 0.0]), np.array([1.0, 1.0]),
+                      {1: frozenset({"a"})}),
+        LabeledRegion(np.array([1.0, 0.0]), np.array([2.0, 0.3]),
+                      {1: frozenset({"b"})}),
+        LabeledRegion(np.array([1.0, 0.3]), np.array([2.0, 1.0]),
+                      {1: frozenset({"c"})}),
+    ]
+    dec, lab = refine_to_compliance(regions, grid)
+    # the left region is cut at y = 0.3 too: 4 cells, not 3
+    assert [c.tolist() for c in dec.cuts] == [[0.0, 1.0, 2.0], [0.0, 0.3, 1.0]]
+    assert dict(lab.labels[1]) == {1: frozenset({"a"}), 2: frozenset({"a"}),
+                                   3: frozenset({"b"}), 4: frozenset({"c"})}
+
+
+def test_tiling_listed_out_of_order_is_numbered_left_to_right():
+    grid = grid_decompose(_ws([0.0], [3.0]), 3.0)
+    regions = [LabeledRegion(np.array([lo]), np.array([lo + 1.0]),
+                             {1: frozenset({name})})
+               for lo, name in ((2.0, "c"), (0.0, "a"), (1.0, "b"))]
+    dec, lab = refine_to_compliance(regions, grid)
+    assert dec.lows[:, 0].tolist() == [0.0, 1.0, 2.0]
+    assert dict(lab.labels[1]) == {1: frozenset({"a"}), 2: frozenset({"b"}),
+                                   3: frozenset({"c"})}
+
+
+def test_bounds_merged_into_one_cut_label_against_that_cut():
+    grid = grid_decompose(_ws([0.0], [4.032]), 0.336)
+    # B's lower bound is 5e-10 above A's, inside the merge tolerance, so
+    # both regions start on the one cut at 0.5 and B covers cell 3 too
+    regions = [LabeledRegion(np.array([0.5]), np.array([0.9]),
+                             {1: frozenset({"a"})}),
+               LabeledRegion(np.array([0.5 + 5e-10]), np.array([0.8]),
+                             {2: frozenset({"b"})})]
+    dec, lab = refine_to_compliance(regions, grid)
+    assert dec.cell_count == 15
+    assert dec.bounds(3)[0][0] == 0.5
+    assert sorted(lab.labels[1]) == [3, 4, 5]
+    assert sorted(lab.labels[2]) == [3, 4]
+    _assert_compliant(regions, grid, dec, lab)
 
 
 def test_region_bounds_snap_onto_grid_cuts():

@@ -316,9 +316,8 @@ def test_agents_parked_at_their_targets_stay_bitwise_still():
 def test_closed_loop_names_the_agent_that_leaves_the_workspace():
     g = build_graph(2, [(1, 2)])
     ws = _ws([0.0], [4.0])
-    # the last cell reaches past the workspace, so its center lies outside
-    decomp = CellDecomposition(ws, lows=np.array([[0.0], [1.0], [2.0], [3.0]]),
-                               highs=np.array([[1.0], [2.0], [3.0], [7.0]]))
+    # the last cut lies past the workspace, and so does the last cell's center
+    decomp = CellDecomposition(ws, (np.array([0.0, 1.0, 2.0, 3.0, 7.0]),))
     plan1 = _plan([1, 1, 1], 0.25)
     plan2 = _plan([3, 4, 4], 0.25)
     plan2.agent = 2
@@ -410,9 +409,9 @@ def test_closed_loop_matches_the_stepped_loop_on_long_random_runs():
         plans[0] = _plan(cells, dt)
         decomp = grid
         if trial % 4 == 3:  # cells on the upper x face reach past the wall
-            highs = grid.highs.copy()
-            highs[highs[:, 0] == ws.upper[0], 0] += 3.0 * ws.extent[0]
-            decomp = CellDecomposition(ws, lows=grid.lows, highs=highs)
+            cuts = list(grid.cuts)
+            cuts[0] = np.append(cuts[0][:-1], ws.upper[0] + 3.0 * ws.extent[0])
+            decomp = CellDecomposition(ws, tuple(cuts))
         x0 = np.array([grid.center(p.cell_at(0)) for p in plans])
         x0 += rng.uniform(-0.2, 0.2, size=x0.shape) * grid.diameter
         x0 = np.clip(x0, ws.lower, ws.upper)
