@@ -1,13 +1,16 @@
 """Microbenchmarks of the timed search inside ``synthesize``.
 
-The first four run on a two-agent scenario with two-window goals whose
+The first five run on a two-agent scenario with two-window goals whose
 per-agent runs never combine, so synthesis enumerates lassos, rejects all
 276 combinations and searches the joint product:
 
 * cold ``BuchiProduct.successors`` expansion of agent 1's whole product;
 * cold ``enumerate_accepting_lassos`` on agent 1's product (its 12 lassos);
 * ``consistent`` over the 276 combinations of per-agent lassos;
-* ``intersect`` of the two agents' automata, with its largest constant.
+* ``intersect`` of the two agents' automata, with its largest constant;
+* the cold joint search of step 4: a fresh ``ProductWTS`` against the
+  intersection, expanded by ``find_accepting_lasso`` until it closes its
+  lasso.
 
 The last translates ``F[0,1] a & F[0,2] b & G[0,3] !c`` over the letters an
 agent with k one-service regions emits, none and one per service, for
@@ -28,7 +31,7 @@ import pytest
 from mas.cli import load_scenario, stage_abstract, stage_bounds
 from mas.mitl import parse
 from mas.synthesis import (BuchiProduct, _project_cells, consistent,
-                           enumerate_accepting_lassos)
+                           enumerate_accepting_lassos, find_accepting_lasso)
 from mas.abstraction import ProductWTS
 from mas.tba import from_flat_mitl, intersect
 
@@ -103,6 +106,12 @@ def test_consistency_over_all_combinations(benchmark, pipe, automata):
 def test_intersection_of_agent_automata(benchmark, automata):
     c_max = benchmark(lambda: intersect(*automata).c_max)
     assert c_max == 2
+
+
+def test_cold_joint_product_search(benchmark, pipe, automata):
+    lasso = benchmark(lambda: find_accepting_lasso(BuchiProduct(
+        ProductWTS(pipe.wts_list, pipe.g), intersect(*automata))))
+    assert (len(lasso.prefix_states), len(lasso.cycle_states)) == (865, 52)
 
 
 @pytest.mark.parametrize("k", range(3, 8))

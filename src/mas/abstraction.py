@@ -327,6 +327,7 @@ class ProductWTS:
         self.graph = g
         self.dt = wts_list[0].dt
         self._succ_cache: dict[tuple, list] = {}
+        self._labels: dict[tuple, frozenset[str]] = {}
 
     def initial_states(self) -> tuple[tuple[int, ...], ...]:
         return (tuple(w.initial for w in self.wts_list),)
@@ -337,9 +338,11 @@ class ProductWTS:
         return (own,) + tuple(joint[j - 1] for j in self.graph.neighbors(agent))
 
     def label(self, joint: tuple[int, ...]) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for w, cell in zip(self.wts_list, joint):
-            out |= w.label(cell)
+        """Union of the agents' labels, computed once per joint state."""
+        out = self._labels.get(joint)
+        if out is None:
+            out = self._labels[joint] = frozenset().union(
+                *(w.label(cell) for w, cell in zip(self.wts_list, joint)))
         return out
 
     def successors(self, joint: tuple[int, ...]):

@@ -46,6 +46,14 @@ class NetworkGraph:
         lap.flags.writeable = False
         return lap
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Laplacian eigenvalues in ascending order, computed once per graph
+        (read-only, like the Laplacian)."""
+        eigvals = np.linalg.eigvalsh(self.laplacian)
+        eigvals.flags.writeable = False
+        return eigvals
+
     def neighbors(self, agent: int) -> tuple[int, ...]:
         """Sorted neighbor ids of an agent (1-based)."""
         return self._neighbors[agent - 1]
@@ -111,7 +119,7 @@ def spectral(g: NetworkGraph) -> SpectralData:
 
     Raises DisconnectedGraph when the second eigenvalue is below tolerance.
     """
-    eigvals = np.linalg.eigvalsh(g.laplacian)
+    eigvals = g.eigenvalues
     lambda2 = float(eigvals[1])
     lambda_max = float(eigvals[-1])
     if lambda2 <= CONNECTIVITY_TOL:

@@ -21,15 +21,17 @@ A lasso is a sequence of product states (``_ndfs.Lasso``); search graphs
 carry no edge labels, so step 5 re-derives each agent's action from the
 joint state it moves from (``ProductWTS.agent_action``).
 
-Product states are (system state, automaton location, clock tick), the one
-clock being the time since the run began. Every move of the abstraction
-takes one sampling period dt, so the clock counts integer ticks of dt
-(``tba.TickClocks``) and each move advances it by one tick, exact without
-rational arithmetic; guards are evaluated at the post-delay value, and the
-clock saturates above the automaton's largest constant. A product state is
-only formed when the system state's service set equals the automaton
-location's letter. Step 2 searches each agent's cell graph with the
-neighbor assumptions quotiented away (``AgentWTS.successors``).
+Product states are flat tuples (system state, location number, clock tick):
+the automaton's locations are numbered as the search meets them
+(``tba.TickClocks.number``), and the one clock is the time since the run
+began. Every move of the abstraction takes one sampling period dt, so the
+clock counts integer ticks of dt (``tba.TickClocks``) and each move
+advances it by one tick, exact without rational arithmetic; guards are
+evaluated at the post-delay value, and the clock saturates above the
+automaton's largest constant. A product state is only formed when the
+system state's service set equals the automaton location's letter. Step 2
+searches each agent's cell graph with the neighbor assumptions quotiented
+away (``AgentWTS.successors``).
 """
 
 from __future__ import annotations
@@ -62,21 +64,31 @@ class BuchiProduct:
 
     The system's ``successors(s)`` returns child states, and every move
     takes its sampling period ``dt``, so a product state is (system state,
-    location, k) with k the automaton's one clock in ticks of dt, and each
-    move advances k by one tick. ``successors`` of the product returns
-    child product states. Since k never decreases, a state below the
-    saturated tick lies on no cycle; ``accepting`` admits only accepting
-    locations at the saturated tick (``TickClocks.recurs``).
+    location number, k) with k the automaton's one clock in ticks of dt,
+    and each move advances k by one tick; ``location(i)`` reads a number
+    back (``TickClocks.number``). ``successors`` of the product returns
+    child product states: the first expansion of a (system state,
+    location) pair lists its row, every (s2, lowest tick, highest tick,
+    target) with s2 in ``system.successors`` order and then the edges into
+    s2's label, and each state keeps the row entries its next tick admits.
+    Since k never decreases, a state below the saturated tick lies on no
+    cycle; ``accepting`` admits only accepting locations at the saturated
+    tick (``TickClocks.recurs``).
     """
 
     def __init__(self, system, automaton: TimedAutomaton):
         self.system = system
         self.automaton = automaton
         self.clocks = TickClocks(automaton, (system.dt,))
+        self._rows: dict[tuple, list] = {}
         self._succ_cache: dict[tuple, list] = {}
 
+    def location(self, i: int):
+        return self.clocks.locations[i]
+
     def initial(self) -> list[tuple]:
-        return [(s, q, 0) for s in self.system.initial_states()
+        number = self.clocks.number
+        return [(s, number(q), 0) for s in self.system.initial_states()
                 for q in self.automaton.initial
                 if self.automaton.labels[q] == self.system.label(s)]
 
@@ -85,13 +97,16 @@ class BuchiProduct:
         if cached is not None:
             return cached
         s, q, k = state
-        label, moves = self.system.label, self.clocks.moves
-        result = []
-        for s2 in self.system.successors(s):
-            k2, targets = moves(q, k, 1, label(s2))
-            for target in targets:
-                result.append((s2, target, k2))
-        self._succ_cache[state] = result
+        row = self._rows.get((s, q))
+        if row is None:
+            edges, label = self.clocks.edges(q), self.system.label
+            row = self._rows[s, q] = [
+                (s2, lo, hi, target) for s2 in self.system.successors(s)
+                for lo, hi, target in edges.get(label(s2), ())]
+        sat = self.clocks.sat
+        k = k + 1 if k + 1 < sat else sat
+        result = self._succ_cache[state] = [
+            (s2, target, k) for s2, lo, hi, target in row if lo <= k <= hi]
         return result
 
     def accepting(self, state: tuple) -> bool:
@@ -113,10 +128,10 @@ def enumerate_accepting_lassos(product: BuchiProduct,
     Within a BFS layer, states at accepting locations expand first at any
     tick, so stems reach accepting territory as early as they can.
     """
-    accepting = product.automaton.accepting
+    accepting = product.clocks.accepting
     return _ndfs.shortest_lassos(
         product.initial(), product.successors, product.accepting,
-        max_states=max_states, priority=lambda s: s[1] not in accepting)
+        max_states=max_states, priority=lambda s: not accepting[s[1]])
 
 
 # --------------------------------------------------------------------------

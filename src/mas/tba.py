@@ -128,7 +128,8 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 
 class TickClocks:
-    """An automaton's clock counted in integer ticks of one delta.
+    """An automaton's clock counted in integer ticks of one delta, over
+    numbered locations.
 
     delta is the gcd of the delays time may advance by, so the clock value
     is an int k meaning k*delta, or ``sat`` = floor(c_max/delta) + 1 for
@@ -138,24 +139,43 @@ class TickClocks:
     when unbounded, and a conjunction admits the largest lower tick up to
     the smallest upper one (nothing when that range is empty). Since every
     constant is at most c_max, the saturated tick passes each lower bound
-    and fails each upper bound, exactly as an infinite value would.
+    and fails each upper bound, exactly as an infinite value would. Each
+    window's tick bounds are computed once.
 
-    Each location is compiled the first time a move leaves it: its outgoing
-    edges indexed by target letter in their original order, each as
-    (lowest tick, highest tick, target).
+    A location gets its number the first time it is met (``number``), so
+    searches carry small ints instead of nested location objects;
+    ``locations[i]`` and ``accepting[i]`` read number i back. Each location
+    is compiled the first time its edges are asked for (``edges``): its
+    outgoing edges indexed by target letter in their original order, each
+    as (lowest tick, highest tick, target number).
 
-    ``recurs`` tells which (location, tick) states can close a Büchi cycle.
+    ``recurs`` tells which (location number, tick) states can close a
+    Büchi cycle.
     """
 
     def __init__(self, automaton: TimedAutomaton, delays: Iterable):
         self.automaton = automaton
         self.delta = reduce(_fraction_gcd, (to_fraction(d) for d in delays))
         self.sat = math.floor(automaton.c_max / self.delta) + 1
-        self._compiled: dict[Any, dict] = {}
+        self.locations: list = []
+        self.accepting: list[bool] = []
+        self._numbers: dict[Any, int] = {}
+        self._compiled: list[dict | None] = []
+        self._term_ticks: dict[int, tuple[int, int, Interval]] = {}
 
-    def recurs(self, q, k: int) -> bool:
-        """Whether a state at location q and tick k can be the accepting
-        state of a Büchi cycle.
+    def number(self, q) -> int:
+        """Location q's number, given on first use."""
+        i = self._numbers.get(q)
+        if i is None:
+            i = self._numbers[q] = len(self.locations)
+            self.locations.append(q)
+            self.accepting.append(q in self.automaton.accepting)
+            self._compiled.append(None)
+        return i
+
+    def recurs(self, i: int, k: int) -> bool:
+        """Whether a state at location number i and tick k can be the
+        accepting state of a Büchi cycle.
 
         Time strictly advances along a run, so every move adds at least
         one tick and k never decreases; below ``sat`` it strictly grows.
@@ -163,7 +183,7 @@ class TickClocks:
         ``sat``: a state below it is transient, and only an accepting
         location at the saturated tick can recur.
         """
-        return q in self.automaton.accepting and k == self.sat
+        return k == self.sat and self.accepting[i]
 
     def ticks(self, delay) -> int:
         count = to_fraction(delay) / self.delta
@@ -175,34 +195,42 @@ class TickClocks:
         """(lowest tick, highest tick) the guard admits."""
         lowest, highest = 0, self.sat
         for term in guard.terms:
-            lo = term.lo / self.delta
-            lo = math.floor(lo) + 1 if term.lo_open else math.ceil(lo)
-            if term.hi is None:
-                hi = self.sat
-            else:
-                hi = term.hi / self.delta
-                hi = math.ceil(hi) - 1 if term.hi_open else math.floor(hi)
-            lowest, highest = max(lowest, lo), min(highest, hi)
+            # keyed by identity, cheaper than hashing the Fractions; each
+            # entry holds its term, so no other term can take over the id
+            bounds = self._term_ticks.get(id(term))
+            if bounds is None:
+                bounds = self._term_ticks[id(term)] = (
+                    *self._window_ticks(term), term)
+            lowest, highest = max(lowest, bounds[0]), min(highest, bounds[1])
         return lowest, highest
 
-    def moves(self, q, k: int, delay: int, letter) -> tuple[int, list]:
-        """The clock after ``delay`` ticks from k, and the targets of the
-        edges from q into a ``letter`` location whose guard admits it."""
-        k = k + delay if k + delay < self.sat else self.sat
-        edges = self._compiled.get(q)
-        if edges is None:
-            edges = self._compiled[q] = self._compile(q)
-        return k, [target for lo, hi, target in edges.get(letter, ())
-                   if lo <= k <= hi]
+    def _window_ticks(self, term: Interval) -> tuple[int, int]:
+        lo = term.lo / self.delta
+        lo = math.floor(lo) + 1 if term.lo_open else math.ceil(lo)
+        if term.hi is None:
+            return lo, self.sat
+        hi = term.hi / self.delta
+        return lo, math.ceil(hi) - 1 if term.hi_open else math.floor(hi)
 
-    def _compile(self, q) -> dict:
-        """{target letter: [(lowest tick, highest tick, target), ...]}."""
-        auto = self.automaton
-        by_letter: dict[frozenset, list] = {}
-        for edge in auto.edges_from[q]:
-            by_letter.setdefault(auto.labels[edge.target], []).append(
-                (*self.tick_range(edge.guard), edge.target))
-        return by_letter
+    def edges(self, i: int) -> dict:
+        """{target letter: [(lowest tick, highest tick, target number),
+        ...]} of location number i."""
+        compiled = self._compiled[i]
+        if compiled is None:
+            auto, number = self.automaton, self.number
+            compiled = self._compiled[i] = {}
+            for edge in auto.edges_from[self.locations[i]]:
+                compiled.setdefault(auto.labels[edge.target], []).append(
+                    (*self.tick_range(edge.guard), number(edge.target)))
+        return compiled
+
+    def moves(self, i: int, k: int, delay: int, letter) -> tuple[int, list]:
+        """The clock after ``delay`` ticks from k, and the target numbers
+        of the edges from location number i into a ``letter`` location
+        whose guard admits it."""
+        k = k + delay if k + delay < self.sat else self.sat
+        return k, [target for lo, hi, target in self.edges(i).get(letter, ())
+                   if lo <= k <= hi]
 
 
 # --------------------------------------------------------------------------
@@ -506,8 +534,8 @@ def accepts_lasso(automaton: TimedAutomaton, word: TimedWord,
                   node_cap: int = _NODE_CAP) -> bool:
     """Whether the automaton accepts an ultimately periodic timed word.
 
-    Searches the finite graph of (location, clock in ticks, word phase)
-    nodes, a tick being the gcd of the word's gaps, for a reachable
+    Searches the finite graph of (location number, clock in ticks, word
+    phase) nodes, a tick being the gcd of the word's gaps, for a reachable
     cycle through an accepting location; nodes are expanded on demand, and
     BudgetExceeded fires once the search has visited more than ``node_cap``
     nodes. Timestamps strictly increase, so each move adds at least one
@@ -527,15 +555,15 @@ def accepts_lasso(automaton: TimedAutomaton, word: TimedWord,
         if letter not in carried:
             raise ValueError(f"no location carries the letter "
                              f"{sorted(letter)} at word position {position}")
-    starts = [(loc, 0, 0) for loc in automaton.initial
+    starts = [(clocks.number(loc), 0, 0) for loc in automaton.initial
               if automaton.labels[loc] == letters[0]]
 
     def successors(node):
-        loc, k, phase = node
+        i, k, phase = node
         # the position this phase stands for advances to phase+1
         d = clocks.ticks(word.time(phase + 1) - word.time(phase))
         next_phase = word.canonical(phase + 1)
-        k, targets = clocks.moves(loc, k, d, letters[next_phase])
+        k, targets = clocks.moves(i, k, d, letters[next_phase])
         return [(target, k, next_phase) for target in targets]
 
     lasso = _ndfs.find_accepting_cycle(

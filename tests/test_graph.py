@@ -96,6 +96,23 @@ def test_disconnected_graph_rejected():
         build_graph(4, [(1, 2), (3, 4)])
 
 
+def test_bounds_stage_computes_the_spectrum_once(monkeypatch):
+    # build_graph's connectivity check and the bounds read one spectrum
+    from pathlib import Path
+
+    from mas.cli import load_scenario, stage_bounds
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(a) or eigvalsh(a))
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / \
+        "pair_line.json"
+    pipe = stage_bounds(load_scenario(scenario))
+    assert len(calls) == 1
+    assert pipe.spec.lambda2 == pytest.approx(2.0)
+
+
 def test_self_loop_rejected():
     with pytest.raises(SelfLoop):
         build_graph(2, [(1, 1), (1, 2)])

@@ -265,7 +265,7 @@ def payload_accepts_lasso(automaton, word, node_cap=500_000):
     def tag_of(position):
         return position if position < p else p + (position - p) % c
 
-    starts = [(loc, 0, 0) for loc in automaton.initial
+    starts = [(clocks.number(loc), 0, 0) for loc in automaton.initial
               if automaton.labels[loc] == word.letter(0)]
     adjacency: dict = {}
     frontier = list(starts)
@@ -289,7 +289,7 @@ def payload_accepts_lasso(automaton, word, node_cap=500_000):
         adjacency[node] = succ
     lasso = payload_find_accepting_cycle(
         starts, lambda node: adjacency.get(node, ()),
-        lambda node: node[0] in automaton.accepting)
+        lambda node: clocks.locations[node[0]] in automaton.accepting)
     return lasso is not None
 
 

@@ -71,7 +71,8 @@ def test_product_states_stay_label_synchronized():
             continue
         seen.add(state)
         cell, location, _ = state
-        assert product.automaton.labels[location] == wts.label(cell)
+        assert product.automaton.labels[product.location(location)] \
+            == wts.label(cell)
         targets = wts.successors(cell)
         for nxt in product.successors(state):
             assert nxt[0] in targets

@@ -17,11 +17,16 @@ Each test keeps a local copy of the earlier implementation as its oracle:
 * automata over every subset of the agents' services, against those over
   the letters the agents' cells emit, which ``synthesize`` builds;
 * the alignment-based consistency check, against the early-exit
-  ``consistent``.
+  ``consistent``;
+* the product whose states hold location objects and whose successors
+  scan the automaton's edges, against ``BuchiProduct``'s location numbers
+  and compiled (state, location) rows, on single agents and on joint
+  products of two and three agents.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -29,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mas import mitl
+from mas import _ndfs, mitl
 from mas.abstraction import AgentWTS, ProductWTS
 from mas.errors import LengthMismatch
 from mas.mitl import to_fraction
@@ -108,7 +113,7 @@ class FractionProduct:
 def _as_fractions(product: BuchiProduct, state):
     s, q, k = state
     sat, delta = product.clocks.sat, product.clocks.delta
-    return s, q, INF if k == sat else k * delta
+    return s, product.location(q), INF if k == sat else k * delta
 
 
 def _assert_same_range(clocks: TickClocks, guard: Guard) -> tuple[int, int]:
@@ -145,11 +150,20 @@ def _cells(lasso):
             [s[0] for s in lasso.cycle_states])
 
 
+def _object_lassos(oracle) -> list:
+    """``enumerate_accepting_lassos`` over a product whose states hold
+    location objects: accepting locations expand first in each layer."""
+    accepting = oracle.automaton.accepting
+    return _ndfs.shortest_lassos(oracle.initial(), oracle.successors,
+                                 oracle.accepting,
+                                 priority=lambda s: s[1] not in accepting)
+
+
 def _assert_same_lassos(fast: BuchiProduct, oracle: FractionProduct):
     assert _cells(find_accepting_lasso(fast)) \
         == _cells(find_accepting_lasso(oracle))
     assert [_cells(l) for l in enumerate_accepting_lassos(fast)] \
-        == [_cells(l) for l in enumerate_accepting_lassos(oracle)]
+        == [_cells(l) for l in _object_lassos(oracle)]
 
 
 def _scaled(formula, factor: Fraction):
@@ -240,7 +254,8 @@ def test_only_saturated_accepting_states_recur():
     for wts, auto in _random_instances():
         product = BuchiProduct(wts, auto)
         succ = _with_payloads(product.successors)
-        by_location = lambda state: state[1] in auto.accepting
+        by_location = lambda state: \
+            product.location(state[1]) in auto.accepting
         seen, frontier = set(product.initial()), list(product.initial())
         while frontier:
             for child in product.successors(frontier.pop()):
@@ -517,13 +532,20 @@ def _assert_same_successors(emitted: BuchiProduct, full: BuchiProduct,
     """Both products expand the same states into the same ordered lists
     (the first ``cap`` states reached, depth first)."""
     assert emitted.clocks.sat == full.clocks.sat
+
+    def named(product, states):
+        return [(s, product.location(q), k) for s, q, k in states]
+
     starts = emitted.initial()
-    assert starts == full.initial()
+    assert named(emitted, starts) == named(full, full.initial())
+    renumber = dict(zip(starts, full.initial()))
     seen, frontier = set(starts), list(starts)
     while frontier and len(seen) < cap:
         state = frontier.pop()
         got = emitted.successors(state)
-        assert got == full.successors(state), state
+        want = full.successors(renumber[state])
+        assert named(emitted, got) == named(full, want), state
+        renumber.update(zip(got, want))
         for child in got:
             if child not in seen:
                 seen.add(child)
@@ -619,3 +641,193 @@ def test_early_exit_consistency_matches_the_aligned_check():
         assert got == _outcome(aligned_consistent, runs, product, lcm_cap)
         outcomes[got] += 1
     assert min(outcomes.values()) > 0, outcomes
+
+
+# --------------------------------------------------------------------------
+# oracle: product states with location objects
+# --------------------------------------------------------------------------
+
+def _guard_ticks(clocks: TickClocks, guard: Guard) -> tuple[int, int]:
+    """``TickClocks.tick_range`` without its memo: every term divided on
+    the spot."""
+    lowest, highest = 0, clocks.sat
+    for term in guard.terms:
+        lo = term.lo / clocks.delta
+        lo = math.floor(lo) + 1 if term.lo_open else math.ceil(lo)
+        if term.hi is None:
+            hi = clocks.sat
+        else:
+            hi = term.hi / clocks.delta
+            hi = math.ceil(hi) - 1 if term.hi_open else math.floor(hi)
+        lowest, highest = max(lowest, lo), min(highest, hi)
+    return lowest, highest
+
+
+def _union_label(system, state) -> frozenset:
+    """A system state's letter; a joint state's is the union of its
+    cells' labels, recomputed on every call."""
+    if isinstance(system, ProductWTS):
+        return frozenset().union(
+            *(w.label(c) for w, c in zip(system.wts_list, state)))
+    return system.label(state)
+
+
+class ObjectProduct:
+    """The tick product with location objects in its states: each state's
+    first expansion scans the location's edges for the child's letter and
+    compiles each guard on the spot."""
+
+    def __init__(self, system, automaton: TimedAutomaton):
+        self.system = system
+        self.automaton = automaton
+        self.clocks = TickClocks(automaton, (system.dt,))
+        self._cache: dict = {}
+
+    def initial(self):
+        auto = self.automaton
+        return [(s, q, 0) for s in self.system.initial_states()
+                for q in auto.initial
+                if auto.labels[q] == _union_label(self.system, s)]
+
+    def successors(self, state):
+        if state in self._cache:
+            return self._cache[state]
+        auto, clocks = self.automaton, self.clocks
+        s, q, k = state
+        k = min(k + 1, clocks.sat)
+        result = self._cache[state] = []
+        for s2 in self.system.successors(s):
+            for edge in auto.edges_from[q]:
+                if auto.labels[edge.target] != _union_label(self.system, s2):
+                    continue
+                lo, hi = _guard_ticks(clocks, edge.guard)
+                if lo <= k <= hi:
+                    result.append((s2, edge.target, k))
+        return result
+
+    def accepting(self, state):
+        return state[1] in self.automaton.accepting \
+            and state[2] == self.clocks.sat
+
+
+def _named(product: BuchiProduct, states) -> list:
+    return [(s, product.location(q), k) for s, q, k in states]
+
+
+def _named_lasso(product: BuchiProduct, lasso):
+    if lasso is None:
+        return None
+    return (_named(product, lasso.prefix_states),
+            _named(product, lasso.cycle_states))
+
+
+def _object_lasso(lasso):
+    if lasso is None:
+        return None
+    return list(lasso.prefix_states), list(lasso.cycle_states)
+
+
+def _assert_same_numbered_product(fast: BuchiProduct,
+                                  oracle: ObjectProduct) -> tuple[int, int]:
+    """Successor lists agree state for state and in order, and so do the
+    lassos both searches find, once location numbers are read back."""
+    starts = fast.initial()
+    assert _named(fast, starts) == oracle.initial()
+    seen, frontier = set(starts), list(starts)
+    while frontier:
+        state = frontier.pop()
+        got = fast.successors(state)
+        want = oracle.successors(_named(fast, [state])[0])
+        assert _named(fast, got) == want, state
+        for child in got:
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    assert _named_lasso(fast, find_accepting_lasso(fast)) == _object_lasso(
+        _ndfs.find_accepting_cycle(oracle.initial(), oracle.successors,
+                                   oracle.accepting))
+    got = [_named_lasso(fast, l) for l in enumerate_accepting_lassos(fast)]
+    assert got == [_object_lasso(l) for l in _object_lassos(oracle)]
+    return len(seen), len(got)
+
+
+def _random_conjunction(rng, count: int, names=("p", "q")):
+    """``count`` random temporal units over ``names``, conjoined."""
+    units = []
+    for _ in range(count):
+        formula = random_flat_formula(rng, names=names, max_constant=4)
+        units.append(formula.left if isinstance(formula, mitl.And)
+                     else formula)
+    return functools.reduce(mitl.And, units)
+
+
+def test_numbered_single_agent_products_match_the_object_product():
+    rng = np.random.default_rng(7007)
+    states = lassos = 0
+    by_count = {1: 0, 2: 0, 3: 0}
+    for trial in range(240):
+        wts = four_state_timed_wts() if trial % 10 == 0 \
+            else _random_timed_system(rng)
+        count = trial % 3 + 1
+        auto = from_flat_mitl(_random_conjunction(rng, count),
+                              letters=canonical_letters({"p", "q"}))
+        reached, found = _assert_same_numbered_product(
+            BuchiProduct(wts, auto), ObjectProduct(wts, auto))
+        states += reached
+        lassos += found
+        by_count[count] += found > 0
+    assert states > 2500 and lassos > 120 and min(by_count.values()) > 4
+
+
+def _random_joint_product(rng, agents: int) -> ProductWTS:
+    """``agents`` agents on three cells over a random connected graph,
+    each cell carrying a random set of its agent's services."""
+    g = random_connected_graph(rng, max_agents=agents, max_dimension=1)
+    while g.agent_count != agents:
+        g = random_connected_graph(rng, max_agents=agents, max_dimension=1)
+    cells = (0, 1, 2)
+    dt = float(rng.choice(_PERIODS))
+    wts_list = []
+    for agent in range(1, agents + 1):
+        labels = {c: frozenset(s for s in (f"p{agent}", f"q{agent}")
+                               if rng.random() < 0.4) for c in cells}
+        neighbors = g.neighbors(agent)
+        table = {}
+        # every action enabled (staying included), so no joint run sticks
+        for action in itertools.product(cells, repeat=len(neighbors) + 1):
+            table[action] = tuple(sorted(
+                {action[0]} | {c for c in cells if rng.random() < 0.5}))
+        wts_list.append(AgentWTS(agent=agent, cells=cells,
+                                 initial=int(rng.integers(len(cells))),
+                                 dt=dt, labels=labels, transitions=table,
+                                 neighbor_agents=tuple(neighbors)))
+    return ProductWTS(wts_list, g)
+
+
+def _agent_automaton(rng, w: AgentWTS, conjuncts: int) -> TimedAutomaton:
+    """A random formula's automaton over the letters w emits, redrawn up to
+    four times until w alone can meet it, so joint lassos are common."""
+    names = (f"p{w.agent}", f"q{w.agent}")
+    for _ in range(5):
+        auto = from_flat_mitl(_random_conjunction(rng, conjuncts, names),
+                              letters={w.label(c) for c in w.cells})
+        if find_accepting_lasso(BuchiProduct(w, auto)) is not None:
+            break
+    return auto
+
+
+@pytest.mark.parametrize("agents,trials", [(2, 30), (3, 6)])
+def test_numbered_joint_products_match_the_object_product(agents, trials):
+    rng = np.random.default_rng(7008 + agents)
+    states = lassos = with_lassos = 0
+    for trial in range(trials):
+        product = _random_joint_product(rng, agents)
+        conjuncts = 1 + trial % 2 if agents == 2 else 1
+        auto = functools.reduce(intersect, [
+            _agent_automaton(rng, w, conjuncts) for w in product.wts_list])
+        reached, found = _assert_same_numbered_product(
+            BuchiProduct(product, auto), ObjectProduct(product, auto))
+        states += reached
+        lassos += found
+        with_lassos += found > 0
+    assert states > 3000 and lassos > 200 and with_lassos > trials // 3
