@@ -6,7 +6,11 @@ benchmark scenario at seed 0 (3 agents in 2-D, 16 refined cells):
 * ``cells_of`` on its 15 003 boundary points (5 001 boundaries x 3 agents)
   in the refined decomposition, the read-back behind ``services.json``;
 * ``_write_trajectory_csv`` on that run's 20 001 nodes, the
-  ``trajectory.csv`` it writes.
+  ``trajectory.csv`` it writes;
+
+and of the whole ``mas simulate`` command, in process, on the line3-abstract
+benchmark scenario at seed 0 (3 agents in 1-D, 24 cells) with that
+workload's 36 steps, reusing a ``plans.json`` synthesized once.
 
 Run from the repository root (not part of the default test run):
 
@@ -19,10 +23,12 @@ import json
 
 import pytest
 
-from mas.cli import _write_trajectory_csv, load_scenario, stage_abstract, \
-    stage_bounds, stage_synthesize
+from mas.cli import _write_trajectory_csv, load_scenario, main, \
+    stage_abstract, stage_bounds, stage_synthesize
 from mas.partition import cells_of
 from mas.simulate import integrate_plans
+
+from test_abstraction_layers import LINE3
 
 STEPS = 5000
 
@@ -80,3 +86,13 @@ def test_boundary_cell_lookup(benchmark, loop):
     assert points.size // 2 == 15003
     cells = benchmark(cells_of, pipe.decomp, points)
     assert cells.shape == (STEPS + 1, 3)
+
+
+def test_simulate_command_from_saved_plans(benchmark, tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(LINE3))
+    common = ["--scenario", str(scenario), "--out", str(tmp_path / "run")]
+    assert main(["synthesize", *common]) == 0
+    simulate = ["simulate", *common, "--horizon", "36", "--substeps", "4"]
+    assert benchmark(main, simulate) == 0
+    assert "reusing" in capsys.readouterr().out

@@ -14,8 +14,11 @@ Every command reads a scenario JSON file (mas.files describes the format),
 writes deterministic artifacts into --out (report.json; synthesize adds
 plans.json; simulate adds trajectory.csv and services.json) and prints a
 short summary. `simulate` reuses an existing plans.json in --out instead of
-re-synthesizing. `check` evaluates a formula on a timed word (from --word or
-from the agent's plan in --out).
+re-synthesizing; executing plans needs only the cell decomposition
+(`stage_partition`), so it builds the transition systems (`stage_abstract`)
+only when it has to synthesize, and only then does its report.json hold the
+"abstraction" section. `check` evaluates a formula on a timed word (from
+--word or from the agent's plan in --out).
 
 Exit codes: 0 success (check: formula satisfied), 2 unsatisfiable (check:
 formula violated), 3 a search budget was exhausted, 1 any other error. Set
@@ -39,10 +42,11 @@ from .abstraction import ACTION_ENUMERATION_CAP, AgentWTS, build_agent_wts
 from .bounds import (BoundsReport, DiscretizationRange, deviation_remainder,
                      discretization_range, theorem1_constants)
 from .errors import BudgetExceeded, MasError, SemanticError, Unsatisfiable
-# the commands call load_scenario and plans_from_dict as globals of this
-# module, so that a wrapper set on it (as a tracer does) is what runs
-from .files import (Scenario, load_scenario, plans_from_dict, plans_to_dict,
-                    word_from_json)
+# the commands call load_scenario, plans_from_dict and plan_from_dict as
+# globals of this module, so that a wrapper set on it (as a tracer does) is
+# what runs
+from .files import (Scenario, load_scenario, plan_from_dict, plans_from_dict,
+                    plans_to_dict, word_from_json)
 from .graph import NetworkGraph, SpectralData, build_graph, spectral
 from .mitl import evaluate, parse, witness_instant
 from .partition import (CellDecomposition, ServiceLabeling, cell_of,
@@ -68,10 +72,13 @@ class Pipeline:
     spec: SpectralData
     report: BoundsReport
     disc: DiscretizationRange
+    # set by stage_partition: all that executing and reading back plans needs
     grid: CellDecomposition | None = None
     decomp: CellDecomposition | None = None
     labeling: ServiceLabeling | None = None
     initial_cells: list[int] | None = None
+    # set by stage_abstract, which synthesis needs; report_dict writes the
+    # "abstraction" section only when it is set
     wts_list: list[AgentWTS] | None = None
 
 
@@ -93,23 +100,24 @@ def stage_bounds(sc: Scenario) -> Pipeline:
     return Pipeline(scenario=sc, g=g, spec=spec, report=report, disc=disc)
 
 
+def stage_partition(pipe: Pipeline) -> Pipeline:
+    sc = pipe.scenario
+    pipe.grid = grid_decompose(sc.workspace(), pipe.disc.chosen_d_max)
+    pipe.decomp, pipe.labeling = refine_to_compliance(sc.regions, pipe.grid)
+    pipe.initial_cells = [cell_of(pipe.decomp, sc.initial_positions[i])
+                          for i in range(sc.agent_count)]
+    return pipe
+
+
 def stage_abstract(pipe: Pipeline,
                    max_actions: int = ACTION_ENUMERATION_CAP) -> Pipeline:
-    sc = pipe.scenario
-    grid = grid_decompose(sc.workspace(), pipe.disc.chosen_d_max)
-    decomp, labeling = refine_to_compliance(sc.regions, grid)
-    initial_cells = [cell_of(decomp, sc.initial_positions[i])
-                     for i in range(sc.agent_count)]
-    wts_list = []
-    for agent in range(1, sc.agent_count + 1):
-        wts_list.append(build_agent_wts(
-            pipe.g, agent, decomp, labeling, pipe.report, pipe.disc,
-            initial_cells[agent - 1], max_actions=max_actions))
-    pipe.grid = grid
-    pipe.decomp = decomp
-    pipe.labeling = labeling
-    pipe.initial_cells = initial_cells
-    pipe.wts_list = wts_list
+    if pipe.decomp is None:
+        stage_partition(pipe)
+    pipe.wts_list = [
+        build_agent_wts(pipe.g, agent, pipe.decomp, pipe.labeling,
+                        pipe.report, pipe.disc, pipe.initial_cells[agent - 1],
+                        max_actions=max_actions)
+        for agent in range(1, pipe.scenario.agent_count + 1)]
     return pipe
 
 
@@ -166,7 +174,7 @@ def report_dict(pipe: Pipeline) -> dict:
                                              pipe.disc.chosen_dt),
         },
     }
-    if pipe.decomp is not None:
+    if pipe.wts_list is not None:
         out["abstraction"] = {
             "grid_cells": pipe.grid.cell_count,
             "cells": pipe.decomp.cell_count,
@@ -292,10 +300,12 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
-    pipe = stage_abstract(stage_bounds(sc))
-    out = _prepare_out(args)
+    pipe = stage_partition(stage_bounds(sc))
+    out = Path(args.out)
     plans_path = out / "plans.json"
     if plans_path.exists():
+        # executing plans needs only the cells; the transition systems
+        # were built, and reported, when the plans were synthesized
         plans = plans_from_dict(json.loads(plans_path.read_text()))
         if plans[0].dt != pipe.disc.chosen_dt:
             raise SemanticError(
@@ -304,6 +314,8 @@ def cmd_simulate(args) -> int:
                 f"or re-run synthesize")
         print(f"reusing {plans_path}")
     else:
+        stage_abstract(pipe)
+        _prepare_out(args)
         result = stage_synthesize(pipe, r_iter=args.max_iters,
                                   max_states=args.max_states)
         _write_json(plans_path, plans_to_dict(sc, result))
@@ -356,11 +368,11 @@ def cmd_check(args) -> int:
             raise SemanticError(
                 f"no --word given and {plans_path} does not exist; run "
                 f"synthesize first")
-        plans = plans_from_dict(json.loads(plans_path.read_text()))
-        matches = [p for p in plans if p.agent == args.agent]
-        if not matches:
+        plan = plan_from_dict(json.loads(plans_path.read_text()),
+                              args.agent)
+        if plan is None:
             raise SemanticError(f"plans.json has no plan for agent {args.agent}")
-        word = matches[0].word()
+        word = plan.word()
     ok = evaluate(word, formula)
     if ok:
         wt = witness_instant(word, formula)

@@ -508,25 +508,39 @@ def plans_from_dict(obj) -> list[Plan]:
     together as a SchemaError listing a JSON-pointer path per problem.
     """
     _walk(obj, PLANS, "plans.json")
-    plans = []
+    return [_plan_from_entry(obj["dt"], a) for a in obj["agents"]]
+
+
+def plan_from_dict(obj, agent: int) -> Plan | None:
+    """The first plan for ``agent`` in plans.json, or None if it has none.
+
+    The whole file is walked as by ``plans_from_dict``, so a fault in any
+    agent's plan is still a SchemaError; only the plan asked for is built.
+    """
+    _walk(obj, PLANS, "plans.json")
     for a in obj["agents"]:
-        prefix, cycle = a["prefix"], a["cycle"]
-        wt = a.get("witness_time")
-        plans.append(Plan(
-            agent=a["agent"],
-            dt=obj["dt"],
-            prefix_cells=tuple(s["cell"] for s in prefix),
-            cycle_cells=tuple(s["cell"] for s in cycle),
-            prefix_actions=tuple(tuple(s["action"]) for s in prefix),
-            cycle_actions=tuple(tuple(s["action"]) for s in cycle),
-            provided_prefix=tuple(frozenset(s["services"]) for s in prefix),
-            provided_cycle=tuple(frozenset(s["services"]) for s in cycle),
-            certificates_prefix=(None,) * len(prefix),
-            certificates_cycle=(None,) * len(cycle),
-            formula_text=a.get("formula", ""),
-            witness_time=None if wt is None else Fraction(wt),
-        ))
-    return plans
+        if a["agent"] == agent:
+            return _plan_from_entry(obj["dt"], a)
+    return None
+
+
+def _plan_from_entry(dt: float, a: dict) -> Plan:
+    prefix, cycle = a["prefix"], a["cycle"]
+    wt = a.get("witness_time")
+    return Plan(
+        agent=a["agent"],
+        dt=dt,
+        prefix_cells=tuple(s["cell"] for s in prefix),
+        cycle_cells=tuple(s["cell"] for s in cycle),
+        prefix_actions=tuple(tuple(s["action"]) for s in prefix),
+        cycle_actions=tuple(tuple(s["action"]) for s in cycle),
+        provided_prefix=tuple(frozenset(s["services"]) for s in prefix),
+        provided_cycle=tuple(frozenset(s["services"]) for s in cycle),
+        certificates_prefix=(None,) * len(prefix),
+        certificates_cycle=(None,) * len(cycle),
+        formula_text=a.get("formula", ""),
+        witness_time=None if wt is None else Fraction(wt),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -281,8 +281,9 @@ STEP4_SCENARIO = {
 
 # sha256 of what abstract + synthesize + simulate write for the shipped
 # scenarios and the step-4 scenario above (each command's report.json is
-# hashed before the next command overwrites it); a change meant to keep
-# results must keep these bytes
+# hashed before the next command overwrites it, and simulate reuses the
+# plans.json synthesize wrote); a change meant to keep results must keep
+# these bytes
 ARTIFACT_SHA256 = {
     "pair_line.json": {
         "abstract/report.json":
@@ -290,7 +291,7 @@ ARTIFACT_SHA256 = {
         "synthesize/report.json":
             "65029d531ea786e7f258ccfffa2338960ca249b9adaefbf50864227bb09543c3",
         "simulate/report.json":
-            "1e4c9ebad1567eaee74c884b114678dcd5380b9987ffeda8a78387ef9eb337fd",
+            "d728938afa099872fd78a0e1d11a5b10deac7c7fd6c9804c21d4444a85e0471e",
         "plans.json":
             "bbcb7a2910eb5b477473c62f88102f511fed0920694f178b227083e3a28a5e67",
         "services.json":
@@ -302,7 +303,7 @@ ARTIFACT_SHA256 = {
         "synthesize/report.json":
             "a9b33d70827b02975e63daff16dfd484f7efbdff3bf29624f4e446b927412702",
         "simulate/report.json":
-            "002e8052fecd35434ad2f0723c2add40f536c41a207ad7305132ab52c91499af",
+            "fecbc33b03afb8caf13cf831c354344722dcdad2ceb02dea8858870c7fb8a42e",
         "plans.json":
             "b09ed26af7228c5147c9a16338f191e2dbe274d0d2f2125b2f541a375c1b2457",
         "services.json":
@@ -314,7 +315,7 @@ ARTIFACT_SHA256 = {
         "synthesize/report.json":
             "45054ba02d5ee5360c66eeacd4ccb86029f2b2bbf6ba5a061375478b9cc3f6f2",
         "simulate/report.json":
-            "5fa067787ac49430a56a66a23ba8efd48552b1b51ad341f9a8e3469f8295d36d",
+            "a450102311b63dfad2e5909c4f036762ebea1893bad73c972a57955cb393b45f",
         "plans.json":
             "6d53f6865a24df068c63b9ae558cff22a00a1de33be9d02cf5f3159a2079da9d",
         "services.json":
@@ -323,14 +324,18 @@ ARTIFACT_SHA256 = {
 }
 
 
+def _artifact_scenario(tmp_path, name):
+    return _dump(tmp_path, STEP4_SCENARIO) if name == "step4" \
+        else str(SCENARIOS / name)
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
 def test_shipped_scenario_artifacts_are_byte_identical(tmp_path, capsys, name):
-    scenario = _dump(tmp_path, STEP4_SCENARIO) if name == "step4" \
-        else str(SCENARIOS / name)
+    scenario = _artifact_scenario(tmp_path, name)
     out = tmp_path / "run"
     digests = {}
     for command in ("abstract", "synthesize", "simulate"):
@@ -342,6 +347,66 @@ def test_shipped_scenario_artifacts_are_byte_identical(tmp_path, capsys, name):
     assert digests == ARTIFACT_SHA256[name]
     if name == "step4":
         assert json.loads((out / "plans.json").read_text())["step_used"] == 4
+
+
+# sha256 of the report.json that simulate writes when --out has no
+# plans.json, so that it builds the abstraction and synthesizes first
+FRESH_SIMULATE_REPORT_SHA256 = {
+    "pair_line.json":
+        "1e4c9ebad1567eaee74c884b114678dcd5380b9987ffeda8a78387ef9eb337fd",
+    "path3_plane.json":
+        "002e8052fecd35434ad2f0723c2add40f536c41a207ad7305132ab52c91499af",
+    "step4":
+        "5fa067787ac49430a56a66a23ba8efd48552b1b51ad341f9a8e3469f8295d36d",
+}
+
+
+def _report(out):
+    return json.loads((out / "report.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
+def test_simulate_from_saved_plans_drops_only_the_abstraction_section(
+        tmp_path, capsys, name):
+    scenario = _artifact_scenario(tmp_path, name)
+    out = tmp_path / "run"
+    common = ["--scenario", scenario, "--out", str(out)]
+    assert main(["synthesize", *common]) == 0
+    synthesized = _report(out)
+    assert main(["simulate", *common]) == 0
+    simulated = _report(out)
+    assert "reusing" in capsys.readouterr().out
+    del synthesized["abstraction"], synthesized["synthesis"]
+    synthesized["simulation"] = simulated["simulation"]
+    assert simulated == synthesized
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
+def test_simulate_builds_the_abstraction_only_to_synthesize(
+        tmp_path, capsys, monkeypatch, name):
+    out = tmp_path / "run"
+    common = ["--scenario", _artifact_scenario(tmp_path, name),
+              "--out", str(out)]
+    # without plans.json: abstract, synthesize and report as before
+    assert main(["simulate", *common]) == 0
+    assert "synthesized plans" in capsys.readouterr().out
+    assert "abstraction" in _report(out)
+    assert _sha256(out / "report.json") == FRESH_SIMULATE_REPORT_SHA256[name]
+    for f in ("plans.json", "services.json"):
+        assert _sha256(out / f) == ARTIFACT_SHA256[name][f]
+    executed = ("services.json", "trajectory.csv")
+    want = {f: _sha256(out / f) for f in executed}
+    for f in executed:
+        (out / f).unlink()
+
+    # reusing it: no transition system is built, the run is the same
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate built a transition system")
+
+    monkeypatch.setattr("mas.cli.build_agent_wts", refuse)
+    assert main(["simulate", *common]) == 0
+    assert "reusing" in capsys.readouterr().out
+    assert {f: _sha256(out / f) for f in executed} == want
 
 
 # --------------------------------------------------------------------------
@@ -554,6 +619,21 @@ def test_malformed_word_files_fail_cleanly(tmp_path, capsys):
         assert err.startswith("error: ") and message in err, err
     with pytest.raises(SchemaError):
         word_from_json([1, 2, 3])
+
+
+def test_check_refuses_a_schema_fault_in_another_agents_plan(tmp_path,
+                                                             capsys):
+    # check builds only the asked agent's plan, but still walks the file
+    out, plans = _synthesized_pair_plans(tmp_path)
+    assert plans["agents"][1]["agent"] == 2
+    plans["agents"][1]["cycle"][0]["cell"] = 1.5
+    (out / "plans.json").write_text(json.dumps(plans))
+    capsys.readouterr()
+    assert main(["check", "--scenario", _pair_path(), "--out", str(out),
+                 "--agent", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid plans.json:")
+    assert "/agents/1/cycle/0/cell" in err
 
 
 def test_check_without_plans_points_at_synthesize(tmp_path, capsys):
