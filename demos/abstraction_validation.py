@@ -9,6 +9,7 @@ action cells, let the neighbor run a full-magnitude bang-bang input, and
 check the continuous flow still lands in the promised target.
 """
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -28,16 +29,20 @@ print(f"scenario: {sc.name} ({sc.agent_count} agents, v_max = {sc.v_max})")
 print(f"grid: {decomp.cell_count} cells, diameter {decomp.diameter:.4g}, "
       f"dt = {pipe.disc.chosen_dt:.4g}")
 for w in pipe.wts_list:
-    n_trans = sum(len(t) for t in w.transitions.values())
     print(f"agent {w.agent}: initial cell {w.initial}, "
-          f"{len(w.transitions)} actions, {n_trans} transitions, "
+          f"{len(w.transitions)} actions, {w.transition_count()} transitions, "
           f"neighbors {w.neighbor_agents}")
 
-# look at one certificate in detail
+# every action of agent 1 (own cell, neighbor cells) with its targets
 w = pipe.wts_list[0]
-action = sorted(w.transitions)[0]
-target = w.transitions[action][0]
-cert = w.certificate(action[0], action, target)
+moves = [(action, w.transitions.enabled(action[0], action[1:]))
+         for action in itertools.product(
+             w.cells, repeat=len(w.neighbor_agents) + 1)]
+moves = [(action, targets) for action, targets in moves if targets]
+
+# look at one certificate in detail
+action, (target, *_) = moves[0]
+cert = w.certificate(action, target)
 print(f"\nagent {w.agent}, action {action} -> target {target}")
 print(f"  nominal input: {cert.nominal_input} "
       f"(norm {np.linalg.norm(cert.nominal_input):.4g} "
@@ -94,9 +99,9 @@ print(f"\nMonte-Carlo: {landed}/{samples} adversarial runs landed in "
 
 # and the same sweep over every transition of agent 1, 25 samples each
 total = good = 0
-for action in sorted(w.transitions):
+for action, targets in moves:
     boxes = [decomp.bounds(c) for c in action]
-    for target in w.transitions[action]:
+    for target in targets:
         starts = np.empty((25, g.agent_count, g.dimension))
         starts[:, own] = rng.uniform(*boxes[0], (25, g.dimension))
         for k, j in enumerate(nbr):

@@ -33,9 +33,9 @@ The endpoint box depends on the neighbor cells only through the per-axis sums
 of their bounds, so the table is keyed by class: neighbor tuples whose
 floating-point sums are equal share one class, the box test runs once per
 (source cell, class), and each class's targets are stored once. Every member
-of a class computes the same box bit for bit, so the table read per action
-tuple is the one a per-tuple enumeration builds; action and transition counts
-come from the class multiplicities.
+of a class computes the same box bit for bit, so `SumClassTable.enabled`
+answers every (own cell, neighbor cells) lookup as a per-tuple enumeration
+would; action and transition counts come from the class multiplicities.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from __future__ import annotations
 import itertools
 import logging
 from collections import Counter
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -75,46 +74,32 @@ class TransitionCertificate:
         return float(np.linalg.norm(self.nominal_input))
 
 
-class SumClassTable(Mapping):
-    """Enabled targets per action tuple, stored once per neighbor-sum class.
+class SumClassTable:
+    """Enabled targets per action, stored once per neighbor-sum class.
 
-    ``classes`` maps every neighbor tuple, in ``itertools.product`` order, to
-    its class; ``targets`` maps (source cell, class) to the non-empty targets
-    of every action from that source whose neighbors are in that class. Read
-    as a mapping it is the per-tuple table: ``get`` takes two lookups and
-    iteration runs source by source in neighbor-tuple order. ``len`` and
-    `transition_count` count action tuples through the class multiplicities.
+    ``classes`` maps every neighbor tuple to its class; ``targets`` maps
+    (source cell, class) to the non-empty targets of every action from that
+    source whose neighbors are in that class. `enabled` is the one lookup.
+    ``len`` and `transition_count` count enabled action tuples through the
+    class multiplicities.
     """
 
-    def __init__(self, cells: tuple[int, ...],
-                 classes: dict[tuple[int, ...], int],
+    def __init__(self, classes: dict[tuple[int, ...], int],
                  targets: dict[tuple[int, int], tuple[int, ...]]):
-        self._cells = cells
-        self._classes = classes
-        self._targets = targets
+        self.classes = classes
+        self.targets = targets
         sizes = Counter(classes.values())
         self._len = self._transition_count = 0
         for (_, c), enabled in targets.items():
             self._len += sizes[c]
             self._transition_count += sizes[c] * len(enabled)
 
-    def get(self, action, default=None):
-        c = self._classes.get(action[1:])
-        if c is None or not action:
-            return default
-        return self._targets.get((action[0], c), default)
-
-    def __getitem__(self, action) -> tuple[int, ...]:
-        targets = self.get(action)
-        if targets is None:
-            raise KeyError(action)
-        return targets
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for source in self._cells:
-            for nbrs, c in self._classes.items():
-                if (source, c) in self._targets:
-                    yield (source,) + nbrs
+    def enabled(self, own: int, neighbors: tuple[int, ...]) -> tuple[int, ...]:
+        """Targets of the action (own cell, neighbor cells); () if none."""
+        c = self.classes.get(neighbors)
+        if c is None:
+            return ()
+        return self.targets.get((own, c), ())
 
     def __len__(self) -> int:
         return self._len
@@ -122,26 +107,20 @@ class SumClassTable(Mapping):
     def transition_count(self) -> int:
         return self._transition_count
 
-    def moves(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(source, targets) once per stored (source, class) entry."""
-        for (source, _), targets in self._targets.items():
-            yield source, targets
-
 
 @dataclass(eq=False)
 class AgentWTS:
     """One agent's weighted transition system over cell indices.
 
-    ``transitions`` maps an action tuple (own cell, neighbor cells...) to the
-    tuple of targets enabled under it: a `SumClassTable` when built from the
-    dynamics, any mapping (a dict, say) when built by hand. Every move takes
-    one sampling period ``dt``. ``successors(cell)`` quotients the neighbor
-    assumptions away: the per-agent search needs only the agent's own cell
-    sequence, because consistency later re-derives each action from the joint
-    state. ``len(transitions)`` and `transition_count` count action tuples,
-    from the class multiplicities when the table is class-keyed. ``certify``
-    maps an enabled (action, target) pair to its certificate; hand-built
-    systems have none.
+    ``transitions`` is a `SumClassTable`: ``transitions.enabled(own,
+    neighbors)`` gives the targets of the action (own cell, neighbor
+    cells...). Every move takes one sampling period ``dt``.
+    ``successors(cell)`` quotients the neighbor assumptions away: the
+    per-agent search needs only the agent's own cell sequence, because
+    consistency later re-derives each action from the joint state.
+    ``len(transitions)`` and `transition_count` count action tuples.
+    ``certify`` maps an enabled (action, target) pair to its certificate;
+    hand-built systems have none.
     """
 
     agent: int
@@ -149,7 +128,7 @@ class AgentWTS:
     initial: int
     dt: float
     labels: dict[int, frozenset[str]]
-    transitions: Mapping[tuple[int, ...], tuple[int, ...]]
+    transitions: SumClassTable
     neighbor_agents: tuple[int, ...] = ()
     certify: Callable[[tuple[int, ...], int], TransitionCertificate] | None \
         = None
@@ -173,11 +152,8 @@ class AgentWTS:
         table is built on first use.
         """
         if self._successors is None:
-            table = self.transitions
-            moves = table.moves() if isinstance(table, SumClassTable) \
-                else ((a[0], ts) for a, ts in table.items())
             reach: dict[int, set[int]] = {}
-            for source, targets in moves:
+            for (source, _), targets in self.transitions.targets.items():
                 reach.setdefault(source, set()).update(targets)
             self._successors = {
                 s: tuple(sorted(ts, key=lambda t: (t == s, t)))
@@ -185,17 +161,15 @@ class AgentWTS:
         return self._successors.get(cell, ())
 
     def transition_count(self) -> int:
-        if isinstance(self.transitions, SumClassTable):
-            return self.transitions.transition_count()
-        return sum(len(ts) for ts in self.transitions.values())
+        return self.transitions.transition_count()
 
-    def certificate(self, source: int, action, target: int):
+    def certificate(self, action, target: int):
         """Certificate of an enabled move, computed once per distinct move.
 
         None for moves that are not enabled and for hand-built systems.
         """
-        if self.certify is None or action[0] != source \
-                or target not in self.transitions.get(action, ()):
+        if self.certify is None or \
+                target not in self.transitions.enabled(action[0], action[1:]):
             return None
         key = (action, target)
         cert = self._certificates.get(key)
@@ -289,7 +263,7 @@ def build_agent_wts(
             enabled = tuple(itertools.compress(target_cells, row))
             if enabled:
                 targets[source, c] = enabled
-    transitions = SumClassTable(cells, classes, targets)
+    transitions = SumClassTable(classes, targets)
 
     labels = {c: labeling.label(agent, c) for c in cells}
     wts = AgentWTS(
@@ -351,8 +325,11 @@ class ProductWTS:
         cached = self._succ_cache.get(joint)
         if cached is not None:
             return cached
+        neighbors = self.graph.neighbors
         result = list(itertools.product(*(
-            w.transitions.get(self.agent_action(joint, w.agent), ())
+            w.transitions.enabled(
+                joint[w.agent - 1],
+                tuple([joint[j - 1] for j in neighbors(w.agent)]))
             for w in self.wts_list)))
         self._succ_cache[joint] = result
         return result

@@ -350,11 +350,11 @@ class Scenario:
     initial_positions: np.ndarray
     regions: list[LabeledRegion]
     formulas: dict[int, MitlFormula]
-    safety: float = 1.1
-    lambda_reach: float = 0.5
-    cell_diameter: float | None = None
-    dt: float | None = None
-    r_bar_override: float | None = None
+    safety: float
+    lambda_reach: float
+    cell_diameter: float | None
+    dt: float | None
+    r_bar_override: float | None
 
     def workspace(self) -> Workspace:
         return Workspace(self.workspace_lower, self.workspace_upper)

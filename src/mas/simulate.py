@@ -79,9 +79,6 @@ class Trajectory:
     def steps(self) -> int:
         return self.inputs.shape[0]
 
-    def boundary_state(self, j: int) -> np.ndarray:
-        return self.states[j * self.substeps]
-
     def relative_norms(self, g: NetworkGraph) -> np.ndarray:
         """Norm of the stacked relative state at every node."""
         tails, heads = (np.array(g.edges) - 1).T

@@ -181,14 +181,16 @@ def consistent(runs: list[tuple[tuple, tuple]], product: ProductWTS,
     the runs as given and the walk stops at the first disallowed move.
     """
     p_star, c_star = _aligned_shape(runs, lcm_cap)
+    neighbors = product.graph.neighbors
     joint_next = tuple(_cell_at(prefix, cycle, 0) for prefix, cycle in runs)
     for j in range(p_star + c_star):
         joint = joint_next
         joint_next = tuple(_cell_at(prefix, cycle, j + 1)
                            for prefix, cycle in runs)
         for w in product.wts_list:
-            action = product.agent_action(joint, w.agent)
-            if joint_next[w.agent - 1] not in w.transitions.get(action, ()):
+            nbrs = tuple([joint[i - 1] for i in neighbors(w.agent)])
+            if joint_next[w.agent - 1] not in \
+                    w.transitions.enabled(joint[w.agent - 1], nbrs):
                 return False
     return True
 
@@ -222,12 +224,6 @@ class Plan:
 
     def cell_at(self, position: int) -> int:
         return _cell_at(self.prefix_cells, self.cycle_cells, position)
-
-    def action_at(self, position: int) -> tuple[int, ...]:
-        return _cell_at(self.prefix_actions, self.cycle_actions, position)
-
-    def provided_at(self, position: int) -> frozenset[str]:
-        return _cell_at(self.provided_prefix, self.provided_cycle, position)
 
     def word(self) -> TimedWord:
         return word_from_lasso(self.provided_prefix, self.provided_cycle,
@@ -277,10 +273,9 @@ def _build_plans(
         for j in range(p_star + c_star):
             joint = tuple(_cell_at(pre, cyc, j) for pre, cyc in aligned)
             action = product.agent_action(joint, w.agent)
-            source = prefix[j] if j < p_star else cycle[(j - p_star) % c_star]
             target = _cell_at(prefix, cycle, j + 1)
             actions.append(action)
-            certs.append(w.certificate(source, action, target))
+            certs.append(w.certificate(action, target))
         provided = [w.label(_cell_at(prefix, cycle, j))
                     for j in range(p_star + c_star)]
         formula = formulas[w.agent]

@@ -340,7 +340,7 @@ def _unit_phases(unit: MitlFormula):
     anchored at the word start, so no edge resets it.
     """
     match unit:
-        case Eventually(interval, arg):
+        case Eventually(interval, arg) if _is_propositional(arg):
             phases = [("wait", _TOP), ("hit", arg), ("done", _TOP)]
             edges = [("wait", "wait", _wait_prune_guard(interval)),
                      ("wait", "hit", Guard((interval,))),
@@ -348,7 +348,8 @@ def _unit_phases(unit: MitlFormula):
                      ("done", "done", TRUE_GUARD)]
             initials = ["wait"] + (["hit"] if interval.contains(Fraction(0)) else [])
             return phases, edges, initials, ["done"]
-        case Until(interval, left, right):
+        case Until(interval, left, right) \
+                if _is_propositional(left) and _is_propositional(right):
             phases = [("hold", left), ("hit", right), ("done", _TOP)]
             edges = [("hold", "hold", _wait_prune_guard(interval)),
                      ("hold", "hit", Guard((interval,))),
@@ -356,13 +357,13 @@ def _unit_phases(unit: MitlFormula):
                      ("done", "done", TRUE_GUARD)]
             initials = ["hold"] + (["hit"] if interval.contains(Fraction(0)) else [])
             return phases, edges, initials, ["done"]
-        case Next(interval, arg):
+        case Next(interval, arg) if _is_propositional(arg):
             phases = [("start", _TOP), ("hit", arg), ("done", _TOP)]
             edges = [("start", "hit", Guard((interval,))),
                      ("hit", "done", TRUE_GUARD),
                      ("done", "done", TRUE_GUARD)]
             return phases, edges, ["start"], ["done"]
-        case Always(interval, arg):
+        case Always(interval, arg) if _is_propositional(arg):
             phases = [("out", _TOP), ("in", arg)]
             edges = [("out", "in", TRUE_GUARD), ("in", "in", TRUE_GUARD)]
             for guard in _outside_window_guards(interval):
@@ -379,25 +380,8 @@ def _unit_phases(unit: MitlFormula):
         f"the flat fragment")
 
 
-def _check_flat(unit: MitlFormula):
-    match unit:
-        case Eventually(_, arg) | Always(_, arg) | Next(_, arg):
-            if not _is_propositional(arg):
-                raise UnsupportedNesting(
-                    "nested temporal operators are outside the flat fragment")
-        case Until(_, left, right):
-            if not (_is_propositional(left) and _is_propositional(right)):
-                raise UnsupportedNesting(
-                    "nested temporal operators are outside the flat fragment")
-        case _ if _is_propositional(unit):
-            pass
-        case _:
-            raise UnsupportedNesting(f"unsupported conjunct: {unit!r}")
-
-
 def _unit_automaton(unit: MitlFormula, letters: list[frozenset[str]],
                     alphabet: frozenset[str]) -> TimedAutomaton:
-    _check_flat(unit)
     phases, phase_edges, initials, accepting = _unit_phases(unit)
     phase_letters = {
         name: [lt for lt in letters if _phase_pred_holds(pred, lt)]

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mas.abstraction import AgentWTS
+from mas.abstraction import AgentWTS, SumClassTable
 from mas.graph import build_graph
 
 
@@ -63,6 +63,31 @@ def random_connected_graph(rng: np.random.Generator, max_agents: int = 6,
 # hand-built transition systems
 # --------------------------------------------------------------------------
 
+def class_table(table) -> SumClassTable:
+    """The class table whose ``enabled(own, neighbors)`` answers as
+    ``table.get((own,) + neighbors, ())`` does: every neighbor tuple is its
+    own class, and actions with no target are left out."""
+    classes: dict[tuple[int, ...], int] = {}
+    targets: dict[tuple[int, int], tuple[int, ...]] = {}
+    for action, enabled in table.items():
+        c = classes.setdefault(action[1:], len(classes))
+        if enabled:
+            targets[action[0], c] = enabled
+    return SumClassTable(classes, targets)
+
+
+def enabled_actions(w: AgentWTS) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every action tuple of ``w`` with a target, in ``itertools.product``
+    order, mapped to its targets."""
+    out = {}
+    for action in itertools.product(w.cells,
+                                    repeat=len(w.neighbor_agents) + 1):
+        targets = w.transitions.enabled(action[0], action[1:])
+        if targets:
+            out[action] = targets
+    return out
+
+
 def granted_chain_wts(agent, chain, labels, neighbors, all_cells, dt):
     """WTS that grants chain progression plus staying, under every
     combination of neighbor cells (the fully-granted transition table used
@@ -78,7 +103,8 @@ def granted_chain_wts(agent, chain, labels, neighbors, all_cells, dt):
     return AgentWTS(
         agent=agent, cells=cells, initial=chain[0], dt=dt,
         labels={c: frozenset(l) for c, l in labels.items()},
-        transitions={k: tuple(sorted(v)) for k, v in table.items()},
+        transitions=class_table(
+            {k: tuple(sorted(v)) for k, v in table.items()}),
         neighbor_agents=tuple(neighbors))
 
 
@@ -92,7 +118,8 @@ def four_state_timed_wts(dt: float = 1.0) -> AgentWTS:
     transitions = {(0,): (1,), (1,): (0, 2), (2,): (1,)}
     return AgentWTS(
         agent=1, cells=(0, 1, 2), initial=0, dt=dt,
-        labels={0: frozenset({"green"})}, transitions=transitions)
+        labels={0: frozenset({"green"})},
+        transitions=class_table(transitions))
 
 
 def planning_example(dt):

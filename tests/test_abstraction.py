@@ -16,8 +16,9 @@ from mas.graph import build_graph, spectral
 from mas.partition import (LabeledRegion, ServiceLabeling, Workspace,
                            grid_decompose, refine_to_compliance)
 
-from conftest import (granted_chain_wts, random_connected_graph,
-                      reference_drift, reference_feedback)
+from conftest import (enabled_actions, granted_chain_wts,
+                      random_connected_graph, reference_drift,
+                      reference_feedback)
 
 
 def _pair_setup():
@@ -60,26 +61,26 @@ def test_self_loops_are_always_well_posed():
     w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=6)
     for source in (1, 5, 12):
         for nbr in (1, 6, 12):
-            assert w.certificate(source, (source, nbr), source) is not None
+            assert w.certificate((source, nbr), source) is not None
 
 
 def test_adjacent_moves_enabled_near_neighbors_only():
     g, rep, disc, decomp, labeling = _pair_setup()
     w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=6)
     # neighbor in the adjacent cell: moving toward it is fine
-    assert 5 in w.transitions.get((6, 7), ())
-    assert 7 in w.transitions.get((6, 7), ())
+    assert 5 in w.transitions.enabled(6, (7,))
+    assert 7 in w.transitions.enabled(6, (7,))
     # distant cells are out of one-step reach regardless of the neighbor
-    assert 3 not in w.transitions.get((6, 7), ())
-    assert 9 not in w.transitions.get((6, 7), ())
+    assert 3 not in w.transitions.enabled(6, (7,))
+    assert 9 not in w.transitions.enabled(6, (7,))
     # a far-away neighbor drags the drift term above the reach budget
-    assert 5 not in w.transitions.get((6, 12), ())
+    assert 5 not in w.transitions.enabled(6, (12,))
 
 
 def test_certificate_records_the_validated_move():
     g, rep, disc, decomp, labeling = _pair_setup()
     w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=6)
-    cert = w.certificate(6, (6, 7), 5)
+    cert = w.certificate((6, 7), 5)
     assert cert.agent == 1
     assert (cert.source, cert.target) == (6, 5)
     assert cert.neighbor_cells == (7,)
@@ -118,13 +119,14 @@ def test_agent_wts_construction_matches_scenario_shape():
     assert w1.transition_count() == 352
     assert len(w2.transitions) == 144
     # every enabled move carries a certificate and is a cell-graph move
-    for action, targets in w1.transitions.items():
+    moves = enabled_actions(w1)
+    for action, targets in moves.items():
         for t in targets:
-            assert w1.certificate(action[0], action, t) is not None
+            assert w1.certificate(action, t) is not None
             assert t in w1.successors(action[0])
     # self-loops granted under every listed neighbor configuration
-    for action in w1.transitions:
-        assert action[0] in w1.transitions[action]
+    for action, targets in moves.items():
+        assert action[0] in targets
 
 
 def test_agent_wts_action_budget():
@@ -213,8 +215,8 @@ def test_validated_moves_cover_the_planning_chain():
     run1 = (6, 5, 4, 3)
     run2 = (7, 6, 5, 5)
     for k in range(3):
-        assert run1[k + 1] in w1.transitions.get((run1[k], run2[k]), ())
-        assert run2[k + 1] in w2.transitions.get((run2[k], run1[k]), ())
+        assert run1[k + 1] in w1.transitions.enabled(run1[k], (run2[k],))
+        assert run2[k + 1] in w2.transitions.enabled(run2[k], (run1[k],))
 
 
 # --------------------------------------------------------------------------
@@ -313,7 +315,7 @@ def test_box_reachability_matches_corner_oracle(dimension, degree, counts,
                 outcomes.add(ok)
                 if ok:
                     expected.setdefault(action, []).append(t)
-                cert = w.certificate(action[0], action, t)
+                cert = w.certificate(action, t)
                 assert (cert is not None) == ok
                 if ok:
                     # the star's agent j+1 sits in cell action[j]
@@ -324,7 +326,8 @@ def test_box_reachability_matches_corner_oracle(dimension, degree, counts,
                     assert cert.neighbor_cells == action[1:]
                     assert np.array_equal(cert.nominal_input, nominal)
                     assert cert.remainder == rho
-        assert w.transitions == {a: tuple(ts) for a, ts in expected.items()}
+        assert enabled_actions(w) == \
+            {a: tuple(ts) for a, ts in expected.items()}
     assert outcomes == {True, False}
 
 
@@ -339,8 +342,8 @@ def test_box_reachability_accepts_a_worst_corner_exactly_at_the_budget():
         assert _corner_worst(decomp, (2, 2), decomp.center(2)[None], 1 / 16) \
             == 0.125
         w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=2)
-        assert (2 in w.transitions.get((2, 2), ())) == enabled
-        assert (w.certificate(2, (2, 2), 2) is not None) == enabled
+        assert (2 in w.transitions.enabled(2, (2,))) == enabled
+        assert (w.certificate((2, 2), 2) is not None) == enabled
 
 
 def test_certificates_are_the_feedback_law_at_cell_centers():
@@ -361,11 +364,12 @@ def test_certificates_are_the_feedback_law_at_cell_centers():
         for agent in range(1, g.agent_count + 1):
             w = build_agent_wts(g, agent, decomp, labeling, rep, disc,
                                 initial_cell=1)
-            moves = [(a, t) for a, ts in w.transitions.items() for t in ts]
+            moves = [(a, t) for a, ts in enabled_actions(w).items()
+                     for t in ts]
             for k in rng.choice(len(moves), min(len(moves), 40),
                                 replace=False):
                 action, target = moves[k]
-                cert = w.certificate(action[0], action, target)
+                cert = w.certificate(action, target)
                 x = rng.uniform(0.0, side * max(counts),
                                 (g.agent_count, g.dimension))
                 centers = rng.uniform(0.0, side * max(counts), x.shape)
@@ -391,9 +395,8 @@ def test_certificates_are_the_feedback_law_at_cell_centers():
 def test_certificates_are_computed_once_per_move():
     g, rep, disc, decomp, labeling = _pair_setup()
     w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=6)
-    first = w.certificate(6, (6, 7), 5)
-    assert w.certificate(6, (6, 7), 5) is first
-    assert w.certificate(6, (6, 7), 3) is None      # not enabled
-    assert w.certificate(5, (6, 7), 5) is None      # action from another cell
+    first = w.certificate((6, 7), 5)
+    assert w.certificate((6, 7), 5) is first
+    assert w.certificate((6, 7), 3) is None      # not enabled
     hand_built = granted_chain_wts(1, (1, 2), {}, (), (1, 2), 1.0)
-    assert hand_built.certificate(1, (1,), 2) is None
+    assert hand_built.certificate((1,), 2) is None

@@ -23,7 +23,8 @@ from mas.simulate import bang_bang_inputs, integrate_inputs
 from mas.synthesis import BuchiProduct, find_accepting_lasso, synthesize
 from mas.tba import accepts_lasso, canonical_letters, from_flat_mitl
 
-from conftest import (batched_rk4, planning_example, random_connected_graph,
+from conftest import (batched_rk4, class_table, enabled_actions,
+                      planning_example, random_connected_graph,
                       random_flat_formula, random_lasso_word,
                       reference_feedback)
 
@@ -127,9 +128,9 @@ def test_every_abstract_transition_survives_adversarial_execution():
     for w in pipe.wts_list:
         own_idx = w.agent - 1
         nbr_idx = [a - 1 for a in w.neighbor_agents]
-        for action in sorted(w.transitions):
+        for action, targets in enabled_actions(w).items():
             boxes = [decomp.bounds(c) for c in action]
-            for target in w.transitions[action]:
+            for target in targets:
                 positions = np.empty((samples, g.agent_count, g.dimension))
                 (lo, hi) = boxes[0]
                 positions[:, own_idx] = rng.uniform(lo, hi,
@@ -245,13 +246,13 @@ def _random_instance(rng):
         targets = rng.choice(n, size=min(k, n), replace=False)
         transitions[(c,)] = tuple(sorted(int(t) for t in targets))
     wts = AgentWTS(agent=1, cells=cells, initial=0, dt=1.0, labels=labels,
-                   transitions=transitions)
+                   transitions=class_table(transitions))
     return wts, random_flat_formula(rng)
 
 
 def _all_lasso_words(wts, max_prefix=6, max_cycle=4, cap=4000):
     """Every distinct word of a lasso run with bounded prefix/cycle length."""
-    succ = {c: wts.transitions[(c,)] for c in wts.cells}
+    succ = {c: wts.transitions.enabled(c, ()) for c in wts.cells}
     words = set()
     stems = [(0,)]  # breadth-first stems from the initial cell
     frontier = [(0,)]

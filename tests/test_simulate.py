@@ -118,17 +118,6 @@ def test_leaving_the_workspace_is_an_error():
                          workspace=_ws([0.0], [1.0]))
 
 
-def test_boundary_states_index_the_sampling_nodes():
-    g = build_graph(2, [(1, 2)])
-    x0 = np.array([[0.0], [1.0]])
-    traj = integrate_inputs(g, x0, np.zeros((3, 2, 1)), dt=0.5, substeps=4)
-    assert traj.steps == 3
-    assert traj.states.shape == (13, 2, 1)
-    assert np.allclose(traj.times[1:] - traj.times[:-1], 0.125)
-    for j in range(4):
-        assert np.array_equal(traj.boundary_state(j), traj.states[4 * j])
-
-
 # --------------------------------------------------------------------------
 # discrete readback
 # --------------------------------------------------------------------------

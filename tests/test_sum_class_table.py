@@ -4,9 +4,9 @@
 stores its targets once. The oracle below is a local copy of the enumerator
 it replaced, which tested and stored every (own cell, neighbor cells...)
 tuple. On random star systems, 1-D and 2-D, of degree 1 to 3, on uniform and
-region-refined grids large enough that many neighbor tuples share a sum, the
-two tables must agree entry for entry, in the same order, with the same
-counts and the same per-cell successors.
+region-refined grids large enough that many neighbor tuples share a sum,
+`SumClassTable.enabled` must answer every action tuple as the per-tuple
+table does, with the same counts and the same per-cell successors.
 """
 
 from __future__ import annotations
@@ -18,12 +18,14 @@ import math
 import numpy as np
 import pytest
 
-from mas.abstraction import AgentWTS, SumClassTable, build_agent_wts
+from mas.abstraction import AgentWTS, build_agent_wts
 from mas.bounds import BoundsReport, DiscretizationRange, deviation_remainder
 from mas.cli import load_scenario, stage_abstract, stage_bounds
 from mas.graph import build_graph
 from mas.partition import (LabeledRegion, Workspace, grid_decompose,
                            refine_to_compliance)
+
+from conftest import class_table, enabled_actions
 
 
 # --------------------------------------------------------------------------
@@ -136,34 +138,26 @@ def test_class_table_equals_the_per_tuple_table(dimension, degree, counts,
                                                counts, refine)
         w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=1)
         table = w.transitions
-        assert isinstance(table, SumClassTable)
         expected = _tuple_transitions(g, 1, decomp, rep, disc)
-        assert dict(table.items()) == expected
-        assert list(table) == list(expected)
-        assert list(table.values()) == list(expected.values())
+        for action in itertools.product(w.cells, repeat=degree + 1):
+            assert table.enabled(action[0], action[1:]) == \
+                expected.get(action, ())
         assert len(table) == len(expected)
         assert w.transition_count() == sum(map(len, expected.values()))
         by_hand = AgentWTS(agent=1, cells=w.cells, initial=1, dt=w.dt,
-                           labels={}, transitions=expected)
+                           labels={}, transitions=class_table(expected))
         assert w.transition_count() == by_hand.transition_count()
         for cell in w.cells:
             assert w.successors(cell) == _oracle_successors(expected, cell)
             assert w.successors(cell) == by_hand.successors(cell)
+        # cells out of range, and neighbor tuples of the wrong arity
         top = decomp.cell_count + 1
-        probes = [(0,) + (1,) * degree, (top,) + (1,) * degree,
-                  (1,) + (top,) * degree, (1,) * degree, (1,) * (degree + 2),
-                  ()]
-        probes += itertools.islice((a for a in itertools.product(
-            w.cells, repeat=degree + 1) if a not in expected), 20)
-        for action in probes:
-            assert table.get(action, ()) == ()
-            assert table.get(action) is None
-            assert action not in table
-            with pytest.raises(KeyError):
-                table[action]
-        for action, targets in itertools.islice(expected.items(), 50):
-            assert table[action] == targets and action in table
-        shared |= sum(1 for _ in table.moves()) < len(expected)
+        probes = [(0, (1,) * degree), (top, (1,) * degree),
+                  (1, (top,) * degree), (1, (1,) * (degree - 1)),
+                  (1, (1,) * (degree + 1)), (1, ())]
+        for own, neighbors in probes:
+            assert table.enabled(own, neighbors) == ()
+        shared |= len(table.targets) < len(expected)
         mixed |= 0 < len(expected) < decomp.cell_count ** (degree + 1)
     assert mixed  # some system has both enabled and disabled actions
     # with two or more neighbors, some class stands for several tuples
@@ -197,10 +191,9 @@ def test_equal_real_sums_that_round_apart_are_separate_classes():
                                              32 * budget, 0.001)
     assert rep.lambda_reach * rep.v_max * disc.chosen_dt == budget
     w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=1)
-    assert target in w.transitions[enabled]
-    assert target not in w.transitions.get(disabled, ())
-    assert dict(w.transitions.items()) == \
-        _tuple_transitions(g, 1, decomp, rep, disc)
+    assert target in w.transitions.enabled(enabled[0], enabled[1:])
+    assert target not in w.transitions.enabled(disabled[0], disabled[1:])
+    assert enabled_actions(w) == _tuple_transitions(g, 1, decomp, rep, disc)
 
 
 # --------------------------------------------------------------------------
@@ -241,7 +234,7 @@ def test_class_table_stores_a_fraction_of_the_action_tuples(tmp_path):
     assert middle.neighbor_agents == (1, 3)
     tuples = len(middle.cells) ** 3
     assert tuples == 46_656
-    entries = sum(1 for _ in middle.transitions.moves())
+    entries = len(middle.transitions.targets)
     assert entries * 5 < tuples
     expected = _tuple_transitions(pipe.g, 2, pipe.decomp, pipe.report,
                                   pipe.disc)

@@ -18,7 +18,7 @@ from mas.synthesis import (BuchiProduct, align_runs, consistent,
                            synthesize, witness_instant)
 from mas.tba import accepts_lasso, canonical_letters, from_flat_mitl
 
-from conftest import four_state_timed_wts, planning_example
+from conftest import class_table, four_state_timed_wts, planning_example
 
 
 def _single_agent_product(formula_text, wts=None):
@@ -112,7 +112,7 @@ def _gated_pair():
     table = {(3, 2): (2, 3), (3, 1): (3,), (3, 3): (3,),
              (2, 1): (2,), (2, 2): (2,), (2, 3): (2,)}
     w2 = AgentWTS(agent=2, cells=cells, initial=3, dt=1.0, labels={},
-                  transitions=table, neighbor_agents=(1,))
+                  transitions=class_table(table), neighbor_agents=(1,))
     return [w1, w2], ProductWTS([w1, w2], g)
 
 
@@ -153,14 +153,14 @@ def test_plans_expose_steps_actions_and_services():
     wts_list, g, formulas = planning_example(1.0)
     plan = synthesize(wts_list, g, formulas).plans[0]
     assert [plan.cell_at(j) for j in range(4)] == [14, 17, 10, 20]
-    assert plan.action_at(0)[0] == 14
+    assert plan.prefix_actions[0][0] == 14
     assert plan.word().time(4) == 4
     # positions wrap around the cycle indefinitely
     assert plan.cell_at(plan.prefix_length + plan.cycle_length) \
         == plan.cell_at(plan.prefix_length)
     word = plan.word()
     assert word.letter(3) == frozenset({"yellow"})
-    assert plan.provided_at(3) == frozenset({"yellow"})
+    assert plan.provided_prefix[3] == frozenset({"yellow"})
 
 
 def test_forced_joint_search_finds_the_same_witnesses():
@@ -186,13 +186,13 @@ def test_joint_conflict_is_proven_unsatisfiable_by_the_joint_search():
     g = build_graph(2, [(1, 2)])
     w1 = AgentWTS(agent=1, cells=(0, 1), initial=0, dt=1.0,
                   labels={1: frozenset({"a"})},
-                  transitions={(0, 0): (0,), (0, 1): (0, 1), (1, 0): (1,),
-                               (1, 1): (1,)},
+                  transitions=class_table({(0, 0): (0,), (0, 1): (0, 1),
+                                           (1, 0): (1,), (1, 1): (1,)}),
                   neighbor_agents=(2,))
     w2 = AgentWTS(agent=2, cells=(0, 1), initial=0, dt=1.0,
                   labels={1: frozenset({"b"})},
-                  transitions={(c, d): (0, 1) for c in (0, 1)
-                               for d in (0, 1)},
+                  transitions=class_table({(c, d): (0, 1) for c in (0, 1)
+                                           for d in (0, 1)}),
                   neighbor_agents=(1,))
     formulas = {1: parse("F[0,3] a"), 2: parse("G[0,inf) !b")}
     with pytest.raises(Unsatisfiable, match="no accepting joint run"):

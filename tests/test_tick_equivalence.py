@@ -44,8 +44,8 @@ from mas.tba import (Edge, Guard, TRUE_GUARD, TickClocks, TimedAutomaton,
                      canonical_letters, from_flat_mitl, intersect,
                      universal_acceptor)
 
-from conftest import (four_state_timed_wts, random_connected_graph,
-                      random_flat_formula)
+from conftest import (class_table, enabled_actions, four_state_timed_wts,
+                      random_connected_graph, random_flat_formula)
 from test_state_graph_search import (_payload_loop_capable,
                                      payload_find_accepting_cycle,
                                      payload_shortest_lassos)
@@ -211,7 +211,7 @@ def _random_timed_system(rng) -> AgentWTS:
                                rng.choice(n, size=min(k, n), replace=False)))
         transitions[(c,)] = targets
     return AgentWTS(agent=1, cells=cells, initial=0, dt=dt, labels=labels,
-                    transitions=transitions)
+                    transitions=class_table(transitions))
 
 
 def _random_instances():
@@ -349,12 +349,12 @@ def test_conjoined_guards_compile_to_the_intersection_of_their_terms():
 def pair_successors(wts: AgentWTS):
     """(target, duration) of every move leaving a cell, action by action."""
     by_source: dict[int, list] = {}
-    for action in sorted(wts.transitions):
-        by_source.setdefault(action[0], []).append(action)
+    for action, targets in enabled_actions(wts).items():
+        by_source.setdefault(action[0], []).append(targets)
 
     def successors(cell):
-        for action in by_source.get(cell, ()):
-            for target in wts.transitions[action]:
+        for targets in by_source.get(cell, ()):
+            for target in targets:
                 yield target, wts.dt
     return successors
 
@@ -385,7 +385,7 @@ def _random_neighbor_table(rng) -> AgentWTS:
         targets = rng.choice(cells, size=size, replace=False)
         table[tuple(int(c) for c in action)] = tuple(int(t) for t in targets)
     return AgentWTS(agent=1, cells=cells, initial=cells[0], dt=0.5,
-                    labels={}, transitions=table,
+                    labels={}, transitions=class_table(table),
                     neighbor_agents=tuple(range(2, degree + 2)))
 
 
@@ -401,7 +401,7 @@ def test_cell_graph_matches_the_view_over_duration_pairs():
             seen["duplicate"] += len(targets) > len(set(targets))
             seen["self-loop"] += cell in targets
             seen["no action"] += not targets
-        keys = list(wts.transitions)
+        keys = list(wts.transitions.targets)
         seen["unsorted"] += keys != sorted(keys)
     assert min(seen.values()) > 0, seen
 
@@ -522,7 +522,8 @@ def _random_labelled_product(rng) -> ProductWTS:
                     {action[0]} | {c for c in cells if rng.random() < 0.5}))
         wts_list.append(AgentWTS(agent=agent, cells=cells,
                                  initial=int(rng.integers(len(cells))),
-                                 dt=dt, labels=labels, transitions=table,
+                                 dt=dt, labels=labels,
+                                 transitions=class_table(table),
                                  neighbor_agents=(3 - agent,)))
     return ProductWTS(wts_list, g)
 
@@ -581,6 +582,7 @@ def test_automata_over_the_emitted_letters_give_the_same_products():
 def aligned_consistent(runs, product: ProductWTS, lcm_cap: int) -> bool:
     aligned = align_runs(runs, lcm_cap)
     p_star, c_star = len(aligned[0][0]), len(aligned[0][1])
+    tables = {w.agent: enabled_actions(w) for w in product.wts_list}
 
     def at(prefix, cycle, j):
         return prefix[j] if j < len(prefix) \
@@ -591,7 +593,7 @@ def aligned_consistent(runs, product: ProductWTS, lcm_cap: int) -> bool:
         joint_next = tuple(at(p, c, j + 1) for p, c in aligned)
         for w in product.wts_list:
             action = product.agent_action(joint, w.agent)
-            if joint_next[w.agent - 1] not in w.transitions.get(action, ()):
+            if joint_next[w.agent - 1] not in tables[w.agent].get(action, ()):
                 return False
     return True
 
@@ -609,7 +611,8 @@ def _random_product(rng) -> ProductWTS:
                     {action[0]} | {int(c) for c in cells
                                    if rng.random() < 0.5}))
         wts_list.append(AgentWTS(agent=agent, cells=cells, initial=0,
-                                 dt=1.0, labels={}, transitions=table,
+                                 dt=1.0, labels={},
+                                 transitions=class_table(table),
                                  neighbor_agents=tuple(neighbors)))
     return ProductWTS(wts_list, g)
 
@@ -799,7 +802,8 @@ def _random_joint_product(rng, agents: int) -> ProductWTS:
                 {action[0]} | {c for c in cells if rng.random() < 0.5}))
         wts_list.append(AgentWTS(agent=agent, cells=cells,
                                  initial=int(rng.integers(len(cells))),
-                                 dt=dt, labels=labels, transitions=table,
+                                 dt=dt, labels=labels,
+                                 transitions=class_table(table),
                                  neighbor_agents=tuple(neighbors)))
     return ProductWTS(wts_list, g)
 
