@@ -12,9 +12,10 @@ per-agent runs never combine, so synthesis enumerates lassos, rejects all
   intersection, expanded by ``find_accepting_lasso`` until it closes its
   lasso.
 
-The last translates ``F[0,1] a & F[0,2] b & G[0,3] !c`` over the letters an
+One more translates ``F[0,1] a & F[0,2] b & G[0,3] !c`` over the letters an
 agent with k one-service regions emits, none and one per service, for
-k = 3..7.
+k = 3..7. The last writes the text of plans.json for the two-agent
+scenario's step-4 plans, 917 steps per agent.
 
 Run from the repository root (not part of the default test run):
 
@@ -28,7 +29,9 @@ import json
 
 import pytest
 
-from mas.cli import load_scenario, stage_abstract, stage_bounds
+from mas.cli import (load_scenario, stage_abstract, stage_bounds,
+                     stage_synthesize)
+from mas.files import plans_json
 from mas.mitl import parse
 from mas.synthesis import (BuchiProduct, _project_cells, consistent,
                            enumerate_accepting_lassos, find_accepting_lasso)
@@ -121,3 +124,10 @@ def test_translation_over_emitted_letters(benchmark, k):
     automaton = benchmark(from_flat_mitl, formula, letters)
     assert {automaton.labels[q] for q in automaton.locations} \
         <= set(letters)
+
+
+def test_plans_json_writer(benchmark, pipe):
+    result = stage_synthesize(pipe)
+    assert result.step_used == 4
+    text = benchmark(plans_json, pipe.scenario, result)
+    assert text.count('"time"') == 2 * 917

@@ -48,8 +48,7 @@ from .synthesis import (BuchiProduct, Lasso, Plan, SynthesisResult,
                         enumerate_accepting_lassos, find_accepting_lasso,
                         synthesize)
 from .tba import (Edge, Guard, TimedAutomaton, accepts_lasso,
-                  canonical_letters, from_flat_mitl, intersect,
-                  universal_acceptor)
+                  canonical_letters, from_flat_mitl, intersect)
 
 __version__ = "0.1.0"
 

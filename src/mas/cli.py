@@ -46,7 +46,7 @@ from .errors import BudgetExceeded, MasError, SemanticError, Unsatisfiable
 # globals of this module, so that a wrapper set on it (as a tracer does) is
 # what runs
 from .files import (Scenario, load_scenario, plan_from_dict, plans_from_dict,
-                    plans_to_dict, word_from_json)
+                    plans_json, word_from_json)
 from .graph import NetworkGraph, SpectralData, build_graph, spectral
 from .mitl import evaluate, parse, witness_instant
 from .partition import (CellDecomposition, ServiceLabeling, cell_of,
@@ -285,7 +285,7 @@ def cmd_synthesize(args) -> int:
         "cycle_length": result.plans[0].cycle_length,
     }
     _write_json(out / "report.json", rep)
-    _write_json(out / "plans.json", plans_to_dict(sc, result))
+    (out / "plans.json").write_text(plans_json(sc, result))
     print(f"scenario '{sc.name}': plans found (step {result.step_used}, "
           f"{result.combinations_tried} combinations tried)")
     for plan in result.plans:
@@ -318,7 +318,7 @@ def cmd_simulate(args) -> int:
         _prepare_out(args)
         result = stage_synthesize(pipe, r_iter=args.max_iters,
                                   max_states=args.max_states)
-        _write_json(plans_path, plans_to_dict(sc, result))
+        plans_path.write_text(plans_json(sc, result))
         plans = result.plans
         print(f"synthesized plans (step {result.step_used})")
     steps = args.horizon if args.horizon is not None else \

@@ -1,4 +1,5 @@
-"""Input files: scenarios, plans.json and timed words, read by one walker.
+"""Scenarios, plans.json and timed words: read by one walker; plans.json is
+also written here (``plans_json``).
 
 Each file's structure is a table: ``SCENARIO``, ``PLANS``, ``COMPACT_WORD``
 and ``EXPLICIT_WORD``. A table entry (:class:`Key`) names a key, gives its
@@ -458,47 +459,99 @@ def load_scenario(path) -> Scenario:
 # plans.json
 # --------------------------------------------------------------------------
 
-def plans_to_dict(sc: Scenario, result: SynthesisResult) -> dict:
+def plans_json(sc: Scenario, result: SynthesisResult) -> str:
+    """The text of plans.json, byte for byte what ``json.dumps(document,
+    indent=2, sort_keys=True) + "\\n"`` writes, in one pass.
+
+    A step's text is a body followed by its time; the body holds every
+    other key (``action``, ``cell``, ``input_norm`` and ``remainder`` when
+    the step has a certificate, ``services``). Agents dwell, so steps
+    repeat bodies (the two step-4 pair plans' 1 834 steps have 383): each
+    distinct (cell, action, services, certificate) is formatted once per
+    plan, and every step adds only its time ``j * dt``. Strings, NaN and
+    Infinity are written by ``json.dumps``, so their escapes and spellings
+    are its own.
+    """
     agents = []
     for plan in result.plans:
-        def step_entry(j: int, cell: int, action, services, cert) -> dict:
-            entry = {
-                "cell": cell,
-                "action": list(action),
-                "services": sorted(services),
-                "time": j * plan.dt,
-            }
-            if cert is not None:
-                entry["input_norm"] = cert.nominal_norm()
-                entry["remainder"] = cert.remainder
-            return entry
-
-        prefix = [step_entry(j, c, plan.prefix_actions[j],
-                             plan.provided_prefix[j],
-                             plan.certificates_prefix[j])
-                  for j, c in enumerate(plan.prefix_cells)]
-        base = len(plan.prefix_cells)
-        cycle = [step_entry(base + j, c, plan.cycle_actions[j],
-                            plan.provided_cycle[j],
-                            plan.certificates_cycle[j])
-                 for j, c in enumerate(plan.cycle_cells)]
+        steps = _steps(plan)
+        p = plan.prefix_length
         wt = plan.witness_time
-        agents.append({
-            "agent": plan.agent,
-            "formula": plan.formula_text,
-            "witness_time": None if wt is None else str(wt),
-            "prefix": prefix,
-            "cycle": cycle,
-        })
+        agents.append(
+            f'    {{\n'
+            f'      "agent": {_scalar(plan.agent)},\n'
+            f'      "cycle": {_array(steps[p:], "      ")},\n'
+            f'      "formula": {_scalar(plan.formula_text)},\n'
+            f'      "prefix": {_array(steps[:p], "      ")},\n'
+            f'      "witness_time": '
+            f'{_scalar(None if wt is None else str(wt))}\n'
+            f'    }}')
     first = result.plans[0]
-    return {
-        "scenario": sc.name,
-        "dt": first.dt,
-        "prefix_length": first.prefix_length,
-        "cycle_length": first.cycle_length,
-        "step_used": result.step_used,
-        "agents": agents,
-    }
+    return (f'{{\n'
+            f'  "agents": {_array(agents, "  ")},\n'
+            f'  "cycle_length": {_scalar(first.cycle_length)},\n'
+            f'  "dt": {_scalar(first.dt)},\n'
+            f'  "prefix_length": {_scalar(first.prefix_length)},\n'
+            f'  "scenario": {_scalar(sc.name)},\n'
+            f'  "step_used": {_scalar(result.step_used)}\n'
+            f'}}\n')
+
+
+# the indents of a step object in plans.json, of its keys and of their items
+_STEP_INDENT = " " * 8
+_KEY_INDENT = " " * 10
+_ITEM_INDENT = " " * 12
+
+
+def _steps(plan: Plan) -> list[str]:
+    """The texts of a plan's steps, prefix then cycle."""
+    bodies: dict[tuple, str] = {}
+    out = []
+    dt = plan.dt
+    for j, (cell, action, services, cert) in enumerate(zip(
+            plan.prefix_cells + plan.cycle_cells,
+            plan.prefix_actions + plan.cycle_actions,
+            plan.provided_prefix + plan.provided_cycle,
+            plan.certificates_prefix + plan.certificates_cycle)):
+        key = (cell, action, services, id(cert))
+        body = bodies.get(key)
+        if body is None:
+            body = bodies[key] = _step_body(cell, action, services, cert)
+        out.append(body + _scalar(j * dt) + "\n" + _STEP_INDENT + "}")
+    return out
+
+
+def _step_body(cell, action, services, cert) -> str:
+    """A step's text up to its time value, keys in sorted order."""
+    key, item = _KEY_INDENT, _ITEM_INDENT
+    norms = "" if cert is None else (
+        f'{key}"input_norm": {_scalar(cert.nominal_norm())},\n'
+        f'{key}"remainder": {_scalar(cert.remainder)},\n')
+    cells = _array([item + _scalar(c) for c in action], key)
+    names = _array([item + _scalar(s) for s in sorted(services)], key)
+    return (f'{_STEP_INDENT}{{\n'
+            f'{key}"action": {cells},\n'
+            f'{key}"cell": {_scalar(cell)},\n'
+            f'{norms}'
+            f'{key}"services": {names},\n'
+            f'{key}"time": ')
+
+
+def _scalar(x) -> str:
+    """A JSON scalar as json.dumps writes it: an int as its repr and a
+    finite float, numpy's too, as ``float.__repr__``, without the call."""
+    if type(x) is int:
+        return int.__repr__(x)
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x)
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of indented item texts, closed at ``indent``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
 def plans_from_dict(obj) -> list[Plan]:

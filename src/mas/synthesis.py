@@ -265,19 +265,15 @@ def _build_plans(
     dt: float,
 ) -> list[Plan]:
     p_star = len(aligned[0][0])
-    c_star = len(aligned[0][1])
+    # every agent's cells at positions 0 .. p_star + c_star, the last one
+    # the cycle's return to its start, and the joint state at each position
+    runs = [prefix + cycle + cycle[:1] for prefix, cycle in aligned]
+    joints = list(zip(*runs))[:-1]
     plans = []
-    for idx, w in enumerate(wts_list):
-        prefix, cycle = aligned[idx]
-        actions, certs = [], []
-        for j in range(p_star + c_star):
-            joint = tuple(_cell_at(pre, cyc, j) for pre, cyc in aligned)
-            action = product.agent_action(joint, w.agent)
-            target = _cell_at(prefix, cycle, j + 1)
-            actions.append(action)
-            certs.append(w.certificate(action, target))
-        provided = [w.label(_cell_at(prefix, cycle, j))
-                    for j in range(p_star + c_star)]
+    for (prefix, cycle), run, w in zip(aligned, runs, wts_list):
+        actions = [product.agent_action(joint, w.agent) for joint in joints]
+        certs = list(map(w.certificate, actions, run[1:]))
+        provided = list(map(w.label, run[:-1]))
         formula = formulas[w.agent]
         plan = Plan(
             agent=w.agent,

@@ -498,18 +498,6 @@ class _Intersection(TimedAutomaton):
         self.c_max = max(a.c_max, b.c_max)
 
 
-def universal_acceptor(alphabet: Iterable[str]) -> TimedAutomaton:
-    """Automaton accepting every timed word over the alphabet."""
-    sigma = frozenset(alphabet)
-    letters = canonical_letters(sigma)
-    locations = [("any", lt) for lt in letters]
-    edges = [Edge(src, TRUE_GUARD, dst) for src in locations for dst in locations]
-    return TimedAutomaton(
-        locations=locations, initial=locations, edges=edges,
-        accepting=locations, labels={loc: loc[1] for loc in locations},
-        alphabet=sigma)
-
-
 # --------------------------------------------------------------------------
 # lasso acceptance
 # --------------------------------------------------------------------------

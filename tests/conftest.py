@@ -16,6 +16,7 @@ import pytest
 
 from mas.abstraction import AgentWTS, SumClassTable
 from mas.graph import build_graph
+from mas.tba import TRUE_GUARD, Edge, TimedAutomaton, canonical_letters
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -216,8 +217,21 @@ def unroll(word, count):
 
 
 # --------------------------------------------------------------------------
-# random flat formulas and lasso words
+# automata, random flat formulas and lasso words
 # --------------------------------------------------------------------------
+
+def universal_acceptor(alphabet) -> TimedAutomaton:
+    """Automaton accepting every timed word over the alphabet."""
+    sigma = frozenset(alphabet)
+    letters = canonical_letters(sigma)
+    locations = [("any", lt) for lt in letters]
+    edges = [Edge(src, TRUE_GUARD, dst) for src in locations
+             for dst in locations]
+    return TimedAutomaton(
+        locations=locations, initial=locations, edges=edges,
+        accepting=locations, labels={loc: loc[1] for loc in locations},
+        alphabet=sigma)
+
 
 def random_flat_formula(rng: np.random.Generator, names=("p", "q"),
                         max_constant: int = 5):

@@ -1,0 +1,213 @@
+"""The one-pass plans.json writer against the dict-and-``json.dumps`` one.
+
+The oracle below is the earlier writer, ``plans_to_dict``, whose document
+``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` wrote. ``plans_json``
+must give the same text on random plans (certificates and hand-built
+``None`` ones, empty and multi-service letters, names that need JSON
+escapes, floats that are NaN or infinite, an empty aligned prefix, 1-4
+agents, long runs whose steps share few bodies) and on real plans: the
+step-4 pair scenario's and those of the shipped scenarios that have
+plans. The text read back gives the plans' cells, actions and services.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from mas.abstraction import TransitionCertificate
+from mas.cli import load_scenario, stage_abstract, stage_bounds, \
+    stage_synthesize
+from mas.files import plans_from_dict, plans_json
+from mas.synthesis import Plan, SynthesisResult
+
+from test_cli import STEP4_SCENARIO
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+# --------------------------------------------------------------------------
+# oracle: the dict writer
+# --------------------------------------------------------------------------
+
+def plans_to_dict(sc, result: SynthesisResult) -> dict:
+    agents = []
+    for plan in result.plans:
+        def step_entry(j: int, cell: int, action, services, cert) -> dict:
+            entry = {
+                "cell": cell,
+                "action": list(action),
+                "services": sorted(services),
+                "time": j * plan.dt,
+            }
+            if cert is not None:
+                entry["input_norm"] = cert.nominal_norm()
+                entry["remainder"] = cert.remainder
+            return entry
+
+        prefix = [step_entry(j, c, plan.prefix_actions[j],
+                             plan.provided_prefix[j],
+                             plan.certificates_prefix[j])
+                  for j, c in enumerate(plan.prefix_cells)]
+        base = len(plan.prefix_cells)
+        cycle = [step_entry(base + j, c, plan.cycle_actions[j],
+                            plan.provided_cycle[j],
+                            plan.certificates_cycle[j])
+                 for j, c in enumerate(plan.cycle_cells)]
+        wt = plan.witness_time
+        agents.append({
+            "agent": plan.agent,
+            "formula": plan.formula_text,
+            "witness_time": None if wt is None else str(wt),
+            "prefix": prefix,
+            "cycle": cycle,
+        })
+    first = result.plans[0]
+    return {
+        "scenario": sc.name,
+        "dt": first.dt,
+        "prefix_length": first.prefix_length,
+        "cycle_length": first.cycle_length,
+        "step_used": result.step_used,
+        "agents": agents,
+    }
+
+
+def _assert_same_text(text: str, sc, result) -> None:
+    expected = json.dumps(plans_to_dict(sc, result), indent=2,
+                          sort_keys=True) + "\n"
+    # lines first: pytest names the first differing line of a list, where
+    # it would diff two long strings whole
+    assert text.splitlines() == expected.splitlines()
+    assert text == expected
+
+
+# --------------------------------------------------------------------------
+# random plans
+# --------------------------------------------------------------------------
+
+# every name needs an escape or is plain ASCII: a quote, a backslash, a
+# solidus (which json.dumps leaves as it is), a non-ASCII letter and a
+# control character
+NAMES = ("a", 'q"uote', "back\\slash", "so/lidus", "café", "bell\x07")
+# a time j * dt reaches infinity from the second step at dt = 1e308
+DTS = (0.0103, 0.1, 1e-7, 1, 3, 2.5e15, 1e308)
+FLOATS = (0.0, -0.0, 0.1, 1 / 3, 1e-300, 2.5e22, math.inf, -math.inf,
+          math.nan)
+
+
+def _certificate(rng: np.random.Generator, cell: int):
+    if rng.random() < 0.3:
+        return None
+    if rng.random() < 0.2:  # a norm or remainder that is NaN or infinite
+        nominal = np.array([float(rng.choice(FLOATS)), 1.0])
+        remainder = float(rng.choice(FLOATS))
+    else:
+        nominal = rng.normal(size=int(rng.integers(1, 4)))
+        remainder = np.float64(rng.random())  # a float subclass
+    return TransitionCertificate(agent=1, source=cell, target=cell,
+                                 neighbor_cells=(), nominal_input=nominal,
+                                 remainder=remainder)
+
+
+def _random_result(rng: np.random.Generator) -> SynthesisResult:
+    agents = int(rng.integers(1, 5))
+    prefix_length = 0 if rng.random() < 0.3 else int(rng.integers(1, 40))
+    cycle_length = int(rng.integers(1, 40))
+    if rng.random() < 0.2:  # a long run over few distinct steps
+        prefix_length, cycle_length = 400, 60
+    dt = DTS[int(rng.integers(len(DTS)))]
+    plans = []
+    for agent in range(1, agents + 1):
+        # each step is one of a few (cell, action, services, certificate)
+        choices = []
+        for _ in range(int(rng.integers(1, 6))):
+            cell = int(rng.integers(1, 10))
+            action = (cell,) + tuple(
+                int(c) for c in rng.integers(1, 10, size=agents - 1))
+            services = frozenset(
+                str(n) for n in rng.choice(NAMES, size=int(rng.integers(0, 4)),
+                                           replace=False))
+            choices.append((cell, action, services, _certificate(rng, cell)))
+        steps = [choices[int(k)] for k in
+                 rng.integers(len(choices), size=prefix_length + cycle_length)]
+        cells, actions, provided, certificates = (
+            tuple(column) for column in zip(*steps))
+        p = prefix_length
+        witness = None if rng.random() < 0.4 else \
+            Fraction(int(rng.integers(0, 50)), int(rng.integers(1, 9)))
+        plans.append(Plan(
+            agent=agent, dt=dt,
+            prefix_cells=cells[:p], cycle_cells=cells[p:],
+            prefix_actions=actions[:p], cycle_actions=actions[p:],
+            provided_prefix=provided[:p], provided_cycle=provided[p:],
+            certificates_prefix=certificates[:p],
+            certificates_cycle=certificates[p:],
+            formula_text=f"F[0,1] {rng.choice(NAMES)} & G !é\"\\",
+            witness_time=witness))
+    return SynthesisResult(plans=plans, step_used=int(rng.integers(3, 5)),
+                           agent_lasso_counts=[1] * agents,
+                           combinations_tried=1)
+
+
+def _assert_written_as_before(sc, result: SynthesisResult) -> str:
+    text = plans_json(sc, result)
+    _assert_same_text(text, sc, result)
+    for plan, back in zip(result.plans,
+                          plans_from_dict(json.loads(text)), strict=True):
+        assert (back.agent, back.witness_time) == \
+            (plan.agent, plan.witness_time)
+        assert (back.prefix_cells, back.cycle_cells) == \
+            (plan.prefix_cells, plan.cycle_cells)
+        assert (back.prefix_actions, back.cycle_actions) == \
+            (plan.prefix_actions, plan.cycle_actions)
+        assert (back.provided_prefix, back.provided_cycle) == \
+            (plan.provided_prefix, plan.provided_cycle)
+    return text
+
+
+def test_random_plans_are_written_as_json_dumps_writes_them(rng):
+    for k in range(150):
+        sc = SimpleNamespace(name=f"s{k} \"\\/é\x01")
+        _assert_written_as_before(sc, _random_result(rng))
+
+
+def test_a_time_that_is_not_a_number_is_written_as_json_dumps_writes_it(
+        rng):
+    result = _random_result(rng)
+    for plan in result.plans:
+        plan.dt = math.nan
+    sc = SimpleNamespace(name="nan")
+    text = plans_json(sc, result)
+    _assert_same_text(text, sc, result)
+    assert '"time": NaN' in text
+
+
+# --------------------------------------------------------------------------
+# real plans
+# --------------------------------------------------------------------------
+
+def _synthesized(path):
+    return stage_synthesize(stage_abstract(stage_bounds(load_scenario(path))))
+
+
+# the third shipped scenario, pair_line_unsat.json, has no plans
+@pytest.mark.parametrize("name", ["pair_line.json", "path3_plane.json"])
+def test_shipped_scenario_plans_are_written_as_before(name):
+    _assert_written_as_before(load_scenario(SCENARIOS / name),
+                              _synthesized(SCENARIOS / name))
+
+
+def test_step4_plans_are_written_as_before(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(STEP4_SCENARIO))
+    result = _synthesized(path)
+    assert result.step_used == 4
+    text = _assert_written_as_before(load_scenario(path), result)
+    assert text.count('"time"') == 2 * 917

@@ -13,9 +13,10 @@ from mas import mitl
 from mas.errors import BudgetExceeded, NonPeriodicWord, UnsupportedNesting
 from mas.mitl import TimedWord, evaluate, parse, word_from_lasso
 from mas.tba import (TickClocks, accepts_lasso, canonical_letters,
-                     from_flat_mitl, intersect, universal_acceptor)
+                     from_flat_mitl, intersect)
 
-from conftest import random_flat_formula, random_lasso_word
+from conftest import (random_flat_formula, random_lasso_word,
+                      universal_acceptor)
 
 G = frozenset({"green"})
 P = frozenset({"p"})

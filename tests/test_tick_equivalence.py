@@ -41,11 +41,11 @@ from mas.mitl import to_fraction
 from mas.synthesis import (BuchiProduct, align_runs, consistent,
                            enumerate_accepting_lassos, find_accepting_lasso)
 from mas.tba import (Edge, Guard, TRUE_GUARD, TickClocks, TimedAutomaton,
-                     canonical_letters, from_flat_mitl, intersect,
-                     universal_acceptor)
+                     canonical_letters, from_flat_mitl, intersect)
 
 from conftest import (class_table, enabled_actions, four_state_timed_wts,
-                      random_connected_graph, random_flat_formula)
+                      random_connected_graph, random_flat_formula,
+                      universal_acceptor)
 from test_state_graph_search import (_payload_loop_capable,
                                      payload_find_accepting_cycle,
                                      payload_shortest_lassos)
