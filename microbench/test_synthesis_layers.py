@@ -12,10 +12,13 @@ per-agent runs never combine, so synthesis enumerates lassos, rejects all
   intersection, expanded by ``find_accepting_lasso`` until it closes its
   lasso.
 
-One more translates ``F[0,1] a & F[0,2] b & G[0,3] !c`` over the letters an
-agent with k one-service regions emits, none and one per service, for
-k = 3..7. The last writes the text of plans.json for the two-agent
-scenario's step-4 plans, 917 steps per agent.
+Another runs cold ``enumerate_accepting_lassos`` on all three agent
+products of the line3-abstract scenario at seed 0 (``LINE3`` of
+``test_abstraction_layers``), 24 lassos each. One more translates
+``F[0,1] a & F[0,2] b & G[0,3] !c`` over the letters an agent with k
+one-service regions emits, none and one per service, for k = 3..7. The
+last writes the text of plans.json for the two-agent scenario's step-4
+plans, 917 steps per agent.
 
 Run from the repository root (not part of the default test run):
 
@@ -38,6 +41,8 @@ from mas.synthesis import (BuchiProduct, _project_cells, consistent,
 from mas.abstraction import ProductWTS
 from mas.tba import from_flat_mitl, intersect
 
+from test_abstraction_layers import LINE3
+
 SCENARIO = {
     "name": "pair-twowindow-synth", "agents": 2, "dimension": 1,
     "edges": [[1, 2]], "v_max": 100.0,
@@ -53,19 +58,27 @@ SCENARIO = {
 }
 
 
-@pytest.fixture(scope="module")
-def pipe(tmp_path_factory):
+def _pipe(tmp_path_factory, scenario):
     path = tmp_path_factory.mktemp("scenario") / "scenario.json"
-    path.write_text(json.dumps(SCENARIO))
+    path.write_text(json.dumps(scenario))
     return stage_abstract(stage_bounds(load_scenario(path)))
 
 
-@pytest.fixture(scope="module")
-def automata(pipe):
+def _automata(pipe):
     """Each agent's automaton over the letters ``synthesize`` passes."""
     return [from_flat_mitl(pipe.scenario.formulas[w.agent],
                            {w.label(c) for c in w.cells})
             for w in pipe.wts_list]
+
+
+@pytest.fixture(scope="module")
+def pipe(tmp_path_factory):
+    return _pipe(tmp_path_factory, SCENARIO)
+
+
+@pytest.fixture(scope="module")
+def automata(pipe):
+    return _automata(pipe)
 
 
 def _expand_all(system, automaton) -> int:
@@ -89,6 +102,15 @@ def test_lasso_enumeration(benchmark, pipe, automata):
     lassos = benchmark(lambda: enumerate_accepting_lassos(
         BuchiProduct(pipe.wts_list[0], automata[0])))
     assert len(lassos) == 12
+
+
+def test_line3_lasso_enumeration(benchmark, tmp_path_factory):
+    line3 = _pipe(tmp_path_factory, LINE3)
+    products = list(zip(line3.wts_list, _automata(line3)))
+    counts = benchmark(lambda: [
+        len(enumerate_accepting_lassos(BuchiProduct(w, auto)))
+        for w, auto in products])
+    assert counts == [24, 24, 24]
 
 
 def test_consistency_over_all_combinations(benchmark, pipe, automata):

@@ -1,4 +1,4 @@
-"""Nested depth-first search for accepting cycles, plus a BFS enumerator.
+"""Nested depth-first search for accepting cycles, and shortest loops.
 
 Works over implicit state graphs: ``successors(state)`` yields child states
 in a fixed order, and determinism of the result follows from that order.
@@ -11,11 +11,15 @@ The lasso convention used throughout the package:
 * ``cycle_states``  - the loop, anchor first; its last state steps back to
   the anchor.
 
-Both searches start a cycle search from every state ``is_accepting``
-admits, so callers should admit only states that can recur. In the
-package's timed products the clock never decreases, so only accepting
-locations at the saturated tick qualify (``tba.TickClocks.recurs``); a red
-search or loop BFS from a transient state could only fail.
+``find_accepting_cycle`` starts a cycle search from every state
+``is_accepting`` admits, so callers should admit only states that can
+recur. In the package's timed products the clock never decreases, so only
+accepting locations at the saturated tick qualify
+(``tba.TickClocks.recurs``); a red search from a transient state could
+only fail. The breadth-first enumeration of one lasso per accepting state
+is a sweep over the product's tick layers
+(``synthesis.enumerate_accepting_lassos``), which closes each lasso with
+``_shortest_loop``.
 """
 
 from __future__ import annotations
@@ -127,66 +131,11 @@ def _reconstruct(frames, on_stack, hit) -> Lasso:
     return Lasso(blue_states[:idx], blue_states[idx:] + red_states)
 
 
-def shortest_lassos(initials, successors, is_accepting,
-                    max_states: int | None = None,
-                    priority=None) -> list[Lasso]:
-    """One canonical lasso per reachable accepting state.
-
-    The stem is BFS-shortest from the initial set; the loop is BFS-shortest
-    from the accepting state back to itself. Results are ordered by
-    (stem length, loop length, discovery order), which makes downstream
-    combination search deterministic.
-
-    ``priority(state)`` (lower first, stable) orders expansion within each
-    BFS layer. Ties between equal-length stems are then broken in favor of
-    parent chains through low-priority states, e.g. passing a
-    ``not is_accepting(state)`` priority records stems that reach accepting
-    territory at the earliest possible depth.
-
-    Every reachable state ``is_accepting`` admits is tried as an anchor, so
-    callers pass anchors that can recur: an anchor without a loop is
-    dropped, at the cost of one BFS.
-    """
-    parent: dict = {}
-    order: list = []
-    frontier = []
-    for root in initials:
-        if root not in parent:
-            parent[root] = None
-            frontier.append(root)
-            order.append(root)
-    _check_budget(len(parent), max_states)
-    while frontier:
-        if priority is not None:
-            frontier.sort(key=priority)
-        nxt = []
-        for state in frontier:
-            for child in successors(state):
-                if child not in parent:
-                    parent[child] = state
-                    _check_budget(len(parent), max_states)
-                    nxt.append(child)
-                    order.append(child)
-        frontier = nxt
-
-    found = []
-    for disc, anchor in enumerate(order):
-        if not is_accepting(anchor):
-            continue
-        loop = _shortest_loop(anchor, successors)
-        if loop is None:
-            continue
-        stem = _walk_back(parent[anchor], None, parent)
-        found.append((len(stem), len(loop), disc, Lasso(stem, loop)))
-    found.sort(key=lambda item: item[:3])
-    return [item[3] for item in found]
-
-
 def _shortest_loop(anchor, successors) -> tuple | None:
     """BFS-shortest non-empty path anchor -> anchor; None if no loop.
 
     It stays inside the states reachable from the initial set, which the
-    caller's BFS has already counted against the budget.
+    caller's search has already counted against the budget.
     """
     parent: dict = {}
     frontier = [anchor]

@@ -66,14 +66,15 @@ class BuchiProduct:
     takes its sampling period ``dt``, so a product state is (system state,
     location number, k) with k the automaton's one clock in ticks of dt,
     and each move advances k by one tick; ``location(i)`` reads a number
-    back (``TickClocks.number``). ``successors`` of the product returns
-    child product states: the first expansion of a (system state,
-    location) pair lists its row, every (s2, lowest tick, highest tick,
+    back (``TickClocks.number``). The first expansion of a (system state,
+    location) pair compiles its row, every (s2, lowest tick, highest tick,
     target) with s2 in ``system.successors`` order and then the edges into
-    s2's label, and each state keeps the row entries its next tick admits.
-    Since k never decreases, a state below the saturated tick lies on no
-    cycle; ``accepting`` admits only accepting locations at the saturated
-    tick (``TickClocks.recurs``).
+    s2's label. ``moves(s, q, k)`` keeps the row's (s2, target) pairs that
+    tick k admits, memoised once per pair with the tick range over which
+    that list stays the same, and ``successors`` of the product pairs them
+    with the next tick. Since k never decreases, a state below the
+    saturated tick lies on no cycle; ``accepting`` admits only accepting
+    locations at the saturated tick (``TickClocks.recurs``).
     """
 
     def __init__(self, system, automaton: TimedAutomaton):
@@ -81,7 +82,8 @@ class BuchiProduct:
         self.automaton = automaton
         self.clocks = TickClocks(automaton, (system.dt,))
         self._rows: dict[tuple, list] = {}
-        self._succ_cache: dict[tuple, list] = {}
+        # (s, q) -> (a, b, pairs): pairs is moves(s, q, k) for a <= k <= b
+        self._moves: dict[tuple, tuple] = {}
 
     def location(self, i: int):
         return self.clocks.locations[i]
@@ -92,22 +94,40 @@ class BuchiProduct:
                 for q in self.automaton.initial
                 if self.automaton.labels[q] == self.system.label(s)]
 
-    def successors(self, state: tuple) -> list[tuple]:
-        cached = self._succ_cache.get(state)
-        if cached is not None:
-            return cached
-        s, q, k = state
+    def moves(self, s, q: int, k: int) -> list[tuple]:
+        """The (s2, target) pairs of (s, q)'s row whose guard admits tick k.
+
+        Each pair keeps its last answer with the widest tick range around k
+        in which no row entry starts or stops admitting the tick; the
+        answer is recomputed only when a query leaves that range, since
+        searches ask for ticks in any order.
+        """
+        memo = self._moves.get((s, q))
+        if memo is not None and memo[0] <= k <= memo[1]:
+            return memo[2]
         row = self._rows.get((s, q))
         if row is None:
             edges, label = self.clocks.edges(q), self.system.label
             row = self._rows[s, q] = [
                 (s2, lo, hi, target) for s2 in self.system.successors(s)
                 for lo, hi, target in edges.get(label(s2), ())]
+        a, b, pairs = 0, self.clocks.sat, []
+        for s2, lo, hi, target in row:
+            if k < lo:
+                b = min(b, lo - 1)
+            elif k > hi:
+                a = max(a, hi + 1)
+            else:
+                a, b = max(a, lo), min(b, hi)
+                pairs.append((s2, target))
+        self._moves[s, q] = a, b, pairs
+        return pairs
+
+    def successors(self, state: tuple) -> list[tuple]:
+        s, q, k = state
         sat = self.clocks.sat
         k = k + 1 if k + 1 < sat else sat
-        result = self._succ_cache[state] = [
-            (s2, target, k) for s2, lo, hi, target in row if lo <= k <= hi]
-        return result
+        return [(s2, target, k) for s2, target in self.moves(s, q, k)]
 
     def accepting(self, state: tuple) -> bool:
         return self.clocks.recurs(state[1], state[2])
@@ -123,15 +143,75 @@ def find_accepting_lasso(product: BuchiProduct,
 
 def enumerate_accepting_lassos(product: BuchiProduct,
                                max_states: int = DEFAULT_STATE_CAP) -> list[Lasso]:
-    """Canonical accepting lassos, one per accepting state, cheapest first.
+    """One canonical lasso per reachable accepting state, cheapest first.
 
-    Within a BFS layer, states at accepting locations expand first at any
-    tick, so stems reach accepting territory as early as they can.
+    The stem is breadth-first shortest from the initial states, the loop
+    breadth-first shortest from the accepting state back to itself
+    (``_ndfs._shortest_loop``), and the lassos are ordered by (stem length,
+    loop length, discovery order).
+
+    The clock is never reset, so every state at depth d below the
+    saturated tick has tick d, and every later one has tick ``sat``: the
+    breadth-first search is a sweep over layers of (state, location)
+    pairs, layer d at tick min(d, sat). Each layer expands its pairs at
+    accepting locations first, in discovery order, then the rest, so
+    stems reach accepting territory as early as they can; a child's parent
+    is the first pair that reaches it, kept as an index into the layer
+    before. A pair is new to a layer below ``sat`` if that layer has not
+    met it, and new to a layer at ``sat`` if no layer at ``sat`` has;
+    every new pair counts against ``max_states``. The anchors are the
+    accepting pairs of the layers at ``sat``.
     """
-    accepting = product.clocks.accepting
-    return _ndfs.shortest_lassos(
-        product.initial(), product.successors, product.accepting,
-        max_states=max_states, priority=lambda s: not accepting[s[1]])
+    sat, accepting = product.clocks.sat, product.clocks.accepting
+    memo, moves = product._moves, product.moves
+    layer = list(dict.fromkeys((s, q) for s, q, _ in product.initial()))
+    layers, parents = [layer], [None]
+    count = len(layer)
+    _ndfs._check_budget(count, max_states)
+    shared: set = set()      # sat >= 1, so layer 0 lies below it
+    while layer:
+        d = len(layers)      # the depth of the layer being built
+        k = d if d < sat else sat
+        seen = set() if d < sat else shared
+        nxt: list[tuple] = []
+        up: list[int] = []
+        order = [i for i, pair in enumerate(layer) if accepting[pair[1]]]
+        order += [i for i, pair in enumerate(layer) if not accepting[pair[1]]]
+        for i in order:
+            pair = layer[i]
+            # moves(*pair, k), without a new key tuple when the memo holds
+            entry = memo.get(pair)
+            pairs = entry[2] if entry is not None and entry[0] <= k <= entry[1] \
+                else moves(*pair, k)
+            for child in pairs:
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+                    up.append(i)
+        count += len(nxt)
+        _ndfs._check_budget(count, max_states)
+        layers.append(nxt)
+        parents.append(up)
+        layer = nxt
+
+    found = []
+    for d in range(sat, len(layers)):
+        for i, (s, q) in enumerate(layers[d]):
+            if not accepting[q]:
+                continue
+            loop = _ndfs._shortest_loop((s, q, sat), product.successors)
+            if loop is None:
+                continue
+            stem, p = [], i
+            for j in range(d - 1, -1, -1):
+                p = parents[j + 1][p]
+                s2, q2 = layers[j][p]
+                stem.append((s2, q2, j if j < sat else sat))
+            stem.reverse()
+            found.append((d, len(loop), Lasso(tuple(stem), loop)))
+    # stable, so equal keys keep discovery order
+    found.sort(key=lambda item: item[:2])
+    return [item[2] for item in found]
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +405,7 @@ def synthesize(
     per_agent: list[list[Lasso]] = []
     for w, automaton in zip(wts_list, automata):
         bp = BuchiProduct(w, automaton)
-        # shortest_lassos raises BudgetExceeded rather than stop early, so
+        # the layer sweep raises BudgetExceeded rather than stop early, so
         # an empty list comes from a complete search
         lassos = enumerate_accepting_lassos(bp, max_states=max_states)
         logger.info("agent %d: %d candidate accepting lassos", w.agent,

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mas._ndfs import Lasso, _check_budget, _shortest_loop, _walk_back
 from mas.abstraction import AgentWTS, SumClassTable
 from mas.graph import build_graph
 from mas.tba import TRUE_GUARD, Edge, TimedAutomaton, canonical_letters
@@ -291,6 +292,66 @@ def random_lasso_word(rng: np.random.Generator, names=("p", "q"),
     prefix_len = int(rng.integers(0, max_length - cycle_len + 1))
     return mitl.word_from_lasso(letters[:prefix_len],
                                 letters[prefix_len:prefix_len + cycle_len], dt)
+
+
+# --------------------------------------------------------------------------
+# the generic breadth-first lasso enumerator (oracle for the tick-layered
+# sweep of synthesis.enumerate_accepting_lassos)
+# --------------------------------------------------------------------------
+
+def shortest_lassos(initials, successors, is_accepting,
+                    max_states: int | None = None,
+                    priority=None) -> list[Lasso]:
+    """One canonical lasso per reachable accepting state.
+
+    The stem is BFS-shortest from the initial set; the loop is BFS-shortest
+    from the accepting state back to itself. Results are ordered by
+    (stem length, loop length, discovery order), which makes downstream
+    combination search deterministic.
+
+    ``priority(state)`` (lower first, stable) orders expansion within each
+    BFS layer. Ties between equal-length stems are then broken in favor of
+    parent chains through low-priority states, e.g. passing a
+    ``not is_accepting(state)`` priority records stems that reach accepting
+    territory at the earliest possible depth.
+
+    Every reachable state ``is_accepting`` admits is tried as an anchor, so
+    callers pass anchors that can recur: an anchor without a loop is
+    dropped, at the cost of one BFS.
+    """
+    parent: dict = {}
+    order: list = []
+    frontier = []
+    for root in initials:
+        if root not in parent:
+            parent[root] = None
+            frontier.append(root)
+            order.append(root)
+    _check_budget(len(parent), max_states)
+    while frontier:
+        if priority is not None:
+            frontier.sort(key=priority)
+        nxt = []
+        for state in frontier:
+            for child in successors(state):
+                if child not in parent:
+                    parent[child] = state
+                    _check_budget(len(parent), max_states)
+                    nxt.append(child)
+                    order.append(child)
+        frontier = nxt
+
+    found = []
+    for disc, anchor in enumerate(order):
+        if not is_accepting(anchor):
+            continue
+        loop = _shortest_loop(anchor, successors)
+        if loop is None:
+            continue
+        stem = _walk_back(parent[anchor], None, parent)
+        found.append((len(stem), len(loop), disc, Lasso(stem, loop)))
+    found.sort(key=lambda item: item[:3])
+    return [item[3] for item in found]
 
 
 # --------------------------------------------------------------------------

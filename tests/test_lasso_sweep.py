@@ -1,0 +1,129 @@
+"""The tick-layered lasso sweep against the breadth-first search it replaced.
+
+``enumerate_accepting_lassos`` sweeps the product's tick layers of
+(state, location) pairs instead of searching its states with one global
+parent map. The generic enumerator (``conftest.shortest_lassos``, with
+accepting locations expanded first in each layer) is the oracle: both must
+return the same lassos, state for state and in the same order, on random
+instances, on the benchmark's scenarios and on the shipped ones, and raise
+``BudgetExceeded`` at the same caps.
+
+``BuchiProduct.moves`` keeps one answer per (state, location) pair with the
+tick range it holds for; since searches ask for ticks in any order, it is
+checked against a direct filter of the pair's row on shuffled ticks.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mas.cli import load_scenario, stage_abstract, stage_bounds
+from mas.errors import BudgetExceeded
+from mas.synthesis import BuchiProduct, enumerate_accepting_lassos
+from mas.tba import from_flat_mitl
+
+from conftest import bench_families, shortest_lassos
+from test_tick_equivalence import _random_instances
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _oracle(product: BuchiProduct, max_states=None):
+    accepting = product.clocks.accepting
+    return shortest_lassos(product.initial(), product.successors,
+                           product.accepting, max_states=max_states,
+                           priority=lambda s: not accepting[s[1]])
+
+
+def _outcome(search, product: BuchiProduct, max_states):
+    try:
+        return search(product, max_states=max_states)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def _state_count(product: BuchiProduct) -> int:
+    seen, frontier = set(product.initial()), list(product.initial())
+    while frontier:
+        for child in product.successors(frontier.pop()):
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return len(seen)
+
+
+def test_sweep_matches_the_bfs_on_random_instances():
+    lassos = budgets = 0
+    for wts, auto in _random_instances():
+        got = enumerate_accepting_lassos(BuchiProduct(wts, auto))
+        assert got == _oracle(BuchiProduct(wts, auto))
+        lassos += len(got)
+        count = _state_count(BuchiProduct(wts, auto))
+        for cap in range(1, count + 2):
+            want = _outcome(_oracle, BuchiProduct(wts, auto), cap)
+            assert _outcome(enumerate_accepting_lassos,
+                            BuchiProduct(wts, auto), cap) == want, cap
+            budgets += isinstance(want, str)
+    assert lassos > 100 and budgets > 1000
+
+
+def _scenarios():
+    """The benchmark's families at seeds 0-2, then the shipped scenarios."""
+    families = bench_families()
+    cases = [pytest.param(families[family](seed).scenario,
+                          id=f"{family}-{seed}")
+             for family in sorted(families) for seed in range(3)]
+    return cases + [pytest.param(json.loads(path.read_text()), id=path.name)
+                    for path in sorted(SCENARIOS.glob("*.json"))]
+
+
+@pytest.mark.parametrize("scenario", _scenarios())
+def test_sweep_matches_the_bfs_on_scenarios(tmp_path, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    pipe = stage_abstract(stage_bounds(load_scenario(path)))
+    for w in pipe.wts_list:
+        # the automaton synthesize builds: over the letters w's cells emit
+        auto = from_flat_mitl(pipe.scenario.formulas[w.agent],
+                              {w.label(c) for c in w.cells})
+        assert enumerate_accepting_lassos(BuchiProduct(w, auto)) \
+            == _oracle(BuchiProduct(w, auto))
+
+
+def _direct_moves(product: BuchiProduct, s, q: int, k: int) -> list:
+    """(s2, target) pairs of (s, q) whose guard admits tick k, filtered
+    straight from the system's successors and the location's edges."""
+    system, edges = product.system, product.clocks.edges(q)
+    return [(s2, target) for s2 in system.successors(s)
+            for lo, hi, target in edges.get(system.label(s2), ())
+            if lo <= k <= hi]
+
+
+def test_moves_answers_shuffled_ticks_as_a_direct_filter():
+    rng = np.random.default_rng(2210)
+    hits = stale = 0
+    for wts, auto in _random_instances():
+        product = BuchiProduct(wts, auto)
+        sat = product.clocks.sat
+        locations = [product.clocks.number(q) for q in auto.locations]
+        # every tick up to sat, so every guard bound in range, twice over
+        calls = [(s, q, k) for s in wts.cells for q in locations
+                 for k in range(sat + 1)] * 2
+        for j in rng.permutation(len(calls)):
+            s, q, k = calls[j]
+            memo = product._moves.get((s, q))
+            if memo is not None:
+                hit = memo[0] <= k <= memo[1]
+                hits, stale = hits + hit, stale + (not hit)
+            got = product.moves(s, q, k)
+            assert got == _direct_moves(product, s, q, k), (s, q, k)
+            # the memo's range holds the same answer at every tick in it
+            a, b, kept = product._moves[s, q]
+            assert kept is got and a <= k <= b
+            assert all(_direct_moves(product, s, q, t) == got
+                       for t in range(a, b + 1))
+    assert hits > 10000 and stale > 1000, (hits, stale)

@@ -5,7 +5,9 @@ enumerator, whose ``successors`` yielded (payload, child) pairs and whose
 lassos carried one payload per edge. Dropping the payloads must not change
 which states the searches visit, in which order, or when a budget fires:
 on random graphs both must return the same lasso states in the same order
-and raise ``BudgetExceeded`` at the same caps. ``accepts_lasso``, which now
+and raise ``BudgetExceeded`` at the same caps. The BFS enumerator checked
+here is ``conftest.shortest_lassos``, which in turn is the oracle of the
+tick-layered sweep (``test_lasso_sweep``). ``accepts_lasso``, which now
 expands its (location, ticks, phase) graph on demand, is checked against a
 local copy of its eager version the same way.
 """
@@ -24,7 +26,7 @@ from mas.mitl import TimedWord
 from mas.tba import (TickClocks, accepts_lasso, canonical_letters,
                      from_flat_mitl)
 
-from conftest import random_flat_formula, random_lasso_word
+from conftest import random_flat_formula, random_lasso_word, shortest_lassos
 
 
 # --------------------------------------------------------------------------
@@ -347,10 +349,10 @@ def test_state_search_matches_the_payload_search_on_random_graphs():
         is_accepting = accepting.__contains__
         searches = [
             (_ndfs.find_accepting_cycle, payload_find_accepting_cycle, {}),
-            (_ndfs.shortest_lassos, payload_shortest_lassos, {}),
-            (_ndfs.shortest_lassos, payload_shortest_lassos,
+            (shortest_lassos, payload_shortest_lassos, {}),
+            (shortest_lassos, payload_shortest_lassos,
              {"priority": lambda s: not is_accepting(s)}),
-            (_ndfs.shortest_lassos, payload_shortest_lassos,
+            (shortest_lassos, payload_shortest_lassos,
              {"priority": priority.__getitem__}),
         ]
         for new, old, extra in searches:
@@ -374,8 +376,8 @@ def test_lassos_are_runs_of_the_graph():
     checked = 0
     for _ in range(200):
         _, adjacency, initials, accepting, _ = _random_graph(rng)
-        found = _ndfs.shortest_lassos(initials, adjacency.__getitem__,
-                                      accepting.__contains__)
+        found = shortest_lassos(initials, adjacency.__getitem__,
+                                accepting.__contains__)
         cycle = _ndfs.find_accepting_cycle(initials, adjacency.__getitem__,
                                            accepting.__contains__)
         for lasso in found + ([cycle] if cycle else []):

@@ -45,7 +45,7 @@ from mas.tba import (Edge, Guard, TRUE_GUARD, TickClocks, TimedAutomaton,
 
 from conftest import (class_table, enabled_actions, four_state_timed_wts,
                       random_connected_graph, random_flat_formula,
-                      universal_acceptor)
+                      shortest_lassos, universal_acceptor)
 from test_state_graph_search import (_payload_loop_capable,
                                      payload_find_accepting_cycle,
                                      payload_shortest_lassos)
@@ -154,9 +154,9 @@ def _object_lassos(oracle) -> list:
     """``enumerate_accepting_lassos`` over a product whose states hold
     location objects: accepting locations expand first in each layer."""
     accepting = oracle.automaton.accepting
-    return _ndfs.shortest_lassos(oracle.initial(), oracle.successors,
-                                 oracle.accepting,
-                                 priority=lambda s: s[1] not in accepting)
+    return shortest_lassos(oracle.initial(), oracle.successors,
+                           oracle.accepting,
+                           priority=lambda s: s[1] not in accepting)
 
 
 def _assert_same_lassos(fast: BuchiProduct, oracle: FractionProduct):
