@@ -17,8 +17,10 @@ products of the line3-abstract scenario at seed 0 (``LINE3`` of
 ``test_abstraction_layers``), 24 lassos each. One more translates
 ``F[0,1] a & F[0,2] b & G[0,3] !c`` over the letters an agent with k
 one-service regions emits, none and one per service, for k = 3..7. The
-last writes the text of plans.json for the two-agent scenario's step-4
-plans, 917 steps per agent.
+last two take the two-agent scenario's step-4 plans, 917 steps per agent:
+one writes the text of plans.json, the other builds both plans' timed
+words (``Plan.word``) and runs the checks ``_build_plans`` makes on them,
+``evaluate`` and ``witness_instant`` against each agent's formula.
 
 Run from the repository root (not part of the default test run):
 
@@ -35,7 +37,7 @@ import pytest
 from mas.cli import (load_scenario, stage_abstract, stage_bounds,
                      stage_synthesize)
 from mas.files import plans_json
-from mas.mitl import parse
+from mas.mitl import evaluate, parse, witness_instant
 from mas.synthesis import (BuchiProduct, _project_cells, consistent,
                            enumerate_accepting_lassos, find_accepting_lasso)
 from mas.abstraction import ProductWTS
@@ -148,8 +150,28 @@ def test_translation_over_emitted_letters(benchmark, k):
         <= set(letters)
 
 
-def test_plans_json_writer(benchmark, pipe):
+@pytest.fixture(scope="module")
+def step4_result(pipe):
     result = stage_synthesize(pipe)
     assert result.step_used == 4
-    text = benchmark(plans_json, pipe.scenario, result)
+    return result
+
+
+def test_plans_json_writer(benchmark, pipe, step4_result):
+    text = benchmark(plans_json, pipe.scenario, step4_result)
     assert text.count('"time"') == 2 * 917
+
+
+def test_plan_words_and_checks(benchmark, pipe, step4_result):
+    formulas = pipe.scenario.formulas
+
+    def check_all():
+        out = []
+        for plan in step4_result.plans:
+            word, formula = plan.word(), formulas[plan.agent]
+            out.append((evaluate(word, formula),
+                        witness_instant(word, formula)))
+        return out
+
+    # neither goal is a top-level F, so neither has a witness instant
+    assert benchmark(check_all) == [(True, None), (True, None)]

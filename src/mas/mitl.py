@@ -16,15 +16,17 @@ truth and falsity are derived: p | q = !(!p & !q), true = !(p & !p).
 Semantics are pointwise over timed words: a word is a sequence of (service
 set, timestamp) pairs and temporal windows constrain timestamp differences.
 Words are ultimately periodic: a finite prefix with absolute timestamps
-followed by a repeating cycle given as per-step durations. All times are kept
-as exact rationals; float inputs are read at their shortest decimal
-representation (0.1 becomes 1/10), so window-boundary comparisons are exact.
+followed by a repeating cycle given as per-step durations. Float inputs are
+read at their shortest decimal representation (0.1 becomes 1/10), and a word
+keeps every time as an int count of one exact rational unit, the gcd of its
+times, so window-boundary comparisons are exact integer comparisons against
+the window's tick bounds (``window_ticks``).
 
 ``Interval`` is the one timing-window type of the package: formula windows
 and the clock guards of ``tba`` alike. The parser refuses empty and point
 windows; an Interval itself only needs lo <= hi, since a guard may be the
-point [0,0]. Evaluation decides every window with one scan of the word
-(``_Evaluation.scan``): F, G and U are short loops over it, and
+point [0,0]. Evaluation decides every window with one scan of the word's
+ticks (``_Evaluation.scan``): F, G and U are short loops over it, and
 ``witness_instant`` returns the first in-window position of the same scan
 where the operand of a top-level F holds.
 """
@@ -32,10 +34,12 @@ where the operand of a top-level F holds.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from typing import Iterable
 
 from .errors import HorizonOverflow, NonRationalConstant, ParseError
 
@@ -53,6 +57,13 @@ def to_fraction(x: TimeLike) -> Fraction:
     if isinstance(x, float):
         return Fraction(repr(x))  # ValueError for inf/nan propagates
     return Fraction(x)
+
+
+def exact_gcd(values: Iterable[Fraction]) -> Fraction:
+    """Largest rational of which every value is an integer multiple."""
+    return reduce(lambda a, b: Fraction(
+        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
+        a.denominator * b.denominator), values)
 
 
 # --------------------------------------------------------------------------
@@ -86,17 +97,27 @@ class Interval:
             return False
         return True
 
-    def beyond_upper(self, gap: Fraction) -> bool:
-        """True once gaps this large (and larger) can no longer be inside."""
-        if self.hi is None:
-            return False
-        return gap > self.hi or (self.hi_open and gap == self.hi)
-
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
         right = ")" if (self.hi_open or self.hi is None) else "]"
         hi = "inf" if self.hi is None else str(self.hi)
         return f"{left}{self.lo},{hi}{right}"
+
+
+def window_ticks(interval: Interval, unit: Fraction) -> tuple[int, int | None]:
+    """(lowest, highest) count k of ``unit`` whose k*unit the window
+    contains; highest is None when the window is unbounded.
+
+    A closed end admits ceil(lo/unit) up to floor(hi/unit), an open one
+    floor(lo/unit) + 1 up to ceil(hi/unit) - 1, so a bound that falls
+    exactly on a tick is kept or excluded as the window says.
+    """
+    lo = interval.lo / unit
+    lo = math.floor(lo) + 1 if interval.lo_open else math.ceil(lo)
+    if interval.hi is None:
+        return lo, None
+    hi = interval.hi / unit
+    return lo, math.ceil(hi) - 1 if interval.hi_open else math.floor(hi)
 
 
 @dataclass(frozen=True)
@@ -187,25 +208,35 @@ def _normalize_steps(steps):
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TimedWord:
-    """Ultimately periodic timed word.
+    """Ultimately periodic timed word, its times counted in ticks of one
+    exact unit.
 
-    ``prefix`` holds (services, absolute timestamp) pairs, strictly
-    increasing; ``cycle`` holds (services, duration) pairs with positive
-    durations, repeated forever after the prefix. The word at position
-    len(prefix)+k occurs ``duration_0+..+duration_k`` after the last prefix
-    timestamp.
+    ``TimedWord(prefix, cycle)``: ``prefix`` holds (services, absolute
+    timestamp) pairs, strictly increasing; ``cycle`` holds (services,
+    duration) pairs with positive durations, repeated forever after the
+    prefix. The word at position len(prefix)+k occurs
+    ``duration_0+..+duration_k`` after the last prefix timestamp.
+
+    ``unit`` is the gcd of the non-zero timestamps and the durations, so
+    every time is an int number of units: ``ticks[j]`` for the prefix and
+    the first pass of the cycle (``letters`` holds their letters), and
+    one ``period_ticks`` more per later pass (``tick``). ``time(j)`` is the
+    exact rational ``tick(j) * unit``. Two words are equal when their
+    letters and times are.
     """
 
-    prefix: tuple[tuple[frozenset[str], Fraction], ...]
-    cycle: tuple[tuple[frozenset[str], Fraction], ...]
+    letters: tuple[frozenset[str], ...]
+    ticks: tuple[int, ...]
+    prefix_length: int
+    cycle_length: int
+    period_ticks: int
+    unit: Fraction
 
-    def __post_init__(self):
-        prefix = _normalize_steps(self.prefix)
-        cycle = _normalize_steps(self.cycle)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "cycle", cycle)
+    def __init__(self, prefix, cycle):
+        prefix = _normalize_steps(prefix)
+        cycle = _normalize_steps(cycle)
         if not prefix:
             raise ValueError("timed word needs a non-empty prefix")
         if not cycle:
@@ -216,27 +247,24 @@ class TimedWord:
         for _, d in cycle:
             if d <= 0:
                 raise ValueError(f"cycle durations must be positive, got {d}")
+        unit = exact_gcd([t for _, t in prefix if t] + [d for _, d in cycle])
+        times = [t for _, t in prefix[:-1]]
+        times += itertools.accumulate((d for _, d in cycle),
+                                      initial=prefix[-1][1])
+        ticks = tuple((t / unit).numerator for t in times)
+        p = len(prefix)
+        self._set(tuple(ls for ls, _ in prefix + cycle), ticks, p,
+                  ticks[-1] - ticks[p - 1], unit)
 
-    @property
-    def prefix_length(self) -> int:
-        return len(self.prefix)
-
-    @property
-    def cycle_length(self) -> int:
-        return len(self.cycle)
+    def _set(self, letters, ticks, prefix_length, period_ticks, unit):
+        vars(self).update(letters=letters, ticks=ticks,
+                          prefix_length=prefix_length,
+                          cycle_length=len(letters) - prefix_length,
+                          period_ticks=period_ticks, unit=unit)
 
     @cached_property
     def period(self) -> Fraction:
-        return sum((d for _, d in self.cycle), Fraction(0))
-
-    @cached_property
-    def _cycle_offsets(self) -> tuple[Fraction, ...]:
-        acc = Fraction(0)
-        out = []
-        for _, d in self.cycle:
-            acc += d
-            out.append(acc)
-        return tuple(out)
+        return self.period_ticks * self.unit
 
     def canonical(self, position: int) -> int:
         """Earliest position with an identical (time-shifted) suffix."""
@@ -246,36 +274,49 @@ class TimedWord:
         return p + (position - p) % self.cycle_length
 
     def letter(self, position: int) -> frozenset[str]:
-        p = self.prefix_length
-        if position < p:
-            return self.prefix[position][0]
-        return self.cycle[(position - p) % self.cycle_length][0]
+        return self.letters[self.canonical(position)]
+
+    def tick(self, position: int) -> int:
+        """The time of a position in units."""
+        ticks = self.ticks
+        if position < len(ticks):
+            return ticks[position]
+        wraps, k = divmod(position - self.prefix_length, self.cycle_length)
+        return ticks[self.prefix_length + k] + wraps * self.period_ticks
 
     def time(self, position: int) -> Fraction:
-        p = self.prefix_length
-        if position < p:
-            return self.prefix[position][1]
-        wraps, k = divmod(position - p, self.cycle_length)
-        return self.prefix[-1][1] + wraps * self.period + self._cycle_offsets[k]
+        return self.tick(position) * self.unit
 
     def gaps(self) -> list[Fraction]:
-        """All distinct consecutive time gaps (prefix transitions + cycle)."""
-        times = [t for _, t in self.prefix]
-        out = [b - a for a, b in itertools.pairwise(times)]
-        out.append(self.time(self.prefix_length) - times[-1])
-        out.extend(d for _, d in self.cycle)
-        return out
+        """Every consecutive time gap of the prefix, then from the last
+        prefix position into the cycle, then each cycle duration."""
+        ticks, p, unit = self.ticks, self.prefix_length, self.unit
+        steps = itertools.chain(range(p), range(p - 1, len(ticks) - 1))
+        return [(self.tick(j + 1) - ticks[j]) * unit for j in steps]
 
 
 def word_from_lasso(letters_prefix, letters_cycle, dt: TimeLike) -> TimedWord:
-    """Word of a uniformly sampled lasso run: position j occurs at j*dt."""
-    step = to_fraction(dt)
-    prefix = [(ls, step * j) for j, ls in enumerate(letters_prefix)]
-    cycle = [(ls, step) for ls in letters_cycle]
+    """Word of a uniformly sampled lasso run: position j occurs at j*dt.
+
+    The unit is dt, so position j sits at tick j; an empty prefix takes
+    one copy of the cycle, so that position 0 is explicit.
+    """
+    unit = to_fraction(dt)
+    prefix, cycle = list(letters_prefix), list(letters_cycle)
     if not prefix:
-        # rotate one cycle copy into the prefix so position 0 is explicit
-        prefix = [(ls, step * j) for j, ls in enumerate(letters_cycle)]
-    return TimedWord(tuple(prefix), tuple(cycle))
+        prefix = cycle
+    if unit <= 0 or not cycle:
+        # the general constructor names the fault
+        return TimedWord([(ls, unit * j) for j, ls in enumerate(prefix)],
+                         [(ls, unit) for ls in cycle])
+    # one frozenset per distinct letter, however long the run
+    distinct: dict[frozenset[str], frozenset[str]] = {}
+    letters = tuple(distinct.setdefault(letter, letter) for letter in
+                    (frozenset(map(str, ls)) for ls in prefix + cycle))
+    word = object.__new__(TimedWord)
+    word._set(letters, tuple(range(len(letters))), len(prefix), len(cycle),
+              unit)
+    return word
 
 
 # --------------------------------------------------------------------------
@@ -445,16 +486,22 @@ def witness_instant(word: TimedWord, formula: MitlFormula) -> Fraction | None:
 class _Evaluation:
     """Memoised recursive evaluation over one word.
 
+    Windows are compared in the word's ticks: each formula window's tick
+    bounds are computed once (``window``), and a gap of g ticks is inside
+    exactly when it lies between them.
+
     Its methods reach each other through the instance, not through closures
     that refer to one another, so the word and the memo are freed as soon
     as ``evaluate`` returns.
     """
 
-    __slots__ = ("word", "memo", "left")
+    __slots__ = ("word", "memo", "windows", "left")
 
     def __init__(self, word: TimedWord, budget: int):
         self.word = word
         self.memo: dict[tuple[int, int], bool] = {}
+        # id(interval) -> its tick bounds; the formula keeps each alive
+        self.windows: dict[int, tuple[int, int | None]] = {}
         self.left = budget
 
     def spend(self):
@@ -463,6 +510,13 @@ class _Evaluation:
             raise HorizonOverflow(
                 "formula evaluation exceeded its unrolling budget; "
                 "the word/formula combination needs too many positions")
+
+    def window(self, interval: Interval) -> tuple[int, int | None]:
+        bounds = self.windows.get(id(interval))
+        if bounds is None:
+            bounds = self.windows[id(interval)] = window_ticks(
+                interval, self.word.unit)
+        return bounds
 
     def scan(self, i: int, interval: Interval):
         """(j, whether time(j) - time(i) is in the window) for j = i, i+1, ...
@@ -473,15 +527,17 @@ class _Evaluation:
         a time shift, and every later one an earlier suffix.
         """
         word = self.word
-        base = word.time(i)
+        lo, hi = self.window(interval)
+        tick = word.tick
+        base = tick(i)
         j, last = i, None
         while True:
             self.spend()
-            gap = word.time(j) - base
-            inside = interval.contains(gap)
+            gap = tick(j) - base
+            inside = lo <= gap and (hi is None or gap <= hi)
             yield j, inside
-            if interval.hi is not None:
-                if interval.beyond_upper(gap):
+            if hi is not None:
+                if gap > hi:
                     return
             else:
                 if last is None and inside and j >= word.prefix_length:
@@ -504,14 +560,16 @@ class _Evaluation:
         word, eval_at = self.word, self.at
         match f:
             case Atom(name):
-                return name in word.letter(i)
+                return name in word.letters[i]
             case Not(arg):
                 return not eval_at(arg, i)
             case And(left, right):
                 return eval_at(left, i) and eval_at(right, i)
             case Next(interval, arg):
-                gap = word.time(i + 1) - word.time(i)
-                return interval.contains(gap) and eval_at(arg, i + 1)
+                lo, hi = self.window(interval)
+                gap = word.tick(i + 1) - word.tick(i)
+                return lo <= gap and (hi is None or gap <= hi) \
+                    and eval_at(arg, i + 1)
             case Eventually(interval, arg):
                 return any(inside and eval_at(arg, j)
                            for j, inside in self.scan(i, interval))

@@ -66,24 +66,23 @@ class BuchiProduct:
     takes its sampling period ``dt``, so a product state is (system state,
     location number, k) with k the automaton's one clock in ticks of dt,
     and each move advances k by one tick; ``location(i)`` reads a number
-    back (``TickClocks.number``). The first expansion of a (system state,
-    location) pair compiles its row, every (s2, lowest tick, highest tick,
-    target) with s2 in ``system.successors`` order and then the edges into
-    s2's label. ``moves(s, q, k)`` keeps the row's (s2, target) pairs that
-    tick k admits, memoised once per pair with the tick range over which
-    that list stays the same, and ``successors`` of the product pairs them
-    with the next tick. Since k never decreases, a state below the
-    saturated tick lies on no cycle; ``accepting`` admits only accepting
-    locations at the saturated tick (``TickClocks.recurs``).
+    back (``TickClocks.number``). ``moves(s, q, k)`` gives the (s2,
+    target) pairs that tick k admits, s2 in ``system.successors`` order
+    and then the edges into s2's label in their order. They are memoised
+    once per (system state, location, guard segment of the location), in
+    the location's ``memo``, and filled on first use, since searches ask
+    for ticks in any order. ``successors`` of the product pairs them with
+    the next tick. Since k never decreases, a state below the saturated
+    tick lies on no cycle; ``accepting`` admits only accepting locations
+    at the saturated tick (``TickClocks.recurs``).
     """
 
     def __init__(self, system, automaton: TimedAutomaton):
         self.system = system
         self.automaton = automaton
         self.clocks = TickClocks(automaton, (system.dt,))
-        self._rows: dict[tuple, list] = {}
-        # (s, q) -> (a, b, pairs): pairs is moves(s, q, k) for a <= k <= b
-        self._moves: dict[tuple, tuple] = {}
+        # q -> (segment of each tick, tables, one {s: pairs} per segment)
+        self._moves: dict[int, tuple] = {}
 
     def location(self, i: int):
         return self.clocks.locations[i]
@@ -94,33 +93,26 @@ class BuchiProduct:
                 for q in self.automaton.initial
                 if self.automaton.labels[q] == self.system.label(s)]
 
-    def moves(self, s, q: int, k: int) -> list[tuple]:
-        """The (s2, target) pairs of (s, q)'s row whose guard admits tick k.
+    def memo(self, q: int) -> tuple[list[int], list[dict], list[dict]]:
+        """Location number q's guard segments (``TickClocks.segments``)
+        and its memo, one {s: (s2, target) pairs} dict per segment."""
+        entry = self._moves.get(q)
+        if entry is None:
+            segment_of, tables = self.clocks.segments(q)
+            entry = self._moves[q] = segment_of, tables, [{} for _ in tables]
+        return entry
 
-        Each pair keeps its last answer with the widest tick range around k
-        in which no row entry starts or stops admitting the tick; the
-        answer is recomputed only when a query leaves that range, since
-        searches ask for ticks in any order.
-        """
-        memo = self._moves.get((s, q))
-        if memo is not None and memo[0] <= k <= memo[1]:
-            return memo[2]
-        row = self._rows.get((s, q))
-        if row is None:
-            edges, label = self.clocks.edges(q), self.system.label
-            row = self._rows[s, q] = [
-                (s2, lo, hi, target) for s2 in self.system.successors(s)
-                for lo, hi, target in edges.get(label(s2), ())]
-        a, b, pairs = 0, self.clocks.sat, []
-        for s2, lo, hi, target in row:
-            if k < lo:
-                b = min(b, lo - 1)
-            elif k > hi:
-                a = max(a, hi + 1)
-            else:
-                a, b = max(a, lo), min(b, hi)
-                pairs.append((s2, target))
-        self._moves[s, q] = a, b, pairs
+    def moves(self, s, q: int, k: int) -> list[tuple]:
+        """The (s2, target) pairs from (s, q) whose guard admits tick k."""
+        segment_of, tables, by_segment = self._moves.get(q) or self.memo(q)
+        segment = segment_of[k]
+        by_state = by_segment[segment]
+        pairs = by_state.get(s)
+        if pairs is None:
+            table, label = tables[segment], self.system.label
+            pairs = by_state[s] = [
+                (s2, target) for s2 in self.system.successors(s)
+                for target in table.get(label(s2), ())]
         return pairs
 
     def successors(self, state: tuple) -> list[tuple]:
@@ -160,10 +152,13 @@ def enumerate_accepting_lassos(product: BuchiProduct,
     before. A pair is new to a layer below ``sat`` if that layer has not
     met it, and new to a layer at ``sat`` if no layer at ``sat`` has;
     every new pair counts against ``max_states``. The anchors are the
-    accepting pairs of the layers at ``sat``.
+    accepting pairs of the layers at ``sat``. Each layer looks up each of
+    its locations' guard segment once, and a pair's moves come straight
+    from ``product.moves``'s memo when it holds them.
     """
-    sat, accepting = product.clocks.sat, product.clocks.accepting
-    memo, moves = product._moves, product.moves
+    clocks = product.clocks
+    sat, accepting = clocks.sat, clocks.accepting
+    memo, moves = product.memo, product.moves
     layer = list(dict.fromkeys((s, q) for s, q, _ in product.initial()))
     layers, parents = [layer], [None]
     count = len(layer)
@@ -177,12 +172,18 @@ def enumerate_accepting_lassos(product: BuchiProduct,
         up: list[int] = []
         order = [i for i, pair in enumerate(layer) if accepting[pair[1]]]
         order += [i for i, pair in enumerate(layer) if not accepting[pair[1]]]
+        # location -> its memo dict at tick k; every location of the layer
+        # was numbered while the layer before was built
+        at: list[dict | None] = [None] * len(clocks.locations)
         for i in order:
-            pair = layer[i]
-            # moves(*pair, k), without a new key tuple when the memo holds
-            entry = memo.get(pair)
-            pairs = entry[2] if entry is not None and entry[0] <= k <= entry[1] \
-                else moves(*pair, k)
+            s, q = layer[i]
+            by_state = at[q]
+            if by_state is None:
+                segment_of, _, by_segment = memo(q)
+                by_state = at[q] = by_segment[segment_of[k]]
+            pairs = by_state.get(s)
+            if pairs is None:
+                pairs = moves(s, q, k)
             for child in pairs:
                 if child not in seen:
                     seen.add(child)

@@ -25,16 +25,18 @@ location's edges when they are first asked for.
 
 The clock is counted in integer ticks (``TickClocks``): when every delay is
 a multiple of delta, their gcd, the clock value is k*delta for an int k, and
-each guard is an integer range on k. Values above the largest constant
-c_max are saturated to one tick, floor(c_max/delta) + 1, which guards cannot
-tell apart from the true value. c_max is read off the windows: a
-conjunct's is its formula window's largest constant, whichever letters its
-phases were expanded over, and an intersection's is the larger of its
-parts'. In a synthesis product every move takes the
-sampling period, so delta is dt; ``accepts_lasso`` ticks at the gcd of the
-checked word's gaps. Either way each move adds at least one tick, so the
-clock never decreases and every cycle of a product lies at the saturated
-tick: ``TickClocks.recurs`` is the Büchi condition both searches use.
+each guard is an integer range on k; a location's ranges cut the ticks
+into a few guard segments, within which no edge starts or stops admitting
+the clock. Values above the largest constant c_max are saturated to one
+tick, floor(c_max/delta) + 1, which guards cannot tell apart from the true
+value. c_max is read off the windows: a conjunct's is its formula window's
+largest constant, whichever letters its phases were expanded over, and an
+intersection's is the larger of its parts'. In a synthesis product every
+move takes the sampling period, so delta is dt; ``accepts_lasso`` ticks at
+the gcd of the checked word's gaps. Either way each move adds at least
+one tick, so the clock never decreases and every cycle of a product lies
+at the saturated tick: ``TickClocks.recurs`` is the Büchi condition both
+searches use.
 """
 
 from __future__ import annotations
@@ -44,12 +46,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from . import _ndfs
 from .errors import NonPeriodicWord, UnsupportedNesting
 from .mitl import (And, Atom, Always, Eventually, Interval, MitlFormula, Next,
-                   Not, TimedWord, Until, atoms, to_fraction)
+                   Not, TimedWord, Until, atoms, exact_gcd, to_fraction,
+                   window_ticks)
 
 _NODE_CAP = 500_000
 
@@ -121,33 +124,28 @@ class TimedAutomaton:
         return len(self.locations)
 
 
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(math.gcd(a.numerator * b.denominator,
-                             b.numerator * a.denominator),
-                    a.denominator * b.denominator)
-
-
 class TickClocks:
     """An automaton's clock counted in integer ticks of one delta, over
     numbered locations.
 
     delta is the gcd of the delays time may advance by, so the clock value
     is an int k meaning k*delta, or ``sat`` = floor(c_max/delta) + 1 for
-    every value above c_max. A guard becomes one inclusive tick range: each
-    window admits ceil(lo/delta), or floor(lo/delta) + 1 when open, up to
-    floor(hi/delta), or ceil(hi/delta) - 1 when open, or up to ``sat``
-    when unbounded, and a conjunction admits the largest lower tick up to
-    the smallest upper one (nothing when that range is empty). Since every
-    constant is at most c_max, the saturated tick passes each lower bound
-    and fails each upper bound, exactly as an infinite value would. Each
-    window's tick bounds are computed once.
+    every value above c_max. A guard becomes one inclusive tick range
+    (``tick_range``): each window admits the ticks ``mitl.window_ticks``
+    gives it, up to ``sat`` when unbounded, and a conjunction admits the
+    largest lower tick up to the smallest upper one (nothing when that
+    range is empty). Since every constant is at most c_max, the saturated
+    tick passes each lower bound and fails each upper bound, exactly as an
+    infinite value would. Each window's tick bounds are computed once.
 
     A location gets its number the first time it is met (``number``), so
     searches carry small ints instead of nested location objects;
     ``locations[i]`` and ``accepting[i]`` read number i back. Each location
-    is compiled the first time its edges are asked for (``edges``): its
-    outgoing edges indexed by target letter in their original order, each
-    as (lowest tick, highest tick, target number).
+    is compiled the first time it is asked for (``segments``): ticks
+    0..``sat`` are cut at 0 and at every edge's lowest tick and highest
+    tick + 1, so within one guard segment every edge admits all ticks or
+    none, and each segment gets one {target letter: [target numbers]}
+    table, edges in their original order. ``moves`` reads it.
 
     ``recurs`` tells which (location number, tick) states can close a
     Büchi cycle.
@@ -155,13 +153,15 @@ class TickClocks:
 
     def __init__(self, automaton: TimedAutomaton, delays: Iterable):
         self.automaton = automaton
-        self.delta = reduce(_fraction_gcd, (to_fraction(d) for d in delays))
+        self.delta = exact_gcd(to_fraction(d) for d in delays)
         self.sat = math.floor(automaton.c_max / self.delta) + 1
         self.locations: list = []
         self.accepting: list[bool] = []
         self._numbers: dict[Any, int] = {}
-        self._compiled: list[dict | None] = []
+        self._compiled: list[tuple | None] = []
         self._term_ticks: dict[int, tuple[int, int, Interval]] = {}
+        # cut ticks -> the segment of each tick 0..sat, shared by locations
+        self._segment_of: dict[tuple[int, ...], list[int]] = {}
 
     def number(self, q) -> int:
         """Location q's number, given on first use."""
@@ -199,38 +199,49 @@ class TickClocks:
             # entry holds its term, so no other term can take over the id
             bounds = self._term_ticks.get(id(term))
             if bounds is None:
+                lo, hi = window_ticks(term, self.delta)
                 bounds = self._term_ticks[id(term)] = (
-                    *self._window_ticks(term), term)
+                    lo, self.sat if hi is None else hi, term)
             lowest, highest = max(lowest, bounds[0]), min(highest, bounds[1])
         return lowest, highest
 
-    def _window_ticks(self, term: Interval) -> tuple[int, int]:
-        lo = term.lo / self.delta
-        lo = math.floor(lo) + 1 if term.lo_open else math.ceil(lo)
-        if term.hi is None:
-            return lo, self.sat
-        hi = term.hi / self.delta
-        return lo, math.ceil(hi) - 1 if term.hi_open else math.floor(hi)
-
-    def edges(self, i: int) -> dict:
-        """{target letter: [(lowest tick, highest tick, target number),
-        ...]} of location number i."""
+    def segments(self, i: int) -> tuple[list[int], list[dict]]:
+        """(the guard segment of each tick 0..sat, one {target letter:
+        [target numbers]} table per segment) of location number i."""
         compiled = self._compiled[i]
         if compiled is None:
             auto, number = self.automaton, self.number
-            compiled = self._compiled[i] = {}
-            for edge in auto.edges_from[self.locations[i]]:
-                compiled.setdefault(auto.labels[edge.target], []).append(
-                    (*self.tick_range(edge.guard), number(edge.target)))
+            rows = [(auto.labels[edge.target], *self.tick_range(edge.guard),
+                     number(edge.target))
+                    for edge in auto.edges_from[self.locations[i]]]
+            cuts = {0}
+            for _, lo, hi, _ in rows:
+                if lo <= hi:
+                    cuts.update((lo, hi + 1))
+            cuts = tuple(sorted(cuts - {self.sat + 1}))
+            tables = []
+            for start in cuts:
+                table: dict = {}
+                for letter, lo, hi, target in rows:
+                    if lo <= start <= hi:
+                        table.setdefault(letter, []).append(target)
+                tables.append(table)
+            segment_of = self._segment_of.get(cuts)
+            if segment_of is None:
+                bounds = itertools.pairwise(cuts + (self.sat + 1,))
+                segment_of = self._segment_of[cuts] = [
+                    j for j, (a, b) in enumerate(bounds) for _ in range(a, b)]
+            compiled = self._compiled[i] = segment_of, tables
         return compiled
 
-    def moves(self, i: int, k: int, delay: int, letter) -> tuple[int, list]:
+    def moves(self, i: int, k: int, delay: int,
+              letter) -> tuple[int, Sequence[int]]:
         """The clock after ``delay`` ticks from k, and the target numbers
         of the edges from location number i into a ``letter`` location
         whose guard admits it."""
         k = k + delay if k + delay < self.sat else self.sat
-        return k, [target for lo, hi, target in self.edges(i).get(letter, ())
-                   if lo <= k <= hi]
+        segment_of, tables = self.segments(i)
+        return k, tables[segment_of[k]].get(letter, ())
 
 
 # --------------------------------------------------------------------------

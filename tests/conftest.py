@@ -8,14 +8,18 @@ import importlib.util
 import itertools
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mas import mitl
 from mas._ndfs import Lasso, _check_budget, _shortest_loop, _walk_back
 from mas.abstraction import AgentWTS, SumClassTable
+from mas.errors import HorizonOverflow
 from mas.graph import build_graph
 from mas.tba import TRUE_GUARD, Edge, TimedAutomaton, canonical_letters
 
@@ -352,6 +356,178 @@ def shortest_lassos(initials, successors, is_accepting,
         found.append((len(stem), len(loop), disc, Lasso(stem, loop)))
     found.sort(key=lambda item: item[:3])
     return [item[3] for item in found]
+
+
+# --------------------------------------------------------------------------
+# timed words with one Fraction per position, and their evaluator (oracle
+# for the tick words of mas.mitl)
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FractionWord:
+    """Ultimately periodic timed word holding every time as a Fraction:
+    ``prefix`` is (services, absolute timestamp) pairs, strictly
+    increasing, and ``cycle`` (services, duration) pairs, positive,
+    repeated forever after the prefix."""
+
+    prefix: tuple
+    cycle: tuple
+
+    def __post_init__(self):
+        def normal(steps):
+            return tuple((frozenset(map(str, services)), mitl.to_fraction(t))
+                         for services, t in steps)
+
+        prefix, cycle = normal(self.prefix), normal(self.cycle)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cycle", cycle)
+        if not prefix:
+            raise ValueError("timed word needs a non-empty prefix")
+        if not cycle:
+            raise ValueError("timed word needs a non-empty cycle")
+        for (_, a), (_, b) in itertools.pairwise(prefix):
+            if b <= a:
+                raise ValueError(f"prefix timestamps must increase: {a} then {b}")
+        for _, d in cycle:
+            if d <= 0:
+                raise ValueError(f"cycle durations must be positive, got {d}")
+
+    @property
+    def prefix_length(self) -> int:
+        return len(self.prefix)
+
+    @property
+    def cycle_length(self) -> int:
+        return len(self.cycle)
+
+    @cached_property
+    def period(self) -> Fraction:
+        return sum((d for _, d in self.cycle), Fraction(0))
+
+    @cached_property
+    def _cycle_offsets(self) -> tuple:
+        return tuple(itertools.accumulate(d for _, d in self.cycle))
+
+    def canonical(self, position: int) -> int:
+        p = self.prefix_length
+        return position if position < p \
+            else p + (position - p) % self.cycle_length
+
+    def letter(self, position: int) -> frozenset:
+        p = self.prefix_length
+        if position < p:
+            return self.prefix[position][0]
+        return self.cycle[(position - p) % self.cycle_length][0]
+
+    def time(self, position: int) -> Fraction:
+        p = self.prefix_length
+        if position < p:
+            return self.prefix[position][1]
+        wraps, k = divmod(position - p, self.cycle_length)
+        return self.prefix[-1][1] + wraps * self.period \
+            + self._cycle_offsets[k]
+
+    def gaps(self) -> list:
+        times = [t for _, t in self.prefix]
+        out = [b - a for a, b in itertools.pairwise(times)]
+        out.append(self.time(self.prefix_length) - times[-1])
+        out.extend(d for _, d in self.cycle)
+        return out
+
+
+def fraction_word_from_lasso(letters_prefix, letters_cycle,
+                             dt) -> FractionWord:
+    """Word of a uniformly sampled lasso run: position j occurs at j*dt."""
+    step = mitl.to_fraction(dt)
+    prefix = [(ls, step * j) for j, ls in enumerate(letters_prefix)]
+    cycle = [(ls, step) for ls in letters_cycle]
+    if not prefix:
+        prefix = [(ls, step * j) for j, ls in enumerate(letters_cycle)]
+    return FractionWord(tuple(prefix), tuple(cycle))
+
+
+class FractionEvaluation:
+    """Memoised pointwise evaluation over a ``FractionWord``, every window
+    decided on Fraction gaps."""
+
+    def __init__(self, word: FractionWord, budget: int):
+        self.word, self.memo, self.left = word, {}, budget
+
+    def spend(self):
+        self.left -= 1
+        if self.left < 0:
+            raise HorizonOverflow("formula evaluation exceeded its budget")
+
+    def scan(self, i: int, interval):
+        word = self.word
+        base = word.time(i)
+        j, last = i, None
+        while True:
+            self.spend()
+            gap = word.time(j) - base
+            inside = interval.contains(gap)
+            yield j, inside
+            if interval.hi is not None:
+                if gap > interval.hi or (interval.hi_open
+                                         and gap == interval.hi):
+                    return
+            else:
+                if last is None and inside and j >= word.prefix_length:
+                    last = j + word.cycle_length - 1
+                if last is not None and j >= last:
+                    return
+            j += 1
+
+    def at(self, f, i: int) -> bool:
+        word = self.word
+        i = word.canonical(i)
+        key = (id(f), i)
+        if key in self.memo:
+            return self.memo[key]
+        match f:
+            case mitl.Atom(name):
+                result = name in word.letter(i)
+            case mitl.Not(arg):
+                result = not self.at(arg, i)
+            case mitl.And(left, right):
+                result = self.at(left, i) and self.at(right, i)
+            case mitl.Next(interval, arg):
+                result = interval.contains(word.time(i + 1) - word.time(i)) \
+                    and self.at(arg, i + 1)
+            case mitl.Eventually(interval, arg):
+                result = any(inside and self.at(arg, j)
+                             for j, inside in self.scan(i, interval))
+            case mitl.Always(interval, arg):
+                result = all(not inside or self.at(arg, j)
+                             for j, inside in self.scan(i, interval))
+            case mitl.Until(interval, left, right):
+                result = False
+                for j, inside in self.scan(i, interval):
+                    if inside and self.at(right, j):
+                        result = True
+                        break
+                    if not self.at(left, j):
+                        break
+            case _:
+                raise TypeError(f"not a formula node: {f!r}")
+        self.memo[key] = result
+        return result
+
+
+def fraction_evaluate(word: FractionWord, formula, position: int = 0,
+                      budget: int = 100_000) -> bool:
+    return FractionEvaluation(word, budget).at(formula, position)
+
+
+def fraction_witness_instant(word: FractionWord, formula):
+    """First in-window time witnessing a top-level eventually-goal."""
+    if not isinstance(formula, mitl.Eventually):
+        return None
+    run = FractionEvaluation(word, 100_000)
+    for j, inside in run.scan(0, formula.interval):
+        if inside and run.at(formula.arg, j):
+            return word.time(j)
+    return None
 
 
 # --------------------------------------------------------------------------

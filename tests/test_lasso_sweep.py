@@ -8,9 +8,12 @@ return the same lassos, state for state and in the same order, on random
 instances, on the benchmark's scenarios and on the shipped ones, and raise
 ``BudgetExceeded`` at the same caps.
 
-``BuchiProduct.moves`` keeps one answer per (state, location) pair with the
-tick range it holds for; since searches ask for ticks in any order, it is
-checked against a direct filter of the pair's row on shuffled ticks.
+``BuchiProduct.moves`` keeps one answer per (state, location, guard
+segment of the location), filled on first use; since searches ask for
+ticks in any order, it is checked on shuffled ticks against a direct
+filter of the system's successors and the automaton's edges by
+``tick_range``, and so are the segment tables of ``TickClocks.segments``
+at every tick.
 """
 
 from __future__ import annotations
@@ -94,36 +97,77 @@ def test_sweep_matches_the_bfs_on_scenarios(tmp_path, scenario):
             == _oracle(BuchiProduct(w, auto))
 
 
+def _direct_edges(clocks, q: int, k: int) -> list:
+    """(target letter, target number) of location number q's edges whose
+    guard admits tick k, in edge order, filtered straight from
+    ``edges_from`` by ``tick_range``."""
+    auto = clocks.automaton
+    admitted = []
+    for edge in auto.edges_from[clocks.locations[q]]:
+        lo, hi = clocks.tick_range(edge.guard)
+        if lo <= k <= hi:
+            admitted.append((auto.labels[edge.target],
+                             clocks.number(edge.target)))
+    return admitted
+
+
 def _direct_moves(product: BuchiProduct, s, q: int, k: int) -> list:
-    """(s2, target) pairs of (s, q) whose guard admits tick k, filtered
-    straight from the system's successors and the location's edges."""
-    system, edges = product.system, product.clocks.edges(q)
+    """(s2, target) pairs of (s, q) whose guard admits tick k, in
+    successor order and then edge order."""
+    system = product.system
+    edges = _direct_edges(product.clocks, q, k)
     return [(s2, target) for s2 in system.successors(s)
-            for lo, hi, target in edges.get(system.label(s2), ())
-            if lo <= k <= hi]
+            for letter, target in edges if letter == system.label(s2)]
 
 
 def test_moves_answers_shuffled_ticks_as_a_direct_filter():
     rng = np.random.default_rng(2210)
-    hits = stale = 0
+    hits = fills = 0
     for wts, auto in _random_instances():
         product = BuchiProduct(wts, auto)
-        sat = product.clocks.sat
-        locations = [product.clocks.number(q) for q in auto.locations]
+        clocks = product.clocks
+        locations = [clocks.number(q) for q in auto.locations]
         # every tick up to sat, so every guard bound in range, twice over
         calls = [(s, q, k) for s in wts.cells for q in locations
-                 for k in range(sat + 1)] * 2
+                 for k in range(clocks.sat + 1)] * 2
         for j in rng.permutation(len(calls)):
             s, q, k = calls[j]
-            memo = product._moves.get((s, q))
-            if memo is not None:
-                hit = memo[0] <= k <= memo[1]
-                hits, stale = hits + hit, stale + (not hit)
+            segment_of = clocks.segments(q)[0]
+            segment = segment_of[k]
+            by_state = product.memo(q)[2][segment]
+            filled = s in by_state
             got = product.moves(s, q, k)
             assert got == _direct_moves(product, s, q, k), (s, q, k)
-            # the memo's range holds the same answer at every tick in it
-            a, b, kept = product._moves[s, q]
-            assert kept is got and a <= k <= b
+            assert by_state[s] is got
+            if filled:
+                hits += 1
+                continue
+            fills += 1
+            # an answer holds for every tick of its segment
             assert all(_direct_moves(product, s, q, t) == got
-                       for t in range(a, b + 1))
-    assert hits > 10000 and stale > 1000, (hits, stale)
+                       for t, other in enumerate(segment_of)
+                       if other == segment), (s, q, k)
+    assert hits > 10000 and fills > 1000, (hits, fills)
+
+
+def test_segment_tables_match_a_direct_filter_at_every_tick():
+    locations = segments = 0
+    for wts, auto in _random_instances():
+        clocks = BuchiProduct(wts, auto).clocks
+        numbers = [clocks.number(q) for q in auto.locations]
+        for q in numbers:
+            segment_of, tables = clocks.segments(q)
+            assert len(segment_of) == clocks.sat + 1
+            # segments are consecutive runs of ticks, numbered from 0
+            assert segment_of[0] == 0 and all(
+                b - a in (0, 1) for a, b in zip(segment_of, segment_of[1:]))
+            assert segment_of[-1] == len(tables) - 1
+            for k, segment in enumerate(segment_of):
+                want: dict = {}
+                for letter, target in _direct_edges(clocks, q, k):
+                    want.setdefault(letter, []).append(target)
+                assert tables[segment] == want, (q, k)
+            locations += 1
+            segments += len(tables)
+    assert locations > 1000 and segments > 2 * locations, \
+        (locations, segments)
