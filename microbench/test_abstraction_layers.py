@@ -3,7 +3,9 @@ middle agent of a three-agent path, whose action tuples number cells^3.
 
 * line3: 24 cells in 1-D, 13 824 action tuples (the line3-abstract
   benchmark scenario at seed 0);
-* plane 6x6: the path3-plane geometry on 36 cells, 46 656 action tuples.
+* plane 6x6: the path3-plane geometry on 36 cells, 46 656 action tuples;
+* plane 8x8: the same geometry on 64 cells, 262 144 action tuples, whose
+  box test is larger than one chunk of ``BOX_TEST_ELEMENTS``.
 
 Run from the repository root (not part of the default test run):
 
@@ -53,7 +55,13 @@ PLANE6 = {
 }
 
 
-@pytest.fixture(scope="module", params=[LINE3, PLANE6],
+PLANE8 = {**PLANE6, "name": "plane-8x8",
+          "workspace": {"lower": [0.0, 0.0], "upper": [1.52, 1.52]},
+          "initial_positions": [[0.095, 0.095], [0.285, 0.285],
+                                [1.425, 1.425]]}
+
+
+@pytest.fixture(scope="module", params=[LINE3, PLANE6, PLANE8],
                 ids=lambda sc: sc["name"])
 def pipe(request, tmp_path_factory):
     path = tmp_path_factory.mktemp("scenario") / "scenario.json"

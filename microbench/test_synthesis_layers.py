@@ -20,7 +20,10 @@ one-service regions emits, none and one per service, for k = 3..7. The
 last two take the two-agent scenario's step-4 plans, 917 steps per agent:
 one writes the text of plans.json, the other builds both plans' timed
 words (``Plan.word``) and runs the checks ``_build_plans`` makes on them,
-``evaluate`` and ``witness_instant`` against each agent's formula.
+``evaluate`` and ``witness_instant`` against each agent's formula. The
+very last runs all of ``_build_plans`` on those runs, with no certificate
+computed yet (each agent's certificates of its distinct moves in one
+batch).
 
 Run from the repository root (not part of the default test run):
 
@@ -29,6 +32,7 @@ Run from the repository root (not part of the default test run):
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 
@@ -38,8 +42,9 @@ from mas.cli import (load_scenario, stage_abstract, stage_bounds,
                      stage_synthesize)
 from mas.files import plans_json
 from mas.mitl import evaluate, parse, witness_instant
-from mas.synthesis import (BuchiProduct, _project_cells, consistent,
-                           enumerate_accepting_lassos, find_accepting_lasso)
+from mas.synthesis import (BuchiProduct, _build_plans, _project_cells,
+                           consistent, enumerate_accepting_lassos,
+                           find_accepting_lasso)
 from mas.abstraction import ProductWTS
 from mas.tba import from_flat_mitl, intersect
 
@@ -175,3 +180,19 @@ def test_plan_words_and_checks(benchmark, pipe, step4_result):
 
     # neither goal is a top-level F, so neither has a witness instant
     assert benchmark(check_all) == [(True, None), (True, None)]
+
+
+def test_build_plans_with_cold_certificates(benchmark, pipe, step4_result):
+    aligned = [(plan.prefix_cells, plan.cycle_cells)
+               for plan in step4_result.plans]
+    product = ProductWTS(pipe.wts_list, pipe.g)
+
+    def build():
+        cold = [dataclasses.replace(w, _certificates={})
+                for w in pipe.wts_list]
+        return _build_plans(aligned, cold, product, pipe.scenario.formulas,
+                            cold[0].dt)
+
+    plans = benchmark(build)
+    assert [p.prefix_length + p.cycle_length for p in plans] == [917, 917]
+    assert all(c is not None for p in plans for c in p.certificates_prefix)

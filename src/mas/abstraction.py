@@ -15,15 +15,21 @@ neighbors' lower and upper bounds. The worst distance from a target center
 to that box is the norm of max(|c - lo|, |c - hi|) taken per axis. In
 floating point this equals the maximum over all cell corners, because
 addition, scaling by dt > 0, squaring and the square root are monotone.
-`_box_distances` is that test, the only one.
+`_box_distances` is that test, the only one. It broadcasts, so one call
+tests the source bounds (S, 1, n) against the class sums (K, n) and the
+target centers (T, n) and gives ok[S, K, T]; a build chunks the sources so
+that a temporary holds at most `BOX_TEST_ELEMENTS` doubles (or one source's
+K * T * n, if that is more).
 
 The correction input is v = (C - x)/dt + Lx for all agents at once:
 `feedback_inputs`, which the stepped closed loop runs (the one-pass loop in
 `mas.simulate` evaluates the same expression for all unclamped steps). A
-certificate is computed when asked for, once per distinct move, so
-transitions can be re-validated against the actual dynamics: its nominal
-input is that law with every agent at its cell center, and its remainder is
-the deviation bound rho(dt).
+certificate lets a transition be re-validated against the actual dynamics:
+its nominal input is that law with every agent at its cell center, it
+carries that input's norm, and its remainder is the deviation bound
+rho(dt). `AgentWTS.certificates` computes them when asked, once per distinct
+move, with the law and the norms evaluated for all new moves of a plan in
+one batch.
 
 Actions are (own cell, neighbor cells...) tuples: what the agent plans to do
 given where its neighbors currently are. The product system synchronizes all
@@ -32,19 +38,19 @@ agents cell-wise.
 The endpoint box depends on the neighbor cells only through the per-axis sums
 of their bounds, so the table is keyed by class: neighbor tuples whose
 floating-point sums are equal share one class, the box test runs once per
-(source cell, class), and each class's targets are stored once. Every member
-of a class computes the same box bit for bit, so `SumClassTable.enabled`
-answers every (own cell, neighbor cells) lookup as a per-tuple enumeration
-would; action and transition counts come from the class multiplicities.
+(source cell, class, target), and each distinct target set is stored once.
+Every member of a class computes the same box bit for bit, so
+`SumClassTable.enabled` answers every (own cell, neighbor cells) lookup as a
+per-tuple enumeration would; action and transition counts come from the
+class sizes, and the per-cell successors from the same ok array.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -57,42 +63,96 @@ from .partition import CellDecomposition, ServiceLabeling
 logger = logging.getLogger(__name__)
 
 ACTION_ENUMERATION_CAP = 10**7
+# a build tests as many source cells at once as keep each temporary of the
+# broadcast box test within this many doubles (512 KB), and at least one
+BOX_TEST_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
 class TransitionCertificate:
-    """Evidence that one cell transition is well-posed."""
+    """Evidence that one cell transition is well-posed.
+
+    ``nominal_input`` is the feedback law of `feedback_inputs` with every
+    agent at its cell center, and ``norm`` its Euclidean norm, which
+    ``nominal_norm()`` returns; both come from one batched evaluation per
+    agent (`AgentWTS.certificates`).
+    """
 
     agent: int
     source: int
     target: int
     neighbor_cells: tuple[int, ...]
     nominal_input: np.ndarray  # center-to-center correction, norm <= lambda*v_max
+    norm: float                # of nominal_input
     remainder: float           # continuous-flow deviation bound rho(dt)
 
     def nominal_norm(self) -> float:
-        return float(np.linalg.norm(self.nominal_input))
+        return self.norm
+
+
+def _unpack(bits: np.ndarray, count: int) -> np.ndarray:
+    """The boolean (R, count) rows that ``np.packbits(axis=1)`` packed."""
+    return np.unpackbits(bits, axis=1, count=count).view(bool)
+
+
+def _row_tuples(mask: np.ndarray, cells: np.ndarray) -> list[tuple[int, ...]]:
+    """The cells each row of a boolean (R, T) mask selects, as R tuples."""
+    picked = cells[np.nonzero(mask)[1]].tolist()
+    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+    return [tuple(picked[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 class SumClassTable:
     """Enabled targets per action, stored once per neighbor-sum class.
 
-    ``classes`` maps every neighbor tuple to its class; ``targets`` maps
-    (source cell, class) to the non-empty targets of every action from that
-    source whose neighbors are in that class. `enabled` is the one lookup.
-    ``len`` and `transition_count` count enabled action tuples through the
-    class multiplicities.
+    The table is built from arrays: ``classes`` maps every neighbor tuple to
+    its class, and row r of ``bits`` marks which of the ascending target
+    ``cells`` every action from source ``keys[r, 0]`` with neighbors in
+    class ``keys[r, 1]`` enables, packed eight to a byte as
+    ``np.packbits(ok, axis=1)`` packs a boolean (R, T) array. The rest is
+    derived from those arrays:
+
+    * ``targets`` maps each (source, class) row with a target to its
+      targets, one shared tuple per distinct row;
+    * ``len`` and `transition_count` count enabled action tuples and their
+      targets, weighting each row by its class size (``np.bincount``);
+    * ``reach`` maps each source to the distinct targets of its rows,
+      movement first and the self-loop last.
+
+    `enabled` is the one lookup.
     """
 
-    def __init__(self, classes: dict[tuple[int, ...], int],
-                 targets: dict[tuple[int, int], tuple[int, ...]]):
+    def __init__(self, classes: dict[tuple[int, ...], int], keys, cells,
+                 bits):
         self.classes = classes
-        self.targets = targets
-        sizes = Counter(classes.values())
+        self.targets: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.reach: dict[int, tuple[int, ...]] = {}
         self._len = self._transition_count = 0
-        for (_, c), enabled in targets.items():
-            self._len += sizes[c]
-            self._transition_count += sizes[c] * len(enabled)
+        if not bits.any():
+            return
+        cells = np.asarray(cells, dtype=int)
+        keys = np.asarray(keys, dtype=int).reshape(-1, 2)
+        codes = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+        _, first, inverse = np.unique(codes, return_index=True,
+                                      return_inverse=True)
+        shared = _row_tuples(_unpack(bits[first], len(cells)), cells)
+        counts = np.array(list(map(len, shared)))[inverse]
+        sizes = np.bincount(np.fromiter(classes.values(), int, len(classes)))
+        weights = sizes[keys[:, 1]]
+        self._len = int(weights[counts > 0].sum())
+        self._transition_count = int(weights @ counts)
+
+        live = np.flatnonzero(counts)
+        self.targets = dict(zip(zip(*keys[live].T.tolist()),
+                                map(shared.__getitem__,
+                                    inverse[live].tolist())))
+        live = live[np.argsort(keys[live, 0], kind="stable")]
+        sources, starts = np.unique(keys[live, 0], return_index=True)
+        reach = np.bitwise_or.reduceat(bits[live], starts, axis=0)
+        self.reach = {
+            s: tuple(sorted(ts, key=lambda t: (t == s, t)))
+            for s, ts in zip(sources.tolist(),
+                             _row_tuples(_unpack(reach, len(cells)), cells))}
 
     def enabled(self, own: int, neighbors: tuple[int, ...]) -> tuple[int, ...]:
         """Targets of the action (own cell, neighbor cells); () if none."""
@@ -115,12 +175,12 @@ class AgentWTS:
     ``transitions`` is a `SumClassTable`: ``transitions.enabled(own,
     neighbors)`` gives the targets of the action (own cell, neighbor
     cells...). Every move takes one sampling period ``dt``.
-    ``successors(cell)`` quotients the neighbor assumptions away: the
-    per-agent search needs only the agent's own cell sequence, because
-    consistency later re-derives each action from the joint state.
-    ``len(transitions)`` and `transition_count` count action tuples.
-    ``certify`` maps an enabled (action, target) pair to its certificate;
-    hand-built systems have none.
+    ``successors(cell)`` quotients the neighbor assumptions away (the
+    table's ``reach``): the per-agent search needs only the agent's own cell
+    sequence, because consistency later re-derives each action from the
+    joint state. ``len(transitions)`` and `transition_count` count action
+    tuples. ``certify`` maps a list of enabled (action, target) moves to
+    their certificates in one batch; hand-built systems have none.
     """
 
     agent: int
@@ -130,9 +190,8 @@ class AgentWTS:
     labels: dict[int, frozenset[str]]
     transitions: SumClassTable
     neighbor_agents: tuple[int, ...] = ()
-    certify: Callable[[tuple[int, ...], int], TransitionCertificate] | None \
-        = None
-    _successors: dict[int, tuple[int, ...]] | None = None
+    certify: Callable[[list[tuple[tuple[int, ...], int]]],
+                      list[TransitionCertificate]] | None = None
     _certificates: dict[tuple, TransitionCertificate] = field(
         default_factory=dict)
 
@@ -148,69 +207,70 @@ class AgentWTS:
         Movement comes first and the self-loop last: among the many
         equal-length stems to an accepting state, breadth-first discovery
         then records a run that makes progress and provides its services at
-        the earliest opportunity instead of idling until a deadline. The
-        table is built on first use.
+        the earliest opportunity instead of idling until a deadline.
         """
-        if self._successors is None:
-            reach: dict[int, set[int]] = {}
-            for (source, _), targets in self.transitions.targets.items():
-                reach.setdefault(source, set()).update(targets)
-            self._successors = {
-                s: tuple(sorted(ts, key=lambda t: (t == s, t)))
-                for s, ts in reach.items()}
-        return self._successors.get(cell, ())
+        return self.transitions.reach.get(cell, ())
 
     def transition_count(self) -> int:
         return self.transitions.transition_count()
 
-    def certificate(self, action, target: int):
-        """Certificate of an enabled move, computed once per distinct move.
+    def certificates(self, actions, targets) -> list:
+        """Certificates of the moves (actions[i], targets[i]), each distinct
+        move computed once, the new ones in one batch.
 
         None for moves that are not enabled and for hand-built systems.
         """
-        if self.certify is None or \
-                target not in self.transitions.enabled(action[0], action[1:]):
-            return None
-        key = (action, target)
-        cert = self._certificates.get(key)
-        if cert is None:
-            cert = self._certificates[key] = self.certify(action, target)
-        return cert
+        moves = list(zip(actions, targets))
+        if self.certify is None:
+            return [None] * len(moves)
+        known, enabled = self._certificates, self.transitions.enabled
+        new = [m for m in dict.fromkeys(moves) if m not in known
+               and m[1] in enabled(m[0][0], m[0][1:])]
+        if new:
+            known.update(zip(new, self.certify(new)))
+        return list(map(known.get, moves))
+
+    def certificate(self, action, target: int):
+        """`certificates` of one move."""
+        return self.certificates((action,), (target,))[0]
 
 
 def _box_distances(own_lo, own_hi, sums, deg: int, centers: np.ndarray,
                    dt: float) -> np.ndarray:
-    """(A, T) worst distances from own bounds, broadcast against the A rows
-    of the neighbor sums (lows, highs), to the T target centers."""
+    """(..., T) worst distances from the endpoint boxes to the T target
+    centers, for own bounds (..., n) broadcast against the neighbor sums
+    (lows, highs) (..., n)."""
     # the sign of 1 - deg*dt is not fixed, so evaluate both own bounds
     ends = [own + dt * (total - deg * own)
             for own in (own_lo, own_hi) for total in sums]
-    lo = np.minimum.reduce(ends)[:, None, :]
-    hi = np.maximum.reduce(ends)[:, None, :]
-    far = np.maximum(np.abs(centers[None] - lo), np.abs(centers[None] - hi))
-    return np.linalg.norm(far, axis=2)
+    lo = np.minimum.reduce(ends)
+    hi = np.maximum.reduce(ends)
+    # as lo <= hi, max(c - lo, hi - c) is max(|c - lo|, |c - hi|) to the
+    # bit; the squares are summed axis after axis, as np.linalg.norm does
+    squares = [np.square(np.maximum(c - lo[..., axis, None],
+                                    hi[..., axis, None] - c))
+               for axis, c in enumerate(centers.T)]
+    return np.sqrt(functools.reduce(np.add, squares))
 
 
-def _certificate(decomp: CellDecomposition, agent: int, dt: float,
-                 rho: float, action: tuple[int, ...],
-                 target: int) -> TransitionCertificate:
-    """Center-to-center nominal input and remainder for one enabled move:
-    the feedback law of `feedback_inputs` with every agent at its cell
-    center."""
-    source, neighbor_cells = action[0], tuple(action[1:])
-    own = decomp.center(source)
+def _certificates(centers: np.ndarray, agent: int, dt: float, rho: float,
+                  moves: list[tuple[tuple[int, ...], int]]
+                  ) -> list[TransitionCertificate]:
+    """Center-to-center nominal inputs, their norms and the remainder of
+    enabled moves: the feedback law of `feedback_inputs` with every agent
+    at its cell center, evaluated for all moves at once."""
+    actions = np.array([action for action, _ in moves])
+    own = centers[actions[:, 0] - 1]
     drift = np.zeros_like(own)
-    for c in neighbor_cells:
-        drift -= own - decomp.center(c)
-    nominal = (decomp.center(target) - own - dt * drift) / dt
-    return TransitionCertificate(
-        agent=agent,
-        source=source,
-        target=target,
-        neighbor_cells=neighbor_cells,
-        nominal_input=nominal,
-        remainder=rho,
-    )
+    for j in range(1, actions.shape[1]):
+        drift -= own - centers[actions[:, j] - 1]
+    goals = centers[np.array([target for _, target in moves]) - 1]
+    nominal = (goals - own - dt * drift) / dt
+    norms = np.sqrt(np.vecdot(nominal, nominal)).tolist()
+    return [TransitionCertificate(agent=agent, source=action[0],
+                                  target=target, neighbor_cells=action[1:],
+                                  nominal_input=x, norm=norm, remainder=rho)
+            for (action, target), x, norm in zip(moves, nominal, norms)]
 
 
 def build_agent_wts(
@@ -228,7 +288,8 @@ def build_agent_wts(
     The action space is every (own cell, neighbor cells...) combination, so
     its size is cells^(deg+1); a cap guards against accidental blow-ups.
     Neighbor tuples are grouped by the exact floating-point sums of their
-    cells' bounds, and each source cell is tested against all classes at once.
+    cells' bounds, and every (source cell, class, target) is tested in one
+    broadcast box test, chunked over sources under `BOX_TEST_ELEMENTS`.
     """
     nbrs = g.neighbors(agent)
     cells = tuple(range(1, decomp.cell_count + 1))
@@ -240,8 +301,9 @@ def build_agent_wts(
     budget = bounds.lambda_reach * bounds.v_max * dt
     rho = deviation_remainder(bounds, dt)
 
-    centers = np.array([decomp.center(c) for c in cells])
-    inradii = np.array([decomp.inradius(c) for c in cells])
+    # CellDecomposition.center and .inradius, for every cell at once
+    centers = 0.5 * (decomp.lows + decomp.highs)
+    inradii = 0.5 * (decomp.highs - decomp.lows).min(axis=1)
     sized = np.nonzero(rho <= inradii)[0]  # per-target remainder test
     nbr_cells = np.array(list(itertools.product(cells, repeat=len(nbrs))),
                          dtype=int).reshape(len(cells) ** len(nbrs), len(nbrs))
@@ -254,16 +316,19 @@ def build_agent_wts(
                        inverse.reshape(-1).tolist()))
     key_sums = np.hsplit(keys, 2)
 
-    target_cells = (sized + 1).tolist()
-    targets: dict[tuple[int, int], tuple[int, ...]] = {}
-    for source in cells:
-        ok = _box_distances(decomp.lows[source - 1], decomp.highs[source - 1],
-                            key_sums, len(nbrs), centers[sized], dt) <= budget
-        for c, row in enumerate(ok.tolist()):
-            enabled = tuple(itertools.compress(target_cells, row))
-            if enabled:
-                targets[source, c] = enabled
-    transitions = SumClassTable(classes, targets)
+    # ok[source, class, target], chunked over sources and kept packed
+    S, K, T = len(cells), len(keys), len(sized)
+    bits = np.empty((S, K, (T + 7) // 8), dtype=np.uint8)
+    lows, highs = decomp.lows[:, None, :], decomp.highs[:, None, :]
+    targets = centers[sized]
+    step = max(1, BOX_TEST_ELEMENTS // max(1, K * T * decomp.dimension))
+    for a in range(0, S, step):
+        bits[a:a + step] = np.packbits(_box_distances(
+            lows[a:a + step], highs[a:a + step], key_sums, len(nbrs),
+            targets, dt) <= budget, axis=-1)
+    rows = np.column_stack([np.repeat(cells, K), np.tile(np.arange(K), S)])
+    transitions = SumClassTable(classes, rows, sized + 1,
+                                bits.reshape(S * K, bits.shape[2]))
 
     labels = {c: labeling.label(agent, c) for c in cells}
     wts = AgentWTS(
@@ -274,7 +339,7 @@ def build_agent_wts(
         labels=labels,
         transitions=transitions,
         neighbor_agents=nbrs,
-        certify=partial(_certificate, decomp, agent, dt, rho),
+        certify=functools.partial(_certificates, centers, agent, dt, rho),
     )
     logger.info("agent %d abstraction: %d cells, %d actions, %d transitions",
                 agent, len(cells), len(transitions), wts.transition_count())
@@ -302,6 +367,7 @@ class ProductWTS:
         self.dt = wts_list[0].dt
         self._succ_cache: dict[tuple, list] = {}
         self._labels: dict[tuple, frozenset[str]] = {}
+        self._unions: dict[frozenset[str], frozenset[str]] = {}
 
     def initial_states(self) -> tuple[tuple[int, ...], ...]:
         return (tuple(w.initial for w in self.wts_list),)
@@ -312,11 +378,13 @@ class ProductWTS:
         return (own,) + tuple(joint[j - 1] for j in self.graph.neighbors(agent))
 
     def label(self, joint: tuple[int, ...]) -> frozenset[str]:
-        """Union of the agents' labels, computed once per joint state."""
+        """Union of the agents' labels, computed once per joint state and
+        kept once per distinct union."""
         out = self._labels.get(joint)
         if out is None:
-            out = self._labels[joint] = frozenset().union(
+            union = frozenset().union(
                 *(w.label(cell) for w, cell in zip(self.wts_list, joint)))
+            out = self._labels[joint] = self._unions.setdefault(union, union)
         return out
 
     def successors(self, joint: tuple[int, ...]):

@@ -353,7 +353,7 @@ def _build_plans(
     plans = []
     for (prefix, cycle), run, w in zip(aligned, runs, wts_list):
         actions = [product.agent_action(joint, w.agent) for joint in joints]
-        certs = list(map(w.certificate, actions, run[1:]))
+        certs = w.certificates(actions, run[1:])
         provided = list(map(w.label, run[:-1]))
         formula = formulas[w.agent]
         plan = Plan(

@@ -19,6 +19,7 @@ import pytest
 from mas import mitl
 from mas._ndfs import Lasso, _check_budget, _shortest_loop, _walk_back
 from mas.abstraction import AgentWTS, SumClassTable
+from mas.bounds import deviation_remainder
 from mas.errors import HorizonOverflow
 from mas.graph import build_graph
 from mas.tba import TRUE_GUARD, Edge, TimedAutomaton, canonical_letters
@@ -71,15 +72,20 @@ def random_connected_graph(rng: np.random.Generator, max_agents: int = 6,
 
 def class_table(table) -> SumClassTable:
     """The class table whose ``enabled(own, neighbors)`` answers as
-    ``table.get((own,) + neighbors, ())`` does: every neighbor tuple is its
-    own class, and actions with no target are left out."""
+    ``table.get((own,) + neighbors, ())`` does, up to the order of the
+    targets, which it sorts: every neighbor tuple is its own class, and
+    actions with no target are left out. Rows keep the table's order."""
     classes: dict[tuple[int, ...], int] = {}
-    targets: dict[tuple[int, int], tuple[int, ...]] = {}
+    keys, rows = [], []
     for action, enabled in table.items():
         c = classes.setdefault(action[1:], len(classes))
         if enabled:
-            targets[action[0], c] = enabled
-    return SumClassTable(classes, targets)
+            keys.append((action[0], c))
+            rows.append(set(enabled))
+    cells = sorted(set().union(*rows))
+    ok = np.array([[t in row for t in cells] for row in rows], dtype=bool)
+    return SumClassTable(classes, keys, cells, np.packbits(
+        ok.reshape(len(rows), len(cells)), axis=1))
 
 
 def enabled_actions(w: AgentWTS) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -549,6 +555,88 @@ def reference_feedback(g, agent, positions, center, dt, v_max):
     if norm > v_max:
         return v * (v_max / norm), True
     return v, False
+
+
+# --------------------------------------------------------------------------
+# the abstraction one source cell at a time (oracle for the array build)
+# --------------------------------------------------------------------------
+
+def _source_box_distances(own_lo, own_hi, sums, deg, centers, dt):
+    """(A, T) worst distances from one source's bounds, against the A rows
+    of the neighbor sums (lows, highs), to the T target centers."""
+    ends = [own + dt * (total - deg * own)
+            for own in (own_lo, own_hi) for total in sums]
+    lo = np.minimum.reduce(ends)[:, None, :]
+    hi = np.maximum.reduce(ends)[:, None, :]
+    far = np.maximum(np.abs(centers[None] - lo), np.abs(centers[None] - hi))
+    return np.linalg.norm(far, axis=2)
+
+
+@dataclass
+class PerSourceTable:
+    classes: dict[tuple[int, ...], int]
+    targets: dict[tuple[int, int], tuple[int, ...]]
+    length: int
+    transition_count: int
+    successors: dict[int, tuple[int, ...]]
+
+
+def per_source_table(g, agent, decomp, bounds, disc) -> PerSourceTable:
+    """One agent's class table as a loop over source cells builds it: one
+    box test of all (class, target) pairs per source, one ``compress`` per
+    (source, class), counts summed over the entries and successors over
+    their targets."""
+    nbrs = g.neighbors(agent)
+    cells = tuple(range(1, decomp.cell_count + 1))
+    dt = disc.chosen_dt
+    budget = bounds.lambda_reach * bounds.v_max * dt
+    rho = deviation_remainder(bounds, dt)
+    centers = np.array([decomp.center(c) for c in cells])
+    inradii = np.array([decomp.inradius(c) for c in cells])
+    sized = np.nonzero(rho <= inradii)[0]
+    nbr_cells = np.array(list(itertools.product(cells, repeat=len(nbrs))),
+                         dtype=int).reshape(len(cells) ** len(nbrs), len(nbrs))
+    sums = np.hstack([decomp.lows[nbr_cells - 1].sum(axis=1),
+                      decomp.highs[nbr_cells - 1].sum(axis=1)])
+    keys, inverse = np.unique(sums, axis=0, return_inverse=True)
+    classes = dict(zip(map(tuple, nbr_cells.tolist()),
+                       inverse.reshape(-1).tolist()))
+    key_sums = np.hsplit(keys, 2)
+    target_cells = (sized + 1).tolist()
+    targets = {}
+    for source in cells:
+        ok = _source_box_distances(
+            decomp.lows[source - 1], decomp.highs[source - 1], key_sums,
+            len(nbrs), centers[sized], dt) <= budget
+        for c, row in enumerate(ok.tolist()):
+            enabled = tuple(itertools.compress(target_cells, row))
+            if enabled:
+                targets[source, c] = enabled
+    sizes = {}
+    for c in classes.values():
+        sizes[c] = sizes.get(c, 0) + 1
+    reach: dict[int, set[int]] = {}
+    for (source, _), enabled in targets.items():
+        reach.setdefault(source, set()).update(enabled)
+    return PerSourceTable(
+        classes=classes, targets=targets,
+        length=sum(sizes[c] for _, c in targets),
+        transition_count=sum(sizes[c] * len(enabled)
+                             for (_, c), enabled in targets.items()),
+        successors={s: tuple(sorted(ts, key=lambda t: (t == s, t)))
+                    for s, ts in reach.items()})
+
+
+def scalar_certificate(center, dt, rho, action, target):
+    """One move's certificate, the feedback law evaluated for that move
+    alone with ``center(cell)`` the cell centers: (nominal input, its norm,
+    remainder)."""
+    own = center(action[0])
+    drift = np.zeros_like(own)
+    for c in action[1:]:
+        drift -= own - center(c)
+    nominal = (center(target) - own - dt * drift) / dt
+    return nominal, float(np.linalg.norm(nominal)), rho
 
 
 # --------------------------------------------------------------------------

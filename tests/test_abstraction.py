@@ -1,6 +1,7 @@
 """Consensus drift, well-posed cell transitions, agent/product systems."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -11,14 +12,15 @@ from mas.abstraction import (ProductWTS, _box_distances, build_agent_wts,
 from mas.bounds import (BoundsReport, DiscretizationRange,
                         deviation_remainder, discretization_range,
                         theorem1_constants)
+from mas.cli import load_scenario, stage_abstract, stage_bounds
 from mas.errors import ArityMismatch, BudgetExceeded
 from mas.graph import build_graph, spectral
 from mas.partition import (LabeledRegion, ServiceLabeling, Workspace,
                            grid_decompose, refine_to_compliance)
 
-from conftest import (enabled_actions, granted_chain_wts,
+from conftest import (bench_families, enabled_actions, granted_chain_wts,
                       random_connected_graph, reference_drift,
-                      reference_feedback)
+                      reference_feedback, scalar_certificate)
 
 
 def _pair_setup():
@@ -157,6 +159,24 @@ def test_product_rejects_mismatched_sampling_periods():
     w2 = granted_chain_wts(2, (2, 1), {}, (1,), (1, 2), 0.5)
     with pytest.raises(ArityMismatch):
         ProductWTS([w1, w2], g)
+
+
+def test_product_keeps_one_label_per_distinct_union():
+    g = build_graph(2, [(1, 2)])
+    cells = (1, 2, 3)
+    w1 = granted_chain_wts(1, (1, 2, 3), {1: {"a"}, 2: {"a"}}, (2,), cells,
+                           1.0)
+    w2 = granted_chain_wts(2, (3, 2), {2: {"b"}, 3: {"b"}}, (1,), cells, 1.0)
+    product = ProductWTS([w1, w2], g)
+    joints = list(itertools.product(cells, repeat=2))
+    labels = [product.label(joint) for joint in joints]
+    assert labels[joints.index((1, 2))] == frozenset({"a", "b"})
+    assert labels[joints.index((3, 1))] == frozenset()
+    for joint, label in zip(joints, labels):
+        assert product.label(joint) is label
+        for other, same in zip(joints, labels):
+            assert (same is label) == (same == label), (joint, other)
+    assert len({id(label) for label in labels}) == 4
 
 
 def test_feedback_input_compensates_drift():
@@ -400,3 +420,62 @@ def test_certificates_are_computed_once_per_move():
     assert w.certificate((6, 7), 3) is None      # not enabled
     hand_built = granted_chain_wts(1, (1, 2), {}, (), (1, 2), 1.0)
     assert hand_built.certificate((1,), 2) is None
+
+
+# --------------------------------------------------------------------------
+# batched certificates against the one-move evaluation
+# --------------------------------------------------------------------------
+
+def _assert_certificates_equal_the_one_move_law(w, decomp, rep, disc):
+    """Every enabled move's certificate, from one batch, equals the law
+    evaluated for that move alone, bit for bit; returns the move count."""
+    dt = disc.chosen_dt
+    rho = deviation_remainder(rep, dt)
+    center = {c: decomp.center(c) for c in w.cells}.__getitem__
+    moves = [(a, t) for a, ts in enabled_actions(w).items() for t in ts]
+    certs = w.certificates([a for a, _ in moves], [t for _, t in moves])
+    for (action, target), cert in zip(moves, certs):
+        nominal, norm, remainder = scalar_certificate(
+            center, dt, rho, action, target)
+        assert (cert.agent, cert.source, cert.target, cert.neighbor_cells) \
+            == (w.agent, action[0], target, action[1:])
+        assert cert.nominal_input.tobytes() == nominal.tobytes()
+        assert cert.nominal_norm().hex() == norm.hex()
+        assert cert.remainder.hex() == remainder.hex()
+    for k in range(0, len(moves), 97):
+        assert w.certificate(*moves[k]) is certs[k]
+    return len(moves)
+
+
+def test_certificates_equal_the_one_move_law_on_the_bench_scenarios(
+        tmp_path):
+    checked = 0
+    for family, generate in bench_families().items():
+        for seed in range(3):
+            path = tmp_path / f"{family}-{seed}.json"
+            path.write_text(json.dumps(generate(seed).scenario))
+            pipe = stage_abstract(stage_bounds(load_scenario(path)))
+            for w in pipe.wts_list:
+                checked += _assert_certificates_equal_the_one_move_law(
+                    w, pipe.decomp, pipe.report, pipe.disc)
+    assert checked > 100_000
+
+
+@pytest.mark.parametrize("counts", [(6,), (3, 3), (2, 2, 2)])
+def test_certificates_equal_the_one_move_law_on_random_grids(counts):
+    rng = np.random.default_rng(43 + len(counts))
+    checked = 0
+    for _ in range(4):
+        g = random_connected_graph(rng, max_agents=4, max_dimension=1)
+        g = build_graph(g.agent_count, g.edges, len(counts))
+        side = float(rng.uniform(0.2, 1.0))
+        dt = float(rng.uniform(0.05, 0.3))
+        v_max = side * float(rng.uniform(1.0, 3.0)) / (0.5 * dt)
+        decomp, labeling, rep, disc = _grid_system(
+            g, side, counts, dt, v_max, float(rng.uniform(0.1, 0.4)) * side)
+        for agent in range(1, g.agent_count + 1):
+            w = build_agent_wts(g, agent, decomp, labeling, rep, disc,
+                                initial_cell=1)
+            checked += _assert_certificates_equal_the_one_move_law(
+                w, decomp, rep, disc)
+    assert checked > 1000

@@ -113,6 +113,7 @@ def _certificate(rng: np.random.Generator, cell: int):
         remainder = np.float64(rng.random())  # a float subclass
     return TransitionCertificate(agent=1, source=cell, target=cell,
                                  neighbor_cells=(), nominal_input=nominal,
+                                 norm=float(np.linalg.norm(nominal)),
                                  remainder=remainder)
 
 

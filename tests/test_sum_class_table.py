@@ -7,6 +7,13 @@ tuple. On random star systems, 1-D and 2-D, of degree 1 to 3, on uniform and
 region-refined grids large enough that many neighbor tuples share a sum,
 `SumClassTable.enabled` must answer every action tuple as the per-tuple
 table does, with the same counts and the same per-cell successors.
+
+The build itself is one broadcast box test over (source cell, class,
+target), chunked over sources. `conftest.per_source_table` is the loop over
+source cells it replaced; on random 1-, 2- and 3-D grids of degree 1 to 3,
+with no target passing the remainder test, and with the sources split into
+chunks of every size, the classes, targets, counts and successors must be
+those of the loop.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import math
 import numpy as np
 import pytest
 
+from mas import abstraction
 from mas.abstraction import AgentWTS, build_agent_wts
 from mas.bounds import BoundsReport, DiscretizationRange, deviation_remainder
 from mas.cli import load_scenario, stage_abstract, stage_bounds
@@ -25,7 +33,7 @@ from mas.graph import build_graph
 from mas.partition import (LabeledRegion, Workspace, grid_decompose,
                            refine_to_compliance)
 
-from conftest import class_table, enabled_actions
+from conftest import class_table, enabled_actions, per_source_table
 
 
 # --------------------------------------------------------------------------
@@ -94,15 +102,16 @@ def _system(dimension, degree, side, counts, dt, v_max, rho, regions=()):
     return g, decomp, labeling, rep, disc
 
 
-def _star(rng, dimension, degree, counts, refine):
+def _star(rng, dimension, degree, counts, refine, reach=(0.55, 1.2)):
     """A random `_system`, refined to a random region if asked. The reach
-    budget is 0.55 to 1.2 cell sides, about the farthest distance from the
-    nearest target center to a one-side-wide endpoint box, so some actions
-    have no target; 1 - degree*dt takes both signs; and the remainder
-    rho(dt) is up to 0.45 sides, so thin refined cells may not fit it."""
+    budget is ``reach`` cell sides, by default 0.55 to 1.2, about the
+    farthest distance from the nearest target center to a one-side-wide
+    endpoint box in 1-D, so some actions have no target; 1 - degree*dt
+    takes both signs; and the remainder rho(dt) is up to 0.45 sides, so
+    thin refined cells may not fit it."""
     side = float(rng.uniform(0.1, 0.5))
     dt = float(rng.uniform(0.05, 0.45))
-    v_max = side * float(rng.uniform(0.55, 1.2)) / (0.5 * dt)
+    v_max = side * float(rng.uniform(*reach)) / (0.5 * dt)
     rho = float(rng.uniform(0.05, 0.45)) * side
     extent = side * np.array(counts, dtype=float)
     regions = []
@@ -194,6 +203,83 @@ def test_equal_real_sums_that_round_apart_are_separate_classes():
     assert target in w.transitions.enabled(enabled[0], enabled[1:])
     assert target not in w.transitions.enabled(disabled[0], disabled[1:])
     assert enabled_actions(w) == _tuple_transitions(g, 1, decomp, rep, disc)
+
+
+# --------------------------------------------------------------------------
+# the array build against the per-source loop
+# --------------------------------------------------------------------------
+
+def _assert_equals_the_per_source_loop(g, decomp, labeling, rep, disc):
+    w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=1)
+    want = per_source_table(g, 1, decomp, rep, disc)
+    table = w.transitions
+    assert table.classes == want.classes
+    assert table.targets == want.targets
+    assert len(table) == want.length
+    assert w.transition_count() == want.transition_count
+    for cell in (0,) + w.cells + (decomp.cell_count + 1,):
+        assert w.successors(cell) == want.successors.get(cell, ())
+    # one tuple per distinct target set
+    shared = {}
+    for enabled in table.targets.values():
+        assert shared.setdefault(enabled, enabled) is enabled
+    return w, want
+
+
+# (dimension, degree, grid cells per axis)
+_GRIDS = [
+    (1, 1, (11,)), (1, 2, (9,)), (1, 3, (7,)),
+    (2, 1, (4, 4)), (2, 2, (4, 3)), (2, 3, (3, 2)),
+    (3, 1, (3, 3, 2)), (3, 2, (2, 3, 2)), (3, 3, (2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("dimension,degree,counts", _GRIDS)
+def test_array_build_equals_the_per_source_loop(dimension, degree, counts):
+    rng = np.random.default_rng(9000 + 100 * dimension + 10 * degree)
+    mixed = False
+    # the farthest box corner grows with the dimension, and so does the
+    # largest reach here; a refined 3-D grid has too many cells for
+    # cells^(degree+1) tuples
+    reach = (0.55, 1.2 * math.sqrt(dimension))
+    for refine in (False, dimension < 3) * 2:
+        w, want = _assert_equals_the_per_source_loop(
+            *_star(rng, dimension, degree, counts, refine, reach))
+        mixed |= 0 < len(want.targets) < \
+            len(w.cells) * (max(want.classes.values()) + 1)
+    assert mixed  # some (source, class) rows enable nothing, some do
+
+
+def test_no_target_fits_the_remainder():
+    # rho(dt) above every cell's inradius: no target passes, so the box
+    # test runs over zero targets and the table is empty
+    for dimension, counts in ((1, (9,)), (2, (3, 3))):
+        g, decomp, labeling, rep, disc = _system(
+            dimension, 2, 0.1, counts, 0.1, 2.0, 0.06)
+        rho = deviation_remainder(rep, disc.chosen_dt)
+        assert all(rho > decomp.inradius(c)
+                   for c in range(1, decomp.cell_count + 1))
+        _, want = _assert_equals_the_per_source_loop(
+            g, decomp, labeling, rep, disc)
+        assert want.targets == {} and want.transition_count == 0
+
+
+def test_source_chunk_boundaries_do_not_change_the_table(monkeypatch):
+    rng = np.random.default_rng(9500)
+    for dimension, degree, counts in ((1, 2, (10,)), (2, 2, (3, 3))):
+        g, decomp, labeling, rep, disc = system = _star(
+            rng, dimension, degree, counts, True)
+        rho = deviation_remainder(rep, disc.chosen_dt)
+        sized = sum(rho <= decomp.inradius(c)
+                    for c in range(1, decomp.cell_count + 1))
+        classes = max(per_source_table(g, 1, decomp, rep, disc)
+                      .classes.values()) + 1
+        per_source = classes * sized * dimension  # doubles per temporary
+        assert per_source > 0 and decomp.cell_count > 3
+        # 1, 2 and 3 sources per chunk, the last chunk maybe shorter; all
+        for budget in (1, 2 * per_source, 3 * per_source, 10**9):
+            monkeypatch.setattr(abstraction, "BOX_TEST_ELEMENTS", budget)
+            _assert_equals_the_per_source_loop(*system)
 
 
 # --------------------------------------------------------------------------
