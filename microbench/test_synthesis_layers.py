@@ -1,16 +1,24 @@
 """Microbenchmarks of the timed search inside ``synthesize``.
 
-The first five run on a two-agent scenario with two-window goals whose
+Seven of them run on a two-agent scenario with two-window goals whose
 per-agent runs never combine, so synthesis enumerates lassos, rejects all
 276 combinations and searches the joint product:
 
 * cold ``BuchiProduct.successors`` expansion of agent 1's whole product;
 * cold ``enumerate_accepting_lassos`` on agent 1's product (its 12 lassos);
-* ``consistent`` over the 276 combinations of per-agent lassos;
+* cold ``enumerate_accepting_lassos`` on both agents' products (12 and 23
+  lassos; ``sat`` is 195 and 98 ticks, and most layers below it are
+  replayed rather than expanded);
+* ``consistent`` over the 276 combinations of per-agent lassos, against a
+  fresh ``ProductWTS`` each round, since the check fills its successor
+  cache;
 * ``intersect`` of the two agents' automata, with its largest constant;
 * the cold joint search of step 4: a fresh ``ProductWTS`` against the
   intersection, expanded by ``find_accepting_lasso`` until it closes its
-  lasso.
+  lasso;
+* steps 3 and 4 on one fresh ``ProductWTS``, as ``synthesize`` runs them:
+  the 276 checks, then the joint search, which finds the successor lists
+  the checks computed in the product's cache.
 
 Another runs cold ``enumerate_accepting_lassos`` on all three agent
 products of the line3-abstract scenario at seed 0 (``LINE3`` of
@@ -111,6 +119,14 @@ def test_lasso_enumeration(benchmark, pipe, automata):
     assert len(lassos) == 12
 
 
+def test_pair_lasso_enumeration(benchmark, pipe, automata):
+    products = list(zip(pipe.wts_list, automata))
+    counts = benchmark(lambda: [
+        len(enumerate_accepting_lassos(BuchiProduct(w, auto)))
+        for w, auto in products])
+    assert counts == [12, 23]
+
+
 def test_line3_lasso_enumeration(benchmark, tmp_path_factory):
     line3 = _pipe(tmp_path_factory, LINE3)
     products = list(zip(line3.wts_list, _automata(line3)))
@@ -120,17 +136,22 @@ def test_line3_lasso_enumeration(benchmark, tmp_path_factory):
     assert counts == [24, 24, 24]
 
 
-def test_consistency_over_all_combinations(benchmark, pipe, automata):
+@pytest.fixture(scope="module")
+def combinations(pipe, automata):
+    """The 276 combinations of the two agents' projected lassos."""
     per_agent = [
         [_project_cells(lasso, None) for lasso in enumerate_accepting_lassos(
             BuchiProduct(w, auto))]
         for w, auto in zip(pipe.wts_list, automata)]
     combos = list(itertools.product(*per_agent))
     assert len(combos) == 276
-    product = ProductWTS(pipe.wts_list, pipe.g)
+    return combos
 
+
+def test_consistency_over_all_combinations(benchmark, pipe, combinations):
     def check_all():
-        return sum(consistent(runs, product) for runs in combos)
+        product = ProductWTS(pipe.wts_list, pipe.g)
+        return sum(consistent(runs, product) for runs in combinations)
 
     assert benchmark(check_all) == 0
 
@@ -144,6 +165,18 @@ def test_cold_joint_product_search(benchmark, pipe, automata):
     lasso = benchmark(lambda: find_accepting_lasso(BuchiProduct(
         ProductWTS(pipe.wts_list, pipe.g), intersect(*automata))))
     assert (len(lasso.prefix_states), len(lasso.cycle_states)) == (865, 52)
+
+
+def test_step3_then_step4_on_one_product(benchmark, pipe, automata,
+                                         combinations):
+    def steps():
+        product = ProductWTS(pipe.wts_list, pipe.g)
+        tried = sum(consistent(runs, product) for runs in combinations)
+        lasso = find_accepting_lasso(BuchiProduct(product,
+                                                  intersect(*automata)))
+        return tried, len(lasso.prefix_states), len(lasso.cycle_states)
+
+    assert benchmark(steps) == (0, 865, 52)
 
 
 @pytest.mark.parametrize("k", range(3, 8))

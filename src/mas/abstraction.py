@@ -352,13 +352,16 @@ class ProductWTS:
     A joint state is a tuple of cells; each agent moves by its action
     determined by the joint state (own cell + neighbors' cells), and all
     agents move simultaneously with the common sampling period. States are
-    expanded lazily.
+    expanded lazily. Joint position i - 1 is agent i's cell, so the
+    systems must come in agent order, one for each of agents 1..N.
     """
 
     def __init__(self, wts_list: list[AgentWTS], g: NetworkGraph):
-        if len(wts_list) != g.agent_count:
+        agents = [w.agent for w in wts_list]
+        if agents != list(range(1, g.agent_count + 1)):
             raise ArityMismatch(
-                f"{len(wts_list)} transition systems for {g.agent_count} agents")
+                f"transition systems for agents {agents}, need agents "
+                f"1..{g.agent_count} in order")
         dts = {w.dt for w in wts_list}
         if len(dts) != 1:
             raise ArityMismatch(f"agents disagree on the sampling period: {dts}")

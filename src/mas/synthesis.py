@@ -36,6 +36,7 @@ away (``AgentWTS.successors``).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
@@ -133,28 +134,19 @@ def find_accepting_lasso(product: BuchiProduct,
         max_states=max_states)
 
 
-def enumerate_accepting_lassos(product: BuchiProduct,
-                               max_states: int = DEFAULT_STATE_CAP) -> list[Lasso]:
-    """One canonical lasso per reachable accepting state, cheapest first.
+def _tick_layers(product: BuchiProduct,
+                 max_states: int | None) -> tuple[list[list], list[list]]:
+    """The sweep of `enumerate_accepting_lassos`: its layers of (state,
+    location) pairs, and for each layer after the first the index in the
+    layer before of each pair's parent.
 
-    The stem is breadth-first shortest from the initial states, the loop
-    breadth-first shortest from the accepting state back to itself
-    (``_ndfs._shortest_loop``), and the lassos are ordered by (stem length,
-    loop length, discovery order).
-
-    The clock is never reset, so every state at depth d below the
-    saturated tick has tick d, and every later one has tick ``sat``: the
-    breadth-first search is a sweep over layers of (state, location)
-    pairs, layer d at tick min(d, sat). Each layer expands its pairs at
-    accepting locations first, in discovery order, then the rest, so
-    stems reach accepting territory as early as they can; a child's parent
-    is the first pair that reaches it, kept as an index into the layer
-    before. A pair is new to a layer below ``sat`` if that layer has not
-    met it, and new to a layer at ``sat`` if no layer at ``sat`` has;
-    every new pair counts against ``max_states``. The anchors are the
-    accepting pairs of the layers at ``sat``. Each layer looks up each of
-    its locations' guard segment once, and a pair's moves come straight
-    from ``product.moves``'s memo when it holds them.
+    A layer d below ``sat`` that equals an earlier layer j, as an ordered
+    list, repeats the layers from j on with period p = d - j for as long as
+    every location of layers j .. d - 1 stays in the guard segment it has
+    at tick j + 1: until ``stop``, the first tick at which one of them
+    leaves it, or ``sat``. Layers d + 1 .. stop - 1 are then the same list
+    objects, and their parent lists too, as layers p earlier, and their
+    pairs count against ``max_states`` without being expanded again.
     """
     clocks = product.clocks
     sat, accepting = clocks.sat, clocks.accepting
@@ -164,6 +156,8 @@ def enumerate_accepting_lassos(product: BuchiProduct,
     count = len(layer)
     _ndfs._check_budget(count, max_states)
     shared: set = set()      # sat >= 1, so layer 0 lies below it
+    # below sat: each layer's pairs -> its latest depth
+    depth_of: dict[tuple, int] = {tuple(layer): 0}
     while layer:
         d = len(layers)      # the depth of the layer being built
         k = d if d < sat else sat
@@ -194,7 +188,62 @@ def enumerate_accepting_lassos(product: BuchiProduct,
         layers.append(nxt)
         parents.append(up)
         layer = nxt
+        if d >= sat:
+            continue
+        key = tuple(nxt)
+        j = depth_of.get(key)
+        depth_of[key] = d
+        if j is None:
+            continue
+        p, stop = d - j, sat
+        for q in {q for held in layers[j:d] for _, q in held}:
+            segment_of = memo(q)[0]   # non-decreasing over the ticks
+            stop = min(stop, bisect.bisect_right(segment_of,
+                                                 segment_of[j + 1]))
+        for e in range(d + 1, stop):
+            layers.append(layers[e - p])
+            parents.append(parents[e - p])
+            count += len(layers[e])
+        _ndfs._check_budget(count, max_states)
+        for e in range(max(d + 1, stop - p), stop):
+            depth_of[tuple(layers[e])] = e
+        layer = layers[-1]
+    return layers, parents
 
+
+def enumerate_accepting_lassos(product: BuchiProduct,
+                               max_states: int = DEFAULT_STATE_CAP) -> list[Lasso]:
+    """One canonical lasso per reachable accepting state, cheapest first.
+
+    The stem is breadth-first shortest from the initial states, the loop
+    breadth-first shortest from the accepting state back to itself
+    (``_ndfs._shortest_loop``), and the lassos are ordered by (stem length,
+    loop length, discovery order).
+
+    The clock is never reset, so every state at depth d below the
+    saturated tick has tick d, and every later one has tick ``sat``: the
+    breadth-first search is a sweep over layers of (state, location)
+    pairs, layer d at tick min(d, sat) (`_tick_layers`). Each layer
+    expands its pairs at accepting locations first, in discovery order,
+    then the rest, so stems reach accepting territory as early as they
+    can; a child's parent is the first pair that reaches it, kept as an
+    index into the layer before. A pair is new to a layer below ``sat`` if
+    that layer has not met it, and new to a layer at ``sat`` if no layer at
+    ``sat`` has; every new pair counts against ``max_states``. The anchors
+    are the accepting pairs of the layers at ``sat``. Each layer looks up
+    each of its locations' guard segment once, and a pair's moves come
+    straight from ``product.moves``'s memo when it holds them.
+
+    Below ``sat`` each guard segment applies one fixed map from a layer to
+    the next, so the layers soon repeat: a layer equal to an earlier one
+    is followed by copies of the layers after that one, for as long as
+    their locations keep their guard segments, and those are replayed
+    rather than expanded. They are the same lists the full sweep would
+    build and count the same against ``max_states``. The layers at ``sat``
+    share one seen set and are always expanded.
+    """
+    layers, parents = _tick_layers(product, max_states)
+    sat, accepting = product.clocks.sat, product.clocks.accepting
     found = []
     for d in range(sat, len(layers)):
         for i, (s, q) in enumerate(layers[d]):
@@ -258,21 +307,23 @@ def consistent(runs: list[tuple[tuple, tuple]], product: ProductWTS,
 
     Over the runs' common prefix and period (``_aligned_shape``), every
     step's joint move must be allowed by every agent's transition table
-    under the action derived from the joint state. Positions are read off
-    the runs as given and the walk stops at the first disallowed move.
+    under the action derived from the joint state, that is, the next joint
+    state must be one of ``product.successors`` of the current one. The
+    runs are walked once, as given, and the walk stops at the first
+    disallowed move; the successor lists it reads stay in the product's
+    cache, where the joint search of step 4 finds them.
     """
     p_star, c_star = _aligned_shape(runs, lcm_cap)
-    neighbors = product.graph.neighbors
-    joint_next = tuple(_cell_at(prefix, cycle, 0) for prefix, cycle in runs)
-    for j in range(p_star + c_star):
+    successors = product.successors
+    walk = zip(*(itertools.islice(itertools.chain(prefix,
+                                                  itertools.cycle(cycle)),
+                                  p_star + c_star + 1)
+                 for prefix, cycle in runs))
+    joint = next(walk)
+    for joint_next in walk:
+        if joint_next not in successors(joint):
+            return False
         joint = joint_next
-        joint_next = tuple(_cell_at(prefix, cycle, j + 1)
-                           for prefix, cycle in runs)
-        for w in product.wts_list:
-            nbrs = tuple([joint[i - 1] for i in neighbors(w.agent)])
-            if joint_next[w.agent - 1] not in \
-                    w.transitions.enabled(joint[w.agent - 1], nbrs):
-                return False
     return True
 
 
@@ -418,13 +469,18 @@ def synthesize(
         per_agent.append(lassos)
 
     combos_tried = 0
-    projected = [[_project_cells(lasso, None) for lasso in lassos]
-                 for lassos in per_agent]
-    for runs in itertools.product(*projected):
+    # each lasso's cells, projected when a combination first uses it
+    projected: list[list] = [[None] * len(lassos) for lassos in per_agent]
+    for picks in itertools.product(*(range(len(ls)) for ls in per_agent)):
         if combos_tried >= r_iter:
             logger.info("combination budget %d exhausted", r_iter)
             break
         combos_tried += 1
+        runs = []
+        for lassos, cells, i in zip(per_agent, projected, picks):
+            if cells[i] is None:
+                cells[i] = _project_cells(lassos[i], None)
+            runs.append(cells[i])
         try:
             ok = consistent(runs, product, lcm_cap)
         except LengthMismatch:

@@ -161,6 +161,20 @@ def test_product_rejects_mismatched_sampling_periods():
         ProductWTS([w1, w2], g)
 
 
+def test_product_rejects_systems_out_of_agent_order():
+    # successors read agent i's cell at joint position i - 1, while the
+    # initial state and the labels read the list in its order
+    g = build_graph(2, [(1, 2)])
+    cells = (1, 2, 3)
+    w1 = granted_chain_wts(1, (1, 2, 3), {}, (2,), cells, 1.0)
+    w2 = granted_chain_wts(2, (3, 2), {}, (1,), cells, 1.0)
+    w3 = granted_chain_wts(3, (3, 2), {}, (1,), cells, 1.0)
+    for wts_list in ([w2, w1], [w1, w3], [w1, w1], [w1], [w1, w2, w3]):
+        with pytest.raises(ArityMismatch, match="in order"):
+            ProductWTS(wts_list, g)
+    assert ProductWTS([w1, w2], g).initial_states() == ((1, 3),)
+
+
 def test_product_keeps_one_label_per_distinct_union():
     g = build_graph(2, [(1, 2)])
     cells = (1, 2, 3)

@@ -8,6 +8,12 @@ return the same lassos, state for state and in the same order, on random
 instances, on the benchmark's scenarios and on the shipped ones, and raise
 ``BudgetExceeded`` at the same caps.
 
+Below the saturated tick the sweep replays layers that repeat instead of
+expanding them again. The sweep as it was before that, every layer
+expanded (``_unreplayed_layers``), is the oracle on random products whose
+windows are long against the sampling period: the same layers, parents
+and lassos, and ``BudgetExceeded`` at the same caps.
+
 ``BuchiProduct.moves`` keeps one answer per (state, location, guard
 segment of the location), filled on first use; since searches ask for
 ticks in any order, it is checked on shuffled ticks against a direct
@@ -19,18 +25,22 @@ at every tick.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mas import _ndfs
 from mas.cli import load_scenario, stage_abstract, stage_bounds
 from mas.errors import BudgetExceeded
-from mas.synthesis import BuchiProduct, enumerate_accepting_lassos
-from mas.tba import from_flat_mitl
+from mas.synthesis import (BuchiProduct, _tick_layers,
+                           enumerate_accepting_lassos)
+from mas.tba import canonical_letters, from_flat_mitl
 
-from conftest import bench_families, shortest_lassos
-from test_tick_equivalence import _random_instances
+from conftest import bench_families, random_flat_formula, shortest_lassos
+from test_tick_equivalence import (_random_instances, _random_timed_system,
+                                   _scaled)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -72,6 +82,103 @@ def test_sweep_matches_the_bfs_on_random_instances():
                             BuchiProduct(wts, auto), cap) == want, cap
             budgets += isinstance(want, str)
     assert lassos > 100 and budgets > 1000
+
+
+def _unreplayed_layers(product: BuchiProduct, max_states=None):
+    """The layer sweep with every layer expanded: (layers, parents)."""
+    clocks = product.clocks
+    sat, accepting = clocks.sat, clocks.accepting
+    memo, moves = product.memo, product.moves
+    layer = list(dict.fromkeys((s, q) for s, q, _ in product.initial()))
+    layers, parents = [layer], [None]
+    count = len(layer)
+    _ndfs._check_budget(count, max_states)
+    shared: set = set()
+    while layer:
+        d = len(layers)
+        k = d if d < sat else sat
+        seen = set() if d < sat else shared
+        nxt, up = [], []
+        order = [i for i, pair in enumerate(layer) if accepting[pair[1]]]
+        order += [i for i, pair in enumerate(layer) if not accepting[pair[1]]]
+        at: list = [None] * len(clocks.locations)
+        for i in order:
+            s, q = layer[i]
+            by_state = at[q]
+            if by_state is None:
+                segment_of, _, by_segment = memo(q)
+                by_state = at[q] = by_segment[segment_of[k]]
+            pairs = by_state.get(s)
+            if pairs is None:
+                pairs = moves(s, q, k)
+            for child in pairs:
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+                    up.append(i)
+        count += len(nxt)
+        _ndfs._check_budget(count, max_states)
+        layers.append(nxt)
+        parents.append(up)
+        layer = nxt
+    return layers, parents
+
+
+def _unreplayed_lassos(product: BuchiProduct, max_states=None):
+    """``enumerate_accepting_lassos`` over `_unreplayed_layers`."""
+    layers, parents = _unreplayed_layers(product, max_states)
+    sat, accepting = product.clocks.sat, product.clocks.accepting
+    found = []
+    for d in range(sat, len(layers)):
+        for i, (s, q) in enumerate(layers[d]):
+            if not accepting[q]:
+                continue
+            loop = _ndfs._shortest_loop((s, q, sat), product.successors)
+            if loop is None:
+                continue
+            stem, p = [], i
+            for j in range(d - 1, -1, -1):
+                p = parents[j + 1][p]
+                s2, q2 = layers[j][p]
+                stem.append((s2, q2, j if j < sat else sat))
+            stem.reverse()
+            found.append((d, len(loop), _ndfs.Lasso(tuple(stem), loop)))
+    found.sort(key=lambda item: item[:2])
+    return [item[2] for item in found]
+
+
+def _long_window_instances():
+    """40 (system, automaton) pairs whose windows, scaled by 3 to 6, are
+    long against the system's period, so ``sat`` reaches 100 and more."""
+    rng = np.random.default_rng(7025)
+    for _ in range(40):
+        wts = _random_timed_system(rng)
+        formula = _scaled(random_flat_formula(rng),
+                          Fraction(int(rng.integers(3, 7))))
+        yield wts, from_flat_mitl(formula,
+                                  letters=canonical_letters({"p", "q"}))
+
+
+def test_replayed_sweep_matches_the_full_sweep_on_long_windows():
+    replayed = longest = budgets = 0
+    for wts, auto in _long_window_instances():
+        layers, parents = _tick_layers(BuchiProduct(wts, auto), None)
+        assert (layers, parents) \
+            == _unreplayed_layers(BuchiProduct(wts, auto))
+        assert enumerate_accepting_lassos(BuchiProduct(wts, auto)) \
+            == _unreplayed_lassos(BuchiProduct(wts, auto))
+        # a replayed layer is the very list object of an earlier depth
+        shared = len(layers) - len({id(layer) for layer in layers})
+        replayed += shared > 0
+        longest = max(longest, shared)
+        count = _state_count(BuchiProduct(wts, auto))
+        for cap in range(1, count + 2):
+            want = _outcome(_unreplayed_lassos, BuchiProduct(wts, auto), cap)
+            assert _outcome(enumerate_accepting_lassos,
+                            BuchiProduct(wts, auto), cap) == want, cap
+            budgets += isinstance(want, str)
+    assert replayed > 10 and longest > 50 and budgets > 1000, \
+        (replayed, longest, budgets)
 
 
 def _scenarios():
