@@ -1,5 +1,7 @@
 """Microbenchmarks of the abstraction stage: ``build_agent_wts`` for the
-middle agent of a three-agent path, whose action tuples number cells^3.
+middle agent of a three-agent path, whose action tuples number cells^3,
+and the whole ``stage_abstract`` of line3 and of the 6x6 plane, which
+builds one transition table per neighbor count and shares the end agents'.
 
 * line3: 24 cells in 1-D, 13 824 action tuples (the line3-abstract
   benchmark scenario at seed 0);
@@ -7,7 +9,8 @@ middle agent of a three-agent path, whose action tuples number cells^3.
 * plane 8x8: the same geometry on 64 cells, 262 144 action tuples, whose
   box test is larger than one chunk of ``BOX_TEST_ELEMENTS``.
 
-Run from the repository root (not part of the default test run):
+Time them from the repository root; the default test run runs each once
+with ``--benchmark-disable`` (tests/test_microbench.py):
 
     PYTHONPATH=src python -m pytest microbench --benchmark-min-rounds=5
 """
@@ -19,7 +22,8 @@ import json
 import pytest
 
 from mas.abstraction import build_agent_wts
-from mas.cli import load_scenario, stage_abstract, stage_bounds
+from mas.cli import (load_scenario, stage_abstract, stage_bounds,
+                     stage_partition)
 
 LINE3 = {
     "name": "line3-abstract", "agents": 3, "dimension": 1,
@@ -73,3 +77,20 @@ def test_middle_agent_abstraction(benchmark, pipe):
     wts = benchmark(build_agent_wts, pipe.g, 2, pipe.decomp, pipe.labeling,
                     pipe.report, pipe.disc, pipe.initial_cells[1])
     assert len(wts.transitions) == len(wts.cells) ** 3
+
+
+@pytest.fixture(scope="module", params=[LINE3, PLANE6],
+                ids=lambda sc: sc["name"])
+def partitioned(request, tmp_path_factory):
+    path = tmp_path_factory.mktemp("scenario") / "scenario.json"
+    path.write_text(json.dumps(request.param))
+    return stage_partition(stage_bounds(load_scenario(path)))
+
+
+def test_stage_abstract(benchmark, partitioned):
+    pipe = benchmark(stage_abstract, partitioned)
+    ends, middle = pipe.wts_list[0::2], pipe.wts_list[1]
+    cells = len(middle.cells)
+    assert len(middle.transitions) == cells ** 3
+    assert ends[0].transitions is ends[1].transitions
+    assert [len(w.transitions) for w in ends] == [cells ** 2] * 2

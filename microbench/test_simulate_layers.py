@@ -12,7 +12,8 @@ and of the whole ``mas simulate`` command, in process, on the line3-abstract
 benchmark scenario at seed 0 (3 agents in 1-D, 24 cells) with that
 workload's 36 steps, reusing a ``plans.json`` synthesized once.
 
-Run from the repository root (not part of the default test run):
+Time them from the repository root; the default test run runs each once
+with ``--benchmark-disable`` (tests/test_microbench.py):
 
     PYTHONPATH=src python -m pytest microbench --benchmark-min-rounds=5
 """

@@ -33,7 +33,8 @@ very last runs all of ``_build_plans`` on those runs, with no certificate
 computed yet (each agent's certificates of its distinct moves in one
 batch).
 
-Run from the repository root (not part of the default test run):
+Time them from the repository root; the default test run runs each once
+with ``--benchmark-disable`` (tests/test_microbench.py):
 
     PYTHONPATH=src python -m pytest microbench --benchmark-min-rounds=5
 """

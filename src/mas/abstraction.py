@@ -42,7 +42,15 @@ floating-point sums are equal share one class, the box test runs once per
 Every member of a class computes the same box bit for bit, so
 `SumClassTable.enabled` answers every (own cell, neighbor cells) lookup as a
 per-tuple enumeration would; action and transition counts come from the
-class sizes, and the per-cell successors from the same ok array.
+class sizes, and the per-cell successors from the same ok array. Classes
+are numbered by one lexsort of the sums (`_number_classes`), in the order
+``np.unique(axis=0)`` would give them.
+
+Every agent shares ``dt``, the reach budget and the remainder, so an
+agent's table depends on its neighborhood only through the number of
+neighbors (`build_transition_table`). One `mas.cli.stage_abstract` call
+builds one table per neighbor count, with the first agent of that degree,
+and hands it to the later ones; no table outlives the call.
 """
 
 from __future__ import annotations
@@ -273,30 +281,36 @@ def _certificates(centers: np.ndarray, agent: int, dt: float, rho: float,
             for (action, target), x, norm in zip(moves, nominal, norms)]
 
 
-def build_agent_wts(
-    g: NetworkGraph,
-    agent: int,
+def _number_classes(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of ``sums`` in ascending order (first column primary)
+    and the class of every row, as ``np.unique(sums, axis=0,
+    return_inverse=True)`` numbers them: one lexsort, a mask of the rows
+    that differ from their predecessor, and its running count."""
+    order = np.lexsort(sums.T[::-1])
+    ordered = sums[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(ordered), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def build_transition_table(
+    degree: int,
     decomp: CellDecomposition,
-    labeling: ServiceLabeling,
     bounds: BoundsReport,
     disc: DiscretizationRange,
-    initial_cell: int,
-    max_actions: int = ACTION_ENUMERATION_CAP,
-) -> AgentWTS:
-    """All well-posed transitions of one agent, as a `SumClassTable`.
+) -> SumClassTable:
+    """The `SumClassTable` of every agent with ``degree`` neighbors.
 
-    The action space is every (own cell, neighbor cells...) combination, so
-    its size is cells^(deg+1); a cap guards against accidental blow-ups.
-    Neighbor tuples are grouped by the exact floating-point sums of their
-    cells' bounds, and every (source cell, class, target) is tested in one
-    broadcast box test, chunked over sources under `BOX_TEST_ELEMENTS`.
+    Every agent shares ``dt``, the reach budget lambda*v_max*dt and the
+    remainder rho(dt), so the table depends on the neighborhood only
+    through its size. Neighbor tuples are grouped by the exact
+    floating-point sums of their cells' bounds, and every (source cell,
+    class, target) is tested in one broadcast box test, chunked over
+    sources under `BOX_TEST_ELEMENTS`.
     """
-    nbrs = g.neighbors(agent)
-    cells = tuple(range(1, decomp.cell_count + 1))
-    action_count = len(cells) ** (len(nbrs) + 1)
-    if action_count > max_actions:
-        raise BudgetExceeded(
-            f"agent {agent} would need {action_count} actions (cap {max_actions})")
+    cells = np.arange(1, decomp.cell_count + 1)
     dt = disc.chosen_dt
     budget = bounds.lambda_reach * bounds.v_max * dt
     rho = deviation_remainder(bounds, dt)
@@ -305,15 +319,14 @@ def build_agent_wts(
     centers = 0.5 * (decomp.lows + decomp.highs)
     inradii = 0.5 * (decomp.highs - decomp.lows).min(axis=1)
     sized = np.nonzero(rho <= inradii)[0]  # per-target remainder test
-    nbr_cells = np.array(list(itertools.product(cells, repeat=len(nbrs))),
-                         dtype=int).reshape(len(cells) ** len(nbrs), len(nbrs))
+    nbr_cells = np.array(list(itertools.product(cells.tolist(), repeat=degree)),
+                         dtype=int).reshape(len(cells) ** degree, degree)
     # one reduction for every tuple, so each class key is the sum every one
     # of its tuples would compute
     sums = np.hstack([decomp.lows[nbr_cells - 1].sum(axis=1),
                       decomp.highs[nbr_cells - 1].sum(axis=1)])
-    keys, inverse = np.unique(sums, axis=0, return_inverse=True)
-    classes = dict(zip(map(tuple, nbr_cells.tolist()),
-                       inverse.reshape(-1).tolist()))
+    keys, inverse = _number_classes(sums)
+    classes = dict(zip(map(tuple, nbr_cells.tolist()), inverse.tolist()))
     key_sums = np.hsplit(keys, 2)
 
     # ok[source, class, target], chunked over sources and kept packed
@@ -324,11 +337,47 @@ def build_agent_wts(
     step = max(1, BOX_TEST_ELEMENTS // max(1, K * T * decomp.dimension))
     for a in range(0, S, step):
         bits[a:a + step] = np.packbits(_box_distances(
-            lows[a:a + step], highs[a:a + step], key_sums, len(nbrs),
+            lows[a:a + step], highs[a:a + step], key_sums, degree,
             targets, dt) <= budget, axis=-1)
     rows = np.column_stack([np.repeat(cells, K), np.tile(np.arange(K), S)])
-    transitions = SumClassTable(classes, rows, sized + 1,
-                                bits.reshape(S * K, bits.shape[2]))
+    return SumClassTable(classes, rows, sized + 1,
+                         bits.reshape(S * K, bits.shape[2]))
+
+
+def build_agent_wts(
+    g: NetworkGraph,
+    agent: int,
+    decomp: CellDecomposition,
+    labeling: ServiceLabeling,
+    bounds: BoundsReport,
+    disc: DiscretizationRange,
+    initial_cell: int,
+    max_actions: int = ACTION_ENUMERATION_CAP,
+    *,
+    transitions: SumClassTable | None = None,
+) -> AgentWTS:
+    """All well-posed transitions of one agent, as a `SumClassTable`.
+
+    The action space is every (own cell, neighbor cells...) combination, so
+    its size is cells^(deg+1); a cap guards against accidental blow-ups,
+    checked before any table is built or reused. ``transitions`` is a
+    table `build_transition_table` already built for this agent's number
+    of neighbors and the same decomposition, bounds and discretization;
+    without one, the agent builds its own. A table is never modified after
+    it is built, so agents may share it; labels, the initial cell and the
+    certificates stay the agent's own.
+    """
+    nbrs = g.neighbors(agent)
+    cells = tuple(range(1, decomp.cell_count + 1))
+    action_count = len(cells) ** (len(nbrs) + 1)
+    if action_count > max_actions:
+        raise BudgetExceeded(
+            f"agent {agent} would need {action_count} actions (cap {max_actions})")
+    if transitions is None:
+        transitions = build_transition_table(len(nbrs), decomp, bounds, disc)
+    dt = disc.chosen_dt
+    rho = deviation_remainder(bounds, dt)
+    centers = 0.5 * (decomp.lows + decomp.highs)
 
     labels = {c: labeling.label(agent, c) for c in cells}
     wts = AgentWTS(

@@ -38,7 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .abstraction import ACTION_ENUMERATION_CAP, AgentWTS, build_agent_wts
+from .abstraction import (ACTION_ENUMERATION_CAP, AgentWTS, SumClassTable,
+                          build_agent_wts)
 from .bounds import (BoundsReport, DiscretizationRange, deviation_remainder,
                      discretization_range, theorem1_constants)
 from .errors import BudgetExceeded, MasError, SemanticError, Unsatisfiable
@@ -113,11 +114,19 @@ def stage_abstract(pipe: Pipeline,
                    max_actions: int = ACTION_ENUMERATION_CAP) -> Pipeline:
     if pipe.decomp is None:
         stage_partition(pipe)
-    pipe.wts_list = [
-        build_agent_wts(pipe.g, agent, pipe.decomp, pipe.labeling,
-                        pipe.report, pipe.disc, pipe.initial_cells[agent - 1],
-                        max_actions=max_actions)
-        for agent in range(1, pipe.scenario.agent_count + 1)]
+    # one transition table per neighbor count, for this call only
+    tables: dict[int, SumClassTable] = {}
+    wts_list = []
+    for agent in range(1, pipe.scenario.agent_count + 1):
+        degree = len(pipe.g.neighbors(agent))
+        wts = build_agent_wts(pipe.g, agent, pipe.decomp, pipe.labeling,
+                              pipe.report, pipe.disc,
+                              pipe.initial_cells[agent - 1],
+                              max_actions=max_actions,
+                              transitions=tables.get(degree))
+        tables.setdefault(degree, wts.transitions)
+        wts_list.append(wts)
+    pipe.wts_list = wts_list
     return pipe
 
 

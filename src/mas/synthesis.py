@@ -40,6 +40,7 @@ import bisect
 import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -379,14 +380,16 @@ class SynthesisResult:
 
 
 def _project_cells(lasso: Lasso, agent_index: int | None):
-    """Cell sequences from product-state lassos (joint or per-agent)."""
-    def cell(state):
-        s = state[0]
-        if agent_index is None:
-            return s
-        return s[agent_index]
-    return (tuple(cell(s) for s in lasso.prefix_states),
-            tuple(cell(s) for s in lasso.cycle_states))
+    """Cell sequences from product-state lassos: the system state of each
+    (system state, location) pair, or agent ``agent_index``'s cell of each
+    joint state."""
+    system = operator.itemgetter(0)
+    if agent_index is None:
+        return (tuple(map(system, lasso.prefix_states)),
+                tuple(map(system, lasso.cycle_states)))
+    own = operator.itemgetter(agent_index)
+    return (tuple(map(own, map(system, lasso.prefix_states))),
+            tuple(map(own, map(system, lasso.cycle_states))))
 
 
 def _build_plans(
