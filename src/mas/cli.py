@@ -23,12 +23,24 @@ only when it has to synthesize, and only then does its report.json hold the
 Exit codes: 0 success (check: formula satisfied), 2 unsatisfiable (check:
 formula violated), 3 a search budget was exhausted, 1 any other error. Set
 MAS_LOG=debug|info|warning to enable logging.
+
+`main` runs each command with CPython's cyclic garbage collector paused: it
+disables the collector once the arguments are parsed and re-enables it
+afterwards only if it was enabled before. That is safe because the commands
+build almost no reference cycles, so reference counting frees what they
+allocate and the collector's passes would only walk the heap. The one
+cyclic garbage a command leaves is the standard library's indenting JSON
+encoder, at most 33 objects for each file `_write_json` writes, which the
+caller's next collection frees; tests/test_cli.py audits every command for
+any other cycle. The collector's state is process-wide: a `main` that starts
+while another thread's `main` runs finds it disabled and leaves it so.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import logging
 import os
@@ -484,6 +496,9 @@ def main(argv=None) -> int:
         # argparse has printed the help (exit 0) or the usage and the error;
         # exit code 2 is kept for unsatisfiable verdicts
         return 0 if exc.code == 0 else 1
+    # the collector is paused for the command (see the module docstring)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         # Looked up by name on each call, so a command replaced on the
         # module after the parser was cached is the one that runs.
@@ -497,6 +512,9 @@ def main(argv=None) -> int:
     except (MasError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

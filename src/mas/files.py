@@ -25,6 +25,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,10 @@ _KINDS = {
 # a pointer is only spelt out where it is needed. fits(values, walk) says
 # whether a list of values has no problem at all, testing them together a
 # type or a key at a time, so that an array walks its items one by one, to
-# name their problems, only when they have some.
+# name their problems, only when they have some. fits tests the whole list
+# with builtins (map, set, all), which run at C speed. It may be stricter
+# than fault (a dict or list subclass does not fit): values that do not fit
+# are walked by fault, which names the same problems.
 
 
 class Scalar:
@@ -162,8 +166,9 @@ class Array:
     def fits(self, values: list, walk: _Walk) -> bool:
         n = walk.known.get(self.length) if isinstance(self.length, str) \
             else self.length
-        return all(isinstance(v, list) and (v or not self.nonempty)
-                   and n in (None, len(v)) for v in values) and \
+        return set(map(type, values)) <= {list} and \
+            not (self.nonempty and not all(values)) and \
+            (n is None or set(map(len, values)) <= {n}) and \
             self.items.fits(list(itertools.chain.from_iterable(values)), walk)
 
 
@@ -203,9 +208,12 @@ class Object:
         return None
 
     def fits(self, values: list, walk: _Walk) -> bool:
-        return all(isinstance(v, dict) and self.allowed.issuperset(v)
-                   and self.required.issubset(v) for v in values) and \
-            all(k.type.fits([v[k.name] for v in values if k.name in v], walk)
+        return set(map(type, values)) <= {dict} and \
+            all(map(self.allowed.issuperset, values)) and \
+            all(map(self.required.issubset, values)) and \
+            all(k.type.fits(list(map(itemgetter(k.name), values))
+                            if k.required else
+                            [v[k.name] for v in values if k.name in v], walk)
                 for k in self.keys) and \
             not (self.check and any(map(self.check, values)))
 
@@ -577,18 +585,21 @@ def plan_from_dict(obj, agent: int) -> Plan | None:
     return None
 
 
+_CELL, _ACTION, _SERVICES = map(itemgetter, ("cell", "action", "services"))
+
+
 def _plan_from_entry(dt: float, a: dict) -> Plan:
     prefix, cycle = a["prefix"], a["cycle"]
     wt = a.get("witness_time")
     return Plan(
         agent=a["agent"],
         dt=dt,
-        prefix_cells=tuple(s["cell"] for s in prefix),
-        cycle_cells=tuple(s["cell"] for s in cycle),
-        prefix_actions=tuple(tuple(s["action"]) for s in prefix),
-        cycle_actions=tuple(tuple(s["action"]) for s in cycle),
-        provided_prefix=tuple(frozenset(s["services"]) for s in prefix),
-        provided_cycle=tuple(frozenset(s["services"]) for s in cycle),
+        prefix_cells=tuple(map(_CELL, prefix)),
+        cycle_cells=tuple(map(_CELL, cycle)),
+        prefix_actions=tuple(map(tuple, map(_ACTION, prefix))),
+        cycle_actions=tuple(map(tuple, map(_ACTION, cycle))),
+        provided_prefix=tuple(map(frozenset, map(_SERVICES, prefix))),
+        provided_cycle=tuple(map(frozenset, map(_SERVICES, cycle))),
         certificates_prefix=(None,) * len(prefix),
         certificates_cycle=(None,) * len(cycle),
         formula_text=a.get("formula", ""),

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mas import cli
 from mas.cli import (_CSV_CHUNK, _write_trajectory_csv, load_scenario, main,
                      stage_abstract, stage_bounds, stage_synthesize,
                      word_from_json)
@@ -765,21 +766,127 @@ def test_numbers_must_be_finite(tmp_path, capsys):
         capsys.readouterr().err
 
 
-def test_repeated_commands_leave_no_argparse_cycles(tmp_path):
-    common = ["--scenario", _pair_path(), "--out", str(tmp_path)]
-    assert main(["synthesize", *common]) == 0  # warm-up
-    gc.collect()
-    gc.set_debug(gc.DEBUG_SAVEALL)
+# What the indenting JSON encoder leaves for each file ``_write_json``
+# writes: json.dumps(indent=...) runs the pure-Python encoder, whose nested
+# closures refer to each other (33 objects on CPython 3.11).
+_ENCODER_CYCLE_TYPES = {"JSONEncoder", "cell", "dict", "function", "method",
+                        "tuple"}
+_ENCODER_CYCLE_SIZE = 33
+
+
+def test_repeated_commands_leave_only_json_encoder_cycles(tmp_path,
+                                                          monkeypatch):
+    # main pauses the cyclic collector, so a reference cycle built by a
+    # command would pile up until the caller's next collection
+    scenarios = {"pair_line": _pair_path(),
+                 "path3_plane": str(SCENARIOS / "path3_plane.json"),
+                 "pair_line_unsat": str(SCENARIOS / "pair_line_unsat.json"),
+                 "step4": _dump(tmp_path, STEP4_SCENARIO)}
+    commands = [["bounds"], ["abstract"], ["synthesize"], ["simulate"],
+                ["check", "--agent", "1"], ["check", "--agent", "9"]]
+    written = []
+    write_json = cli._write_json
+    monkeypatch.setattr(cli, "_write_json",
+                        lambda path, obj: written.append(path) or
+                        write_json(path, obj))
+    for command in commands:  # warm-up: imports and caches of first use
+        assert main([*command, "--scenario", _pair_path(),
+                     "--out", str(tmp_path / "warm-up")]) in (0, 1)
+    codes, left = {}, {}
+    for name, scenario in scenarios.items():
+        common = ["--scenario", scenario, "--out", str(tmp_path / name)]
+        for command in commands:
+            case = f"{name}: {' '.join(command)}"
+            written.clear()
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                codes[case] = main([*command, *common])
+                gc.collect()
+                garbage = [type(o).__name__ for o in gc.garbage]
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+            if not set(garbage) <= _ENCODER_CYCLE_TYPES or \
+                    len(garbage) > _ENCODER_CYCLE_SIZE * len(written) or \
+                    garbage.count("JSONEncoder") > len(written):
+                left[case] = sorted(garbage)
+    assert left == {}
+    # the audit covers success paths, verdicts and errors
+    assert codes["pair_line: simulate"] == 0
+    assert codes["step4: synthesize"] == 0
+    assert codes["pair_line_unsat: synthesize"] == 2
+    assert codes["pair_line: check --agent 9"] == 1
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+_EXIT_CASES = {
+    "exit 0": (["bounds", "--scenario", "{pair}", "--out", "{tmp}"], 0),
+    "exit 1": (["bounds", "--scenario", "{tmp}/missing.json"], 1),
+    "exit 2": (["synthesize", "--scenario", "{unsat}", "--out", "{tmp}"], 2),
+    "exit 3": (["synthesize", "--scenario", "{pair}", "--out", "{tmp}",
+                "--max-states", "10"], 3),
+    "argparse error": (["synthesize", "--max-states", "0"], 1),
+    "help": (["--help"], 0),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled",
+                                                        "disabled"])
+@pytest.mark.parametrize("case", sorted(_EXIT_CASES))
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys,
+                                                  collector, case, enabled):
+    argv, code = _EXIT_CASES[case]
+    names = {"pair": _pair_path(), "tmp": str(tmp_path),
+             "unsat": str(SCENARIOS / "pair_line_unsat.json")}
+    (gc.enable if enabled else gc.disable)()
+    assert main([a.format(**names) for a in argv]) == code
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled",
+                                                        "disabled"])
+def test_commands_run_with_the_collector_paused(tmp_path, monkeypatch,
+                                                collector, enabled):
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("escapes main")
+
+    monkeypatch.setattr(cli, "cmd_bounds", command)
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError):
+        main(["bounds", "--scenario", _pair_path(), "--out", str(tmp_path)])
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+def test_no_collection_runs_inside_a_warm_synthesize(tmp_path, capsys,
+                                                     collector):
+    common = ["--scenario", _dump(tmp_path, STEP4_SCENARIO),
+              "--out", str(tmp_path / "out")]
+    gc.enable()
+    assert main(["synthesize", *common]) == 0
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(record)
     try:
         assert main(["synthesize", *common]) == 0
-        assert main(["check", *common, "--agent", "1"]) == 0
-        gc.collect()
-        left = [type(o).__name__ for o in gc.garbage
-                if type(o).__module__ == "argparse"]
     finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-    assert left == []
+        gc.callbacks.remove(record)
+    assert collections == []
 
 
 @pytest.mark.parametrize("command", ["bounds", "abstract", "synthesize",
