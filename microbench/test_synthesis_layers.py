@@ -12,10 +12,11 @@ per-agent runs never combine, so synthesis enumerates lassos, rejects all
 * ``consistent`` over the 276 combinations of per-agent lassos, against a
   fresh ``ProductWTS`` each round, since the check fills its successor
   cache;
-* ``intersect`` of the two agents' automata, with its largest constant;
+* ``intersect`` of the two agents' automata, with its largest constant
+  (built at once) and its 728 locations (listed only when asked for);
 * the cold joint search of step 4: a fresh ``ProductWTS`` against the
   intersection, expanded by ``find_accepting_lasso`` until it closes its
-  lasso;
+  lasso, which passes 1 044 distinct states to ``successors``;
 * steps 3 and 4 on one fresh ``ProductWTS``, as ``synthesize`` runs them:
   the 276 checks, then the joint search, which finds the successor lists
   the checks computed in the product's cache.
@@ -160,12 +161,33 @@ def test_consistency_over_all_combinations(benchmark, pipe, combinations):
 def test_intersection_of_agent_automata(benchmark, automata):
     c_max = benchmark(lambda: intersect(*automata).c_max)
     assert c_max == 2
+    assert intersect(*automata).location_count() == 728
+
+
+def _counting_states(product: BuchiProduct) -> set:
+    """The distinct states the search will pass to ``product.successors``,
+    gathered as perfbench's tracer counts them."""
+    seen = set()
+    expand = product.successors
+
+    def successors(state):
+        seen.add(state)
+        return expand(state)
+
+    product.successors = successors
+    return seen
 
 
 def test_cold_joint_product_search(benchmark, pipe, automata):
-    lasso = benchmark(lambda: find_accepting_lasso(BuchiProduct(
-        ProductWTS(pipe.wts_list, pipe.g), intersect(*automata))))
+    def search():
+        product = BuchiProduct(ProductWTS(pipe.wts_list, pipe.g),
+                               intersect(*automata))
+        expanded = _counting_states(product)
+        return find_accepting_lasso(product), len(expanded)
+
+    lasso, expanded = benchmark(search)
     assert (len(lasso.prefix_states), len(lasso.cycle_states)) == (865, 52)
+    assert expanded == 1044
 
 
 def test_step3_then_step4_on_one_product(benchmark, pipe, automata,

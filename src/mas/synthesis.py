@@ -19,7 +19,7 @@ The planner works in stages:
 
 A lasso is a sequence of product states (``_ndfs.Lasso``); search graphs
 carry no edge labels, so step 5 re-derives each agent's action from the
-joint state it moves from (``ProductWTS.agent_action``).
+joint state it moves from, as ``ProductWTS.agent_action`` defines it.
 
 Product states are flat tuples (system state, location number, clock tick):
 the automaton's locations are numbered as the search meets them
@@ -44,6 +44,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import Iterator
 
 from . import _ndfs
 from ._ndfs import Lasso
@@ -72,11 +73,16 @@ class BuchiProduct:
     target) pairs that tick k admits, s2 in ``system.successors`` order
     and then the edges into s2's label in their order. They are memoised
     once per (system state, location, guard segment of the location), in
-    the location's ``memo``, and filled on first use, since searches ask
-    for ticks in any order. ``successors`` of the product pairs them with
-    the next tick. Since k never decreases, a state below the saturated
-    tick lies on no cycle; ``accepting`` admits only accepting locations
-    at the saturated tick (``TickClocks.recurs``).
+    the location's ``memo``, and filled on first use, since the per-agent
+    sweep (`_tick_layers`) asks for ticks in any order and expands every
+    pair it reaches. ``successors`` of the product yields the same pairs
+    with the next tick, one child at a time: a depth-first search takes
+    the first child it has not seen and may never come back for the rest,
+    so a state whose memo entry is not filled has its children made only
+    as the search reaches them, and the memo stays as it was. Since k
+    never decreases, a state below the saturated tick lies on no cycle;
+    ``accepting`` admits only accepting locations at the saturated tick
+    (``TickClocks.recurs``).
     """
 
     def __init__(self, system, automaton: TimedAutomaton):
@@ -117,11 +123,26 @@ class BuchiProduct:
                 for target in table.get(label(s2), ())]
         return pairs
 
-    def successors(self, state: tuple) -> list[tuple]:
+    def successors(self, state: tuple) -> Iterator[tuple]:
+        """The children (s2, target, next tick) of a product state, in
+        ``moves`` order, each made when the caller reaches it: read from
+        the memo where ``moves`` has filled it, else from
+        ``system.successors``, ``system.label`` and the guard segment's
+        table, without filling the memo."""
         s, q, k = state
         sat = self.clocks.sat
         k = k + 1 if k + 1 < sat else sat
-        return [(s2, target, k) for s2, target in self.moves(s, q, k)]
+        segment_of, tables, by_segment = self._moves.get(q) or self.memo(q)
+        segment = segment_of[k]
+        pairs = by_segment[segment].get(s)
+        if pairs is not None:
+            for s2, target in pairs:
+                yield s2, target, k
+            return
+        table, label = tables[segment], self.system.label
+        for s2 in self.system.successors(s):
+            for target in table.get(label(s2), ()):
+                yield s2, target, k
 
     def accepting(self, state: tuple) -> bool:
         return self.clocks.recurs(state[1], state[2])
@@ -392,6 +413,18 @@ def _project_cells(lasso: Lasso, agent_index: int | None):
             tuple(map(own, map(system, lasso.cycle_states))))
 
 
+def _agent_actions(joints: list[tuple], agent: int,
+                   g: NetworkGraph) -> list[tuple]:
+    """The agent's action in each joint state, as
+    ``ProductWTS.agent_action`` gives it: its own cell, then its
+    neighbours' cells, read with one itemgetter."""
+    own = agent - 1
+    others = [j - 1 for j in g.neighbors(agent)]
+    if not others:    # a one-index itemgetter returns the bare cell
+        return [(joint[own],) for joint in joints]
+    return list(map(operator.itemgetter(own, *others), joints))
+
+
 def _build_plans(
     aligned: list[tuple[tuple, tuple]],
     wts_list: list[AgentWTS],
@@ -406,7 +439,7 @@ def _build_plans(
     joints = list(zip(*runs))[:-1]
     plans = []
     for (prefix, cycle), run, w in zip(aligned, runs, wts_list):
-        actions = [product.agent_action(joint, w.agent) for joint in joints]
+        actions = _agent_actions(joints, w.agent, product.graph)
         certs = w.certificates(actions, run[1:])
         provided = list(map(w.label, run[:-1]))
         formula = formulas[w.agent]

@@ -20,8 +20,9 @@ satisfy a flat formula: each temporal conjunct becomes a three-phase shape
 whose phases are expanded over the given letters (the service sets the
 words can carry; by default every subset of the formula's atoms) that
 satisfy their propositional operand; conjunction is the synchronous
-product. ``intersect`` builds the product's locations at once and each
-location's edges when they are first asked for.
+product. ``intersect`` builds a product location's label, acceptance and
+edges the first time each is asked for, and the whole location list only
+when something asks for all of it.
 
 The clock is counted in integer ticks (``TickClocks``): when every delay is
 a multiple of delta, their gcd, the clock value is k*delta for an int k, and
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -447,10 +449,86 @@ def intersect(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
     Locations pair up only when their labels agree on the shared alphabet
     (joint label = union); Büchi acceptance uses the usual two-phase
     round-robin. Both read the one clock, so a joint edge conjoins the two
-    guards. The edges leaving a location are built the first time
-    ``edges_from`` is asked for them.
+    guards. The product is built on the fly, as a search reaches it: only
+    its initial locations, alphabet and largest constant are built at
+    once. A location's label (``labels[q]``), its acceptance
+    (``q in accepting``) and the edges leaving it (``edges_from[q]``) are
+    built the first time they are asked for, and the location list, in
+    the order of the parts' locations, only when something asks for all of
+    it (``locations``, ``location_count``, ``edges``, or iterating
+    ``labels`` or ``accepting``).
     """
     return _Intersection(a, b)
+
+
+class _Views(dict):
+    """Location -> the part of its label in the alphabet both parts of an
+    intersection share, each entry built on its first lookup; KeyError for
+    what is not a location."""
+
+    def __init__(self, labels, shared: frozenset[str]):
+        super().__init__()
+        self._labels, self._shared = labels, shared
+
+    def __missing__(self, q):
+        view = self[q] = self._labels[q] & self._shared
+        return view
+
+
+class _Labels(Mapping):
+    """Location -> letter of an intersection: the union of its parts'
+    letters, each built on its first lookup.
+
+    The locations are the pairs of part locations whose views agree, each
+    in both phases; a lookup of any other triple raises KeyError.
+    Iterating the mapping lists them all, in the parts' location order,
+    which builds that list once.
+    """
+
+    def __init__(self, a: TimedAutomaton, b: TimedAutomaton, view_a: _Views,
+                 view_b: _Views):
+        self._a, self._b, self._view_a, self._view_b = a, b, view_a, view_b
+        self._memo: dict = {}
+
+    def __getitem__(self, loc):
+        label = self._memo.get(loc)
+        if label is None:
+            qa, qb, ph = loc
+            if ph not in (0, 1) or self._view_a[qa] != self._view_b[qb]:
+                raise KeyError(loc)
+            label = self._memo[loc] = self._a.labels[qa] | self._b.labels[qb]
+        return label
+
+    @cached_property
+    def locations(self) -> tuple:
+        a, b, view_a, view_b = self._a, self._b, self._view_a, self._view_b
+        return tuple((qa, qb, ph) for qa in a.locations for qb in b.locations
+                     if view_a[qa] == view_b[qb] for ph in (0, 1))
+
+    def __iter__(self):
+        return iter(self.locations)
+
+    def __len__(self) -> int:
+        return len(self.locations)
+
+
+class _Accepting(Set):
+    """The accepting locations of an intersection: phase 0 over an
+    accepting location of the first part. Membership is tested on the
+    spot; iterating lists them in location order."""
+
+    def __init__(self, a: TimedAutomaton, labels: _Labels):
+        self._a, self._labels = a, labels
+
+    def __contains__(self, loc) -> bool:
+        return loc in self._labels and loc[2] == 0 \
+            and loc[0] in self._a.accepting
+
+    def __iter__(self):
+        return (loc for loc in self._labels.locations if loc in self)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 class _EdgeTable(dict):
@@ -459,11 +537,11 @@ class _EdgeTable(dict):
 
     The table holds the component automata and their shared-alphabet
     views, not the product, so the product and its table form no reference
-    cycle.
+    cycle; so do its label and acceptance tables.
     """
 
-    def __init__(self, a: TimedAutomaton, b: TimedAutomaton, view_a: dict,
-                 view_b: dict):
+    def __init__(self, a: TimedAutomaton, b: TimedAutomaton, view_a: _Views,
+                 view_b: _Views):
         super().__init__()
         self._a, self._b, self._view_a, self._view_b = a, b, view_a, view_b
 
@@ -488,25 +566,24 @@ class _EdgeTable(dict):
 
 
 class _Intersection(TimedAutomaton):
-    """The product ``intersect`` returns."""
+    """The product ``intersect`` returns, built on the fly: ``labels``,
+    ``accepting`` and ``edges_from`` build each location's entry on its
+    first lookup, and ``locations`` lists them all only when asked for."""
 
     def __init__(self, a: TimedAutomaton, b: TimedAutomaton):
         shared = a.alphabet & b.alphabet
-        view_a = {qa: a.labels[qa] & shared for qa in a.locations}
-        view_b = {qb: b.labels[qb] & shared for qb in b.locations}
-        pairs = [(qa, qb) for qa in a.locations for qb in b.locations
-                 if view_a[qa] == view_b[qb]]
-        locations = [(qa, qb, ph) for qa, qb in pairs for ph in (0, 1)]
-        self._set_locations(
-            locations,
-            initial=[(qa, qb, 0) for qa in a.initial for qb in b.initial
-                     if view_a[qa] == view_b[qb]],
-            accepting=[(qa, qb, 0) for qa, qb in pairs if qa in a.accepting],
-            labels={(qa, qb, ph): a.labels[qa] | b.labels[qb]
-                    for qa, qb, ph in locations},
-            alphabet=a.alphabet | b.alphabet)
+        view_a, view_b = _Views(a.labels, shared), _Views(b.labels, shared)
+        self.initial = tuple((qa, qb, 0) for qa in a.initial
+                             for qb in b.initial if view_a[qa] == view_b[qb])
+        self.labels = _Labels(a, b, view_a, view_b)
+        self.accepting = _Accepting(a, self.labels)
+        self.alphabet = a.alphabet | b.alphabet
         self.edges_from = _EdgeTable(a, b, view_a, view_b)
         self.c_max = max(a.c_max, b.c_max)
+
+    @property
+    def locations(self) -> tuple:
+        return self.labels.locations
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from mas import synthesis, tba
 from mas.abstraction import AgentWTS, ProductWTS
 from mas.cli import load_scenario, stage_abstract, stage_bounds
 from mas.errors import LengthMismatch, Unsatisfiable
-from mas.graph import build_graph
+from mas.graph import NetworkGraph, build_graph
 from mas.mitl import evaluate, parse, word_from_lasso
 from mas.synthesis import (BuchiProduct, align_runs, consistent,
                            enumerate_accepting_lassos, find_accepting_lasso,
@@ -161,6 +161,21 @@ def test_plans_expose_steps_actions_and_services():
     word = plan.word()
     assert word.letter(3) == frozenset({"yellow"})
     assert plan.provided_prefix[3] == frozenset({"yellow"})
+
+
+def test_an_agent_without_neighbours_acts_with_its_own_cell():
+    # build_graph needs two agents, but the plans read the actions off any
+    # graph: a lone agent's are 1-tuples, as ProductWTS.agent_action has them
+    product, wts, _ = _single_agent_product("F[2,5] green")
+    runs = align_runs([synthesis._project_cells(
+        find_accepting_lasso(product), None)])
+    joint = ProductWTS([wts], NetworkGraph(1, 1, ()))
+    [plan] = synthesis._build_plans(runs, [wts], joint,
+                                    {1: parse("F[2,5] green")}, wts.dt)
+    cells = plan.prefix_cells + plan.cycle_cells
+    assert plan.prefix_actions + plan.cycle_actions \
+        == tuple(joint.agent_action((cell,), 1) for cell in cells) \
+        == tuple((cell,) for cell in cells)
 
 
 def test_forced_joint_search_finds_the_same_witnesses():

@@ -13,7 +13,8 @@ Each test keeps a local copy of the earlier implementation as its oracle:
 * the per-move (target, duration) generator seen through the cell view
   that quotiented neighbor assumptions away, against
   ``AgentWTS.successors``;
-* the eager automaton intersection, against the lazy ``intersect``;
+* the eager automaton intersection, against the lazy ``intersect``, asked
+  location by location and then as a whole;
 * automata over every subset of the agents' services, against those over
   the letters the agents' cells emit, which ``synthesize`` builds;
 * the alignment-based consistency check, against the early-exit
@@ -21,7 +22,11 @@ Each test keeps a local copy of the earlier implementation as its oracle:
 * the product whose states hold location objects and whose successors
   scan the automaton's edges, against ``BuchiProduct``'s location numbers
   and compiled (state, location) rows, on single agents and on joint
-  products of two and three agents.
+  products of two and three agents;
+* the step-4 search over whole successor lists, which fill the memo, and
+  the eager intersection, against ``BuchiProduct.successors`` making each
+  child on the fly over the lazy ``intersect``, on agents abstracted on a
+  path or a star.
 """
 
 from __future__ import annotations
@@ -35,17 +40,22 @@ import numpy as np
 import pytest
 
 from mas import _ndfs, mitl
-from mas.abstraction import AgentWTS, ProductWTS
-from mas.errors import LengthMismatch
+from mas.abstraction import AgentWTS, ProductWTS, build_agent_wts
+from mas.errors import BudgetExceeded, LengthMismatch
+from mas.graph import build_graph
 from mas.mitl import to_fraction
-from mas.synthesis import (BuchiProduct, align_runs, consistent,
-                           enumerate_accepting_lassos, find_accepting_lasso)
+from mas.partition import LabeledRegion
+from mas.synthesis import (BuchiProduct, _agent_actions, align_runs,
+                           consistent, enumerate_accepting_lassos,
+                           find_accepting_lasso)
 from mas.tba import (Edge, Guard, TRUE_GUARD, TickClocks, TimedAutomaton,
-                     canonical_letters, from_flat_mitl, intersect)
+                     accepts_lasso, canonical_letters, from_flat_mitl,
+                     intersect)
 
 from conftest import (class_table, enabled_actions, four_state_timed_wts,
                       random_connected_graph, random_flat_formula,
-                      shortest_lassos, universal_acceptor)
+                      random_lasso_word, shortest_lassos, universal_acceptor)
+from test_abstraction import _grid_system
 from test_state_graph_search import (_payload_loop_capable,
                                      payload_find_accepting_cycle,
                                      payload_shortest_lassos)
@@ -133,7 +143,7 @@ def _assert_same_graph(fast: BuchiProduct, oracle: FractionProduct):
     seen, frontier = set(starts), list(starts)
     while frontier:
         state = frontier.pop()
-        got = fast.successors(state)
+        got = list(fast.successors(state))
         want = oracle.successors(_as_fractions(fast, state))
         assert [_as_fractions(fast, c) for c in got] == want
         for child in got:
@@ -444,16 +454,31 @@ def eager_intersect(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
         c_max=max(a.c_max, b.c_max))
 
 
-def _assert_same_automaton(lazy: TimedAutomaton, eager: TimedAutomaton):
-    assert lazy.locations == eager.locations
+def _assert_same_automaton(lazy: TimedAutomaton, eager: TimedAutomaton,
+                           candidates=()):
+    """The lazy intersection answers as the eager one: first location by
+    location, as a search asks, and then as a whole. ``candidates`` are
+    more triples to look up, locations or not."""
+    for loc in eager.locations:
+        assert lazy.labels[loc] == eager.labels[loc], loc
+        assert (loc in lazy.accepting) == (loc in eager.accepting), loc
+        assert lazy.edges_from[loc] == eager.edges_from[loc], loc
+    for loc in candidates:
+        assert (loc in lazy.labels) == (loc in eager.labels), loc
+        assert (loc in lazy.accepting) == (loc in eager.accepting), loc
+    # nothing above needed the whole location list
+    assert "locations" not in vars(lazy.labels)
     assert lazy.initial == eager.initial
-    assert lazy.accepting == eager.accepting
-    assert lazy.labels == eager.labels
     assert lazy.alphabet == eager.alphabet
     assert lazy.c_max == eager.c_max
-    for loc in lazy.locations:
-        assert lazy.edges_from[loc] == eager.edges_from[loc], loc
-    assert len(lazy.edges) == len(eager.edges)
+    assert lazy.locations == eager.locations
+    assert lazy.location_count() == eager.location_count()
+    assert lazy.labels == eager.labels
+    assert dict(lazy.labels) == eager.labels
+    assert list(lazy.labels.items()) == list(eager.labels.items())
+    assert set(lazy.labels.values()) == set(eager.labels.values())
+    assert lazy.accepting == eager.accepting
+    assert lazy.edges == eager.edges
 
 
 def _orphan_automaton() -> TimedAutomaton:
@@ -471,8 +496,9 @@ def _orphan_automaton() -> TimedAutomaton:
 def test_lazy_intersection_matches_the_eager_one():
     rng = np.random.default_rng(7002)
     alphabets = ({"p"}, {"q"}, {"p", "q"}, {"q", "r"})
+    words = accepted = 0
     for trial in range(12):
-        parts = []
+        parts, formulas = [], []
         # every third trial nests a one-atom automaton on top
         for k in range(3 if trial % 3 == 0 else 2):
             sigma = set(alphabets[int(rng.integers(2 if k == 2 else 4))])
@@ -480,10 +506,24 @@ def test_lazy_intersection_matches_the_eager_one():
             formula = random_flat_formula(rng, names=names)
             parts.append(from_flat_mitl(formula,
                                         letters=canonical_letters(sigma)))
+            formulas.append(formula)
         lazy, eager = parts[0], parts[0]
         for part in parts[1:]:
+            # every pair of part locations in phases 0-2, most no location
+            candidates = list(itertools.product(eager.locations,
+                                                part.locations, (0, 1, 2)))
             lazy, eager = intersect(lazy, part), eager_intersect(eager, part)
-            _assert_same_automaton(lazy, eager)
+            _assert_same_automaton(lazy, eager, candidates)
+        # the acceptance check reads the whole label mapping of a fresh one
+        formula = functools.reduce(mitl.And, formulas)
+        for _ in range(10):
+            word = random_lasso_word(rng, names=("p", "q", "r", "s"))
+            expected = mitl.evaluate(word, formula)
+            assert accepts_lasso(functools.reduce(intersect, parts),
+                                 word) is expected
+            words += 1
+            accepted += expected
+    assert 0 < accepted < words
 
 
 def test_intersection_c_max_is_the_larger_of_its_parts():
@@ -543,8 +583,8 @@ def _assert_same_successors(emitted: BuchiProduct, full: BuchiProduct,
     seen, frontier = set(starts), list(starts)
     while frontier and len(seen) < cap:
         state = frontier.pop()
-        got = emitted.successors(state)
-        want = full.successors(renumber[state])
+        got = list(emitted.successors(state))
+        want = list(full.successors(renumber[state]))
         assert named(emitted, got) == named(full, want), state
         renumber.update(zip(got, want))
         for child in got:
@@ -739,7 +779,7 @@ def _assert_same_numbered_product(fast: BuchiProduct,
     seen, frontier = set(starts), list(starts)
     while frontier:
         state = frontier.pop()
-        got = fast.successors(state)
+        got = list(fast.successors(state))
         want = oracle.successors(_named(fast, [state])[0])
         assert _named(fast, got) == want, state
         for child in got:
@@ -835,3 +875,100 @@ def test_numbered_joint_products_match_the_object_product(agents, trials):
         lassos += found
         with_lassos += found > 0
     assert states > 3000 and lassos > 200 and with_lassos > trials // 3
+
+
+# --------------------------------------------------------------------------
+# oracle: the step-4 search over whole successor lists and the eager
+# intersection
+# --------------------------------------------------------------------------
+
+class ListProduct(BuchiProduct):
+    """``BuchiProduct`` whose successors fill a state's memo entry and
+    return the whole list, as the step-4 search read them before its
+    children were made on the fly."""
+
+    def successors(self, state):
+        s, q, k = state
+        sat = self.clocks.sat
+        k = k + 1 if k + 1 < sat else sat
+        return [(s2, target, k) for s2, target in self.moves(s, q, k)]
+
+
+def _joint_search(product: BuchiProduct, max_states: int):
+    """(the lasso, None or the budget message, and the states the search
+    passed to ``successors``, recorded as perfbench's tracer counts
+    them)."""
+    seen = set()
+    expand = product.successors
+
+    def successors(state):
+        seen.add(state)
+        return expand(state)
+
+    product.successors = successors
+    try:
+        return find_accepting_lasso(product, max_states=max_states), seen
+    except BudgetExceeded as exc:
+        return str(exc), seen
+
+
+def _geometric_agents(rng, edges, agents: int):
+    """Agents over ``edges`` on a line of 3-4 grid cells, abstracted as
+    ``synthesize`` does, each with services p<agent> and q<agent> on one
+    random cell each."""
+    g = build_graph(agents, edges)
+    count = int(rng.integers(3, 5))
+    side = float(rng.uniform(0.2, 1.0))
+    dt = float(rng.choice([0.25, 0.5]))
+    v_max = side * float(rng.uniform(1.0, 3.0)) / (0.5 * dt)
+    regions = []
+    for agent in range(1, agents + 1):
+        for name in (f"p{agent}", f"q{agent}"):
+            c = int(rng.integers(count))
+            regions.append(LabeledRegion([c * side], [(c + 1) * side],
+                                         {agent: {name}}))
+    decomp, labeling, rep, disc = _grid_system(
+        g, side, (count,), dt, v_max, float(rng.uniform(0.1, 0.4)) * side,
+        regions)
+    return g, [build_agent_wts(g, agent, decomp, labeling, rep, disc,
+                               int(rng.integers(1, decomp.cell_count + 1)))
+               for agent in range(1, agents + 1)]
+
+
+@pytest.mark.parametrize("shape,agents,trials", [
+    ("path", 2, 24), ("path", 3, 4), ("star", 3, 4)])
+def test_step4_search_matches_the_eager_lists(shape, agents, trials):
+    rng = np.random.default_rng(7010 + 10 * agents + (shape == "star"))
+    edges = [(1, j) for j in range(2, agents + 1)] if shape == "star" \
+        else [(j, j + 1) for j in range(1, agents)]
+    found = empty = budgets = 0
+    for _ in range(trials):
+        g, wts_list = _geometric_agents(rng, edges, agents)
+        automata = [_agent_automaton(rng, w, 1) for w in wts_list]
+        eager_automaton = functools.reduce(eager_intersect, automata)
+
+        def searches(cap):
+            fast = BuchiProduct(ProductWTS(wts_list, g),
+                                functools.reduce(intersect, automata))
+            eager = ListProduct(ProductWTS(wts_list, g), eager_automaton)
+            return _joint_search(fast, cap), _joint_search(eager, cap)
+
+        (lasso, seen), want = searches(50_000)
+        assert (lasso, seen) == want
+        assert not isinstance(lasso, str)
+        if lasso is None:
+            empty += 1
+        else:
+            found += 1
+            joints = [s for s, _, _ in lasso.prefix_states
+                      + lasso.cycle_states]
+            product = ProductWTS(wts_list, g)
+            for w in wts_list:
+                assert _agent_actions(joints, w.agent, g) == [
+                    product.agent_action(joint, w.agent)
+                    for joint in joints]
+        for cap in sorted({1, 2, 5, len(seen) // 2, len(seen) - 1}):
+            (outcome, expanded), want = searches(max(cap, 1))
+            assert (outcome, expanded) == want, cap
+            budgets += isinstance(outcome, str)
+    assert found > trials // 4 and empty + budgets > 0
