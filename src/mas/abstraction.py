@@ -81,9 +81,9 @@ class TransitionCertificate:
     """Evidence that one cell transition is well-posed.
 
     ``nominal_input`` is the feedback law of `feedback_inputs` with every
-    agent at its cell center, and ``norm`` its Euclidean norm, which
-    ``nominal_norm()`` returns; both come from one batched evaluation per
-    agent (`AgentWTS.certificates`).
+    agent at its cell center, and ``norm`` its Euclidean norm, the
+    ``input_norm`` that plans.json records; both come from one batched
+    evaluation per agent (`AgentWTS.certificates`).
     """
 
     agent: int
@@ -93,9 +93,6 @@ class TransitionCertificate:
     nominal_input: np.ndarray  # center-to-center correction, norm <= lambda*v_max
     norm: float                # of nominal_input
     remainder: float           # continuous-flow deviation bound rho(dt)
-
-    def nominal_norm(self) -> float:
-        return self.norm
 
 
 def _unpack(bits: np.ndarray, count: int) -> np.ndarray:
@@ -315,8 +312,7 @@ def build_transition_table(
     budget = bounds.lambda_reach * bounds.v_max * dt
     rho = deviation_remainder(bounds, dt)
 
-    # CellDecomposition.center and .inradius, for every cell at once
-    centers = 0.5 * (decomp.lows + decomp.highs)
+    # CellDecomposition.inradius, for every cell at once
     inradii = 0.5 * (decomp.highs - decomp.lows).min(axis=1)
     sized = np.nonzero(rho <= inradii)[0]  # per-target remainder test
     nbr_cells = np.array(list(itertools.product(cells.tolist(), repeat=degree)),
@@ -333,7 +329,7 @@ def build_transition_table(
     S, K, T = len(cells), len(keys), len(sized)
     bits = np.empty((S, K, (T + 7) // 8), dtype=np.uint8)
     lows, highs = decomp.lows[:, None, :], decomp.highs[:, None, :]
-    targets = centers[sized]
+    targets = decomp.centers[sized]
     step = max(1, BOX_TEST_ELEMENTS // max(1, K * T * decomp.dimension))
     for a in range(0, S, step):
         bits[a:a + step] = np.packbits(_box_distances(
@@ -377,7 +373,6 @@ def build_agent_wts(
         transitions = build_transition_table(len(nbrs), decomp, bounds, disc)
     dt = disc.chosen_dt
     rho = deviation_remainder(bounds, dt)
-    centers = 0.5 * (decomp.lows + decomp.highs)
 
     labels = {c: labeling.label(agent, c) for c in cells}
     wts = AgentWTS(
@@ -388,7 +383,8 @@ def build_agent_wts(
         labels=labels,
         transitions=transitions,
         neighbor_agents=nbrs,
-        certify=functools.partial(_certificates, centers, agent, dt, rho),
+        certify=functools.partial(_certificates, decomp.centers, agent, dt,
+                                  rho),
     )
     logger.info("agent %d abstraction: %d cells, %d actions, %d transitions",
                 agent, len(cells), len(transitions), wts.transition_count())

@@ -103,12 +103,13 @@ def stage_bounds(sc: Scenario) -> Pipeline:
                                 r_bar_override=sc.r_bar_override)
     disc = discretization_range(report, sc.cell_diameter, sc.dt)
     diam = float(np.linalg.norm(sc.workspace_upper - sc.workspace_lower))
-    worst = max(g.degree(i) for i in range(1, sc.agent_count + 1)) * diam
+    degree = max(g.degree(i) for i in range(1, sc.agent_count + 1))
+    worst = degree * diam
     if worst > report.m_bound * (1.0 + _BOUNDARY_TOL):
         raise SemanticError(
             f"workspace too large for the drift bound: an agent of degree "
-            f"{max(g.degree(i) for i in range(1, sc.agent_count + 1))} can "
-            f"see drift up to {worst:.6g} > M = {report.m_bound:.6g}; "
+            f"{degree} can see drift up to {worst:.6g} > "
+            f"M = {report.m_bound:.6g}; "
             f"increase v_max or the safety factor, or shrink the workspace")
     return Pipeline(scenario=sc, g=g, spec=spec, report=report, disc=disc)
 

@@ -533,7 +533,7 @@ def _step_body(cell, action, services, cert) -> str:
     """A step's text up to its time value, keys in sorted order."""
     key, item = _KEY_INDENT, _ITEM_INDENT
     norms = "" if cert is None else (
-        f'{key}"input_norm": {_scalar(cert.nominal_norm())},\n'
+        f'{key}"input_norm": {_scalar(cert.norm)},\n'
         f'{key}"remainder": {_scalar(cert.remainder)},\n')
     cells = _array([item + _scalar(c) for c in action], key)
     names = _array([item + _scalar(s) for s in sorted(services)], key)

@@ -59,14 +59,16 @@ class CellDecomposition:
     ``cuts[k]`` is the increasing array of cell faces on axis k. It runs
     from the workspace's lower to its upper bound, so neighbouring cells
     share bitwise-equal faces. ``lows`` and ``highs`` (M x n) hold each
-    cell's corners in C order, and ``diameter`` is the longest cell
-    diagonal; all three are derived from the cuts.
+    cell's corners in C order, ``centers`` (M x n, read-only: every caller
+    shares it) their midpoints, and ``diameter`` is the longest cell
+    diagonal; all four are derived from the cuts.
     """
 
     workspace: Workspace
     cuts: tuple[np.ndarray, ...]
     lows: np.ndarray = field(init=False)
     highs: np.ndarray = field(init=False)
+    centers: np.ndarray = field(init=False)
     diameter: float = field(init=False)
 
     def __post_init__(self):
@@ -78,6 +80,8 @@ class CellDecomposition:
 
         self.lows = corners([c[:-1] for c in self.cuts])
         self.highs = corners([c[1:] for c in self.cuts])
+        self.centers = 0.5 * (self.lows + self.highs)
+        self.centers.flags.writeable = False
         # a product holds a cell that is widest on every axis at once
         self.diameter = float(np.linalg.norm(
             [np.diff(c).max() for c in self.cuts]))
@@ -102,8 +106,8 @@ class CellDecomposition:
         return self.lows[index - 1], self.highs[index - 1]
 
     def center(self, index: int) -> np.ndarray:
-        lo, hi = self.bounds(index)
-        return 0.5 * (lo + hi)
+        self.bounds(index)  # IndexError outside 1..cell_count
+        return self.centers[index - 1]
 
     def inradius(self, index: int) -> float:
         lo, hi = self.bounds(index)

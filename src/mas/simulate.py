@@ -31,11 +31,13 @@ workspace check runs once over them. From the first step whose input would
 clamp, the loop is stepped interval by interval with the clamped feedback,
 as open-loop inputs always are.
 
-The helpers at the bottom turn a continuous trajectory back into discrete
-data: the cell occupied at every sampling boundary, the services provided
+The helpers after it turn a continuous trajectory back into discrete data:
+the cell occupied at every sampling boundary and the services provided
 (merging consecutive boundaries in the same cell into a single visit, stamped
-at the midpoint of its first interval), and relative-state norms for
-boundedness checks.
+at the midpoint of its first interval). Invariance trials are open loop:
+`integrate_inputs` propagates given inputs, such as `bang_bang_inputs`, and
+`Trajectory.relative_norms` gives the relative-state norm at every node, to
+compare with the bound r_bar.
 """
 
 from __future__ import annotations
@@ -289,7 +291,7 @@ def integrate_plans(g: NetworkGraph, plans: list, decomp: CellDecomposition,
             f"agent {i + 1} starts in cell {starts[i]}, but its plan begins "
             f"in cell {table[0, i]}")
 
-    targets = (0.5 * (decomp.lows + decomp.highs))[table[1:] - 1]
+    targets = decomp.centers[table[1:] - 1]
     saturated: list[tuple[int, int]] = []
 
     def control(j: int, x: np.ndarray) -> np.ndarray:
@@ -366,49 +368,6 @@ def extract_service_word(
                 visits.append(((j + 0.5) * traj.dt, services))
         out[agent] = tuple(visits)
     return out
-
-
-@dataclass(eq=False)
-class BoundednessReport:
-    """Relative-state norms of one open-loop trial against the bound."""
-
-    initial_norm: float
-    peak_norm: float
-    final_norm: float
-    r_bar: float
-    tolerance: float
-
-    @property
-    def bound(self) -> float:
-        return max(self.initial_norm, self.r_bar)
-
-    @property
-    def contained(self) -> bool:
-        return self.peak_norm <= self.bound + self.tolerance
-
-    @property
-    def entered(self) -> bool:
-        return self.final_norm <= self.r_bar + self.tolerance
-
-
-def verify_boundedness(g: NetworkGraph, r_bar: float, x0: np.ndarray,
-                       inputs: np.ndarray, dt: float, substeps: int = 8,
-                       tol: float = 1e-6) -> BoundednessReport:
-    """Run one open-loop trial and compare relative-state norms to r_bar.
-
-    The invariance claim under test: the relative-state norm never exceeds
-    max(initial norm, r_bar) by more than the tolerance, no matter which
-    admissible inputs are applied.
-    """
-    traj = integrate_inputs(g, x0, inputs, dt, substeps=substeps)
-    norms = traj.relative_norms(g)
-    return BoundednessReport(
-        initial_norm=float(norms[0]),
-        peak_norm=float(norms.max()),
-        final_norm=float(norms[-1]),
-        r_bar=float(r_bar),
-        tolerance=tol,
-    )
 
 
 def bang_bang_inputs(g: NetworkGraph, v_max: float, steps: int,

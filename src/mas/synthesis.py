@@ -52,7 +52,7 @@ from .abstraction import AgentWTS, ProductWTS, TransitionCertificate
 from .errors import LengthMismatch, Unsatisfiable
 from .graph import NetworkGraph
 from .mitl import (MitlFormula, TimedWord, evaluate, formula_to_text,
-                   witness_instant, word_from_lasso)
+                   to_fraction, witness_instant, word_from_lasso)
 from .tba import TickClocks, TimedAutomaton, from_flat_mitl, intersect
 
 logger = logging.getLogger(__name__)
@@ -88,7 +88,7 @@ class BuchiProduct:
     def __init__(self, system, automaton: TimedAutomaton):
         self.system = system
         self.automaton = automaton
-        self.clocks = TickClocks(automaton, (system.dt,))
+        self.clocks = TickClocks(automaton, to_fraction(system.dt))
         # q -> (segment of each tick, tables, one {s: pairs} per segment)
         self._moves: dict[int, tuple] = {}
 
@@ -473,7 +473,6 @@ def synthesize(
     formulas: dict[int, MitlFormula],
     r_iter: int = DEFAULT_R_ITER,
     max_states: int = DEFAULT_STATE_CAP,
-    lcm_cap: int = DEFAULT_LCM_CAP,
 ) -> SynthesisResult:
     """Synthesize consistent per-agent plans satisfying every agent's formula.
 
@@ -518,11 +517,11 @@ def synthesize(
                 cells[i] = _project_cells(lassos[i], None)
             runs.append(cells[i])
         try:
-            ok = consistent(runs, product, lcm_cap)
+            ok = consistent(runs, product)
         except LengthMismatch:
             continue
         if ok:
-            aligned = align_runs(runs, lcm_cap)
+            aligned = align_runs(runs)
             plans = _build_plans(aligned, wts_list, product, formulas, dt)
             return SynthesisResult(
                 plans=plans, step_used=3,
@@ -536,10 +535,10 @@ def synthesize(
         raise Unsatisfiable(
             "exhaustive product search found no accepting joint run")
     joint_runs = [_project_cells(lasso, idx) for idx in range(len(wts_list))]
-    if not consistent(joint_runs, product, lcm_cap):
+    if not consistent(joint_runs, product):
         raise AssertionError(
             "internal error: product lasso projected to inconsistent runs")
-    aligned = align_runs(joint_runs, lcm_cap)
+    aligned = align_runs(joint_runs)
     plans = _build_plans(aligned, wts_list, product, formulas, dt)
     return SynthesisResult(
         plans=plans, step_used=4,

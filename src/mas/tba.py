@@ -24,20 +24,20 @@ product. ``intersect`` builds a product location's label, acceptance and
 edges the first time each is asked for, and the whole location list only
 when something asks for all of it.
 
-The clock is counted in integer ticks (``TickClocks``): when every delay is
-a multiple of delta, their gcd, the clock value is k*delta for an int k, and
-each guard is an integer range on k; a location's ranges cut the ticks
-into a few guard segments, within which no edge starts or stops admitting
-the clock. Values above the largest constant c_max are saturated to one
-tick, floor(c_max/delta) + 1, which guards cannot tell apart from the true
-value. c_max is read off the windows: a conjunct's is its formula window's
-largest constant, whichever letters its phases were expanded over, and an
-intersection's is the larger of its parts'. In a synthesis product every
-move takes the sampling period, so delta is dt; ``accepts_lasso`` ticks at
-the gcd of the checked word's gaps. Either way each move adds at least
-one tick, so the clock never decreases and every cycle of a product lies
-at the saturated tick: ``TickClocks.recurs`` is the Büchi condition both
-searches use.
+The clock is counted in integer ticks (``TickClocks``): the caller gives a
+delta of which every delay is a multiple, so the clock value is k*delta for
+an int k, and each guard is an integer range on k; a location's ranges cut
+the ticks into a few guard segments, within which no edge starts or stops
+admitting the clock. Values above the largest constant c_max are saturated
+to one tick, floor(c_max/delta) + 1, which guards cannot tell apart from the
+true value. c_max is read off the windows: a conjunct's is its formula
+window's largest constant, whichever letters its phases were expanded over,
+and an intersection's is the larger of its parts'. In a synthesis product
+every move takes the sampling period, so delta is dt; ``accepts_lasso``
+ticks at the gcd of the checked word's gaps. Either way each move adds at
+least one tick, so the clock never decreases and every cycle of a product
+lies at the saturated tick: ``TickClocks.recurs`` is the Büchi condition
+both searches use.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ from typing import Any, Iterable, Sequence
 from . import _ndfs
 from .errors import NonPeriodicWord, UnsupportedNesting
 from .mitl import (And, Atom, Always, Eventually, Interval, MitlFormula, Next,
-                   Not, TimedWord, Until, atoms, exact_gcd, to_fraction,
-                   window_ticks)
+                   Not, TimedWord, Until, atoms, exact_gcd, window_ticks)
 
 _NODE_CAP = 500_000
 
@@ -97,7 +96,14 @@ class TimedAutomaton:
 
     def __init__(self, locations, initial, edges, accepting, labels,
                  alphabet, c_max: Fraction | None = None):
-        self._set_locations(locations, initial, accepting, labels, alphabet)
+        self.locations = tuple(locations)
+        self.initial = tuple(initial)
+        self.accepting = frozenset(accepting)
+        self.labels = dict(labels)
+        self.alphabet = frozenset(alphabet)
+        missing = set(self.locations) - set(self.labels)
+        if missing:
+            raise ValueError(f"locations without labels: {sorted(map(str, missing))}")
         edges = tuple(edges)
         grouped: dict[Any, list[Edge]] = {loc: [] for loc in self.locations}
         for edge in edges:
@@ -107,16 +113,6 @@ class TimedAutomaton:
         self.edges_from = {loc: tuple(lst) for loc, lst in grouped.items()}
         self.c_max = _largest_constant(e.guard for e in edges) \
             if c_max is None else c_max
-
-    def _set_locations(self, locations, initial, accepting, labels, alphabet):
-        self.locations = tuple(locations)
-        self.initial = tuple(initial)
-        self.accepting = frozenset(accepting)
-        self.labels = dict(labels)
-        self.alphabet = frozenset(alphabet)
-        missing = set(self.locations) - set(self.labels)
-        if missing:
-            raise ValueError(f"locations without labels: {sorted(map(str, missing))}")
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -130,13 +126,13 @@ class TickClocks:
     """An automaton's clock counted in integer ticks of one delta, over
     numbered locations.
 
-    delta is the gcd of the delays time may advance by, so the clock value
-    is an int k meaning k*delta, or ``sat`` = floor(c_max/delta) + 1 for
-    every value above c_max. A guard becomes one inclusive tick range
-    (``tick_range``): each window admits the ticks ``mitl.window_ticks``
-    gives it, up to ``sat`` when unbounded, and a conjunction admits the
-    largest lower tick up to the smallest upper one (nothing when that
-    range is empty). Since every constant is at most c_max, the saturated
+    The caller gives delta, of which every delay time may advance by is a
+    whole multiple, so the clock value is an int k meaning k*delta, or
+    ``sat`` = floor(c_max/delta) + 1 for every value above c_max. A guard
+    becomes one inclusive tick range (``tick_range``): each window admits
+    the ticks ``mitl.window_ticks`` gives it, up to ``sat`` when unbounded,
+    and a conjunction admits the largest lower tick up to the smallest
+    upper one (nothing when that range is empty). Since every constant is at most c_max, the saturated
     tick passes each lower bound and fails each upper bound, exactly as an
     infinite value would. Each window's tick bounds are computed once.
 
@@ -153,9 +149,9 @@ class TickClocks:
     Büchi cycle.
     """
 
-    def __init__(self, automaton: TimedAutomaton, delays: Iterable):
+    def __init__(self, automaton: TimedAutomaton, delta: Fraction):
         self.automaton = automaton
-        self.delta = exact_gcd(to_fraction(d) for d in delays)
+        self.delta = delta
         self.sat = math.floor(automaton.c_max / self.delta) + 1
         self.locations: list = []
         self.accepting: list[bool] = []
@@ -186,12 +182,6 @@ class TickClocks:
         location at the saturated tick can recur.
         """
         return k == self.sat and self.accepting[i]
-
-    def ticks(self, delay) -> int:
-        count = to_fraction(delay) / self.delta
-        if count.denominator != 1:
-            raise ValueError(f"delay {delay} is not a multiple of {self.delta}")
-        return count.numerator
 
     def tick_range(self, guard: Guard) -> tuple[int, int]:
         """(lowest tick, highest tick) the guard admits."""
@@ -607,7 +597,10 @@ def accepts_lasso(automaton: TimedAutomaton, word: TimedWord,
     if not isinstance(word, TimedWord):
         raise NonPeriodicWord(
             f"need an ultimately periodic TimedWord, got {type(word).__name__}")
-    clocks = TickClocks(automaton, word.gaps())
+    delta = exact_gcd(word.gaps())
+    clocks = TickClocks(automaton, delta)
+    # word ticks per clock tick: every gap is a multiple of delta
+    scale = (delta / word.unit).numerator
     letters = [word.letter(j) & automaton.alphabet
                for j in range(word.prefix_length + word.cycle_length)]
     carried = set(automaton.labels.values())
@@ -621,7 +614,7 @@ def accepts_lasso(automaton: TimedAutomaton, word: TimedWord,
     def successors(node):
         i, k, phase = node
         # the position this phase stands for advances to phase+1
-        d = clocks.ticks(word.time(phase + 1) - word.time(phase))
+        d = (word.tick(phase + 1) - word.tick(phase)) // scale
         next_phase = word.canonical(phase + 1)
         k, targets = clocks.moves(i, k, d, letters[next_phase])
         return [(target, k, next_phase) for target in targets]

@@ -418,7 +418,7 @@ def test_certificates_are_the_feedback_law_at_cell_centers():
                     + np.linalg.norm(np.abs(g.laplacian[agent - 1]) @ abs(x))
                 assert np.allclose(cert.nominal_input, law, rtol=1e-12,
                                    atol=1e-12 * scale)
-                assert cert.nominal_norm() \
+                assert cert.norm \
                     <= rep.lambda_reach * v_max * (1 + 1e-12)
                 checked += 1
                 coupled += bool(np.any(g.laplacian[agent - 1] @ x))
@@ -454,7 +454,7 @@ def _assert_certificates_equal_the_one_move_law(w, decomp, rep, disc):
         assert (cert.agent, cert.source, cert.target, cert.neighbor_cells) \
             == (w.agent, action[0], target, action[1:])
         assert cert.nominal_input.tobytes() == nominal.tobytes()
-        assert cert.nominal_norm().hex() == norm.hex()
+        assert cert.norm.hex() == norm.hex()
         assert cert.remainder.hex() == remainder.hex()
     for k in range(0, len(moves), 97):
         assert w.certificate(*moves[k]) is certs[k]

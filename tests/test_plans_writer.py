@@ -47,7 +47,7 @@ def plans_to_dict(sc, result: SynthesisResult) -> dict:
                 "time": j * plan.dt,
             }
             if cert is not None:
-                entry["input_norm"] = cert.nominal_norm()
+                entry["input_norm"] = cert.norm
                 entry["remainder"] = cert.remainder
             return entry
 

@@ -14,8 +14,7 @@ from mas.partition import (CellDecomposition, ServiceLabeling, Workspace,
 from mas.simulate import (WORKSPACE_TOL, Trajectory, _interval_operator,
                           bang_bang_inputs, boundary_cells,
                           extract_service_word, integrate_inputs,
-                          integrate_plans, verify_against_plans,
-                          verify_boundedness)
+                          integrate_plans, verify_against_plans)
 from mas.synthesis import Plan
 
 from conftest import batched_rk4, reference_feedback
@@ -438,13 +437,15 @@ def test_boundedness_report_tracks_entry_and_containment():
     g = build_graph(3, [(1, 2), (2, 3)])
     x0 = np.array([[0.0], [0.0], [9.0]])
     assert np.linalg.norm(relative_state(g, x0)) == pytest.approx(9.0)
-    long = verify_boundedness(g, r_bar=2.0, x0=x0,
-                              inputs=np.zeros((10, 3, 1)), dt=1.0)
-    assert long.bound == 9.0
-    assert long.contained and long.entered
-    short = verify_boundedness(g, r_bar=2.0, x0=x0,
-                               inputs=np.zeros((0, 3, 1)), dt=1.0)
-    assert short.contained and not short.entered
+    norms = integrate_inputs(g, x0, np.zeros((10, 3, 1)), dt=1.0,
+                             substeps=8).relative_norms(g)
+    assert norms[0] == 9.0
+    # contained in max(initial norm, r_bar) = 9, and inside r_bar = 2 at the end
+    assert norms.max() <= 9.0 + 1e-6
+    assert norms[-1] <= 2.0 + 1e-6
+    short = integrate_inputs(g, x0, np.zeros((0, 3, 1)), dt=1.0,
+                             substeps=8).relative_norms(g)
+    assert short.shape == (1,) and short[0] == 9.0
 
 
 def test_adversarial_inputs_saturate_the_magnitude_bound():

@@ -22,7 +22,7 @@ import pytest
 
 from mas import _ndfs
 from mas.errors import BudgetExceeded
-from mas.mitl import TimedWord
+from mas.mitl import TimedWord, exact_gcd
 from mas.tba import (TickClocks, accepts_lasso, canonical_letters,
                      from_flat_mitl)
 
@@ -261,7 +261,8 @@ def _payload_shortest_loop(anchor, successors, max_states):
 def payload_accepts_lasso(automaton, word, node_cap=500_000):
     """Eager lasso acceptance: the whole (location, tick, phase) graph is
     built first, then searched."""
-    clocks = TickClocks(automaton, word.gaps())
+    delta = exact_gcd(word.gaps())
+    clocks = TickClocks(automaton, delta)
     p, c = word.prefix_length, word.cycle_length
 
     def tag_of(position):
@@ -275,7 +276,8 @@ def payload_accepts_lasso(automaton, word, node_cap=500_000):
     while frontier:
         node = frontier.pop()
         loc, k, tag = node
-        d = clocks.ticks(word.time(tag + 1) - word.time(tag))
+        d, rest = divmod(word.time(tag + 1) - word.time(tag), delta)
+        assert rest == 0
         next_tag = tag_of(tag + 1)
         succ = []
         k, targets = clocks.moves(loc, k, d, word.letter(tag + 1))

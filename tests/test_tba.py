@@ -11,9 +11,9 @@ import pytest
 
 from mas import mitl
 from mas.errors import BudgetExceeded, NonPeriodicWord, UnsupportedNesting
-from mas.mitl import TimedWord, evaluate, parse, word_from_lasso
-from mas.tba import (TickClocks, accepts_lasso, canonical_letters,
-                     from_flat_mitl, intersect)
+from mas.mitl import (TimedWord, evaluate, exact_gcd, parse,
+                      word_from_lasso)
+from mas.tba import accepts_lasso, canonical_letters, from_flat_mitl, intersect
 
 from conftest import (random_flat_formula, random_lasso_word,
                       universal_acceptor)
@@ -207,15 +207,16 @@ _MIXED_GAPS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1),
                Fraction(3, 2), Fraction(3, 10))
 
 
-def _mixed_gap_word(rng) -> TimedWord:
-    """Random lasso word whose gaps mix several sampling periods."""
+def _mixed_gap_word(rng, start=Fraction(0)) -> TimedWord:
+    """Random lasso word whose gaps mix several sampling periods, its first
+    position at ``start``."""
     def letter():
         return frozenset(x for x in "pq" if rng.random() < 0.4)
 
     def gap():
         return _MIXED_GAPS[int(rng.integers(len(_MIXED_GAPS)))]
 
-    prefix, t = [], Fraction(0)
+    prefix, t = [], start
     for _ in range(int(rng.integers(1, 6))):
         prefix.append((letter(), t))
         t += gap()
@@ -235,9 +236,26 @@ def test_mixed_gap_words_agree_too():
         assert got == evaluate(word, formula), \
             (mitl.formula_to_text(formula), word)
         verdicts.append(got)
-        deltas.add(TickClocks(auto, word.gaps()).delta)
+        deltas.add(exact_gcd(word.gaps()))
     assert 0 < sum(verdicts) < len(verdicts)
     assert Fraction(1, 20) in deltas and len(deltas) > 4
+
+
+def test_late_starting_words_agree_too():
+    # a first timestamp off the gaps' grid makes the word's unit finer than
+    # the gcd of its gaps, so each clock tick spans several of its ticks
+    rng = np.random.default_rng(43)
+    verdicts, scaled = [], 0
+    for _ in range(200):
+        formula = random_flat_formula(rng)
+        word = _mixed_gap_word(rng, start=Fraction(1, 8))
+        auto = from_flat_mitl(formula, letters=canonical_letters({"p", "q"}))
+        got = accepts_lasso(auto, word)
+        assert got == evaluate(word, formula), \
+            (mitl.formula_to_text(formula), word)
+        verdicts.append(got)
+        scaled += exact_gcd(word.gaps()) != word.unit
+    assert 0 < sum(verdicts) < len(verdicts) and scaled > 150
 
 
 def test_intersection_is_freed_without_the_cycle_collector():

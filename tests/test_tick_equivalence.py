@@ -340,7 +340,7 @@ def test_conjoined_guards_compile_to_the_intersection_of_their_terms():
         auto = TimedAutomaton(["a"], ["a"], [Edge("a", guard, "a")], ["a"],
                               {"a": frozenset()}, frozenset())
         delta = Fraction(str(rng.choice(["1/2", "1/4", "3/10", "1"])))
-        clocks = TickClocks(auto, (delta,))
+        clocks = TickClocks(auto, delta)
         lo, hi = _assert_same_range(clocks, guard)
         seen["empty"] += lo > hi
         for bound in guard.terms:
@@ -723,7 +723,7 @@ class ObjectProduct:
     def __init__(self, system, automaton: TimedAutomaton):
         self.system = system
         self.automaton = automaton
-        self.clocks = TickClocks(automaton, (system.dt,))
+        self.clocks = TickClocks(automaton, to_fraction(system.dt))
         self._cache: dict = {}
 
     def initial(self):
