@@ -312,9 +312,7 @@ def build_transition_table(
     budget = bounds.lambda_reach * bounds.v_max * dt
     rho = deviation_remainder(bounds, dt)
 
-    # CellDecomposition.inradius, for every cell at once
-    inradii = 0.5 * (decomp.highs - decomp.lows).min(axis=1)
-    sized = np.nonzero(rho <= inradii)[0]  # per-target remainder test
+    sized = np.nonzero(rho <= decomp.inradii)[0]  # per-target remainder test
     nbr_cells = np.array(list(itertools.product(cells.tolist(), repeat=degree)),
                          dtype=int).reshape(len(cells) ** degree, degree)
     # one reduction for every tuple, so each class key is the sum every one

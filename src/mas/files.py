@@ -25,7 +25,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -471,18 +471,33 @@ def plans_json(sc: Scenario, result: SynthesisResult) -> str:
     """The text of plans.json, byte for byte what ``json.dumps(document,
     indent=2, sort_keys=True) + "\\n"`` writes, in one pass.
 
-    A step's text is a body followed by its time; the body holds every
+    A step's text is a body followed by its end; the body holds every
     other key (``action``, ``cell``, ``input_norm`` and ``remainder`` when
-    the step has a certificate, ``services``). Agents dwell, so steps
-    repeat bodies (the two step-4 pair plans' 1 834 steps have 383): each
-    distinct (cell, action, services, certificate) is formatted once per
-    plan, and every step adds only its time ``j * dt``. Strings, NaN and
-    Infinity are written by ``json.dumps``, so their escapes and spellings
-    are its own.
+    the step has a certificate, ``services``), the end its time ``j * dt``
+    and the closing brace. Agents dwell, so steps repeat bodies (the two
+    step-4 pair plans' 1 834 steps have 383): each distinct (cell, action,
+    services, certificate) is formatted once for the whole file, and each
+    action, letter and number in it once (`_Bodies`). The ends are
+    formatted once per position for every plan with the same ``dt``, and
+    each step is its body's text plus its end's, joined at C speed.
+    Strings, NaN and Infinity are written by ``json.dumps``, so their
+    escapes and spellings are its own.
     """
+    length = max(plan.prefix_length + plan.cycle_length
+                 for plan in result.plans)
+    ends: dict[str, list[str]] = {}   # dt text -> each position's end
+    bodies = _Bodies()
     agents = []
     for plan in result.plans:
-        steps = _steps(plan)
+        dt_text = _scalar(plan.dt)
+        if dt_text not in ends:
+            ends[dt_text] = _step_ends(plan.dt, length)
+        steps = list(map(add, map(bodies.__getitem__, zip(
+            plan.prefix_cells + plan.cycle_cells,
+            plan.prefix_actions + plan.cycle_actions,
+            plan.provided_prefix + plan.provided_cycle,
+            plan.certificates_prefix + plan.certificates_cycle)),
+            ends[dt_text]))
         p = plan.prefix_length
         wt = plan.witness_time
         agents.append(
@@ -511,38 +526,57 @@ _KEY_INDENT = " " * 10
 _ITEM_INDENT = " " * 12
 
 
-def _steps(plan: Plan) -> list[str]:
-    """The texts of a plan's steps, prefix then cycle."""
-    bodies: dict[tuple, str] = {}
-    out = []
-    dt = plan.dt
-    for j, (cell, action, services, cert) in enumerate(zip(
-            plan.prefix_cells + plan.cycle_cells,
-            plan.prefix_actions + plan.cycle_actions,
-            plan.provided_prefix + plan.provided_cycle,
-            plan.certificates_prefix + plan.certificates_cycle)):
-        key = (cell, action, services, id(cert))
-        body = bodies.get(key)
-        if body is None:
-            body = bodies[key] = _step_body(cell, action, services, cert)
-        out.append(body + _scalar(j * dt) + "\n" + _STEP_INDENT + "}")
-    return out
+def _step_ends(dt, count: int) -> list[str]:
+    """The ends of steps 0 .. count - 1: the time ``j * dt``, then the
+    step's closing brace."""
+    times = [j * dt for j in range(count)]
+    # |j * dt| grows with j, so a finite last time makes every one finite
+    finite = isinstance(dt, float) and math.isfinite(times[-1])
+    close = "\n" + _STEP_INDENT + "}"
+    return [text + close
+            for text in map(float.__repr__ if finite else _scalar, times)]
 
 
-def _step_body(cell, action, services, cert) -> str:
-    """A step's text up to its time value, keys in sorted order."""
-    key, item = _KEY_INDENT, _ITEM_INDENT
-    norms = "" if cert is None else (
-        f'{key}"input_norm": {_scalar(cert.norm)},\n'
-        f'{key}"remainder": {_scalar(cert.remainder)},\n')
-    cells = _array([item + _scalar(c) for c in action], key)
-    names = _array([item + _scalar(s) for s in sorted(services)], key)
-    return (f'{_STEP_INDENT}{{\n'
-            f'{key}"action": {cells},\n'
-            f'{key}"cell": {_scalar(cell)},\n'
-            f'{norms}'
-            f'{key}"services": {names},\n'
-            f'{key}"time": ')
+class _Bodies(dict):
+    """Step bodies, each made on first use: the text of a step up to its
+    time value, keyed by (cell, action, services, certificate), with the
+    keys in sorted order. A certificate is hashed by identity; each
+    action and letter is formatted once, by value, and each number once
+    per object, keyed by identity while the plans hold it."""
+
+    def __init__(self):
+        super().__init__()
+        self.actions: dict[tuple, str] = {}
+        self.letters: dict[frozenset, str] = {}
+        self.numbers: dict[int, str] = {}
+
+    def number(self, x) -> str:
+        text = self.numbers.get(id(x))
+        if text is None:
+            text = self.numbers[id(x)] = _scalar(x)
+        return text
+
+    def __missing__(self, key) -> str:
+        cell, action, services, cert = key
+        indent, item = _KEY_INDENT, _ITEM_INDENT
+        cells = self.actions.get(action)
+        if cells is None:
+            cells = self.actions[action] = _array(
+                [item + self.number(c) for c in action], indent)
+        names = self.letters.get(services)
+        if names is None:
+            names = self.letters[services] = _array(
+                [item + _scalar(s) for s in sorted(services)], indent)
+        norms = "" if cert is None else (
+            f'{indent}"input_norm": {self.number(cert.norm)},\n'
+            f'{indent}"remainder": {self.number(cert.remainder)},\n')
+        body = self[key] = (f'{_STEP_INDENT}{{\n'
+                            f'{indent}"action": {cells},\n'
+                            f'{indent}"cell": {self.number(cell)},\n'
+                            f'{norms}'
+                            f'{indent}"services": {names},\n'
+                            f'{indent}"time": ')
+        return body
 
 
 def _scalar(x) -> str:

@@ -60,8 +60,9 @@ class CellDecomposition:
     from the workspace's lower to its upper bound, so neighbouring cells
     share bitwise-equal faces. ``lows`` and ``highs`` (M x n) hold each
     cell's corners in C order, ``centers`` (M x n, read-only: every caller
-    shares it) their midpoints, and ``diameter`` is the longest cell
-    diagonal; all four are derived from the cuts.
+    shares it) their midpoints, ``inradii`` (M, read-only too) half of each
+    cell's shortest side, and ``diameter`` is the longest cell diagonal;
+    all five are derived from the cuts.
     """
 
     workspace: Workspace
@@ -69,6 +70,7 @@ class CellDecomposition:
     lows: np.ndarray = field(init=False)
     highs: np.ndarray = field(init=False)
     centers: np.ndarray = field(init=False)
+    inradii: np.ndarray = field(init=False)
     diameter: float = field(init=False)
 
     def __post_init__(self):
@@ -82,6 +84,8 @@ class CellDecomposition:
         self.highs = corners([c[1:] for c in self.cuts])
         self.centers = 0.5 * (self.lows + self.highs)
         self.centers.flags.writeable = False
+        self.inradii = 0.5 * (self.highs - self.lows).min(axis=1)
+        self.inradii.flags.writeable = False
         # a product holds a cell that is widest on every axis at once
         self.diameter = float(np.linalg.norm(
             [np.diff(c).max() for c in self.cuts]))
@@ -110,8 +114,8 @@ class CellDecomposition:
         return self.centers[index - 1]
 
     def inradius(self, index: int) -> float:
-        lo, hi = self.bounds(index)
-        return 0.5 * float((hi - lo).min())
+        self.bounds(index)  # IndexError outside 1..cell_count
+        return float(self.inradii[index - 1])
 
 
 def grid_decompose(workspace: Workspace, target_diameter: float,

@@ -275,14 +275,15 @@ def integrate_plans(g: NetworkGraph, plans: list, decomp: CellDecomposition,
             f"got {x0.shape}")
     table = _planned_cells(plans, steps + 1, g.agent_count)
     dt = plans[0].dt
+    count = decomp.cell_count
     for plan in plans:
         if plan.dt != dt:
             raise SemanticError("plans disagree on the sampling interval")
         for j, cell in enumerate((*plan.prefix_cells, *plan.cycle_cells)):
-            if not 1 <= cell <= decomp.cell_count:
+            if not 1 <= cell <= count:
                 raise SemanticError(
                     f"agent {plan.agent}'s plan names cell {cell} at step "
-                    f"{j}, but the scenario has {decomp.cell_count} cells")
+                    f"{j}, but the scenario has {count} cells")
     starts = cells_of(decomp, x0)
     wrong = np.flatnonzero(starts != table[0])
     if wrong.size:

@@ -263,10 +263,17 @@ def enumerate_accepting_lassos(product: BuchiProduct,
     rather than expanded. They are the same lists the full sweep would
     build and count the same against ``max_states``. The layers at ``sat``
     share one seen set and are always expanded.
+
+    Stems share their prefixes, since every pair has one parent: an
+    anchor's stem is walked back through the parent indices only until it
+    meets a (depth, index) pair that an earlier stem passed through, and
+    that stem's slice up to the pair is reused.
     """
     layers, parents = _tick_layers(product, max_states)
     sat, accepting = product.clocks.sat, product.clocks.accepting
     found = []
+    # (depth, index) of every pair a stem has passed -> that stem
+    through: dict[tuple[int, int], tuple] = {}
     for d in range(sat, len(layers)):
         for i, (s, q) in enumerate(layers[d]):
             if not accepting[q]:
@@ -274,13 +281,21 @@ def enumerate_accepting_lassos(product: BuchiProduct,
             loop = _ndfs._shortest_loop((s, q, sat), product.successors)
             if loop is None:
                 continue
-            stem, p = [], i
-            for j in range(d - 1, -1, -1):
-                p = parents[j + 1][p]
-                s2, q2 = layers[j][p]
-                stem.append((s2, q2, j if j < sat else sat))
-            stem.reverse()
-            found.append((d, len(loop), Lasso(tuple(stem), loop)))
+            walked, p, j = [], i, d
+            shared = ()
+            while j:
+                p = parents[j][p]
+                j -= 1
+                earlier = through.get((j, p))
+                if earlier is not None:
+                    shared = earlier[:j + 1]
+                    break
+                walked.append((j, p))
+            stem = shared + tuple(
+                (*layers[e][p], e if e < sat else sat)
+                for e, p in reversed(walked))
+            through.update(dict.fromkeys(walked, stem))
+            found.append((d, len(loop), Lasso(stem, loop)))
     # stable, so equal keys keep discovery order
     found.sort(key=lambda item: item[:2])
     return [item[2] for item in found]
@@ -312,14 +327,17 @@ def _aligned_shape(runs: list[tuple[tuple, tuple]],
 def align_runs(runs: list[tuple[tuple, tuple]],
                lcm_cap: int = DEFAULT_LCM_CAP) -> list[tuple[tuple, tuple]]:
     """Reslice per-agent (prefix, cycle) runs to their common prefix and
-    period (``_aligned_shape``)."""
+    period (``_aligned_shape``). A run that already has them, as every
+    projection of one joint lasso does, is returned as it is."""
     p_star, c_star = _aligned_shape(runs, lcm_cap)
     out = []
     for prefix, cycle in runs:
-        new_prefix = tuple(_cell_at(prefix, cycle, j) for j in range(p_star))
-        new_cycle = tuple(_cell_at(prefix, cycle, p_star + k)
-                          for k in range(c_star))
-        out.append((new_prefix, new_cycle))
+        if len(prefix) != p_star or len(cycle) != c_star:
+            run = tuple(itertools.islice(
+                itertools.chain(prefix, itertools.cycle(cycle)),
+                p_star + c_star))
+            prefix, cycle = run[:p_star], run[p_star:]
+        out.append((prefix, cycle))
     return out
 
 

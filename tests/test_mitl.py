@@ -136,6 +136,19 @@ def test_word_from_lasso_accepts_empty_prefix():
     assert w.letter(2) == A and w.time(2) == 2
 
 
+def test_word_from_lasso_gives_one_frozenset_per_distinct_letter():
+    # fresh lists, one per position, against repeated frozenset objects
+    # and an equal frozenset that is another object
+    as_lists = word_from_lasso([["a"], ["b", "a"], [], ["a"]],
+                               [["a", "b"], [], ["b", "a"]], 1)
+    as_sets = word_from_lasso([A, AB, E, frozenset("a")], [AB, E, AB], 1)
+    assert as_lists == as_sets
+    for w in (as_lists, as_sets):
+        assert w.letters == (A, AB, E, A, AB, E, AB)
+        assert all(type(letter) is frozenset for letter in w.letters)
+        assert len({id(letter) for letter in w.letters}) == 3
+
+
 def test_degenerate_words_rejected():
     with pytest.raises(ValueError):
         word_from_lasso([A], [], 1)

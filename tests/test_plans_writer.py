@@ -5,7 +5,9 @@ The oracle below is the earlier writer, ``plans_to_dict``, whose document
 must give the same text on random plans (certificates and hand-built
 ``None`` ones, empty and multi-service letters, names that need JSON
 escapes, floats that are NaN or infinite, an empty aligned prefix, 1-4
-agents, long runs whose steps share few bodies) and on real plans: the
+agents, long runs whose steps share few bodies), on two fixed cases (norms
+0.0, -0.0 and NaN beside one shared remainder; plans of different lengths
+and sampling intervals) and on real plans: the
 step-4 pair scenario's and those of the shipped scenarios that have
 plans. The text read back gives the plans' cells, actions and services.
 """
@@ -188,6 +190,62 @@ def test_a_time_that_is_not_a_number_is_written_as_json_dumps_writes_it(
     text = plans_json(sc, result)
     _assert_same_text(text, sc, result)
     assert '"time": NaN' in text
+
+
+def _plan(agent: int, dt, steps, prefix_length: int) -> Plan:
+    """A plan from (cell, action, services, certificate) steps."""
+    cells, actions, provided, certificates = (
+        tuple(column) for column in zip(*steps))
+    p = prefix_length
+    return Plan(agent=agent, dt=dt,
+                prefix_cells=cells[:p], cycle_cells=cells[p:],
+                prefix_actions=actions[:p], cycle_actions=actions[p:],
+                provided_prefix=provided[:p], provided_cycle=provided[p:],
+                certificates_prefix=certificates[:p],
+                certificates_cycle=certificates[p:],
+                formula_text="F[0,1] a")
+
+
+def _result(*plans: Plan) -> SynthesisResult:
+    return SynthesisResult(plans=list(plans), step_used=4,
+                           agent_lasso_counts=[1] * len(plans),
+                           combinations_tried=1)
+
+
+def test_zero_signs_and_nan_norms_beside_a_shared_remainder():
+    remainder = 0.125   # one object in every certificate, as rho(dt) is
+    certificates = [
+        TransitionCertificate(agent=1, source=1, target=1, neighbor_cells=(),
+                              nominal_input=np.zeros(1), norm=norm,
+                              remainder=remainder)
+        for norm in (0.0, -0.0, math.nan, 1.0, 0.125, -0.0)]
+    a = frozenset({"a"})
+    steps = [(1, (1,), a, cert) for cert in certificates]
+    steps += [(1, (1,), a, None), (1, (1,), a, certificates[1])]
+    sc = SimpleNamespace(name="signs")
+    text = _assert_written_as_before(sc, _result(_plan(1, 0.5, steps, 3)))
+    for norm, count in (("0.0", 1), ("-0.0", 3), ("NaN", 1), ("1.0", 1),
+                        ("0.125", 1)):
+        assert text.count(f'"input_norm": {norm},') == count
+    assert text.count('"remainder": 0.125,') == 7
+
+
+def test_plans_of_different_lengths_share_their_times():
+    a, b = frozenset({"a"}), frozenset({"b", "c"})
+    short = [(1, (1, 2), a, None), (2, (2, 2), frozenset(), None)]
+    long = [(2, (2, 1), b, None)] * 3 + [(3, (3, 1), b, None)] * 6
+    for dt in (0.1, 1, -0.0, 1e308, math.nan):
+        for plans in ([_plan(1, dt, short, 1), _plan(2, dt, long, 4)],
+                      [_plan(1, dt, long, 0), _plan(2, dt, short, 2)]):
+            sc, result = SimpleNamespace(name=f"lengths {dt}"), \
+                _result(*plans)
+            text = plans_json(sc, result)
+            _assert_same_text(text, sc, result)
+            assert text.count('"time"') == len(short) + len(long)
+    # plans whose dt differ keep their own times
+    plans = [_plan(1, 1, long, 4), _plan(2, 1.0, long, 4),
+             _plan(3, 0.5, short, 1)]
+    _assert_written_as_before(SimpleNamespace(name="dts"), _result(*plans))
 
 
 # --------------------------------------------------------------------------

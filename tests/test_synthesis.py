@@ -94,6 +94,13 @@ def test_align_runs_to_common_prefix_and_period():
     (pa, ca), (pb, cb) = align_runs([run_a, run_b])
     assert pa == (1, 2) and ca == (3, 4, 3, 4, 3, 4)
     assert pb == (9, 8) and cb == (7, 6, 8, 7, 6, 8)
+    # runs already in the common shape, as a joint lasso's projections
+    # are, come back as they are
+    run_c = ((1, 2, 3), (4, 5, 4, 5, 4, 5))
+    run_d = ((9, 8, 7), (6, 8, 7, 6, 8, 7))
+    assert align_runs([run_a, run_b, run_c, run_d])[2:] == [run_c, run_d]
+    assert align_runs([run_c, run_d]) == [run_c, run_d]
+    assert align_runs([run_a, run_a]) == [run_a, run_a]
 
 
 def test_align_runs_respects_the_period_cap():
