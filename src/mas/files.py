@@ -476,8 +476,8 @@ def plans_json(sc: Scenario, result: SynthesisResult) -> str:
     the step has a certificate, ``services``), the end its time ``j * dt``
     and the closing brace. Agents dwell, so steps repeat bodies (the two
     step-4 pair plans' 1 834 steps have 383): each distinct (cell, action,
-    services, certificate) is formatted once for the whole file, and each
-    action, letter and number in it once (`_Bodies`). The ends are
+    services, certificate) is formatted once for the whole file, and
+    each action and letter in it once (`_Bodies`). The ends are
     formatted once per position for every plan with the same ``dt``, and
     each step is its body's text plus its end's, joined at C speed.
     Strings, NaN and Infinity are written by ``json.dumps``, so their
@@ -529,50 +529,39 @@ _ITEM_INDENT = " " * 12
 def _step_ends(dt, count: int) -> list[str]:
     """The ends of steps 0 .. count - 1: the time ``j * dt``, then the
     step's closing brace."""
-    times = [j * dt for j in range(count)]
-    # |j * dt| grows with j, so a finite last time makes every one finite
-    finite = isinstance(dt, float) and math.isfinite(times[-1])
     close = "\n" + _STEP_INDENT + "}"
-    return [text + close
-            for text in map(float.__repr__ if finite else _scalar, times)]
+    return [_scalar(j * dt) + close for j in range(count)]
 
 
 class _Bodies(dict):
     """Step bodies, each made on first use: the text of a step up to its
     time value, keyed by (cell, action, services, certificate), with the
-    keys in sorted order. A certificate is hashed by identity; each
-    action and letter is formatted once, by value, and each number once
-    per object, keyed by identity while the plans hold it."""
+    keys in sorted order. A certificate hashes by identity. Bodies share
+    few actions and letters, so the array text of each is made once too,
+    keyed by value."""
 
     def __init__(self):
         super().__init__()
         self.actions: dict[tuple, str] = {}
         self.letters: dict[frozenset, str] = {}
-        self.numbers: dict[int, str] = {}
-
-    def number(self, x) -> str:
-        text = self.numbers.get(id(x))
-        if text is None:
-            text = self.numbers[id(x)] = _scalar(x)
-        return text
 
     def __missing__(self, key) -> str:
         cell, action, services, cert = key
         indent, item = _KEY_INDENT, _ITEM_INDENT
+        norms = "" if cert is None else (
+            f'{indent}"input_norm": {_scalar(cert.norm)},\n'
+            f'{indent}"remainder": {_scalar(cert.remainder)},\n')
         cells = self.actions.get(action)
         if cells is None:
             cells = self.actions[action] = _array(
-                [item + self.number(c) for c in action], indent)
+                [item + _scalar(c) for c in action], indent)
         names = self.letters.get(services)
         if names is None:
             names = self.letters[services] = _array(
                 [item + _scalar(s) for s in sorted(services)], indent)
-        norms = "" if cert is None else (
-            f'{indent}"input_norm": {self.number(cert.norm)},\n'
-            f'{indent}"remainder": {self.number(cert.remainder)},\n')
         body = self[key] = (f'{_STEP_INDENT}{{\n'
                             f'{indent}"action": {cells},\n'
-                            f'{indent}"cell": {self.number(cell)},\n'
+                            f'{indent}"cell": {_scalar(cell)},\n'
                             f'{norms}'
                             f'{indent}"services": {names},\n'
                             f'{indent}"time": ')

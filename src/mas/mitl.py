@@ -299,10 +299,7 @@ def word_from_lasso(letters_prefix, letters_cycle, dt: TimeLike) -> TimedWord:
     """Word of a uniformly sampled lasso run: position j occurs at j*dt.
 
     The unit is dt, so position j sits at tick j; an empty prefix takes
-    one copy of the cycle, so that position 0 is explicit. Each distinct
-    letter object of the run is converted to a frozenset of names once,
-    keyed by identity while the run holds it, and equal letters share one
-    frozenset, however long the run.
+    one copy of the cycle, so that position 0 is explicit.
     """
     unit = to_fraction(dt)
     prefix, cycle = list(letters_prefix), list(letters_cycle)
@@ -312,13 +309,10 @@ def word_from_lasso(letters_prefix, letters_cycle, dt: TimeLike) -> TimedWord:
         # the general constructor names the fault
         return TimedWord([(ls, unit * j) for j, ls in enumerate(prefix)],
                          [(ls, unit) for ls in cycle])
-    run = prefix + cycle
+    # one frozenset per distinct letter, however long the run
     distinct: dict[frozenset[str], frozenset[str]] = {}
-    converted: dict[int, frozenset[str]] = {}
-    for key, ls in dict(zip(map(id, run), run)).items():
-        letter = frozenset(map(str, ls))
-        converted[key] = distinct.setdefault(letter, letter)
-    letters = tuple(map(converted.__getitem__, map(id, run)))
+    letters = tuple(distinct.setdefault(letter, letter) for letter in
+                    (frozenset(map(str, ls)) for ls in prefix + cycle))
     word = object.__new__(TimedWord)
     word._set(letters, tuple(range(len(letters))), len(prefix), len(cycle),
               unit)

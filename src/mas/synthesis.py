@@ -267,7 +267,7 @@ def enumerate_accepting_lassos(product: BuchiProduct,
     Stems share their prefixes, since every pair has one parent: an
     anchor's stem is walked back through the parent indices only until it
     meets a (depth, index) pair that an earlier stem passed through, and
-    that stem's slice up to the pair is reused.
+    that stem's pairs up to it are reused.
     """
     layers, parents = _tick_layers(product, max_states)
     sat, accepting = product.clocks.sat, product.clocks.accepting
@@ -281,19 +281,22 @@ def enumerate_accepting_lassos(product: BuchiProduct,
             loop = _ndfs._shortest_loop((s, q, sat), product.successors)
             if loop is None:
                 continue
+            # built in one list: short slices and partial tuples, freed
+            # at once, would stay in CPython's tuple free lists and raise
+            # the process's resident memory over many calls
             walked, p, j = [], i, d
-            shared = ()
+            stem = []
             while j:
                 p = parents[j][p]
                 j -= 1
                 earlier = through.get((j, p))
                 if earlier is not None:
-                    shared = earlier[:j + 1]
+                    stem.extend(itertools.islice(earlier, j + 1))
                     break
                 walked.append((j, p))
-            stem = shared + tuple(
-                (*layers[e][p], e if e < sat else sat)
-                for e, p in reversed(walked))
+            stem.extend((*layers[e][p], e if e < sat else sat)
+                        for e, p in reversed(walked))
+            stem = tuple(stem)
             through.update(dict.fromkeys(walked, stem))
             found.append((d, len(loop), Lasso(stem, loop)))
     # stable, so equal keys keep discovery order
@@ -327,17 +330,13 @@ def _aligned_shape(runs: list[tuple[tuple, tuple]],
 def align_runs(runs: list[tuple[tuple, tuple]],
                lcm_cap: int = DEFAULT_LCM_CAP) -> list[tuple[tuple, tuple]]:
     """Reslice per-agent (prefix, cycle) runs to their common prefix and
-    period (``_aligned_shape``). A run that already has them, as every
-    projection of one joint lasso does, is returned as it is."""
+    period (``_aligned_shape``)."""
     p_star, c_star = _aligned_shape(runs, lcm_cap)
     out = []
     for prefix, cycle in runs:
-        if len(prefix) != p_star or len(cycle) != c_star:
-            run = tuple(itertools.islice(
-                itertools.chain(prefix, itertools.cycle(cycle)),
-                p_star + c_star))
-            prefix, cycle = run[:p_star], run[p_star:]
-        out.append((prefix, cycle))
+        run = tuple(itertools.islice(
+            itertools.chain(prefix, itertools.cycle(cycle)), p_star + c_star))
+        out.append((run[:p_star], run[p_star:]))
     return out
 
 

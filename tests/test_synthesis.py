@@ -95,7 +95,7 @@ def test_align_runs_to_common_prefix_and_period():
     assert pa == (1, 2) and ca == (3, 4, 3, 4, 3, 4)
     assert pb == (9, 8) and cb == (7, 6, 8, 7, 6, 8)
     # runs already in the common shape, as a joint lasso's projections
-    # are, come back as they are
+    # are, come back equal
     run_c = ((1, 2, 3), (4, 5, 4, 5, 4, 5))
     run_d = ((9, 8, 7), (6, 8, 7, 6, 8, 7))
     assert align_runs([run_a, run_b, run_c, run_d])[2:] == [run_c, run_d]
