@@ -1,6 +1,6 @@
 """Microbenchmarks of the timed search inside ``synthesize``.
 
-Seven of them run on a two-agent scenario with two-window goals whose
+Nine of them run on a two-agent scenario with two-window goals whose
 per-agent runs never combine, so synthesis enumerates lassos, rejects all
 276 combinations and searches the joint product:
 
@@ -12,11 +12,15 @@ per-agent runs never combine, so synthesis enumerates lassos, rejects all
 * ``consistent`` over the 276 combinations of per-agent lassos, against a
   fresh ``ProductWTS`` each round, since the check fills its successor
   cache;
+* step 3's loop over the same 276 combinations (``_combine``), which walks
+  the first and counts the rest, failing at the same move, as tried;
 * ``intersect`` of the two agents' automata, with its largest constant
   (built at once) and its 728 locations (listed only when asked for);
 * the cold joint search of step 4: a fresh ``ProductWTS`` against the
   intersection, expanded by ``find_accepting_lasso`` until it closes its
   lasso, which passes 1 044 distinct states to ``successors``;
+* the guard-segment compile (``TickClocks.segments``) of the 50 joint
+  locations that search reaches, on a fresh intersection and clock;
 * steps 3 and 4 on one fresh ``ProductWTS``, as ``synthesize`` runs them:
   the 276 checks, then the joint search, which finds the successor lists
   the checks computed in the product's cache.
@@ -52,11 +56,11 @@ from mas.cli import (load_scenario, stage_abstract, stage_bounds,
                      stage_synthesize)
 from mas.files import plans_json
 from mas.mitl import evaluate, parse, witness_instant
-from mas.synthesis import (BuchiProduct, _build_plans, _project_cells,
-                           consistent, enumerate_accepting_lassos,
-                           find_accepting_lasso)
+from mas.synthesis import (DEFAULT_R_ITER, BuchiProduct, _build_plans,
+                           _combine, _project_cells, consistent,
+                           enumerate_accepting_lassos, find_accepting_lasso)
 from mas.abstraction import ProductWTS
-from mas.tba import from_flat_mitl, intersect
+from mas.tba import TickClocks, from_flat_mitl, intersect
 
 from test_abstraction_layers import LINE3
 
@@ -139,12 +143,17 @@ def test_line3_lasso_enumeration(benchmark, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def combinations(pipe, automata):
+def lassos(pipe, automata):
+    """Each agent's 12 and 23 lassos."""
+    return [enumerate_accepting_lassos(BuchiProduct(w, auto))
+            for w, auto in zip(pipe.wts_list, automata)]
+
+
+@pytest.fixture(scope="module")
+def combinations(lassos):
     """The 276 combinations of the two agents' projected lassos."""
-    per_agent = [
-        [_project_cells(lasso, None) for lasso in enumerate_accepting_lassos(
-            BuchiProduct(w, auto))]
-        for w, auto in zip(pipe.wts_list, automata)]
+    per_agent = [[_project_cells(lasso, None) for lasso in agent_lassos]
+                 for agent_lassos in lassos]
     combos = list(itertools.product(*per_agent))
     assert len(combos) == 276
     return combos
@@ -156,6 +165,13 @@ def test_consistency_over_all_combinations(benchmark, pipe, combinations):
         return sum(consistent(runs, product) for runs in combinations)
 
     assert benchmark(check_all) == 0
+
+
+def test_step3_loop_over_all_combinations(benchmark, pipe, lassos):
+    # every combination fails at the same move, so one walk decides all
+    assert benchmark(lambda: _combine(
+        lassos, ProductWTS(pipe.wts_list, pipe.g), DEFAULT_R_ITER)) \
+        == (276, None)
 
 
 def test_intersection_of_agent_automata(benchmark, automata):
@@ -188,6 +204,25 @@ def test_cold_joint_product_search(benchmark, pipe, automata):
     lasso, expanded = benchmark(search)
     assert (len(lasso.prefix_states), len(lasso.cycle_states)) == (865, 52)
     assert expanded == 1044
+
+
+def test_compile_of_the_joint_locations_step4_reaches(benchmark, pipe,
+                                                      automata):
+    product = BuchiProduct(ProductWTS(pipe.wts_list, pipe.g),
+                           intersect(*automata))
+    clocks, compiled = product.clocks, []
+    segments = clocks.segments
+    clocks.segments = lambda i: compiled.append(i) or segments(i)
+    find_accepting_lasso(product)
+    reached = [clocks.locations[i] for i in dict.fromkeys(compiled)]
+    assert (len(reached), len(clocks.locations)) == (50, 128)
+
+    def compile_reached():
+        fresh = TickClocks(intersect(*automata), clocks.delta)
+        return [fresh.segments(fresh.number(q)) for q in reached]
+
+    assert benchmark(compile_reached) == [segments(clocks.number(q))
+                                          for q in reached]
 
 
 def test_step3_then_step4_on_one_product(benchmark, pipe, automata,

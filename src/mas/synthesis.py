@@ -11,6 +11,8 @@ The planner works in stages:
 3. try combinations of per-agent lassos (lexicographically, up to an
    iteration budget): align them to a common prefix/period and keep the first
    combination whose joint behavior every agent's transition table allows;
+   a combination that agrees with the last rejected one up to that one's
+   disallowed move is rejected without a walk;
 4. if that fails, search the full product of all agents against the
    intersection of all automata with a nested depth-first search - absence of
    an accepting lasso there proves unsatisfiability;
@@ -315,6 +317,14 @@ def _cell_at(prefix: tuple, cycle: tuple, position: int):
     return cycle[(position - p) % len(cycle)]
 
 
+def _positions(run: tuple[tuple, tuple], n: int) -> Iterator:
+    """The cells of a (prefix, cycle) run at positions 0 .. n - 1, the
+    cycle repeated."""
+    prefix, cycle = run
+    return itertools.islice(itertools.chain(prefix, itertools.cycle(cycle)),
+                            n)
+
+
 def _aligned_shape(runs: list[tuple[tuple, tuple]],
                    lcm_cap: int) -> tuple[int, int]:
     """(common prefix length, common period) of runs: the longest prefix
@@ -333,15 +343,15 @@ def align_runs(runs: list[tuple[tuple, tuple]],
     period (``_aligned_shape``)."""
     p_star, c_star = _aligned_shape(runs, lcm_cap)
     out = []
-    for prefix, cycle in runs:
-        run = tuple(itertools.islice(
-            itertools.chain(prefix, itertools.cycle(cycle)), p_star + c_star))
+    for run in runs:
+        run = tuple(_positions(run, p_star + c_star))
         out.append((run[:p_star], run[p_star:]))
     return out
 
 
 def consistent(runs: list[tuple[tuple, tuple]], product: ProductWTS,
-               lcm_cap: int = DEFAULT_LCM_CAP) -> bool:
+               lcm_cap: int = DEFAULT_LCM_CAP,
+               disallowed: list[int] | None = None) -> bool:
     """Whether per-agent runs can be executed jointly.
 
     Over the runs' common prefix and period (``_aligned_shape``), every
@@ -349,21 +359,79 @@ def consistent(runs: list[tuple[tuple, tuple]], product: ProductWTS,
     under the action derived from the joint state, that is, the next joint
     state must be one of ``product.successors`` of the current one. The
     runs are walked once, as given, and the walk stops at the first
-    disallowed move; the successor lists it reads stay in the product's
-    cache, where the joint search of step 4 finds them.
+    disallowed move, from position m to m + 1; m is appended to
+    ``disallowed`` when a list is given. Step 3 remembers it
+    (``_combine``): a later combination whose runs agree with these up to
+    position m + 1 fails at the same move and is not walked, so every
+    successor list it would read is one this walk read. Those lists stay
+    in the product's cache, where the joint search of step 4 finds them.
     """
     p_star, c_star = _aligned_shape(runs, lcm_cap)
     successors = product.successors
-    walk = zip(*(itertools.islice(itertools.chain(prefix,
-                                                  itertools.cycle(cycle)),
-                                  p_star + c_star + 1)
-                 for prefix, cycle in runs))
+    walk = zip(*(_positions(run, p_star + c_star + 1) for run in runs))
     joint = next(walk)
-    for joint_next in walk:
+    for m, joint_next in enumerate(walk):
         if joint_next not in successors(joint):
+            if disallowed is not None:
+                disallowed.append(m)
             return False
         joint = joint_next
     return True
+
+
+def _combine(per_agent: list[list[Lasso]], product: ProductWTS,
+             r_iter: int) -> tuple[int, list | None]:
+    """Step 3: (the number of combinations tried, the cell runs of the
+    first consistent one, or None).
+
+    Combinations of per-agent lassos are tried in lexicographic order, up
+    to ``r_iter`` of them, each lasso projected to its cells when one
+    first uses it. A combination whose period exceeds ``DEFAULT_LCM_CAP``
+    is skipped (``_aligned_shape``); the others are walked by
+    ``consistent``.
+    A failed walk is remembered: its disallowed move m and each run's
+    cells at positions 0 .. m + 1. A later combination whose runs have
+    those cells, and whose walk reaches move m, would fail at m too, so it
+    counts as tried without a walk. Whether a lasso's cells are the
+    remembered ones is worked out once per (agent, lasso) and remembered
+    walk.
+    """
+    tried = 0
+    # each lasso's cells, projected when a combination first uses it
+    projected: list[list] = [[None] * len(lassos) for lassos in per_agent]
+    # the remembered walk: its disallowed move, each agent's cells through
+    # it, and per (agent, lasso) whether its cells agree there (None until
+    # asked); no walk has failed while ``failed`` is None
+    failed, walked, agrees = None, [], []
+    for picks in itertools.product(*(range(len(ls)) for ls in per_agent)):
+        if tried >= r_iter:
+            logger.info("combination budget %d exhausted", r_iter)
+            break
+        tried += 1
+        runs = []
+        for lassos, cells, i in zip(per_agent, projected, picks):
+            if cells[i] is None:
+                cells[i] = _project_cells(lassos[i], None)
+            runs.append(cells[i])
+        try:
+            p_star, c_star = _aligned_shape(runs, DEFAULT_LCM_CAP)
+        except LengthMismatch:
+            continue
+        if failed is not None and failed < p_star + c_star:
+            for known, cells, run, i in zip(agrees, walked, runs, picks):
+                if known[i] is None:
+                    known[i] = tuple(_positions(run, failed + 2)) == cells
+                if not known[i]:
+                    break
+            else:
+                continue     # it fails at the remembered move
+        disallowed: list[int] = []
+        if consistent(runs, product, DEFAULT_LCM_CAP, disallowed):
+            return tried, runs
+        failed = disallowed[0]
+        walked = [tuple(_positions(run, failed + 2)) for run in runs]
+        agrees = [[None] * len(lassos) for lassos in per_agent]
+    return tried, None
 
 
 # --------------------------------------------------------------------------
@@ -520,30 +588,14 @@ def synthesize(
                                 f"alone: its product has no accepting lasso")
         per_agent.append(lassos)
 
-    combos_tried = 0
-    # each lasso's cells, projected when a combination first uses it
-    projected: list[list] = [[None] * len(lassos) for lassos in per_agent]
-    for picks in itertools.product(*(range(len(ls)) for ls in per_agent)):
-        if combos_tried >= r_iter:
-            logger.info("combination budget %d exhausted", r_iter)
-            break
-        combos_tried += 1
-        runs = []
-        for lassos, cells, i in zip(per_agent, projected, picks):
-            if cells[i] is None:
-                cells[i] = _project_cells(lassos[i], None)
-            runs.append(cells[i])
-        try:
-            ok = consistent(runs, product)
-        except LengthMismatch:
-            continue
-        if ok:
-            aligned = align_runs(runs)
-            plans = _build_plans(aligned, wts_list, product, formulas, dt)
-            return SynthesisResult(
-                plans=plans, step_used=3,
-                agent_lasso_counts=[len(ls) for ls in per_agent],
-                combinations_tried=combos_tried)
+    combos_tried, runs = _combine(per_agent, product, r_iter)
+    if runs is not None:
+        aligned = align_runs(runs)
+        plans = _build_plans(aligned, wts_list, product, formulas, dt)
+        return SynthesisResult(
+            plans=plans, step_used=3,
+            agent_lasso_counts=[len(ls) for ls in per_agent],
+            combinations_tried=combos_tried)
 
     logger.info("falling back to the full product search")
     bp = BuchiProduct(product, reduce(intersect, automata))

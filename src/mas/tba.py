@@ -28,9 +28,13 @@ The clock is counted in integer ticks (``TickClocks``): the caller gives a
 delta of which every delay is a multiple, so the clock value is k*delta for
 an int k, and each guard is an integer range on k; a location's ranges cut
 the ticks into a few guard segments, within which no edge starts or stops
-admitting the clock. Values above the largest constant c_max are saturated
-to one tick, floor(c_max/delta) + 1, which guards cannot tell apart from the
-true value. c_max is read off the windows: a conjunct's is its formula
+admitting the clock. An intersection's ranges and target letters come from
+its parts' (``TimedAutomaton.edge_rows``): a joint guard conjoins its
+parts' guards, so its range is the intersection of their ranges, and a
+joint letter is the union of theirs, as is each letter an intersection
+carries (``carried_letters``). Values above the largest constant c_max are
+saturated to one tick, floor(c_max/delta) + 1, which guards cannot tell
+apart from the true value. c_max is read off the windows: a conjunct's is its formula
 window's largest constant, whichever letters its phases were expanded over,
 and an intersection's is the larger of its parts'. In a synthesis product
 every move takes the sampling period, so delta is dt; ``accepts_lasso``
@@ -121,6 +125,18 @@ class TimedAutomaton:
     def location_count(self) -> int:
         return len(self.locations)
 
+    def carried_letters(self) -> set[frozenset[str]]:
+        """The letters its locations carry."""
+        return set(self.labels.values())
+
+    def edge_rows(self, q, clocks: TickClocks) -> list[tuple]:
+        """One (target letter, lowest tick, highest tick, target) row per
+        edge leaving q, in ``edges_from`` order, the ticks those of
+        ``clocks`` (``TickClocks.tick_range``)."""
+        labels, tick_range = self.labels, clocks.tick_range
+        return [(labels[edge.target], *tick_range(edge.guard), edge.target)
+                for edge in self.edges_from[q]]
+
 
 class TickClocks:
     """An automaton's clock counted in integer ticks of one delta, over
@@ -139,11 +155,15 @@ class TickClocks:
     A location gets its number the first time it is met (``number``), so
     searches carry small ints instead of nested location objects;
     ``locations[i]`` and ``accepting[i]`` read number i back. Each location
-    is compiled the first time it is asked for (``segments``): ticks
-    0..``sat`` are cut at 0 and at every edge's lowest tick and highest
-    tick + 1, so within one guard segment every edge admits all ticks or
-    none, and each segment gets one {target letter: [target numbers]}
-    table, edges in their original order. ``moves`` reads it.
+    is compiled the first time it is asked for (``segments``) from its
+    edge rows, (target letter, lowest tick, highest tick, target) in
+    ``edges_from`` order (``TimedAutomaton.edge_rows``): ticks 0..``sat``
+    are cut at 0 and at every row's lowest tick and highest tick + 1, so
+    within one guard segment every edge admits all ticks or none, and each
+    segment gets one {target letter: [target numbers]} table, rows in
+    their order. ``moves`` reads it. An intersection's rows are built from
+    its parts' rows, which ``part_rows`` builds once per part location at
+    this clock's ticks, so no joint edge or conjoined guard is made.
 
     ``recurs`` tells which (location number, tick) states can close a
     Büchi cycle.
@@ -160,6 +180,8 @@ class TickClocks:
         self._term_ticks: dict[int, tuple[int, int, Interval]] = {}
         # cut ticks -> the segment of each tick 0..sat, shared by locations
         self._segment_of: dict[tuple[int, ...], list[int]] = {}
+        # part automaton of an intersection -> {location: its edge rows}
+        self._part_rows: dict[TimedAutomaton, dict] = {}
 
     def number(self, q) -> int:
         """Location q's number, given on first use."""
@@ -197,15 +219,25 @@ class TickClocks:
             lowest, highest = max(lowest, bounds[0]), min(highest, bounds[1])
         return lowest, highest
 
+    def part_rows(self, part: TimedAutomaton, q) -> list[tuple]:
+        """``part.edge_rows(q, self)``, built once: the rows of a location
+        of one of the parts an intersection is built from."""
+        memo = self._part_rows.get(part)
+        if memo is None:
+            memo = self._part_rows[part] = {}
+        rows = memo.get(q)
+        if rows is None:
+            rows = memo[q] = part.edge_rows(q, self)
+        return rows
+
     def segments(self, i: int) -> tuple[list[int], list[dict]]:
         """(the guard segment of each tick 0..sat, one {target letter:
         [target numbers]} table per segment) of location number i."""
         compiled = self._compiled[i]
         if compiled is None:
-            auto, number = self.automaton, self.number
-            rows = [(auto.labels[edge.target], *self.tick_range(edge.guard),
-                     number(edge.target))
-                    for edge in auto.edges_from[self.locations[i]]]
+            number = self.number
+            rows = [(letter, lo, hi, number(target)) for letter, lo, hi, target
+                    in self.automaton.edge_rows(self.locations[i], self)]
             cuts = {0}
             for _, lo, hi, _ in rows:
                 if lo <= hi:
@@ -521,6 +553,16 @@ class _Accepting(Set):
         return sum(1 for _ in self)
 
 
+def _next_phase(a: TimedAutomaton, b: TimedAutomaton, loc) -> int:
+    """The round-robin phase of the locations a move from intersection
+    location ``loc`` enters: phase 0 waits for an accepting location of
+    the first part, phase 1 for one of the second."""
+    qa, qb, ph = loc
+    if ph == 0:
+        return 1 if qa in a.accepting else 0
+    return 0 if qb in b.accepting else 1
+
+
 class _EdgeTable(dict):
     """Location -> outgoing edges of an intersection, each entry built on
     its first lookup.
@@ -537,11 +579,8 @@ class _EdgeTable(dict):
 
     def __missing__(self, loc):
         a, b = self._a, self._b
-        qa, qb, ph = loc
-        if ph == 0:
-            nxt = 1 if qa in a.accepting else 0
-        else:
-            nxt = 0 if qb in b.accepting else 1
+        qa, qb, _ = loc
+        nxt = _next_phase(a, b, loc)
         right = [(self._view_b[eb.target], eb.target, eb.guard)
                  for eb in b.edges_from[qb]]
         out = []
@@ -558,11 +597,14 @@ class _EdgeTable(dict):
 class _Intersection(TimedAutomaton):
     """The product ``intersect`` returns, built on the fly: ``labels``,
     ``accepting`` and ``edges_from`` build each location's entry on its
-    first lookup, and ``locations`` lists them all only when asked for."""
+    first lookup, and ``locations`` lists them all only when asked for.
+    Its edge rows and carried letters are built from its parts' (``parts``,
+    with their shared-alphabet ``views``)."""
 
     def __init__(self, a: TimedAutomaton, b: TimedAutomaton):
         shared = a.alphabet & b.alphabet
         view_a, view_b = _Views(a.labels, shared), _Views(b.labels, shared)
+        self.parts, self.views = (a, b), (view_a, view_b)
         self.initial = tuple((qa, qb, 0) for qa in a.initial
                              for qb in b.initial if view_a[qa] == view_b[qb])
         self.labels = _Labels(a, b, view_a, view_b)
@@ -574,6 +616,38 @@ class _Intersection(TimedAutomaton):
     @property
     def locations(self) -> tuple:
         return self.labels.locations
+
+    def carried_letters(self) -> set[frozenset[str]]:
+        """The unions of the parts' carried letters whose views agree,
+        without listing the locations: a location's letter is the union of
+        its parts' letters, and its parts pair up when their views do."""
+        a, b = self.parts
+        shared = a.alphabet & b.alphabet
+        right = [(lb & shared, lb) for lb in b.carried_letters()]
+        return {la | lb for la in a.carried_letters()
+                for view, lb in right if la & shared == view}
+
+    def edge_rows(self, loc, clocks: TickClocks) -> list[tuple]:
+        """The rows of ``edges_from[loc]``, built from the parts' rows
+        (``clocks.part_rows``) as ``_EdgeTable`` builds the edges: the
+        first part's rows outer, the second's inner, paired when their
+        targets' views agree. A joint edge's guard conjoins its parts'
+        guards, so its tick range is the intersection of their ranges; its
+        target letter is the union of theirs."""
+        qa, qb, _ = loc
+        a, b = self.parts
+        view_a, view_b = self.views
+        nxt = _next_phase(a, b, loc)
+        right = [(view_b[tb], lb, lo_b, hi_b, tb)
+                 for lb, lo_b, hi_b, tb in clocks.part_rows(b, qb)]
+        rows = []
+        for la, lo_a, hi_a, ta in clocks.part_rows(a, qa):
+            view = view_a[ta]
+            for vb, lb, lo_b, hi_b, tb in right:
+                if view == vb:
+                    rows.append((la | lb, max(lo_a, lo_b), min(hi_a, hi_b),
+                                 (ta, tb, nxt)))
+        return rows
 
 
 # --------------------------------------------------------------------------
@@ -603,7 +677,7 @@ def accepts_lasso(automaton: TimedAutomaton, word: TimedWord,
     scale = (delta / word.unit).numerator
     letters = [word.letter(j) & automaton.alphabet
                for j in range(word.prefix_length + word.cycle_length)]
-    carried = set(automaton.labels.values())
+    carried = automaton.carried_letters()
     for position, letter in enumerate(letters):
         if letter not in carried:
             raise ValueError(f"no location carries the letter "

@@ -26,7 +26,15 @@ Each test keeps a local copy of the earlier implementation as its oracle:
 * the step-4 search over whole successor lists, which fill the memo, and
   the eager intersection, against ``BuchiProduct.successors`` making each
   child on the fly over the lazy ``intersect``, on agents abstracted on a
-  path or a star.
+  path or a star;
+* step 3 walking every combination from position 0, against
+  ``synthesis._combine``, which counts a combination that agrees with the
+  last failed walk up to its disallowed move as tried without walking it,
+  on lassos cut from one cell sequence and on agents abstracted on a path
+  or a star, through ``synthesize`` as well;
+* guard segments compiled from the joint edges and their conjoined
+  guards, against ``TickClocks.segments`` building an intersection's rows
+  from its parts' rows, on two agents' nested intersections.
 """
 
 from __future__ import annotations
@@ -34,20 +42,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mas import _ndfs, mitl
+from mas import _ndfs, mitl, synthesis
 from mas.abstraction import AgentWTS, ProductWTS, build_agent_wts
-from mas.errors import BudgetExceeded, LengthMismatch
+from mas.errors import BudgetExceeded, LengthMismatch, Unsatisfiable
 from mas.graph import build_graph
 from mas.mitl import to_fraction
 from mas.partition import LabeledRegion
-from mas.synthesis import (BuchiProduct, _agent_actions, align_runs,
-                           consistent, enumerate_accepting_lassos,
-                           find_accepting_lasso)
+from mas.synthesis import (BuchiProduct, _agent_actions, _combine,
+                           _project_cells, align_runs, consistent,
+                           enumerate_accepting_lassos, find_accepting_lasso,
+                           synthesize)
 from mas.tba import (Edge, Guard, TRUE_GUARD, TickClocks, TimedAutomaton,
                      accepts_lasso, canonical_letters, from_flat_mitl,
                      intersect)
@@ -638,7 +648,11 @@ def aligned_consistent(runs, product: ProductWTS, lcm_cap: int) -> bool:
     return True
 
 
-def _random_product(rng) -> ProductWTS:
+def _random_product(rng, enabled: float = 0.8,
+                    target: float = 0.5) -> ProductWTS:
+    """Agents on cells 0-2 over a random graph: each action is enabled
+    with probability ``enabled``, and then reaches its own cell and each
+    other cell with probability ``target``."""
     g = random_connected_graph(rng, max_agents=3, max_dimension=1)
     cells = (0, 1, 2)
     wts_list = []
@@ -646,10 +660,10 @@ def _random_product(rng) -> ProductWTS:
         neighbors = g.neighbors(agent)
         table = {}
         for action in itertools.product(cells, repeat=len(neighbors) + 1):
-            if rng.random() < 0.8:  # most moves allowed, so runs get far
+            if rng.random() < enabled:  # most moves allowed, so runs get far
                 table[action] = tuple(sorted(
                     {action[0]} | {int(c) for c in cells
-                                   if rng.random() < 0.5}))
+                                   if rng.random() < target}))
         wts_list.append(AgentWTS(agent=agent, cells=cells, initial=0,
                                  dt=1.0, labels={},
                                  transitions=class_table(table),
@@ -972,3 +986,265 @@ def test_step4_search_matches_the_eager_lists(shape, agents, trials):
             assert (outcome, expanded) == want, cap
             budgets += isinstance(outcome, str)
     assert found > trials // 4 and empty + budgets > 0
+
+
+# --------------------------------------------------------------------------
+# oracle: step 3 walking every combination from position 0
+# --------------------------------------------------------------------------
+
+def _cell(run, position: int):
+    prefix, cycle = run
+    return prefix[position] if position < len(prefix) \
+        else cycle[(position - len(prefix)) % len(cycle)]
+
+
+def _disallowed_move(runs, product: ProductWTS):
+    """(the number of moves in the runs' aligned walk, the first move m,
+    from position m to m + 1, that ``product.successors`` does not allow,
+    or None)."""
+    p_star = max(len(prefix) for prefix, _ in runs)
+    moves = p_star + math.lcm(*(len(cycle) for _, cycle in runs))
+    for m in range(moves):
+        joint = tuple(_cell(run, m) for run in runs)
+        if tuple(_cell(run, m + 1) for run in runs) \
+                not in product.successors(joint):
+            return moves, m
+    return moves, None
+
+
+def _cells_through(run, position: int) -> tuple:
+    return tuple(_cell(run, j) for j in range(position + 1))
+
+
+def walk_every_combination(per_agent, product: ProductWTS, r_iter: int,
+                           counts=None):
+    """Step 3 as it was: every combination, up to ``r_iter`` of them,
+    projected and walked by ``consistent`` from position 0; (the number
+    tried, the first consistent one's runs or None). ``counts`` tallies,
+    against the last failed walk, the combinations that agree with its
+    cells through its disallowed move and those whose walk ends before
+    that move."""
+    counts = Counter() if counts is None else counts
+    tried, last = 0, None
+    for picks in itertools.product(*(range(len(ls)) for ls in per_agent)):
+        if tried >= r_iter:
+            break
+        tried += 1
+        runs = [_project_cells(lassos[i], None)
+                for lassos, i in zip(per_agent, picks)]
+        try:
+            ok = consistent(runs, product)
+        except LengthMismatch:
+            counts["length mismatch"] += 1
+            continue
+        moves, m = _disallowed_move(runs, product)
+        assert ok is (m is None)
+        if last is not None:
+            agrees = [_cells_through(run, last[0] + 1) for run in runs] \
+                == last[1]
+            counts["agrees"] += agrees
+            counts["ends before"] += moves <= last[0]
+            # agreeing runs reach the move: a shorter periodic walk would
+            # repeat it from an earlier, allowed move
+            assert not (agrees and moves <= last[0])
+        if ok:
+            return tried, runs
+        counts["walks failed"] += 1
+        last = m, [_cells_through(run, m + 1) for run in runs]
+    return tried, None
+
+
+def _plan_fields(plan) -> tuple:
+    certificates = [None if c is None else
+                    (c.source, c.target, c.neighbor_cells,
+                     tuple(c.nominal_input), c.norm, c.remainder)
+                    for c in plan.certificates_prefix
+                    + plan.certificates_cycle]
+    return (plan.agent, plan.dt, plan.prefix_cells, plan.cycle_cells,
+            plan.prefix_actions, plan.cycle_actions, plan.provided_prefix,
+            plan.provided_cycle, certificates, plan.formula_text,
+            plan.witness_time)
+
+
+def _synthesis_outcome(wts_list, g, formulas, r_iter):
+    try:
+        result = synthesize(wts_list, g, formulas, r_iter=r_iter,
+                            max_states=20_000)
+    except (BudgetExceeded, Unsatisfiable) as exc:
+        return type(exc).__name__, str(exc)
+    return (result.step_used, result.combinations_tried,
+            result.agent_lasso_counts, [_plan_fields(p) for p in result.plans])
+
+
+def _satisfiable_formula(rng, w: AgentWTS, conjuncts: int):
+    """A conjunction of ``conjuncts`` random units over w's services,
+    redrawn up to four times until w alone can meet it."""
+    names = (f"p{w.agent}", f"q{w.agent}")
+    for _ in range(5):
+        formula = _random_conjunction(rng, conjuncts, names)
+        auto = from_flat_mitl(formula, letters={w.label(c) for c in w.cells})
+        if find_accepting_lasso(BuchiProduct(w, auto)) is not None:
+            break
+    return formula
+
+
+def _random_lassos(rng, agents: int) -> list[list[_ndfs.Lasso]]:
+    """Per agent, 3-7 lassos over cells 0-2 cut from one random cell
+    sequence, prefix and cycle of random lengths, so that lassos of one
+    agent agree on their first positions but differ in length. A few
+    cycles are 31-33 long, and two of those can align only past the
+    default period budget."""
+    per_agent = []
+    for _ in range(agents):
+        base = [int(c) for c in rng.integers(0, 3, size=41)]
+        lassos = []
+        for _ in range(int(rng.integers(3, 8))):
+            p = int(rng.integers(0, 8))
+            c = int(rng.choice([1, 2, 3, 31, 32, 33],
+                               p=[0.3, 0.3, 0.25, 0.05, 0.05, 0.05]))
+            lassos.append(_ndfs.Lasso(
+                tuple((cell, 0, 0) for cell in base[:p]),
+                tuple((cell, 0, 0) for cell in base[p:p + c])))
+        per_agent.append(lassos)
+    return per_agent
+
+
+def _assert_same_combination(per_agent, product_of, counts):
+    """``_combine`` against walking every combination, under budgets that
+    cut the loop short and one that does not."""
+    total = math.prod(map(len, per_agent))
+    for r_iter in sorted({1, total // 2, total}):
+        assert _combine(per_agent, product_of(), r_iter) \
+            == walk_every_combination(per_agent, product_of(), r_iter, counts)
+
+
+def test_step3_resume_matches_walking_every_combination_of_cut_lassos():
+    rng = np.random.default_rng(7019)
+    counts = Counter()
+    for _ in range(200):
+        # nearly every move allowed, so walks fail late as well as early
+        product = _random_product(rng, enabled=0.97, target=0.9)
+        _assert_same_combination(
+            _random_lassos(rng, len(product.wts_list)),
+            lambda: ProductWTS(product.wts_list, product.graph), counts)
+    assert counts["walks failed"] > 100 and counts["agrees"] > 100, counts
+    assert counts["ends before"] > 20 and counts["length mismatch"] > 100, \
+        counts
+
+
+@pytest.mark.parametrize("shape,agents,trials", [
+    ("path", 2, 24), ("path", 3, 12), ("star", 3, 12)])
+def test_step3_resume_matches_walking_every_combination(shape, agents,
+                                                        trials, monkeypatch):
+    rng = np.random.default_rng(7020 + 10 * agents + (shape == "star"))
+    edges = [(1, j) for j in range(2, agents + 1)] if shape == "star" \
+        else [(j, j + 1) for j in range(1, agents)]
+    counts, steps = Counter(), Counter()
+    for _ in range(trials):
+        g, wts_list = _geometric_agents(rng, edges, agents)
+        formulas = {w.agent: _satisfiable_formula(rng, w,
+                                                  int(rng.integers(2, 4)))
+                    for w in wts_list}
+        automata = [from_flat_mitl(formulas[w.agent],
+                                   {w.label(c) for c in w.cells})
+                    for w in wts_list]
+        per_agent = [enumerate_accepting_lassos(BuchiProduct(w, auto))
+                     for w, auto in zip(wts_list, automata)]
+        if not all(per_agent):
+            continue
+        _assert_same_combination(per_agent,
+                                 lambda: ProductWTS(wts_list, g), counts)
+        total = math.prod(map(len, per_agent))
+        r_iter = int(rng.choice([total // 2 + 1, 10**4]))
+        want = _synthesis_outcome(wts_list, g, formulas, r_iter)
+        with monkeypatch.context() as patch:
+            patch.setattr(synthesis, "_combine", walk_every_combination)
+            assert _synthesis_outcome(wts_list, g, formulas, r_iter) == want
+        steps[want[0]] += 1
+    # these lassos' stems all reach the saturated tick and their loops are
+    # short, so no walk here ends before an earlier one's disallowed move
+    # and no period exceeds the budget; the cut lassos above cover both
+    assert counts["walks failed"] > 20 and counts["agrees"] > 20, counts
+    assert steps[3] > 0 and steps[4] > 0, steps
+
+
+# --------------------------------------------------------------------------
+# oracle: guard segments compiled from the joint edges
+# --------------------------------------------------------------------------
+
+class EdgeClocks(TickClocks):
+    """``TickClocks`` compiling each location from ``edges_from[q]``, every
+    edge's tick range from ``tick_range(edge.guard)``, as it did before an
+    intersection's rows were built from its parts' rows."""
+
+    def segments(self, i):
+        compiled = self._compiled[i]
+        if compiled is None:
+            auto, number = self.automaton, self.number
+            rows = [(auto.labels[edge.target], *self.tick_range(edge.guard),
+                     number(edge.target))
+                    for edge in auto.edges_from[self.locations[i]]]
+            cuts = {0}
+            for _, lo, hi, _ in rows:
+                if lo <= hi:
+                    cuts.update((lo, hi + 1))
+            cuts = sorted(cuts - {self.sat + 1})
+            tables = []
+            for start in cuts:
+                table: dict = {}
+                for letter, lo, hi, target in rows:
+                    if lo <= start <= hi:
+                        table.setdefault(letter, []).append(target)
+                tables.append(table)
+            bounds = itertools.pairwise(cuts + [self.sat + 1])
+            segment_of = [j for j, (a, b) in enumerate(bounds)
+                          for _ in range(a, b)]
+            compiled = self._compiled[i] = segment_of, tables
+        return compiled
+
+
+def _agent_automaton_of_units(rng) -> TimedAutomaton:
+    """The intersection of 2-3 random units over two of the services p, q
+    and r, expanded over most of their letters; windows scaled by 1/2, 1
+    or 3/2."""
+    names = tuple(sorted(rng.choice(["p", "q", "r"], size=2, replace=False)))
+    letters = [lt for lt in canonical_letters(set(names))
+               if rng.random() < 0.8] or [frozenset()]
+    formula = _scaled(_random_conjunction(rng, int(rng.integers(2, 4)),
+                                          names),
+                      Fraction(int(rng.integers(1, 4)), 2))
+    return from_flat_mitl(formula, letters=letters)
+
+
+def test_joint_rows_compile_as_the_joint_edges():
+    rng = np.random.default_rng(7030)
+    locations = segments = 0
+    phases = set()
+    for _ in range(40):
+        # two agents' nested intersections, their services overlapping
+        a, b = _agent_automaton_of_units(rng), _agent_automaton_of_units(rng)
+        delta = Fraction(int(rng.integers(1, 4)), int(rng.integers(2, 5)))
+        fast = TickClocks(intersect(a, b), delta)
+        oracle = EdgeClocks(intersect(a, b), delta)
+        # compiled as a search meets them: the initial locations, then each
+        # location in the order it was numbered, numbering its targets
+        for q in fast.automaton.initial:
+            assert fast.number(q) == oracle.number(q)
+        i = 0
+        while i < len(fast.locations) and i < 1500:
+            got, want = fast.segments(i), oracle.segments(i)
+            assert fast.locations == oracle.locations
+            assert got == want, fast.locations[i]
+            segment_of, tables = got
+            assert len(segment_of) == fast.sat + 1
+            for k in range(fast.sat + 1):
+                assert tables[segment_of[k]] == want[1][want[0][k]]
+            segments += len(tables)
+            i += 1
+        locations += i
+        phases.update(q[2] for q in fast.locations[:i])
+        assert fast.automaton.carried_letters() \
+            == set(oracle.automaton.labels.values())
+    assert phases == {0, 1}
+    assert locations > 3000 and segments > 2 * locations, \
+        (locations, segments)
