@@ -391,10 +391,11 @@ def _combine(per_agent: list[list[Lasso]], product: ProductWTS,
     ``consistent``.
     A failed walk is remembered: its disallowed move m and each run's
     cells at positions 0 .. m + 1. A later combination whose runs have
-    those cells, and whose walk reaches move m, would fail at m too, so it
-    counts as tried without a walk. Whether a lasso's cells are the
-    remembered ones is worked out once per (agent, lasso) and remembered
-    walk.
+    those cells fails at move m too, so it counts as tried without a walk.
+    (Its walk reaches move m: a shorter walk, being periodic, would make
+    move m's joint move from an earlier position, where it was allowed.)
+    Whether a lasso's cells are the remembered ones is worked out once per
+    (agent, lasso) and remembered walk.
     """
     tried = 0
     # each lasso's cells, projected when a combination first uses it
@@ -414,10 +415,10 @@ def _combine(per_agent: list[list[Lasso]], product: ProductWTS,
                 cells[i] = _project_cells(lassos[i], None)
             runs.append(cells[i])
         try:
-            p_star, c_star = _aligned_shape(runs, DEFAULT_LCM_CAP)
+            _aligned_shape(runs, DEFAULT_LCM_CAP)
         except LengthMismatch:
             continue
-        if failed is not None and failed < p_star + c_star:
+        if failed is not None:
             for known, cells, run, i in zip(agrees, walked, runs, picks):
                 if known[i] is None:
                     known[i] = tuple(_positions(run, failed + 2)) == cells

@@ -34,14 +34,14 @@ parts' guards, so its range is the intersection of their ranges, and a
 joint letter is the union of theirs, as is each letter an intersection
 carries (``carried_letters``). Values above the largest constant c_max are
 saturated to one tick, floor(c_max/delta) + 1, which guards cannot tell
-apart from the true value. c_max is read off the windows: a conjunct's is its formula
-window's largest constant, whichever letters its phases were expanded over,
-and an intersection's is the larger of its parts'. In a synthesis product
-every move takes the sampling period, so delta is dt; ``accepts_lasso``
-ticks at the gcd of the checked word's gaps. Either way each move adds at
-least one tick, so the clock never decreases and every cycle of a product
-lies at the saturated tick: ``TickClocks.recurs`` is the Büchi condition
-both searches use.
+apart from the true value. c_max is read off the windows: a conjunct's is
+its formula window's largest constant, whichever letters its phases were
+expanded over, and an intersection's is the larger of its parts'. In a
+synthesis product every move takes the sampling period, so delta is dt;
+``accepts_lasso`` ticks at the gcd of the checked word's gaps. Either way
+each move adds at least one tick, so the clock never decreases and every
+cycle of a product lies at the saturated tick: ``TickClocks.recurs`` is
+the Büchi condition both searches use.
 """
 
 from __future__ import annotations
@@ -553,14 +553,26 @@ class _Accepting(Set):
         return sum(1 for _ in self)
 
 
-def _next_phase(a: TimedAutomaton, b: TimedAutomaton, loc) -> int:
-    """The round-robin phase of the locations a move from intersection
-    location ``loc`` enters: phase 0 waits for an accepting location of
-    the first part, phase 1 for one of the second."""
+def _joint_moves(a: TimedAutomaton, b: TimedAutomaton, view_a: _Views,
+                 view_b: _Views, loc, moves_a, moves_b) -> tuple[int, list]:
+    """How the moves leaving intersection location ``loc`` pair up from
+    its parts' moves, each a tuple whose last item is its target: (the
+    round-robin phase every joint target enters, [(a's move, b's moves
+    whose targets' views agree with its target's)]), moves in their
+    parts' order. A joint move's target is (a's target, b's target,
+    phase). This is the order of ``edges_from[loc]`` and of
+    ``edge_rows``, in which ``TickClocks`` numbers locations. Phase 0
+    waits for an accepting location of a, phase 1 for one of b."""
     qa, qb, ph = loc
     if ph == 0:
-        return 1 if qa in a.accepting else 0
-    return 0 if qb in b.accepting else 1
+        nxt = 1 if qa in a.accepting else 0
+    else:
+        nxt = 0 if qb in b.accepting else 1
+    by_view: dict = {}
+    for move in moves_b:
+        by_view.setdefault(view_b[move[-1]], []).append(move)
+    return nxt, [(move, by_view.get(view_a[move[-1]], ()))
+                 for move in moves_a]
 
 
 class _EdgeTable(dict):
@@ -580,17 +592,13 @@ class _EdgeTable(dict):
     def __missing__(self, loc):
         a, b = self._a, self._b
         qa, qb, _ = loc
-        nxt = _next_phase(a, b, loc)
-        right = [(self._view_b[eb.target], eb.target, eb.guard)
-                 for eb in b.edges_from[qb]]
-        out = []
-        for ea in a.edges_from[qa]:
-            view = self._view_a[ea.target]
-            for view_b, target_b, guard_b in right:
-                if view == view_b:
-                    out.append(Edge(loc, ea.guard.conjoin(guard_b),
-                                    (ea.target, target_b, nxt)))
-        edges = self[loc] = tuple(out)
+        nxt, pairs = _joint_moves(
+            a, b, self._view_a, self._view_b, loc,
+            [(e.guard, e.target) for e in a.edges_from[qa]],
+            [(e.guard, e.target) for e in b.edges_from[qb]])
+        edges = self[loc] = tuple(
+            Edge(loc, guard_a.conjoin(guard_b), (ta, tb, nxt))
+            for (guard_a, ta), matches in pairs for guard_b, tb in matches)
         return edges
 
 
@@ -629,25 +637,18 @@ class _Intersection(TimedAutomaton):
 
     def edge_rows(self, loc, clocks: TickClocks) -> list[tuple]:
         """The rows of ``edges_from[loc]``, built from the parts' rows
-        (``clocks.part_rows``) as ``_EdgeTable`` builds the edges: the
-        first part's rows outer, the second's inner, paired when their
-        targets' views agree. A joint edge's guard conjoins its parts'
+        (``clocks.part_rows``) and paired as the edges are
+        (``_joint_moves``). A joint edge's guard conjoins its parts'
         guards, so its tick range is the intersection of their ranges; its
         target letter is the union of theirs."""
         qa, qb, _ = loc
         a, b = self.parts
-        view_a, view_b = self.views
-        nxt = _next_phase(a, b, loc)
-        right = [(view_b[tb], lb, lo_b, hi_b, tb)
-                 for lb, lo_b, hi_b, tb in clocks.part_rows(b, qb)]
-        rows = []
-        for la, lo_a, hi_a, ta in clocks.part_rows(a, qa):
-            view = view_a[ta]
-            for vb, lb, lo_b, hi_b, tb in right:
-                if view == vb:
-                    rows.append((la | lb, max(lo_a, lo_b), min(hi_a, hi_b),
-                                 (ta, tb, nxt)))
-        return rows
+        nxt, pairs = _joint_moves(a, b, *self.views, loc,
+                                  clocks.part_rows(a, qa),
+                                  clocks.part_rows(b, qb))
+        return [(la | lb, max(lo_a, lo_b), min(hi_a, hi_b), (ta, tb, nxt))
+                for (la, lo_a, hi_a, ta), matches in pairs
+                for lb, lo_b, hi_b, tb in matches]
 
 
 # --------------------------------------------------------------------------

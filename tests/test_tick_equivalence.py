@@ -1172,35 +1172,14 @@ def test_step3_resume_matches_walking_every_combination(shape, agents,
 # oracle: guard segments compiled from the joint edges
 # --------------------------------------------------------------------------
 
-class EdgeClocks(TickClocks):
-    """``TickClocks`` compiling each location from ``edges_from[q]``, every
-    edge's tick range from ``tick_range(edge.guard)``, as it did before an
-    intersection's rows were built from its parts' rows."""
-
-    def segments(self, i):
-        compiled = self._compiled[i]
-        if compiled is None:
-            auto, number = self.automaton, self.number
-            rows = [(auto.labels[edge.target], *self.tick_range(edge.guard),
-                     number(edge.target))
-                    for edge in auto.edges_from[self.locations[i]]]
-            cuts = {0}
-            for _, lo, hi, _ in rows:
-                if lo <= hi:
-                    cuts.update((lo, hi + 1))
-            cuts = sorted(cuts - {self.sat + 1})
-            tables = []
-            for start in cuts:
-                table: dict = {}
-                for letter, lo, hi, target in rows:
-                    if lo <= start <= hi:
-                        table.setdefault(letter, []).append(target)
-                tables.append(table)
-            bounds = itertools.pairwise(cuts + [self.sat + 1])
-            segment_of = [j for j, (a, b) in enumerate(bounds)
-                          for _ in range(a, b)]
-            compiled = self._compiled[i] = segment_of, tables
-        return compiled
+def _edge_clocks(automaton: TimedAutomaton, delta) -> TickClocks:
+    """``TickClocks`` over an intersection whose rows are built, as they
+    were before they came from its parts' rows, from ``edges_from[q]``,
+    every edge's tick range from ``tick_range(edge.guard)``: the base
+    ``TimedAutomaton.edge_rows``."""
+    automaton.edge_rows = functools.partial(TimedAutomaton.edge_rows,
+                                            automaton)
+    return TickClocks(automaton, delta)
 
 
 def _agent_automaton_of_units(rng) -> TimedAutomaton:
@@ -1225,7 +1204,7 @@ def test_joint_rows_compile_as_the_joint_edges():
         a, b = _agent_automaton_of_units(rng), _agent_automaton_of_units(rng)
         delta = Fraction(int(rng.integers(1, 4)), int(rng.integers(2, 5)))
         fast = TickClocks(intersect(a, b), delta)
-        oracle = EdgeClocks(intersect(a, b), delta)
+        oracle = _edge_clocks(intersect(a, b), delta)
         # compiled as a search meets them: the initial locations, then each
         # location in the order it was numbered, numbering its targets
         for q in fast.automaton.initial:
