@@ -24,6 +24,7 @@ is a sweep over the product's tick layers
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
@@ -53,37 +54,41 @@ def find_accepting_cycle(initials, successors, is_accepting,
     deterministic order) is reconstructed and returned. The inner DFS only
     visits states the outer one has already reached, so ``max_states``
     bounds the outer DFS alone.
+
+    A push costs a few plain operations: the count of reached states is
+    compared with the cap, and ``_check_budget`` runs only once it is over;
+    a state's index on the stack is the stack's length before the push.
     """
     blue: set = set()
     red: set = set()
+    cap = math.inf if max_states is None else max_states
 
     for root in initials:
         if root in blue:
             continue
         blue.add(root)
-        _check_budget(len(blue), max_states)
+        if len(blue) > cap:
+            _check_budget(len(blue), max_states)
         # frames: (state, successor-iterator)
         frames = [(root, iter(successors(root)))]
         on_stack = {root: 0}
         while frames:
             state, it = frames[-1]
-            pushed = False
             for child in it:
                 if child not in blue:
                     blue.add(child)
-                    _check_budget(len(blue), max_states)
+                    if len(blue) > cap:
+                        _check_budget(len(blue), max_states)
+                    on_stack[child] = len(frames)
                     frames.append((child, iter(successors(child))))
-                    on_stack[child] = len(frames) - 1
-                    pushed = True
                     break
-            if pushed:
-                continue
-            if is_accepting(state):
-                hit = _red_search(state, successors, red, on_stack)
-                if hit is not None:
-                    return _reconstruct(frames, on_stack, hit)
-            frames.pop()
-            del on_stack[state]
+            else:
+                if is_accepting(state):
+                    hit = _red_search(state, successors, red, on_stack)
+                    if hit is not None:
+                        return _reconstruct(frames, on_stack, hit)
+                frames.pop()
+                del on_stack[state]
     return None
 
 

@@ -27,13 +27,13 @@ MAS_LOG=debug|info|warning to enable logging.
 `main` runs each command with CPython's cyclic garbage collector paused: it
 disables the collector once the arguments are parsed and re-enables it
 afterwards only if it was enabled before. That is safe because the commands
-build almost no reference cycles, so reference counting frees what they
-allocate and the collector's passes would only walk the heap. The one
-cyclic garbage a command leaves is the standard library's indenting JSON
-encoder, at most 33 objects for each file `_write_json` writes, which the
-caller's next collection frees; tests/test_cli.py audits every command for
-any other cycle. The collector's state is process-wide: a `main` that starts
-while another thread's `main` runs finds it disabled and leaves it so.
+build no reference cycles, so reference counting frees what they allocate
+and the collector's passes would only walk the heap; tests/test_cli.py
+audits every command for cyclic garbage. (report.json and services.json
+are written by `mas.files.json_text`, not by the standard library's
+indenting JSON encoder, whose closures refer to one another.) The
+collector's state is process-wide: a `main` that starts while another
+thread's `main` runs finds it disabled and leaves it so.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ from .errors import BudgetExceeded, MasError, SemanticError, Unsatisfiable
 # the commands call load_scenario, plans_from_dict and plan_from_dict as
 # globals of this module, so that a wrapper set on it (as a tracer does) is
 # what runs
-from .files import (Scenario, load_scenario, plan_from_dict, plans_from_dict,
-                    plans_json, word_from_json)
+from .files import (Scenario, json_text, load_scenario, plan_from_dict,
+                    plans_from_dict, plans_json, word_from_json)
 from .graph import NetworkGraph, SpectralData, build_graph, spectral
 from .mitl import evaluate, parse, witness_instant
 from .partition import (CellDecomposition, ServiceLabeling, cell_of,
@@ -159,7 +159,7 @@ def stage_synthesize(pipe: Pipeline, r_iter: int = DEFAULT_R_ITER,
 # --------------------------------------------------------------------------
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json_text(obj))
 
 
 def report_dict(pipe: Pipeline) -> dict:

@@ -1,5 +1,6 @@
 """Scenarios, plans.json and timed words: read by one walker; plans.json is
-also written here (``plans_json``).
+also written here (``plans_json``), and so is the text of the other JSON
+artifacts (``json_text``).
 
 Each file's structure is a table: ``SCENARIO``, ``PLANS``, ``COMPACT_WORD``
 and ``EXPLICIT_WORD``. A table entry (:class:`Key`) names a key, gives its
@@ -12,7 +13,8 @@ length, an agent key that is not the decimal form of an agent number in
 range. The problems are raised together as one SchemaError.
 
 Content that is well formed but inconsistent is checked after the walk by
-plain code. A scenario raises SemanticError or ParseError; a timed word with
+plain code. A scenario raises SemanticError, ParseError or
+UnsupportedNesting (a formula outside the flat fragment); a timed word with
 an empty cycle, times that do not increase or durations that are not
 positive raises a SchemaError at the empty pointer.
 """
@@ -30,10 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, SemanticError
+from .errors import ParseError, SchemaError, SemanticError, UnsupportedNesting
 from .mitl import MitlFormula, TimedWord, atoms, parse, word_from_lasso
 from .partition import LabeledRegion, Workspace
 from .synthesis import Plan, SynthesisResult
+from .tba import check_flat
 
 _BOUNDARY_TOL = 1e-9
 
@@ -377,7 +380,9 @@ def load_scenario(path) -> Scenario:
     problem. Well-formed but inconsistent content (overlapping service
     alphabets, positions or regions outside the workspace, formulas using
     foreign services, bad parameter values) raises SemanticError or
-    ParseError.
+    ParseError, and a formula outside the flat fragment the planner
+    translates raises UnsupportedNesting (``tba.check_flat``, which builds
+    no automaton); each formula error names its agent.
     """
     p = Path(path)
     try:
@@ -436,6 +441,11 @@ def load_scenario(path) -> Scenario:
         except ParseError as exc:
             raise ParseError(f"formula for agent {aid}: {exc}",
                              exc.position) from None
+        try:
+            check_flat(formulas[aid])
+        except UnsupportedNesting as exc:
+            raise UnsupportedNesting(
+                f"formula for agent {aid}: {exc}") from None
         own = frozenset().union(*(r.services.get(aid, frozenset())
                                   for r in regions))
         foreign = atoms(formulas[aid]) - own
@@ -583,6 +593,30 @@ def _array(items: list[str], indent: str) -> str:
     if not items:
         return "[]"
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for
+    byte, for a document of str-keyed objects, lists, tuples and scalars.
+
+    The standard library's indenting encoder is pure Python and builds
+    closures that refer to one another, which only the cyclic collector
+    frees; this formatter is plain recursion over ``_scalar`` and
+    ``_array`` and leaves no garbage."""
+    return _value_text(obj, "") + "\n"
+
+
+def _value_text(x, indent: str) -> str:
+    inner = indent + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        return "{\n" + ",\n".join(
+            [f"{inner}{_scalar(k)}: {_value_text(x[k], inner)}"
+             for k in sorted(x)]) + "\n" + indent + "}"
+    if isinstance(x, (list, tuple)):
+        return _array([inner + _value_text(v, inner) for v in x], indent)
+    return _scalar(x)
 
 
 def plans_from_dict(obj) -> list[Plan]:

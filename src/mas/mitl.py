@@ -299,7 +299,11 @@ def word_from_lasso(letters_prefix, letters_cycle, dt: TimeLike) -> TimedWord:
     """Word of a uniformly sampled lasso run: position j occurs at j*dt.
 
     The unit is dt, so position j sits at tick j; an empty prefix takes
-    one copy of the cycle, so that position 0 is explicit.
+    one copy of the cycle, so that position 0 is explicit. A run repeats
+    a few letters over many positions, so each distinct letter is
+    normalised to a frozenset of str once: a letter given as a frozenset
+    equal to one already normalised takes that one, and equal letters
+    share one frozenset in the word.
     """
     unit = to_fraction(dt)
     prefix, cycle = list(letters_prefix), list(letters_cycle)
@@ -309,10 +313,17 @@ def word_from_lasso(letters_prefix, letters_cycle, dt: TimeLike) -> TimedWord:
         # the general constructor names the fault
         return TimedWord([(ls, unit * j) for j, ls in enumerate(prefix)],
                          [(ls, unit) for ls in cycle])
-    # one frozenset per distinct letter, however long the run
+    # each normal form once; a frozenset equal to one is a set of those
+    # str names already, so it is looked up rather than normalised again
     distinct: dict[frozenset[str], frozenset[str]] = {}
-    letters = tuple(distinct.setdefault(letter, letter) for letter in
-                    (frozenset(map(str, ls)) for ls in prefix + cycle))
+    letters = []
+    for ls in prefix + cycle:
+        letter = distinct.get(ls) if type(ls) is frozenset else None
+        if letter is None:
+            letter = frozenset(map(str, ls))
+            letter = distinct.setdefault(letter, letter)
+        letters.append(letter)
+    letters = tuple(letters)
     word = object.__new__(TimedWord)
     word._set(letters, tuple(range(len(letters))), len(prefix), len(cycle),
               unit)

@@ -71,20 +71,24 @@ class BuchiProduct:
     takes its sampling period ``dt``, so a product state is (system state,
     location number, k) with k the automaton's one clock in ticks of dt,
     and each move advances k by one tick; ``location(i)`` reads a number
-    back (``TickClocks.number``). ``moves(s, q, k)`` gives the (s2,
-    target) pairs that tick k admits, s2 in ``system.successors`` order
-    and then the edges into s2's label in their order. They are memoised
-    once per (system state, location, guard segment of the location), in
-    the location's ``memo``, and filled on first use, since the per-agent
-    sweep (`_tick_layers`) asks for ticks in any order and expands every
-    pair it reaches. ``successors`` of the product yields the same pairs
-    with the next tick, one child at a time: a depth-first search takes
-    the first child it has not seen and may never come back for the rest,
-    so a state whose memo entry is not filled has its children made only
-    as the search reaches them, and the memo stays as it was. Since k
-    never decreases, a state below the saturated tick lies on no cycle;
-    ``accepting`` admits only accepting locations at the saturated tick
-    (``TickClocks.recurs``).
+    back (``TickClocks.number``). Each system state's children are paired
+    with their letters once per product (``labelled``: (s2,
+    ``system.label(s2)``) in ``system.successors`` order), and both
+    ``moves`` and ``successors`` read that list, so no child's label is
+    asked for twice. ``moves(s, q, k)`` gives the (s2, target) pairs that
+    tick k admits, s2 in that order and then the edges into s2's letter
+    in their order. They are memoised once per (system state, location,
+    guard segment of the location), in the location's ``memo``, and
+    filled on first use, since the per-agent sweep (`_tick_layers`) asks
+    for ticks in any order and expands every pair it reaches.
+    ``successors`` of the product yields the same pairs with the next
+    tick, one child at a time: a depth-first search takes the first child
+    it has not seen and may never come back for the rest, so a state
+    whose memo entry is not filled has its children made from its
+    labelled list only as the search reaches them, and the memo stays as
+    it was. Since k never decreases, a state below the saturated tick
+    lies on no cycle; ``accepting`` admits only accepting locations at
+    the saturated tick (``TickClocks.recurs``).
     """
 
     def __init__(self, system, automaton: TimedAutomaton):
@@ -93,6 +97,8 @@ class BuchiProduct:
         self.clocks = TickClocks(automaton, to_fraction(system.dt))
         # q -> (segment of each tick, tables, one {s: pairs} per segment)
         self._moves: dict[int, tuple] = {}
+        # s -> its (child, child's letter) pairs
+        self._labelled: dict = {}
 
     def location(self, i: int):
         return self.clocks.locations[i]
@@ -112,6 +118,16 @@ class BuchiProduct:
             entry = self._moves[q] = segment_of, tables, [{} for _ in tables]
         return entry
 
+    def labelled(self, s) -> list[tuple]:
+        """(s2, ``system.label(s2)``) for each s2 of
+        ``system.successors(s)``, in its order, built once per state."""
+        pairs = self._labelled.get(s)
+        if pairs is None:
+            label = self.system.label
+            pairs = self._labelled[s] = [
+                (s2, label(s2)) for s2 in self.system.successors(s)]
+        return pairs
+
     def moves(self, s, q: int, k: int) -> list[tuple]:
         """The (s2, target) pairs from (s, q) whose guard admits tick k."""
         segment_of, tables, by_segment = self._moves.get(q) or self.memo(q)
@@ -119,18 +135,18 @@ class BuchiProduct:
         by_state = by_segment[segment]
         pairs = by_state.get(s)
         if pairs is None:
-            table, label = tables[segment], self.system.label
+            table = tables[segment]
             pairs = by_state[s] = [
-                (s2, target) for s2 in self.system.successors(s)
-                for target in table.get(label(s2), ())]
+                (s2, target) for s2, letter in self.labelled(s)
+                for target in table.get(letter, ())]
         return pairs
 
     def successors(self, state: tuple) -> Iterator[tuple]:
         """The children (s2, target, next tick) of a product state, in
         ``moves`` order, each made when the caller reaches it: read from
-        the memo where ``moves`` has filled it, else from
-        ``system.successors``, ``system.label`` and the guard segment's
-        table, without filling the memo."""
+        the memo where ``moves`` has filled it, else from the state's
+        ``labelled`` list and the guard segment's table, without filling
+        the memo."""
         s, q, k = state
         sat = self.clocks.sat
         k = k + 1 if k + 1 < sat else sat
@@ -141,9 +157,9 @@ class BuchiProduct:
             for s2, target in pairs:
                 yield s2, target, k
             return
-        table, label = tables[segment], self.system.label
-        for s2 in self.system.successors(s):
-            for target in table.get(label(s2), ()):
+        table = tables[segment]
+        for s2, letter in self.labelled(s):
+            for target in table.get(letter, ()):
                 yield s2, target, k
 
     def accepting(self, state: tuple) -> bool:

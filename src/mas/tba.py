@@ -441,6 +441,17 @@ def _unit_automaton(unit: MitlFormula, letters: list[frozenset[str]],
         c_max=_largest_constant(guard for _, _, guard in phase_edges))
 
 
+def check_flat(formula: MitlFormula) -> None:
+    """Raise UnsupportedNesting, naming the operator at fault, unless the
+    formula is in the flat fragment ``from_flat_mitl`` translates: a
+    conjunction of units, each propositional or one temporal operator over
+    propositional operands, once negations are pushed inward. The checks
+    are those of the translation (its normalisation and each unit's
+    phases), and no automaton is built."""
+    for unit in _conjuncts(_normalize(formula)):
+        _unit_phases(unit)
+
+
 def from_flat_mitl(formula: MitlFormula,
                    letters: Iterable[Iterable[str]] | None = None
                    ) -> TimedAutomaton:
@@ -537,14 +548,17 @@ class _Labels(Mapping):
 class _Accepting(Set):
     """The accepting locations of an intersection: phase 0 over an
     accepting location of the first part. Membership is tested on the
-    spot; iterating lists them in location order."""
+    spot, the phase and the first part's acceptance before whether the
+    triple is a location at all, so that a triple failing either never
+    builds its letter (``_Labels``); iterating lists them in location
+    order."""
 
     def __init__(self, a: TimedAutomaton, labels: _Labels):
         self._a, self._labels = a, labels
 
     def __contains__(self, loc) -> bool:
-        return loc in self._labels and loc[2] == 0 \
-            and loc[0] in self._a.accepting
+        qa, _, ph = loc
+        return ph == 0 and qa in self._a.accepting and loc in self._labels
 
     def __iter__(self):
         return (loc for loc in self._labels.locations if loc in self)

@@ -16,7 +16,8 @@ from mas import cli
 from mas.cli import (_CSV_CHUNK, _write_trajectory_csv, load_scenario, main,
                      stage_abstract, stage_bounds, stage_synthesize,
                      word_from_json)
-from mas.errors import ParseError, SchemaError, SemanticError
+from mas.errors import (ParseError, SchemaError, SemanticError,
+                        UnsupportedNesting)
 from mas.simulate import integrate_plans
 
 from conftest import bench_families
@@ -95,6 +96,39 @@ def test_formula_parse_errors_name_the_agent(tmp_path):
     sc["formulas"]["2"] = "F[2,1] dock"
     with pytest.raises(ParseError, match="formula for agent 2"):
         load_scenario(_dump(tmp_path, sc))
+
+
+def test_formulas_outside_the_flat_fragment_are_refused(tmp_path, capsys):
+    sc = _pair_dict()
+    sc["formulas"]["1"] = "G[0,inf) F[0,1] port"
+    path = _dump(tmp_path, sc)
+    with pytest.raises(UnsupportedNesting,
+                       match="formula for agent 1: .*flat fragment"):
+        load_scenario(path)
+    # a negation the translation cannot push inward
+    sc["formulas"]["1"] = "!(port U[0,1] port)"
+    with pytest.raises(UnsupportedNesting, match="formula for agent 1"):
+        load_scenario(_dump(tmp_path, sc, "negated.json"))
+    capsys.readouterr()
+    for command in (["bounds"], ["abstract"], ["synthesize"], ["simulate"],
+                    ["check", "--agent", "1"]):
+        assert main([*command, "--scenario", path,
+                     "--out", str(tmp_path / "out")]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: formula for agent 1: "), command
+        assert "flat fragment" in err, command
+
+
+def test_check_evaluates_a_formula_outside_the_flat_fragment(tmp_path,
+                                                             capsys):
+    # only scenario formulas need to be flat; --formula is evaluated as is
+    out = tmp_path / "out"
+    assert main(["synthesize", "--scenario", _pair_path(),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["check", "--scenario", _pair_path(), "--out", str(out),
+                 "--agent", "1", "--formula", "F[0,2] F[0,1] port"]) == 0
+    assert "SATISFIED" in capsys.readouterr().out
 
 
 def test_parameter_ranges_are_policed(tmp_path):
@@ -766,16 +800,7 @@ def test_numbers_must_be_finite(tmp_path, capsys):
         capsys.readouterr().err
 
 
-# What the indenting JSON encoder leaves for each file ``_write_json``
-# writes: json.dumps(indent=...) runs the pure-Python encoder, whose nested
-# closures refer to each other (33 objects on CPython 3.11).
-_ENCODER_CYCLE_TYPES = {"JSONEncoder", "cell", "dict", "function", "method",
-                        "tuple"}
-_ENCODER_CYCLE_SIZE = 33
-
-
-def test_repeated_commands_leave_only_json_encoder_cycles(tmp_path,
-                                                          monkeypatch):
+def test_repeated_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch):
     # main pauses the cyclic collector, so a reference cycle built by a
     # command would pile up until the caller's next collection
     scenarios = {"pair_line": _pair_path(),
@@ -787,12 +812,12 @@ def test_repeated_commands_leave_only_json_encoder_cycles(tmp_path,
     written = []
     write_json = cli._write_json
     monkeypatch.setattr(cli, "_write_json",
-                        lambda path, obj: written.append(path) or
+                        lambda path, obj: written.append((path, obj)) or
                         write_json(path, obj))
     for command in commands:  # warm-up: imports and caches of first use
         assert main([*command, "--scenario", _pair_path(),
                      "--out", str(tmp_path / "warm-up")]) in (0, 1)
-    codes, left = {}, {}
+    codes, left, files = {}, {}, set()
     for name, scenario in scenarios.items():
         common = ["--scenario", scenario, "--out", str(tmp_path / name)]
         for command in commands:
@@ -807,11 +832,15 @@ def test_repeated_commands_leave_only_json_encoder_cycles(tmp_path,
             finally:
                 gc.set_debug(0)
                 gc.garbage.clear()
-            if not set(garbage) <= _ENCODER_CYCLE_TYPES or \
-                    len(garbage) > _ENCODER_CYCLE_SIZE * len(written) or \
-                    garbage.count("JSONEncoder") > len(written):
+            if garbage:
                 left[case] = sorted(garbage)
+            # each file is what the standard library's encoder writes
+            for path, obj in written:
+                assert path.read_text() == \
+                    json.dumps(obj, indent=2, sort_keys=True) + "\n", case
+                files.add(path.name)
     assert left == {}
+    assert files == {"report.json", "services.json"}
     # the audit covers success paths, verdicts and errors
     assert codes["pair_line: simulate"] == 0
     assert codes["step4: synthesize"] == 0

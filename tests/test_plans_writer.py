@@ -10,6 +10,9 @@ agents, long runs whose steps share few bodies), on two fixed cases (norms
 and sampling intervals) and on real plans: the
 step-4 pair scenario's and those of the shipped scenarios that have
 plans. The text read back gives the plans' cells, actions and services.
+``json_text``, which writes report.json and services.json, gives what
+``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` gives on random
+documents.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import pytest
 from mas.abstraction import TransitionCertificate
 from mas.cli import load_scenario, stage_abstract, stage_bounds, \
     stage_synthesize
-from mas.files import plans_from_dict, plans_json
+from mas.files import json_text, plans_from_dict, plans_json
 from mas.synthesis import Plan, SynthesisResult
 
 from test_cli import STEP4_SCENARIO
@@ -270,3 +273,37 @@ def test_step4_plans_are_written_as_before(tmp_path):
     assert result.step_used == 4
     text = _assert_written_as_before(load_scenario(path), result)
     assert text.count('"time"') == 2 * 917
+
+
+# --------------------------------------------------------------------------
+# report.json and services.json
+# --------------------------------------------------------------------------
+
+_SCALARS = [0, -7, 2**70, 0.0, -0.0, 1e-300, 2.5, float("nan"),
+            float("inf"), -float("inf"), np.float64(0.1), np.float64("nan"),
+            True, False, None, "", "port", 'quote " and \\ back',
+            "tab\tnew\nline", "caf\u00e9 \u2603", "\x00\x1f"]
+
+
+def _random_document(rng, depth: int):
+    kind = int(rng.integers(0, 4 if depth else 1))
+    if kind == 0:
+        return _SCALARS[int(rng.integers(len(_SCALARS)))]
+    size = int(rng.integers(0, 4))
+    items = [_random_document(rng, depth - 1) for _ in range(size)]
+    if kind == 1:
+        return items
+    if kind == 2:
+        return tuple(items)
+    keys = rng.choice(["a", "B", "b", "agents", "\u00e9", "~/", "1", "10",
+                       "2", ""], size=size, replace=False)
+    return {str(k): v for k, v in zip(keys, items)}
+
+
+def test_json_text_writes_what_json_dumps_writes(rng):
+    documents = [{}, [], (), {"a": {}, "b": [], "c": [[], {}]}, 1.5, "x",
+                 None, {"agents": [{"agent": 1, "neighbors": [2, 3]}]}]
+    documents += [_random_document(rng, 4) for _ in range(300)]
+    for doc in documents:
+        assert json_text(doc) == \
+            json.dumps(doc, indent=2, sort_keys=True) + "\n", doc

@@ -34,7 +34,13 @@ Each test keeps a local copy of the earlier implementation as its oracle:
   or a star, through ``synthesize`` as well;
 * guard segments compiled from the joint edges and their conjoined
   guards, against ``TickClocks.segments`` building an intersection's rows
-  from its parts' rows, on two agents' nested intersections.
+  from its parts' rows, on two agents' nested intersections;
+* an intersection's acceptance tested location first, against
+  ``_Accepting`` testing the phase and the first part's acceptance first,
+  on the same nested intersections, locations or not;
+* children filtered straight from ``system.successors`` and
+  ``system.label``, against ``BuchiProduct``'s labelled successor lists,
+  before and after ``moves`` fills a state's memo entry.
 """
 
 from __future__ import annotations
@@ -1227,3 +1233,122 @@ def test_joint_rows_compile_as_the_joint_edges():
     assert phases == {0, 1}
     assert locations > 3000 and segments > 2 * locations, \
         (locations, segments)
+
+
+# --------------------------------------------------------------------------
+# oracle: acceptance tested location first
+# --------------------------------------------------------------------------
+
+def _location_first(automaton: TimedAutomaton, loc) -> bool:
+    """Whether an intersection accepts ``loc``, tested as it was before
+    the phase and the first part's acceptance came first: is it a
+    location at all, then its phase, then its first part."""
+    return loc in automaton.labels and loc[2] == 0 \
+        and loc[0] in automaton.parts[0].accepting
+
+
+def _answer(test, loc):
+    """test(loc), or the type of the exception it raises."""
+    try:
+        return test(loc)
+    except Exception as exc:     # noqa: BLE001 - compared, not handled
+        return type(exc)
+
+
+def test_acceptance_answers_as_when_the_location_was_tested_first():
+    rng = np.random.default_rng(7040)
+    answers = Counter()
+    for _ in range(25):
+        a, b = _agent_automaton_of_units(rng), _agent_automaton_of_units(rng)
+        joint = intersect(a, b)
+        # every pair of part locations in phases 0, 1 and others, most of
+        # them no location; part locations that are none; other shapes
+        candidates = list(itertools.product(a.locations, b.locations,
+                                            (0, 1, 2, -1, False, 0.0)))
+        candidates += [(qa, "nowhere", ph) for qa in a.locations[:4]
+                       for ph in (0, 1)]
+        candidates += [(("x", "y", 0), qb, 0) for qb in b.locations[:4]]
+        candidates += [None, 5, (), (0, 1), "ab0", "abc",
+                       (a.locations[0], b.locations[0], 0, 0),
+                       [a.locations[0], b.locations[0], 0],
+                       [a.locations[0], b.locations[0], 1]]
+        fresh = intersect(a, b)
+        for loc in candidates:
+            want = _answer(functools.partial(_location_first, joint), loc)
+            got = _answer(fresh.accepting.__contains__, loc)
+            if isinstance(want, bool):
+                assert got is want, loc
+            else:
+                # no answer before: the same error, or no to a triple
+                # that fails the phase or the first part first
+                assert got in (want, False), loc
+            answers[got] += 1
+        # a triple that fails the phase or the first part never had its
+        # letter built
+        built = set(vars(fresh.labels)["_memo"])
+        assert all(loc[2] == 0 and loc[0] in a.accepting for loc in built)
+        assert fresh.accepting == joint.accepting
+    assert answers[True] > 100 and answers[False] > 10_000, answers
+    assert answers[TypeError] and answers[ValueError], answers
+
+
+# --------------------------------------------------------------------------
+# oracle: children filtered straight from the system
+# --------------------------------------------------------------------------
+
+def _filtered_children(product: BuchiProduct, state) -> list:
+    """The children of a product state, filtered from
+    ``system.successors`` and ``system.label`` at the guard segment of the
+    next tick, as ``BuchiProduct`` made them before each state's children
+    were paired with their letters once."""
+    s, q, k = state
+    sat = product.clocks.sat
+    k = k + 1 if k + 1 < sat else sat
+    segment_of, tables = product.clocks.segments(q)
+    table, system = tables[segment_of[k]], product.system
+    return [(s2, target, k) for s2 in system.successors(s)
+            for target in table.get(system.label(s2), ())]
+
+
+def _assert_children_as_filtered(product: BuchiProduct, moves_first: bool,
+                                 cap: int = 3000) -> int:
+    """Expand the product depth first, comparing each state's children
+    with the filtered ones before and after ``moves`` fills its memo
+    entry (or only after, when ``moves_first``)."""
+    system = product.system
+    seen = set(product.initial())
+    frontier = list(seen)
+    while frontier and len(seen) < cap:
+        state = frontier.pop()
+        s, q, k = state
+        want = _filtered_children(product, state)
+        if not moves_first:
+            assert list(product.successors(state)) == want, state
+        sat = product.clocks.sat
+        assert product.moves(s, q, k + 1 if k + 1 < sat else sat) \
+            == [(s2, target) for s2, target, _ in want]
+        assert list(product.successors(state)) == want, state
+        assert product.labelled(s) == [(s2, system.label(s2))
+                                       for s2 in system.successors(s)]
+        for child in want:
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return len(seen)
+
+
+def test_labelled_successors_match_the_filtered_children():
+    rng = np.random.default_rng(7050)
+    states = Counter()
+    for _ in range(100):
+        product = _random_labelled_product(rng)
+        automata = [from_flat_mitl(
+            random_flat_formula(rng, names=(f"p{w.agent}", f"q{w.agent}")),
+            {w.label(c) for c in w.cells}) for w in product.wts_list]
+        systems = [*zip(product.wts_list, automata),
+                   (product, intersect(*automata))]
+        for system, automaton in systems:
+            for moves_first in (False, True):
+                states[moves_first] += _assert_children_as_filtered(
+                    BuchiProduct(system, automaton), moves_first)
+    assert min(states.values()) > 5000, states

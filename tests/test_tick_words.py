@@ -212,3 +212,40 @@ def test_sampled_words_fail_as_fraction_words_do(dt, prefix, cycle):
     with pytest.raises(ValueError) as got:
         word_from_lasso(*args)
     assert str(got.value) == str(want.value)
+
+
+# items that are not str, some equal to each other as set items but not
+# as text: 1 == 1.0 == True, and each reads differently through str
+_ITEMS = ("p", "q", 1, 1.0, True, "1", 2.5)
+
+
+def test_sampled_words_normalise_letters_given_in_any_form():
+    rng = np.random.default_rng(2311)
+    shared = 0
+    for _ in range(300):
+        count = int(rng.integers(1, 12))
+        # a few letter objects, each repeated at several positions
+        pool = [frozenset(x for x in _ITEMS if rng.random() < 0.3)
+                for _ in range(int(rng.integers(1, 5)))]
+        as_sets = [pool[int(rng.integers(len(pool)))] for _ in range(count)]
+        # fresh objects per position: lists in a random order, and sets
+        as_lists = [list(rng.permutation(np.array(list(ls), dtype=object)))
+                    for ls in as_sets]
+        fresh = [frozenset(ls) for ls in as_lists]
+        cut = int(rng.integers(0, count))
+        dt = Fraction(int(rng.integers(1, 4)), 3)
+        want = tuple(frozenset(map(str, ls)) for ls in
+                     (as_sets if cut else as_sets[cut:] + as_sets[cut:]))
+        oracle = TimedWord([(ls, dt * j) for j, ls in
+                            enumerate(as_sets[:cut] or as_sets[cut:])],
+                           [(ls, dt) for ls in as_sets[cut:]])
+        for letters in (as_sets, as_lists, fresh):
+            word = word_from_lasso(letters[:cut], letters[cut:], dt)
+            assert word == oracle
+            assert word.letters == want
+            assert all(type(letter) is frozenset for letter in word.letters)
+            # one object per distinct letter
+            assert len({id(letter) for letter in word.letters}) == \
+                len(set(word.letters))
+        shared += len(set(map(id, as_sets))) < len(as_sets)
+    assert shared > 100
