@@ -30,13 +30,14 @@ products of the line3-abstract scenario at seed 0 (``LINE3`` of
 ``test_abstraction_layers``), 24 lassos each. One more translates
 ``F[0,1] a & F[0,2] b & G[0,3] !c`` over the letters an agent with k
 one-service regions emits, none and one per service, for k = 3..7. The
-last two take the two-agent scenario's step-4 plans, 917 steps per agent:
-one writes the text of plans.json, the other builds both plans' timed
+last four take the two-agent scenario's step-4 plans, 917 steps per
+agent: one writes the text of plans.json, one builds both plans' timed
 words (``Plan.word``) and runs the checks ``_build_plans`` makes on them,
-``evaluate`` and ``witness_instant`` against each agent's formula. The
-very last runs all of ``_build_plans`` on those runs, with no certificate
-computed yet (each agent's certificates of its distinct moves in one
-batch).
+``evaluate`` and ``witness_instant`` against each agent's formula, one
+runs all of ``_build_plans`` on those runs, with no certificate computed
+yet (each agent's certificates of its distinct moves in one batch), and
+the last times that share alone: cold ``AgentWTS.certificates`` over both
+agents' 917 moves (135 and 248 distinct).
 
 Time them from the repository root; the default test run runs each once
 with ``--benchmark-disable`` (tests/test_microbench.py):
@@ -287,3 +288,19 @@ def test_build_plans_with_cold_certificates(benchmark, pipe, step4_result):
     plans = benchmark(build)
     assert [p.prefix_length + p.cycle_length for p in plans] == [917, 917]
     assert all(c is not None for p in plans for c in p.certificates_prefix)
+
+
+def test_certificates_of_the_step4_moves(benchmark, pipe, step4_result):
+    moves = []
+    for w, plan in zip(pipe.wts_list, step4_result.plans):
+        run = plan.prefix_cells + plan.cycle_cells + plan.cycle_cells[:1]
+        moves.append((w, plan.prefix_actions + plan.cycle_actions, run[1:]))
+
+    def certify():
+        return [dataclasses.replace(w, _certificates={}).certificates(
+            actions, targets) for w, actions, targets in moves]
+
+    certificates = benchmark(certify)
+    assert [len(c) for c in certificates] == [917, 917]
+    assert [len(set(c)) for c in certificates] == [135, 248]
+    assert None not in certificates[0] + certificates[1]

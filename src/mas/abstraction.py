@@ -29,7 +29,8 @@ its nominal input is that law with every agent at its cell center, it
 carries that input's norm, and its remainder is the deviation bound
 rho(dt). `AgentWTS.certificates` computes them when asked, once per distinct
 move, with the law and the norms evaluated for all new moves of a plan in
-one batch.
+one batch; each certificate is an immutable named tuple, equal only to
+itself.
 
 Actions are (own cell, neighbor cells...) tuples: what the agent plans to do
 given where its neighbors currently are. The product system synchronizes all
@@ -59,7 +60,7 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,14 +77,18 @@ ACTION_ENUMERATION_CAP = 10**7
 BOX_TEST_ELEMENTS = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionCertificate:
+class TransitionCertificate(NamedTuple):
     """Evidence that one cell transition is well-posed.
 
     ``nominal_input`` is the feedback law of `feedback_inputs` with every
     agent at its cell center, and ``norm`` its Euclidean norm, the
     ``input_norm`` that plans.json records; both come from one batched
     evaluation per agent (`AgentWTS.certificates`).
+
+    A certificate is an immutable named tuple, so a batch builds each one
+    with the tuple constructor (`_certificates`), without setting its
+    fields one by one. It compares and hashes by identity, as one move's
+    evidence: two certificates with equal values are still two.
     """
 
     agent: int
@@ -93,6 +98,10 @@ class TransitionCertificate:
     nominal_input: np.ndarray  # center-to-center correction, norm <= lambda*v_max
     norm: float                # of nominal_input
     remainder: float           # continuous-flow deviation bound rho(dt)
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def _unpack(bits: np.ndarray, count: int) -> np.ndarray:
@@ -272,9 +281,10 @@ def _certificates(centers: np.ndarray, agent: int, dt: float, rho: float,
     goals = centers[np.array([target for _, target in moves]) - 1]
     nominal = (goals - own - dt * drift) / dt
     norms = np.sqrt(np.vecdot(nominal, nominal)).tolist()
-    return [TransitionCertificate(agent=agent, source=action[0],
-                                  target=target, neighbor_cells=action[1:],
-                                  nominal_input=x, norm=norm, remainder=rho)
+    # the tuple's own constructor, without the keyword-taking __new__
+    new = tuple.__new__
+    return [new(TransitionCertificate,
+                (agent, action[0], target, action[1:], x, norm, rho))
             for (action, target), x, norm in zip(moves, nominal, norms)]
 
 

@@ -27,7 +27,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -479,102 +479,132 @@ def load_scenario(path) -> Scenario:
 
 def plans_json(sc: Scenario, result: SynthesisResult) -> str:
     """The text of plans.json, byte for byte what ``json.dumps(document,
-    indent=2, sort_keys=True) + "\\n"`` writes, in one pass.
+    indent=2, sort_keys=True) + "\\n"`` writes, in one join.
 
-    A step's text is a body followed by its end; the body holds every
-    other key (``action``, ``cell``, ``input_norm`` and ``remainder`` when
-    the step has a certificate, ``services``), the end its time ``j * dt``
-    and the closing brace. Agents dwell, so steps repeat bodies (the two
-    step-4 pair plans' 1 834 steps have 383): each distinct (cell, action,
-    services, certificate) is formatted once for the whole file, and
-    each action and letter in it once (`_Bodies`). The ends are
-    formatted once per position for every plan with the same ``dt``, and
-    each step is its body's text plus its end's, joined at C speed.
-    Strings, NaN and Infinity are written by ``json.dumps``, so their
-    escapes and spellings are its own.
+    A step's text is its body, its time ``j * dt`` and its closing brace;
+    the body holds every other key (``action``, ``cell``, ``input_norm``
+    and ``remainder`` when the step has a certificate, ``services``).
+    Agents dwell, so steps repeat bodies (the two step-4 pair plans' 1 834
+    steps have 383, one per distinct move): each distinct (cell, action,
+    services, certificate) is formatted once for the whole file
+    (`_Bodies`), and the times once per position for every plan with the
+    same ``dt``. Each step is then three references into one list of
+    texts, which is joined once. Strings, NaN and Infinity are written by
+    ``json.dumps``, so their escapes and spellings are its own.
     """
     length = max(plan.prefix_length + plan.cycle_length
                  for plan in result.plans)
-    ends: dict[str, list[str]] = {}   # dt text -> each position's end
+    times: dict[str, list[str]] = {}   # dt text -> each position's time
     bodies = _Bodies()
-    agents = []
+    parts = ['{\n  "agents": [\n']
+    separator = ""
     for plan in result.plans:
         dt_text = _scalar(plan.dt)
-        if dt_text not in ends:
-            ends[dt_text] = _step_ends(plan.dt, length)
-        steps = list(map(add, map(bodies.__getitem__, zip(
+        if dt_text not in times:
+            times[dt_text] = _times(plan.dt, length)
+        steps = list(map(bodies.__getitem__, zip(
             plan.prefix_cells + plan.cycle_cells,
             plan.prefix_actions + plan.cycle_actions,
             plan.provided_prefix + plan.provided_cycle,
-            plan.certificates_prefix + plan.certificates_cycle)),
-            ends[dt_text]))
+            plan.certificates_prefix + plan.certificates_cycle)))
         p = plan.prefix_length
         wt = plan.witness_time
-        agents.append(
-            f'    {{\n'
-            f'      "agent": {_scalar(plan.agent)},\n'
-            f'      "cycle": {_array(steps[p:], "      ")},\n'
-            f'      "formula": {_scalar(plan.formula_text)},\n'
-            f'      "prefix": {_array(steps[:p], "      ")},\n'
-            f'      "witness_time": '
-            f'{_scalar(None if wt is None else str(wt))}\n'
-            f'    }}')
+        parts.append(f'{separator}    {{\n'
+                     f'      "agent": {_scalar(plan.agent)},\n'
+                     f'      "cycle": ')
+        _add_steps(parts, steps, times[dt_text], p, len(steps))
+        parts.append(f',\n      "formula": {_scalar(plan.formula_text)},\n'
+                     f'      "prefix": ')
+        _add_steps(parts, steps, times[dt_text], 0, p)
+        parts.append(f',\n      "witness_time": '
+                     f'{_scalar(None if wt is None else str(wt))}\n'
+                     f'    }}')
+        separator = ",\n"
     first = result.plans[0]
-    return (f'{{\n'
-            f'  "agents": {_array(agents, "  ")},\n'
-            f'  "cycle_length": {_scalar(first.cycle_length)},\n'
-            f'  "dt": {_scalar(first.dt)},\n'
-            f'  "prefix_length": {_scalar(first.prefix_length)},\n'
-            f'  "scenario": {_scalar(sc.name)},\n'
-            f'  "step_used": {_scalar(result.step_used)}\n'
-            f'}}\n')
+    parts.append(f'\n  ],\n'
+                 f'  "cycle_length": {_scalar(first.cycle_length)},\n'
+                 f'  "dt": {_scalar(first.dt)},\n'
+                 f'  "prefix_length": {_scalar(first.prefix_length)},\n'
+                 f'  "scenario": {_scalar(sc.name)},\n'
+                 f'  "step_used": {_scalar(result.step_used)}\n'
+                 f'}}\n')
+    return "".join(parts)
 
 
 # the indents of a step object in plans.json, of its keys and of their items
 _STEP_INDENT = " " * 8
 _KEY_INDENT = " " * 10
 _ITEM_INDENT = " " * 12
+_STEP_CLOSE = "\n" + _STEP_INDENT + "}"
 
 
-def _step_ends(dt, count: int) -> list[str]:
-    """The ends of steps 0 .. count - 1: the time ``j * dt``, then the
-    step's closing brace."""
-    close = "\n" + _STEP_INDENT + "}"
-    return [_scalar(j * dt) + close for j in range(count)]
+def _times(dt, count: int) -> list[str]:
+    """The times ``j * dt`` of steps 0 .. count - 1 as ``json.dumps``
+    writes them, all formatted by one call (a number's text holds no
+    ", ")."""
+    return json.dumps([j * dt for j in range(count)])[1:-1].split(", ")
+
+
+def _add_steps(parts: list[str], bodies: list[str], times: list[str],
+               a: int, b: int) -> None:
+    """Append the JSON array of steps a .. b - 1 to ``parts``: each step's
+    body, time and close (with the comma that follows it), as three
+    items."""
+    if a == b:
+        parts.append("[]")
+        return
+    block = [_STEP_CLOSE + ",\n"] * (3 * (b - a))
+    block[0::3] = bodies[a:b]
+    block[1::3] = times[a:b]
+    block[-1] = _STEP_CLOSE + "\n      ]"
+    parts.append("[\n")
+    parts += block
 
 
 class _Bodies(dict):
     """Step bodies, each made on first use: the text of a step up to its
     time value, keyed by (cell, action, services, certificate), with the
-    keys in sorted order. A certificate hashes by identity. Bodies share
-    few actions and letters, so the array text of each is made once too,
-    keyed by value."""
+    keys in sorted order. A certificate hashes by identity.
+
+    The text before a certificate's lines depends only on (cell, action)
+    and the text after them only on the services, so each is made once,
+    keyed by value. An agent's certificates share one remainder object,
+    rho(dt): its line is made again only when the remainder is another
+    object, so a remainder's text is never taken from an equal value with
+    other bits (0.0 for -0.0)."""
 
     def __init__(self):
         super().__init__()
-        self.actions: dict[tuple, str] = {}
-        self.letters: dict[frozenset, str] = {}
+        self.heads: dict[tuple, str] = {}
+        self.tails: dict[frozenset, str] = {}
+        self.remainder: tuple = (None, "")   # an object and its lines' end
 
     def __missing__(self, key) -> str:
         cell, action, services, cert = key
         indent, item = _KEY_INDENT, _ITEM_INDENT
-        norms = "" if cert is None else (
-            f'{indent}"input_norm": {_scalar(cert.norm)},\n'
-            f'{indent}"remainder": {_scalar(cert.remainder)},\n')
-        cells = self.actions.get(action)
-        if cells is None:
-            cells = self.actions[action] = _array(
-                [item + _scalar(c) for c in action], indent)
-        names = self.letters.get(services)
-        if names is None:
-            names = self.letters[services] = _array(
-                [item + _scalar(s) for s in sorted(services)], indent)
-        body = self[key] = (f'{_STEP_INDENT}{{\n'
-                            f'{indent}"action": {cells},\n'
-                            f'{indent}"cell": {_scalar(cell)},\n'
-                            f'{norms}'
-                            f'{indent}"services": {names},\n'
-                            f'{indent}"time": ')
+        head = self.heads.get((cell, action))
+        if head is None:
+            cells = _array([item + _scalar(c) for c in action], indent)
+            head = self.heads[cell, action] = (
+                f'{_STEP_INDENT}{{\n'
+                f'{indent}"action": {cells},\n'
+                f'{indent}"cell": {_scalar(cell)},\n')
+        tail = self.tails.get(services)
+        if tail is None:
+            names = _array([item + _scalar(s) for s in sorted(services)],
+                           indent)
+            tail = self.tails[services] = (f'{indent}"services": {names},\n'
+                                           f'{indent}"time": ')
+        if cert is None:
+            body = self[key] = head + tail
+            return body
+        rho, rest = self.remainder
+        if cert.remainder is not rho:
+            rho = cert.remainder
+            rest = f',\n{indent}"remainder": {_scalar(rho)},\n'
+            self.remainder = rho, rest
+        body = self[key] = (f'{head}{indent}"input_norm": '
+                            f'{_scalar(cert.norm)}{rest}{tail}')
         return body
 
 

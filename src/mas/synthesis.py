@@ -543,7 +543,9 @@ def _build_plans(
     for (prefix, cycle), run, w in zip(aligned, runs, wts_list):
         actions = _agent_actions(joints, w.agent, product.graph)
         certs = w.certificates(actions, run[1:])
-        provided = list(map(w.label, run[:-1]))
+        # agents dwell, so a run visits few cells: label each once
+        label = {cell: w.label(cell) for cell in set(run)}
+        provided = list(map(label.__getitem__, run[:-1]))
         formula = formulas[w.agent]
         plan = Plan(
             agent=w.agent,

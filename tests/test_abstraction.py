@@ -1,5 +1,7 @@
 """Consensus drift, well-posed cell transitions, agent/product systems."""
 
+import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -7,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from mas.abstraction import (ProductWTS, _box_distances, build_agent_wts,
+from mas.abstraction import (ProductWTS, TransitionCertificate,
+                             _box_distances, build_agent_wts,
                              feedback_inputs)
 from mas.bounds import (BoundsReport, DiscretizationRange,
                         deviation_remainder, discretization_range,
@@ -493,3 +496,135 @@ def test_certificates_equal_the_one_move_law_on_random_grids(counts):
             checked += _assert_certificates_equal_the_one_move_law(
                 w, decomp, rep, disc)
     assert checked > 1000
+
+
+# --------------------------------------------------------------------------
+# tuple certificates against the frozen-dataclass ones they replace
+# --------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _DataclassCertificate:
+    agent: int
+    source: int
+    target: int
+    neighbor_cells: tuple[int, ...]
+    nominal_input: np.ndarray
+    norm: float
+    remainder: float
+
+
+def _dataclass_certify(centers, agent, dt, rho, moves):
+    """The batch as it was written with one frozen dataclass per move."""
+    actions = np.array([action for action, _ in moves])
+    own = centers[actions[:, 0] - 1]
+    drift = np.zeros_like(own)
+    for j in range(1, actions.shape[1]):
+        drift -= own - centers[actions[:, j] - 1]
+    goals = centers[np.array([target for _, target in moves]) - 1]
+    nominal = (goals - own - dt * drift) / dt
+    norms = np.sqrt(np.vecdot(nominal, nominal)).tolist()
+    return [_DataclassCertificate(agent=agent, source=action[0],
+                                  target=target, neighbor_cells=action[1:],
+                                  nominal_input=x, norm=norm, remainder=rho)
+            for (action, target), x, norm in zip(moves, nominal, norms)]
+
+
+def _dataclass_certificates(w, known, certify, actions, targets):
+    """`AgentWTS.certificates` over its own memo ``known``, as it was."""
+    moves = list(zip(actions, targets))
+    new = [m for m in dict.fromkeys(moves) if m not in known
+           and m[1] in w.transitions.enabled(m[0][0], m[0][1:])]
+    if new:
+        known.update(zip(new, certify(new)))
+    return list(map(known.get, moves))
+
+
+@pytest.mark.parametrize("counts", [(5,), (7,), (3, 3), (2, 4)])
+def test_tuple_certificates_match_the_dataclass_ones(counts):
+    rng = np.random.default_rng(47 + sum(counts))
+    checked = disabled = 0
+    for _ in range(3):
+        g = random_connected_graph(rng, max_agents=4, max_dimension=1)
+        g = build_graph(g.agent_count, g.edges, len(counts))
+        side = float(rng.uniform(0.2, 1.0))
+        dt = float(rng.uniform(0.05, 0.3))
+        v_max = side * float(rng.uniform(1.0, 3.0)) / (0.5 * dt)
+        decomp, labeling, rep, disc = _grid_system(
+            g, side, counts, dt, v_max, float(rng.uniform(0.1, 0.4)) * side)
+        rho = deviation_remainder(rep, dt)
+        for agent in range(1, g.agent_count + 1):
+            w = build_agent_wts(g, agent, decomp, labeling, rep, disc,
+                                initial_cell=1)
+            oracle = functools.partial(_dataclass_certify, decomp.centers,
+                                       agent, dt, rho)
+            known = {}
+            batches = []
+            calls = []
+            certify = w.certify
+            w.certify = lambda moves: calls.append(len(moves)) or \
+                certify(moves)
+            for _ in range(3):
+                # enabled and disabled moves, each a few times, in any order
+                size = int(rng.integers(1, 60))
+                actions = [tuple(int(c) for c in rng.integers(
+                    1, len(w.cells) + 1, size=len(w.neighbor_agents) + 1))
+                    for _ in range(size)]
+                targets = [int(t) for t in rng.integers(
+                    1, len(w.cells) + 1, size=size)]
+                moves = [(a, t) for a, ts in enabled_actions(w).items()
+                         for t in ts]
+                for k in rng.choice(len(moves), size, replace=True):
+                    actions.append(moves[k][0])
+                    targets.append(moves[k][1])
+                order = rng.permutation(len(actions))
+                actions = [actions[k] for k in order]
+                targets = [targets[k] for k in order]
+                got = w.certificates(actions, targets)
+                want = _dataclass_certificates(w, known, oracle, actions,
+                                               targets)
+                for cert, old in zip(got, want, strict=True):
+                    if old is None:
+                        assert cert is None
+                        disabled += 1
+                        continue
+                    assert type(cert) is TransitionCertificate
+                    assert (cert.agent, cert.source, cert.target,
+                            cert.neighbor_cells) == \
+                        (old.agent, old.source, old.target,
+                         old.neighbor_cells)
+                    assert cert.nominal_input.tobytes() == \
+                        old.nominal_input.tobytes()
+                    assert cert.norm.hex() == old.norm.hex()
+                    assert cert.remainder.hex() == old.remainder.hex()
+                    checked += 1
+                batches.append((actions, targets, got))
+            # the memo answers every later call with the same objects and
+            # certifies each enabled move once over all calls
+            for actions, targets, got in batches:
+                again = w.certificates(actions, targets)
+                assert all(a is b for a, b in zip(again, got, strict=True))
+            assert sum(calls) == len(w._certificates) == len(known)
+    assert checked > 500 and disabled > 100
+
+
+def test_a_certificate_is_immutable_and_compares_by_identity():
+    g, rep, disc, decomp, labeling = _pair_setup()
+    w = build_agent_wts(g, 1, decomp, labeling, rep, disc, initial_cell=6)
+    cert = w.certificate((6, 7), 5)
+    for name in ("agent", "source", "target", "neighbor_cells",
+                 "nominal_input", "norm", "remainder", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(cert, name, 0)
+    twin = TransitionCertificate(
+        agent=cert.agent, source=cert.source, target=cert.target,
+        neighbor_cells=cert.neighbor_cells,
+        nominal_input=cert.nominal_input, norm=cert.norm,
+        remainder=cert.remainder)
+    assert cert == cert and not cert != cert
+    assert not twin == cert and twin != cert
+    assert hash(twin) != hash(cert)
+    assert len({cert, twin}) == 2
+    # a hand-built system has no certificates, enabled move or not
+    hand_built = granted_chain_wts(1, (1, 2), {}, (), (1, 2), 1.0)
+    assert hand_built.certificates([(1,), (1,), (2,)], [2, 1, 2]) == \
+        [None, None, None]

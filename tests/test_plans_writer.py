@@ -5,9 +5,11 @@ The oracle below is the earlier writer, ``plans_to_dict``, whose document
 must give the same text on random plans (certificates and hand-built
 ``None`` ones, empty and multi-service letters, names that need JSON
 escapes, floats that are NaN or infinite, an empty aligned prefix, 1-4
-agents, long runs whose steps share few bodies), on two fixed cases (norms
-0.0, -0.0 and NaN beside one shared remainder; plans of different lengths
-and sampling intervals) and on real plans: the
+agents, long runs whose steps share few bodies), on fixed cases (norms
+0.0, -0.0 and NaN beside one shared remainder; every pair of 0.0, -0.0,
+NaN and the infinities as norm and remainder; one certificate object shared
+by positions and agents; agents with different remainders; plans of
+different lengths and sampling intervals) and on real plans: the
 step-4 pair scenario's and those of the shipped scenarios that have
 plans. The text read back gives the plans' cells, actions and services.
 ``json_text``, which writes report.json and services.json, gives what
@@ -231,6 +233,71 @@ def test_zero_signs_and_nan_norms_beside_a_shared_remainder():
                         ("0.125", 1)):
         assert text.count(f'"input_norm": {norm},') == count
     assert text.count('"remainder": 0.125,') == 7
+
+
+def _bare_certificate(norm, remainder):
+    return TransitionCertificate(agent=1, source=1, target=1,
+                                 neighbor_cells=(), nominal_input=np.zeros(1),
+                                 norm=norm, remainder=remainder)
+
+
+# equal values with other bits, and values equal to no other value
+_SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf)
+
+
+def test_special_norms_and_remainders_keep_their_bits():
+    # every pair of special values, each certificate on two positions; a
+    # remainder follows one with an equal value and other bits (-0.0 after
+    # 0.0)
+    certificates = [_bare_certificate(norm, remainder)
+                    for norm in _SPECIAL for remainder in _SPECIAL]
+    a = frozenset({"a"})
+    steps = [(1, (1,), a, cert) for cert in certificates for _ in range(2)]
+    sc = SimpleNamespace(name="special")
+    for p in (0, 7, len(steps) - 1):
+        text = _assert_written_as_before(sc, _result(_plan(1, 0.5, steps, p)))
+    for name, spelled in zip(_SPECIAL,
+                             ("0.0", "-0.0", "NaN", "Infinity", "-Infinity")):
+        assert text.count(f'"input_norm": {spelled},') == 10, name
+        assert text.count(f'"remainder": {spelled},') == 10, name
+
+
+def test_a_certificate_shared_by_positions_and_agents():
+    # one object at several positions of both agents, under steps whose
+    # cell, action or services differ (a cell need not be its action's
+    # first), beside its equal-valued twin
+    shared = _bare_certificate(0.25, -0.0)
+    twin = _bare_certificate(0.25, -0.0)
+    a, b = frozenset({"a"}), frozenset({"b", "c"})
+    first = [(1, (1, 2), a, shared), (1, (1, 2), a, shared),
+             (2, (2, 2), a, shared), (2, (2, 1), b, twin),
+             (2, (2, 1), b, shared), (1, (1, 2), a, None),
+             (3, (1, 2), a, shared), (1, (1, 2), b, shared)]
+    second = [(2, (2, 1), b, shared), (1, (1, 1), frozenset(), shared),
+              (2, (2, 1), b, twin), (2, (2, 1), b, shared)]
+    sc = SimpleNamespace(name="shared")
+    text = _assert_written_as_before(sc, _result(_plan(1, 0.1, first, 2),
+                                                 _plan(2, 0.1, second, 1)))
+    assert text.count('"remainder": -0.0,') == 11
+
+
+def test_agents_with_different_remainders():
+    a = frozenset({"a"})
+    for rho_1, rho_2 in ((0.125, 0.25), (0.0, -0.0), (-0.0, 0.0),
+                         (0.5, np.float64(0.5)), (math.nan, math.inf)):
+        plans = [_plan(agent, 0.5, [(cell, (cell,), a,
+                                     _bare_certificate(norm, rho))
+                                    for cell, norm in ((1, 1.0), (2, -0.0),
+                                                       (1, 1.0), (3, 2.0))],
+                       1)
+                 for agent, rho in ((1, rho_1), (2, rho_2), (3, rho_1))]
+        sc = SimpleNamespace(name=f"remainders {rho_1} {rho_2}")
+        text = _assert_written_as_before(sc, _result(*plans))
+        remainders = [line.strip() for line in text.splitlines()
+                      if '"remainder"' in line]
+        spelled = [json.dumps(rho) for rho in (rho_1, rho_2, rho_1)]
+        assert remainders == [f'"remainder": {r},' for r in spelled
+                              for _ in range(4)]
 
 
 def test_plans_of_different_lengths_share_their_times():
