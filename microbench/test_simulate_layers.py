@@ -6,7 +6,10 @@ benchmark scenario at seed 0 (3 agents in 2-D, 16 refined cells):
 * ``cells_of`` on its 15 003 boundary points (5 001 boundaries x 3 agents)
   in the refined decomposition, the read-back behind ``services.json``;
 * ``_write_trajectory_csv`` on that run's 20 001 nodes, the
-  ``trajectory.csv`` it writes;
+  ``trajectory.csv`` it writes, where 77 rows move;
+* ``_write_trajectory_csv`` on the 4 001 nodes of the 1 000-step closed
+  loop of the pair-twowindow-synth scenario (``SCENARIO`` of
+  ``test_synthesis_layers``, its step-4 plans), where 3 369 rows move;
 
 and of the whole ``mas simulate`` command, in process, on the line3-abstract
 benchmark scenario at seed 0 (3 agents in 1-D, 24 cells) with that
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from mas.cli import _write_trajectory_csv, load_scenario, main, \
@@ -30,6 +34,7 @@ from mas.partition import cells_of
 from mas.simulate import integrate_plans
 
 from test_abstraction_layers import LINE3
+from test_synthesis_layers import SCENARIO as PAIR
 
 STEPS = 5000
 
@@ -79,6 +84,21 @@ def test_trajectory_csv_writer(benchmark, loop, tmp_path):
     path = tmp_path / "trajectory.csv"
     benchmark(_write_trajectory_csv, path, traj, 3, 2)
     assert len(path.read_text().splitlines()) == 1 + 4 * STEPS + 1
+
+
+def test_trajectory_csv_writer_on_moving_rows(benchmark, tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(PAIR))
+    pipe = stage_abstract(stage_bounds(load_scenario(scenario)))
+    sc = pipe.scenario
+    traj = integrate_plans(pipe.g, stage_synthesize(pipe).plans, pipe.decomp,
+                           sc.initial_positions, sc.v_max, 1000, substeps=4)
+    bits = traj.states.reshape(4001, -1).view(np.uint64)
+    # row 0, and every row whose state differs from the row above
+    assert 1 + (bits[1:] != bits[:-1]).any(axis=1).sum() == 3369
+    path = tmp_path / "trajectory.csv"
+    benchmark(_write_trajectory_csv, path, traj, 2, 1)
+    assert len(path.read_text().splitlines()) == 1 + 4001
 
 
 def test_boundary_cell_lookup(benchmark, loop):

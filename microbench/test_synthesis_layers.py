@@ -30,8 +30,10 @@ products of the line3-abstract scenario at seed 0 (``LINE3`` of
 ``test_abstraction_layers``), 24 lassos each. One more translates
 ``F[0,1] a & F[0,2] b & G[0,3] !c`` over the letters an agent with k
 one-service regions emits, none and one per service, for k = 3..7. The
-last four take the two-agent scenario's step-4 plans, 917 steps per
-agent: one writes the text of plans.json, one builds both plans' timed
+last five take the two-agent scenario's step-4 plans, 917 steps per
+agent: one writes the text of plans.json, one walks that text's document
+against the ``PLANS`` table (``_walk``, as every read of plans.json does,
+its 1 834 step objects on the fast path), one builds both plans' timed
 words (``Plan.word``) and runs the checks ``_build_plans`` makes on them,
 ``evaluate`` and ``witness_instant`` against each agent's formula, one
 runs all of ``_build_plans`` on those runs, with no certificate computed
@@ -55,7 +57,7 @@ import pytest
 
 from mas.cli import (load_scenario, stage_abstract, stage_bounds,
                      stage_synthesize)
-from mas.files import plans_json
+from mas.files import PLANS, _walk, plans_json
 from mas.mitl import evaluate, parse, witness_instant
 from mas.synthesis import (DEFAULT_R_ITER, BuchiProduct, _build_plans,
                            _combine, _project_cells, consistent,
@@ -257,6 +259,13 @@ def step4_result(pipe):
 def test_plans_json_writer(benchmark, pipe, step4_result):
     text = benchmark(plans_json, pipe.scenario, step4_result)
     assert text.count('"time"') == 2 * 917
+
+
+def test_plans_walk(benchmark, pipe, step4_result):
+    document = json.loads(plans_json(pipe.scenario, step4_result))
+    benchmark(_walk, document, PLANS, "plans.json")
+    assert sum(len(a["prefix"]) + len(a["cycle"])
+               for a in document["agents"]) == 2 * 917
 
 
 def test_plan_words_and_checks(benchmark, pipe, step4_result):

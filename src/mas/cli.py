@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import itertools
 import json
 import logging
 import os
@@ -224,7 +225,9 @@ def _write_trajectory_csv(path: Path, traj, agent_count: int,
     differs from that row's, and reused until it changes. The comparison is
     on the bits, not with ``==``: ``0.0 == -0.0`` but their reprs differ
     (and ``nan != nan``). The first row of every chunk is formatted anyway,
-    so each chunk stands alone.
+    so each chunk stands alone. A chunk's state texts are built a column at
+    a time: each column's reprs, zipped and joined by ``map``, so no row
+    runs Python code of its own; its lines are joined by newlines.
     """
     header = ["t"]
     for i in range(1, agent_count + 1):
@@ -237,17 +240,21 @@ def _write_trajectory_csv(path: Path, traj, agent_count: int,
     np.any(bits[1:] != bits[:-1], axis=1, out=moved[1:])
     moved[::_CSV_CHUNK] = True
     times = traj.times.tolist()
+    lead = itertools.repeat("")   # joined before a tail's first column
     with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(header))
         for start in range(0, n, _CSV_CHUNK):
             chunk = slice(start, start + _CSV_CHUNK)
             keep = moved[chunk]
-            tails = ["," + ",".join(map(repr, row)) + "\n"
-                     for row in states[chunk][keep].tolist()]
+            columns = states[chunk][keep].T.tolist()
+            tails = list(map(",".join, zip(lead, *[map(repr, column)
+                                                   for column in columns])))
             # the tail of row k is the last one formatted at or before k
             owner = (np.cumsum(keep) - 1).tolist()
-            fh.write("".join([repr(t) + tails[k]
-                              for t, k in zip(times[chunk], owner)]))
+            fh.write("\n")
+            fh.write("\n".join([repr(t) + tails[k]
+                                for t, k in zip(times[chunk], owner)]))
+        fh.write("\n")
 
 
 # --------------------------------------------------------------------------

@@ -100,7 +100,9 @@ _KINDS = {
 # whether a list of values has no problem at all, testing them together a
 # type or a key at a time, so that an array walks its items one by one, to
 # name their problems, only when they have some. fits tests the whole list
-# with builtins (map, set, all), which run at C speed. It may be stricter
+# with builtins (map, set, all), which run at C speed: an object's keys are
+# tested once, as the union of the list's key sets, and a missing required
+# key is the KeyError of its column's getter. It may be stricter
 # than fault (a dict or list subclass does not fit): values that do not fit
 # are walked by fault, which names the same problems.
 
@@ -211,14 +213,20 @@ class Object:
         return None
 
     def fits(self, values: list, walk: _Walk) -> bool:
-        return set(map(type, values)) <= {dict} and \
-            all(map(self.allowed.issuperset, values)) and \
-            all(map(self.required.issubset, values)) and \
-            all(k.type.fits(list(map(itemgetter(k.name), values))
-                            if k.required else
-                            [v[k.name] for v in values if k.name in v], walk)
-                for k in self.keys) and \
-            not (self.check and any(map(self.check, values)))
+        if not set(map(type, values)) <= {dict} or \
+                not set().union(*values) <= self.allowed:
+            return False
+        for k in self.keys:
+            if k.required:
+                try:  # the getter raises on a missing required key
+                    column = list(map(itemgetter(k.name), values))
+                except KeyError:
+                    return False
+            else:
+                column = [v[k.name] for v in values if k.name in v]
+            if not k.type.fits(column, walk):
+                return False
+        return not (self.check and any(map(self.check, values)))
 
 
 _AGENT = Scalar("an integer", minimum=1, maximum="agents")

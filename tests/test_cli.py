@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -468,7 +469,7 @@ def _assert_writers_agree(tmp_path, traj):
 
 
 _FLOATS = (0.0, -0.0, 1.0, -2.5, 0.1, 1 / 3, 123456.789, 1e-300, -5e-324,
-           1.7976931348623157e308)
+           1.7976931348623157e308, math.nan, math.inf, -math.inf)
 
 
 def _random_states(rng, rows, width):
@@ -508,6 +509,32 @@ def test_trajectory_writer_matches_the_per_row_oracle(tmp_path, seed):
     _assert_writers_agree(tmp_path, traj)
     single = SimpleNamespace(times=traj.times[:1], states=traj.states[:1])
     _assert_writers_agree(tmp_path, single)
+
+
+def test_trajectory_writer_matches_the_oracle_on_one_column(tmp_path):
+    rng = np.random.default_rng(7)
+    rows = _CSV_CHUNK + 100
+    states = _random_states(rng, rows, 1)
+    assert np.isnan(states).any() and np.isinf(states).any()
+    traj = SimpleNamespace(times=np.arange(rows) * 1e-3,
+                           states=states.reshape(rows, 1, 1))
+    _assert_writers_agree(tmp_path, traj)
+
+
+@pytest.mark.parametrize("width", [1, 6])
+def test_trajectory_writer_matches_the_oracle_when_every_row_moves(
+        tmp_path, width):
+    """Rows 1 .. n - 1 all differ from the row above, across two chunk
+    boundaries, so every tail is formatted."""
+    rng = np.random.default_rng(width)
+    rows = 2 * _CSV_CHUNK + 5
+    states = rng.normal(size=(rows, width))
+    states[::7] = rng.choice(_FLOATS, (len(states[::7]), width))
+    bits = states.view(np.uint64)
+    assert (bits[1:] != bits[:-1]).any(axis=1).all()
+    traj = SimpleNamespace(times=np.arange(rows) * 2.5e-3,
+                           states=states.reshape(rows, width, 1))
+    _assert_writers_agree(tmp_path, traj)
 
 
 @pytest.mark.parametrize("name,steps", [

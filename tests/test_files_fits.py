@@ -11,6 +11,13 @@ known top-level keys. Where the values hold no subclass both must answer
 alike; where they do, the fast path may reject (the values are then walked
 by ``fault``) but must never accept what the oracle rejects. The walk's
 problem lists must be equal under either.
+
+Targeted cases put one fault into a plans.json whose first prefix holds
+1 600 steps: a required key missing at step 1 500, an unknown key in one
+step, an optional key in only some objects, an empty cycle, one step that
+is a dict subclass. Their problem lists must be the expected ones under the
+fast path, the oracle and a walk in which no list fits, where ``fault``
+alone names the problems.
 """
 
 from __future__ import annotations
@@ -186,3 +193,104 @@ def test_fast_path_agrees_with_the_oracle(plans_doc, monkeypatch):
     assert seen >= {(Array, True), (Array, False), (Object, True),
                     (Object, False), ("subclass", False),
                     ("problems", True), ("problems", False)}
+
+
+# --------------------------------------------------------------------------
+# targeted cases: key presence and unknown keys in long step arrays
+# --------------------------------------------------------------------------
+
+def _long_plans(plans_doc, steps=1600):
+    """plans_doc with agent 1's prefix lengthened to ``steps`` step objects,
+    each its own copy."""
+    doc = copy.deepcopy(plans_doc)
+    prefix = doc["agents"][0]["prefix"] or doc["agents"][0]["cycle"]
+    doc["agents"][0]["prefix"] = [copy.deepcopy(prefix[k % len(prefix)])
+                                  for k in range(steps)]
+    return doc
+
+
+def _drop(key):
+    def edit(doc):
+        del doc["agents"][0]["prefix"][1500][key]
+    return edit
+
+
+def _add_unknown(doc):
+    doc["agents"][0]["prefix"][1500]["zz"] = 1
+
+
+def _drop_witness(value):
+    def edit(doc):
+        del doc["agents"][0]["witness_time"]
+        doc["agents"][1]["witness_time"] = value
+    return edit
+
+
+def _empty_cycle(doc):
+    doc["agents"][1]["cycle"] = []
+
+
+def _subclass_step(doc):
+    prefix = doc["agents"][0]["prefix"]
+    prefix[1500] = _Dict(prefix[1500])
+
+
+def _missing_and_unknown(doc):
+    _drop("action")(doc)
+    _add_unknown(doc)
+
+
+_TARGETED = {
+    "required key missing at 1500": (_drop("cell"), [
+        ("/agents/0/prefix/1500/cell", "required key is missing")]),
+    "unknown key in one step": (_add_unknown, [
+        ("/agents/0/prefix/1500/zz", "unknown key (known: action, cell, "
+         "input_norm, remainder, services, time)")]),
+    "missing and unknown in one step": (_missing_and_unknown, [
+        ("/agents/0/prefix/1500/action", "required key is missing"),
+        ("/agents/0/prefix/1500/zz", "unknown key (known: action, cell, "
+         "input_norm, remainder, services, time)")]),
+    "witness_time in some agents": (_drop_witness("3/2"), []),
+    "witness_time in some agents, malformed": (_drop_witness("x"), [
+        ("/agents/1/witness_time",
+         "expected null or an exact-ratio string")]),
+    "empty cycle": (_empty_cycle, [
+        ("/agents/1/cycle", "expected a non-empty array")]),
+    "one step a dict subclass": (_subclass_step, []),
+}
+
+
+@pytest.mark.parametrize("case", _TARGETED)
+def test_targeted_cases_name_the_same_problems(plans_doc, monkeypatch, case):
+    """The fast path's answers match the oracle's on every list it is
+    given, and the problems are the expected ones under the fast path, the
+    oracle and a walk in which nothing fits, so ``fault`` alone names
+    them."""
+    edit, expected = _TARGETED[case]
+    doc = _long_plans(plans_doc)
+    assert _problems(doc, PLANS) == []
+    edit(doc)
+    fast = Object.fits
+    calls = []
+
+    def recorded(self, values, walk):
+        result = fast(self, values, walk)
+        calls.append((self, values, dict(walk.known), result))
+        return result
+
+    monkeypatch.setattr(Object, "fits", recorded)
+    problems = _problems(doc, PLANS)
+    assert problems == expected
+    # the long prefix's steps were given to the fast path in one list
+    assert any(len(values) >= 1600 for _, values, _, _ in calls)
+    for typ, values, known, result in calls:
+        walk = _Walk()
+        walk.known = known
+        want = _oracle_object_fits(typ, values, walk)
+        assert result == (want and not _has_subclass(values))
+    monkeypatch.setattr(Object, "fits", _oracle_object_fits)
+    monkeypatch.setattr(Array, "fits", _oracle_array_fits)
+    assert _problems(doc, PLANS) == expected
+    monkeypatch.setattr(Object, "fits", lambda self, values, walk: False)
+    monkeypatch.setattr(Array, "fits", lambda self, values, walk: False)
+    assert _problems(doc, PLANS) == expected
